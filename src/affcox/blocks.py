@@ -9,6 +9,7 @@ so counts are regression data, not theory.
 from typing import NamedTuple
 
 from .perms import check_rank
+from .canonical import _junction_ok
 from .canonical import coset_rep, validate_block  # noqa: F401  (re-exported)
 
 
@@ -20,23 +21,13 @@ class BlockFamily(NamedTuple):
 
 def _extensions(prefix, n):
     """Legal next pairs after prefix, ascending (j, i)."""
-    if not prefix:
-        for j in range(1, n + 2):
-            for i in range(0, n):
+    prev = prefix[-1] if prefix else None
+    # only pairs with j <= j_prev and i >= i_prev can pass (inequality 3)
+    j_max, i_min = prev if prev else (n + 1, 0)
+    for j in range(1, j_max + 1):
+        for i in range(i_min, n):
+            if _junction_ok(prev, (j, i), n):
                 yield (j, i)
-        return
-    jp, ip = prefix[-1]
-    for j in range(1, n + 2):
-        for i in range(0, n):
-            if not ((i == 0 and j == 1) or (1 <= i <= n - 1 and 1 <= j <= n)):
-                continue
-            if not (j <= jp and i >= ip):
-                continue
-            if jp > ip + 1 and not j < jp:
-                continue
-            if j > i + 1 and not i > ip:
-                continue
-            yield (j, i)
 
 
 def enumerate_blocks(n, m, max_items=2_000_000):

@@ -21,12 +21,18 @@ right W(A_n)-coset; m is the affine length; the total length is
 Everything is driven by a left-multiplication engine: s . w_a for a block
 w_a either *absorbs* (s w_a = w_a sigma_v, length +1, block unchanged) or
 yields a new block differing in exactly one prepended/dropped pair or one
-entry by +-1.  The sigma case reduces along the pairs by two base tables
-(the j > i+1 and j <= i+1 regimes); a junction broken by the recursion is
-repaired by exactly one of six exchange rules, which must reproduce the
-original block (that is the absorption).  The a case drops a leading
-trivial prefix, prepends (n+1,0) before an extremal prefix, or braids into
-the tail.
+entry by +-1.  The sigma case is one left-to-right scan over the pairs:
+the absorbed index v is carried through the two base tables (the j > i+1
+and j <= i+1 regimes) until a pair changes.  Only the two junctions beside
+the changed pair are then checked; if they hold, the new block is spliced
+once and returned.  The junction on the right may break: exactly one of
+six exchange rules then reproduces the original two pairs (an absorption,
+with a new index), and the scan goes on past them, so one letter may fire
+several exchange rules.  Every input block is valid, so these local checks
+imply all five inequalities; one letter costs O(m) time and no Python
+stack.  The a case drops a leading trivial prefix, prepends (n+1,0)
+before an extremal prefix, or braids one sigma into the tail, which the
+same scan then carries.
 
 Words canonicalize by folding letters right-to-left through left_mul from
 the identity — valid for arbitrary (even non-reduced) input words, each
@@ -39,6 +45,11 @@ from .perms import AFFINE, check_rank
 from . import finite as fin
 from .finite import FiniteElement, HPrefix
 from .words import Word, hat_partner, is_reduced
+
+
+class InvariantError(AssertionError):
+    """An engine invariant failed: a bug, never a property of the input.
+    Raised explicitly, so the checks survive `python -O`."""
 
 
 class Element(NamedTuple):
@@ -76,24 +87,31 @@ def make_element(n, pairs, bricks):
     return Element(n, pairs, bricks)
 
 
+def _junction_ok(prev, pair, n):
+    """
+    The pairwise inequalities for `pair` following `prev` in a block, or
+    for `pair` as the first pair when prev is None: (1) for a first pair,
+    (2)-(5) otherwise.
+    """
+    j, i = pair
+    if prev is None:
+        return 1 <= j <= n + 1 and 0 <= i <= n - 1
+    jp, ip = prev
+    return (
+        ((i == 0 and j == 1) or (1 <= i <= n - 1 and 1 <= j <= n))
+        and j <= jp and i >= ip
+        and (jp <= ip + 1 or j < jp)
+        and (j <= i + 1 or i > ip)
+    )
+
+
 def validate_block(pairs, n):
-    """The five pairwise inequalities."""
-    if not pairs:
-        return True
-    j1, i1 = pairs[0]
-    if not (1 <= j1 <= n + 1 and 0 <= i1 <= n - 1):
-        return False
-    for s in range(1, len(pairs)):
-        jp, ip = pairs[s - 1]
-        j, i = pairs[s]
-        if not ((i == 0 and j == 1) or (1 <= i <= n - 1 and 1 <= j <= n)):
+    """The five pairwise inequalities, over the whole block."""
+    prev = None
+    for pair in pairs:
+        if not _junction_ok(prev, pair, n):
             return False
-        if not (j <= jp and i >= ip):
-            return False
-        if jp > ip + 1 and not j < jp:
-            return False
-        if j > i + 1 and not i > ip:
-            return False
+        prev = pair
     return True
 
 
@@ -143,7 +161,8 @@ def coset_rep(e):
 
 def _table(u, j, i, n):
     """Outcome of sigma_u . (h(j,i) a): ('absorb', v) or ('pair', (j', i'))."""
-    assert 1 <= u <= n
+    if not 1 <= u <= n:
+        raise InvariantError("table index u=%d out of range at n=%d" % (u, n))
     if j > i + 1:
         if 1 <= u < i:
             return ("absorb", u + 1)
@@ -174,7 +193,7 @@ def _table(u, j, i, n):
             return ("pair", (j, i + 1))
         if i + 2 < u <= n:
             return ("absorb", u - 1)
-    raise AssertionError("no table row for u=%d, (j,i)=(%d,%d), n=%d" % (u, j, i, n))
+    raise InvariantError("no table row for u=%d, (j,i)=(%d,%d), n=%d" % (u, j, i, n))
 
 
 def block_left_descents(j, i, n):
@@ -193,8 +212,8 @@ def _exchange(left, right, n):
 
         h(r,u) a h(s,v) a = h(A) a h(B) a sigma_t      (letter counts equal).
 
-    Guards are evaluated in order; outputs that leave the legal index
-    ranges are discarded (this extends the rules across the v = 0 boundary,
+    Guards are evaluated in order; candidates that are not a legal two-pair
+    block are discarded (this extends the rules across the v = 0 boundary,
     where only one rule survives).  Exactly one candidate must remain.
     """
     r, u = left
@@ -212,49 +231,12 @@ def _exchange(left, right, n):
         cands.append((((s + 1, u + 1), (r + 1, v)), 1))
     if r < s <= u + 1:
         cands.append((((s, u), (r + 1, v)), 1))
-
-    def pair_ok(p, first):
-        j, i = p
-        if first:
-            return 1 <= j <= n + 1 and 0 <= i <= n - 1
-        return (j == 1 and i == 0) or (1 <= j <= n and 1 <= i <= n - 1)
-
-    cands = [((A, B), t) for (A, B), t in cands if pair_ok(A, True) and pair_ok(B, False)]
-    assert len(cands) == 1, (left, right, cands)
+    cands = [((A, B), t) for (A, B), t in cands
+             if _junction_ok(None, A, n) and _junction_ok(A, B, n)]
+    if len(cands) != 1:
+        raise InvariantError("junction %r %r: %d exchange candidates %r"
+                             % (left, right, len(cands), cands))
     return cands[0]
-
-
-def _junction_ok(left_pair, right_pair, n):
-    jp, ip = left_pair
-    j, i = right_pair
-    if not ((i == 0 and j == 1) or (1 <= i <= n - 1 and 1 <= j <= n)):
-        return False
-    if not (j <= jp and i >= ip):
-        return False
-    if jp > ip + 1 and not j < jp:
-        return False
-    if j > i + 1 and not i > ip:
-        return False
-    return True
-
-
-def _assemble(left, right, original, n):
-    """
-    Join the two halves of a rewritten block.  If the junction inequalities
-    hold the result is a genuine new block; otherwise the rewrite must be at
-    the final junction, where one exchange rule restores the original block
-    and exhibits the absorption s . w_a = w_a . sigma_t.
-    """
-    assert left and right
-    if _junction_ok(left[-1], right[0], n):
-        cand = left + right
-        assert validate_block(cand, n), cand
-        return NewBlock(cand)
-    assert len(right) == 1, "junction violation away from the final pair"
-    (A, B), t = _exchange(left[-1], right[0], n)
-    repaired = left[:-1] + (A, B)
-    assert repaired == original, (left, right, repaired, original)
-    return Absorbed(t)
 
 
 def left_mul_block(s, pairs, n):
@@ -263,29 +245,10 @@ def left_mul_block(s, pairs, n):
     (length +1, block unchanged), or NewBlock (length +-1, differing from
     pairs by one dropped/prepended pair or one entry moved by 1).
     """
-    assert pairs
-    if s == AFFINE:
-        return _left_mul_affine(pairs, n)
-    return _left_mul_sigma(s, pairs, n)
-
-
-def _left_mul_sigma(u, pairs, n):
-    j, i = pairs[-1]
-    if len(pairs) == 1:
-        kind, out = _table(u, j, i, n)
-        if kind == "absorb":
-            return Absorbed(out)
-        return NewBlock((out,))
-    rec = _left_mul_sigma(u, pairs[:-1], n)
-    if isinstance(rec, Absorbed):
-        kind, out = _table(rec.v, j, i, n)
-        if kind == "absorb":
-            return Absorbed(out)
-        return _assemble(pairs[:-1], (out,), pairs, n)
-    return _assemble(rec.pairs, (pairs[-1],), pairs, n)
-
-
-def _left_mul_affine(pairs, n):
+    if not pairs:
+        raise ValueError("left_mul_block needs a nonempty block")
+    if s != AFFINE:
+        return _scan(s, pairs, 0, n)
     j1, i1 = pairs[0]
     if (j1, i1) == (n + 1, 0):
         # a . a h(j_2,i_2) a ... reduces to the tail block
@@ -295,14 +258,40 @@ def _left_mul_affine(pairs, n):
     # non-extremal, non-trivial prefix: one braid pushes a sigma into the tail
     #   a |j1,n| a       = |j1,n| a sigma_n         (i1 = 0, 2 <= j1 <= n)
     #   a ceil(i1,1) a   = ceil(i1,1) a sigma_1     (j1 = n+1, i1 >= 1)
-    t = n if i1 == 0 else 1
-    tail = pairs[1:]
-    if not tail:
-        return Absorbed(t)
-    rec = _left_mul_sigma(t, tail, n)
-    if isinstance(rec, Absorbed):
-        return Absorbed(rec.v)
-    return _assemble(pairs[:1], rec.pairs, pairs, n)
+    return _scan(n if i1 == 0 else 1, pairs, 1, n)
+
+
+def _scan(v, pairs, k, n):
+    """
+    sigma_v . pairs[k:] with pairs[:k] held fixed, for a valid block.
+
+    Carries the absorbed index left to right.  At the first pair that
+    changes, only its two junctions can break, since the rest of the block
+    is untouched and was valid.  The junction on its left always holds.
+    A broken junction on its right is restored by an exchange rule, whose
+    index the scan carries on past both pairs; otherwise the new pair is
+    spliced in and the scan ends.
+    """
+    m = len(pairs)
+    while k < m:
+        j, i = pairs[k]
+        kind, out = _table(v, j, i, n)
+        if kind == "absorb":
+            v = out
+            k += 1
+            continue
+        if not _junction_ok(pairs[k - 1] if k else None, out, n):
+            raise InvariantError("junction violation left of the changed pair: "
+                                 "%r at %d in %r" % (out, k, pairs))
+        if k + 1 < m and not _junction_ok(out, pairs[k + 1], n):
+            restored, v = _exchange(out, pairs[k + 1], n)
+            if restored != pairs[k:k + 2]:
+                raise InvariantError("exchange at %r %r gave %r, not the original %r"
+                                     % (out, pairs[k + 1], restored, pairs[k:k + 2]))
+            k += 2
+            continue
+        return NewBlock(pairs[:k] + (out,) + pairs[k + 1:])
+    return Absorbed(v)
 
 
 # --- element-level operations ----------------------------------------------
@@ -455,6 +444,18 @@ def format_element(e):
     return (left + " | " + right).strip()
 
 
+def _index_pair(tok, opening, closing, shape):
+    """The two integers of a token such as h(3,1) or [2,2]."""
+    if tok.startswith(opening) and tok.endswith(closing):
+        parts = tok[len(opening):-len(closing)].split(",")
+        if len(parts) == 2:
+            try:
+                return int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+    raise ValueError("expected %s, got %r" % (shape, tok))
+
+
 def parse_element(text, n):
     check_rank(n)
     text = text.strip()
@@ -468,20 +469,14 @@ def parse_element(text, n):
     toks = left_text.split()
     k = 0
     while k < len(toks):
-        tok = toks[k]
-        if not (tok.startswith("h(") and tok.endswith(")")):
-            raise ValueError("expected h(j,i), got %r" % tok)
-        j, i = (int(p) for p in tok[2:-1].split(","))
+        j, i = _index_pair(toks[k], "h(", ")", "h(j,i)")
         if k + 1 >= len(toks) or toks[k + 1] != "a":
             raise ValueError("h(%d,%d) must be followed by a" % (j, i))
         pairs.append((j, i))
         k += 2
     bricks = []
     for tok in right_text.split():
-        if not (tok.startswith("[") and tok.endswith("]")):
-            raise ValueError("expected [i,j], got %r" % tok)
-        i, j = (int(p) for p in tok[1:-1].split(","))
-        bricks.append((i, j))
+        bricks.append(_index_pair(tok, "[", "]", "[i,j]"))
     return make_element(n, pairs, bricks)
 
 

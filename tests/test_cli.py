@@ -179,3 +179,17 @@ def test_finite_shapes():
         import math
         assert len(shapes) == math.factorial(n + 1)
         assert len(set(shapes)) == len(shapes)
+
+
+def test_malformed_element_tokens(capsys):
+    for text, token in (
+        ("h(1,2,3) a", "h(1,2,3)"),
+        ("h(x,1) a", "h(x,1)"),
+        ("h(3,0) a | [1,2,3]", "[1,2,3]"),
+        ("h(3,0) a | [x,1]", "[x,1]"),
+    ):
+        code, _, err = run(capsys, "canon", "-n", "2", text)
+        assert code == 1
+        assert repr(token) in err and "expected" in err, err
+        with pytest.raises(ValueError, match="expected"):
+            c.parse_element(text, 2)
