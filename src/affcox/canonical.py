@@ -41,15 +41,10 @@ step moving the length by exactly 1.
 
 from typing import NamedTuple, Optional
 
-from .perms import AFFINE, check_rank
+from .perms import AFFINE, InvariantError, check_rank
 from . import finite as fin
 from .finite import FiniteElement, HPrefix
 from .words import Word, hat_partner, is_reduced
-
-
-class InvariantError(AssertionError):
-    """An engine invariant failed: a bug, never a property of the input.
-    Raised explicitly, so the checks survive `python -O`."""
 
 
 class Element(NamedTuple):

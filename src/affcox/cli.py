@@ -25,6 +25,7 @@ embedding image, a failed self-check), 2 usage error.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -34,7 +35,7 @@ from . import hecke as hk
 from . import tower
 from .blocks import enumerate_blocks
 from .finite import brick_identities_check
-from .perms import AFFINE, check_length_formula, check_relations
+from .perms import AFFINE, InvariantError, check_length_formula, check_relations
 from .words import parse_word
 
 # --- element input/output ---------------------------------------------------
@@ -159,7 +160,8 @@ def appendix_blocks(n, max_core=2):
                 pairs = (() if alpha is None else (alpha,)) + core_pairs
                 elem = c.make_element(n, pairs, ())
                 if elem in seen:
-                    assert overlap_ok, "listing families overlap at %r" % (pairs,)
+                    if not overlap_ok:
+                        raise InvariantError("listing families overlap at %r" % (pairs,))
                     continue
                 seen.add(elem)
     return sorted(seen, key=c.sort_key)
@@ -382,7 +384,10 @@ def _rank(text):
     return v
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse parser, built on first use and reused by every `main`
+    call (parse_args leaves a parser unchanged)."""
     p = argparse.ArgumentParser(
         prog="affcox",
         description="Canonical forms in the affine Coxeter groups of type ~A_n.",
@@ -460,10 +465,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "command", None) == "embed":
         if args.source is None and args.rank is None:
-            build_parser().error("embed needs --from (or -n)")
+            parser.error("embed needs --from (or -n)")
     try:
         return args.fn(args)
     except (ValueError, AssertionError) as exc:

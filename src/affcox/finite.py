@@ -29,6 +29,25 @@ two common-top identities
     |a,c||b,c| = |b,c||a-1,c-1|      (a > b, letter counts equal)
     |a,c||b,c| = |b+1,c||a,c-1|      (a <= b, letter count drops by 2)
 
+The shapes are a code of the permutation.  Write x(p) for the window
+value at position p (right multiplication by sigma_p swaps positions p
+and p+1).  The brick on level j starts at
+
+    i_j = rank of x(j+1) among x(1), ..., x(j+1),
+
+and is absent when that rank is j+1 (Bjorner & Brenti, Combinatorics of
+Coxeter Groups, Sec. 8.3).  Left multiplication sigma_k . x swaps the
+values k and k+1, so it changes only the rank at the later of their two
+positions, q, and hence only the brick on level q-1:
+
+    k before k+1  ->  start - 1 (length + 1; an absent brick becomes |q-1,q-1|)
+    k+1 before k  ->  start + 1 (length - 1; the brick drops once start > q-1)
+
+The positions x^{-1}(k), x^{-1}(k+1) come from pushing each value through
+the bricks' inverses in tuple order: for a brick |i,j|, v = i goes to j+1,
+i < v <= j+1 goes to v-1, and any other v stays.  So left insertion is
+O(#bricks), with no refold.
+
 The h-elements h(r,i) = |r,n| ceil(i,1) (h(n+1,0) = 1) and their
 interaction with bricks and with the parabolic P = <sigma_2..sigma_{n-1}>
 live here too, as do the exhaustive two- and three-brick identity checks.
@@ -36,7 +55,7 @@ live here too, as do the exhaustive two- and three-brick identity checks.
 
 from typing import NamedTuple
 
-from .perms import AFFINE, check_rank, perm_length, to_permutation
+from .perms import AFFINE, InvariantError, check_rank, to_permutation
 from .words import Word
 
 
@@ -148,8 +167,38 @@ def finite_inverse(x):
 
 
 def finite_left_insert(x, k):
-    """Canonical form of sigma_k . x (refolds; fine at desk scale)."""
-    return canonicalize_finite(Word(x.n, (k,) + finite_word(x).letters))
+    """Canonical form of sigma_k . x: the one brick entry on level q-1 moves
+    (see the module docstring), in O(#bricks) with no refold."""
+    n = x.n
+    if not 1 <= k <= n:
+        raise ValueError("sigma index %r out of range at rank %d" % (k, n))
+    # positions x^{-1}(k), x^{-1}(k+1): push both values through the
+    # bricks' inverses in tuple order
+    p, p1 = k, k + 1
+    for i, j in x.bricks:
+        if p == i:
+            p = j + 1
+        elif i < p <= j + 1:
+            p -= 1
+        if p1 == i:
+            p1 = j + 1
+        elif i < p1 <= j + 1:
+            p1 -= 1
+    level = max(p, p1) - 1
+    step = -1 if p < p1 else 1  # k before k+1: the length grows
+    bricks = x.bricks
+    for t, (i, j) in enumerate(bricks):
+        if j == level:
+            i += step
+            moved = ((i, j),) if i <= j else ()
+            return FiniteElement(n, bricks[:t] + moved + bricks[t + 1:])
+        if j < level:
+            break
+    else:
+        t = len(bricks)
+    if step != -1:
+        raise InvariantError("no brick on level %d to shorten in %r" % (level, bricks))
+    return FiniteElement(n, bricks[:t] + ((level, level),) + bricks[t:])
 
 
 def support(x):
@@ -208,13 +257,16 @@ def peel_h(x):
     win = to_permutation(finite_word(x).letters, n)
     r = win[n]  # x(n+1)
     v = win[0]  # x(1)
-    assert v != r
+    if v == r:
+        raise InvariantError("x(1) == x(n+1) == %d in %r" % (v, x))
     i = v - 1 if v < r else v - 2
     h = HPrefix(r, i)
     check_hprefix(h, n)
     p = finite_mul(finite_inverse(FiniteElement(n, h_element(h, n).bricks)), x)
-    assert in_parabolic(p), (x, h, p)
-    assert finite_length(p) + len(h_word(h, n)) == finite_length(x)
+    if not in_parabolic(p):
+        raise InvariantError("peel_h(%r): %r . %r with p outside P" % (x, h, p))
+    if finite_length(p) + len(h_word(h, n)) != finite_length(x):
+        raise InvariantError("peel_h(%r): lengths of %r . %r do not add" % (x, h, p))
     return h, p
 
 
@@ -241,7 +293,8 @@ def h_times_floor(j_prev, i_prev, j, n):
             out, u = HPrefix(j - 1, i_prev - 1), j_prev - 1
     else:
         out, u = HPrefix(j - 1, i_prev), j_prev
-    assert u >= 2
+    if u < 2:
+        raise InvariantError("h_times_floor(%d, %d, %d): u = %d < 2" % (j_prev, i_prev, j, u))
     check_hprefix(out, n)
     return out, u
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 from . import canonical as c
 from . import tower
 from .canonical import Element
-from .perms import AFFINE, check_rank
+from .perms import AFFINE, InvariantError, check_rank
 from .words import Word
 
 
@@ -152,7 +152,7 @@ def hecke_left_mul_gen(s, h):
     out = []
     for w, p in h.terms.items():
         sw = c.left_mul(s, w)
-        if s in c.left_descents(w):
+        if c.length(sw) < c.length(w):
             out.append((sw, lp_mul(LP_Q, p)))
             out.append((w, lp_mul(LP_Q_MINUS_1, p)))
         else:
@@ -206,18 +206,22 @@ def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:
     """
     hr_embed(e_w) = A_w g_{R(w)} + lower terms.  Certifies A_w is a single
     power of q and every lower term x has l(x) < l(R(w)) and L(x) <= L(w);
-    a violation is an engine bug, not a result, hence an assertion.
+    a violation is an engine bug, not a result, hence an InvariantError.
     """
     img = hr_embed(basis(w))
     target = tower.embed(w)
     a_w = img.terms.get(target)
-    assert a_w is not None, "leading term missing"
-    assert lp_power_of_q(a_w) is not None, ("A_w not a power of q", a_w)
+    if a_w is None:
+        raise InvariantError("leading term missing")
+    if lp_power_of_q(a_w) is None:
+        raise InvariantError("A_w not a power of q: %r" % (a_w,))
     lower = _collect(img.n, ((x, p) for x, p in img.terms.items() if x != target))
     lt, lw = c.length(target), c.affine_length(w)
     for x in lower.terms:
-        assert c.length(x) < lt, ("lower term not shorter", x)
-        assert c.affine_length(x) <= lw, ("affine length grew", x)
+        if c.length(x) >= lt:
+            raise InvariantError("lower term not shorter: %r" % (x,))
+        if c.affine_length(x) > lw:
+            raise InvariantError("affine length grew: %r" % (x,))
     return a_w, lower
 
 

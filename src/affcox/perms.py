@@ -29,6 +29,12 @@ from collections import deque
 AFFINE = 0  # the letter a_{n+1}
 
 
+class InvariantError(AssertionError):
+    """An engine invariant failed: a bug, never a property of the input.
+    Raised explicitly, so the checks survive `python -O`.  Defined here, in
+    the lowest module, so every layer raises the same class."""
+
+
 def check_rank(n):
     if not isinstance(n, int) or n < 2:
         raise ValueError("rank must be an integer >= 2, got %r" % (n,))
@@ -78,7 +84,8 @@ def apply_perm(w, k):
 
 def compose(u, v):
     """Window of the product u.v, i.e. the map k -> u(v(k))."""
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError("rank mismatch: windows of size %d and %d" % (len(u), len(v)))
     return tuple(apply_perm(u, vk) for vk in v)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from . import canonical as c
 from . import finite as fin
 from .canonical import Element
-from .perms import AFFINE, check_rank
+from .perms import AFFINE, InvariantError, check_rank
 
 
 class EmbeddingWitness(NamedTuple):
@@ -32,8 +32,17 @@ class EmbeddingWitness(NamedTuple):
 def _split_index(pairs, n):
     """max{k : n - k - i_k > 0}, 1-based; requires the k = 1 term positive."""
     ks = [k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0]
-    assert ks, "no split index: first pair out of range for this rank"
+    if not ks:
+        raise InvariantError("no split index: first pair out of range for this rank")
     return max(ks)
+
+
+def _check_image(pairs, bricks, n):
+    """The closed formula must land on a canonical form at rank n."""
+    if not c.validate_block(pairs, n):
+        raise InvariantError("invalid block %r at rank %d" % (pairs, n))
+    if not fin.validate_finite(bricks, n):
+        raise InvariantError("invalid bricks %r at rank %d" % (bricks, n))
 
 
 def embedding_witness(e) -> Optional[EmbeddingWitness]:
@@ -42,7 +51,8 @@ def embedding_witness(e) -> Optional[EmbeddingWitness]:
         return None
     n = e.n + 1
     s = _split_index(e.pairs, n)
-    assert s <= n - 1
+    if s > n - 1:
+        raise InvariantError("split index %d exceeds rank %d" % (s, n - 1))
     return EmbeddingWitness(s, n - s + 1, tuple(k > s for k in range(1, len(e.pairs) + 1)))
 
 
@@ -58,8 +68,7 @@ def embed(e) -> Element:
         for (j, i), shifted in zip(e.pairs, wit.shifted)
     )
     bricks = ((wit.t, n),) + e.bricks
-    assert c.validate_block(pairs, n), (e.pairs, pairs)
-    assert fin.validate_finite(bricks, n), bricks
+    _check_image(pairs, bricks, n)
     return Element(n, pairs, bricks)
 
 
@@ -108,6 +117,5 @@ def preimage(e) -> Optional[Element]:
         for k, (j, i) in enumerate(e.pairs, start=1)
     )
     bricks = e.bricks[1:]
-    assert c.validate_block(pairs, n - 1), (e.pairs, pairs)
-    assert fin.validate_finite(bricks, n - 1), bricks
+    _check_image(pairs, bricks, n - 1)
     return Element(n - 1, pairs, bricks)

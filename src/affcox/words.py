@@ -19,7 +19,9 @@ element.
 import re
 from typing import NamedTuple, Optional
 
-from .perms import AFFINE, check_rank, compose, identity, inverse, right_mul, to_permutation
+from .perms import (
+    AFFINE, InvariantError, check_rank, compose, identity, inverse, right_mul, to_permutation,
+)
 
 
 class Word(NamedTuple):
@@ -106,7 +108,8 @@ def hat_partner(w, proper_prefix_reduced=False) -> Optional[int]:
     hits = [j for j in range(len(ts) - 1) if ts[j] == last]
     if not hits:
         return None
-    assert len(hits) == 1, hits
+    if len(hits) != 1:
+        raise InvariantError("hat partner not unique: %r" % (hits,))
     return hits[0]
 
 

@@ -1,0 +1,160 @@
+"""Left insertion into the finite part, and the checks that ride with it:
+explicit invariant errors, one length comparison per Hecke term, and the
+CLI parser built once."""
+
+import itertools
+import os
+import subprocess
+import sys
+
+import pytest
+
+import affcox
+from affcox import canonical as c
+from affcox import cli
+from affcox import finite as fin
+from affcox import hecke as hk
+from affcox import perms
+from affcox.finite import (
+    FiniteElement,
+    canonicalize_finite,
+    finite_left_insert,
+    finite_word,
+)
+from affcox.words import Word
+
+
+def refold_left_insert(x, k):
+    """The test oracle: fold sigma_k and the whole brick word of x again."""
+    return canonicalize_finite(Word(x.n, (k,) + finite_word(x).letters))
+
+
+def all_elements(n):
+    """Every canonical shape at rank n: on each level j, a start 1..j or none."""
+    levels = [list(range(1, j + 1)) + [None] for j in range(n, 0, -1)]
+    for starts in itertools.product(*levels):
+        yield FiniteElement(n, tuple(
+            (i, j) for i, j in zip(starts, range(n, 0, -1)) if i is not None
+        ))
+
+
+def w0(n):
+    return tuple(s for j in range(n, 0, -1) for s in range(1, j + 1))
+
+
+def test_left_insert_matches_refold_exhaustively():
+    cases = 0
+    for n in range(2, 7):
+        for x in all_elements(n):
+            for k in range(1, n + 1):
+                assert finite_left_insert(x, k) == refold_left_insert(x, k), (x, k)
+                cases += 1
+    # sum over n = 2..6 of (n+1)! * n
+    assert cases == 12 + 72 + 480 + 3600 + 30240
+
+
+def test_left_insert_makes_no_refold(monkeypatch):
+    # w0 a w0 at n = 12: the second w0 is absorbed letter by letter
+    calls = {"inside": 0, "right_insert": 0, "canonicalize_finite": 0, "left": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            if calls["inside"]:
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    left = fin.finite_left_insert
+
+    def traced_left(x, k):
+        calls["left"] += 1
+        calls["inside"] += 1
+        try:
+            return left(x, k)
+        finally:
+            calls["inside"] -= 1
+
+    for name in ("right_insert", "canonicalize_finite"):
+        monkeypatch.setattr(fin, name, counting(name, getattr(fin, name)))
+    monkeypatch.setattr(fin, "finite_left_insert", traced_left)
+    n = 12
+    c.canonicalize(Word(n, w0(n) + (perms.AFFINE,) + w0(n)))
+    assert calls["left"] > 0
+    assert calls["right_insert"] == 0
+    assert calls["canonicalize_finite"] == 0
+
+
+def test_w0_a_w0_at_rank_40():
+    n = 40
+    w = Word(n, w0(n) + (perms.AFFINE,) + w0(n))
+    e = c.canonicalize(w)
+    assert perms.to_permutation(c.element_word(e).letters, n) == \
+        perms.to_permutation(w.letters, n)
+    assert c.length(e) == perms.perm_length(perms.to_permutation(w.letters, n))
+
+
+@pytest.mark.parametrize("k", [0, 4, -1])
+def test_left_insert_rejects_out_of_range_index(k):
+    with pytest.raises(ValueError, match=r"sigma index %d out of range" % k):
+        finite_left_insert(FiniteElement(3, ((1, 3),)), k)
+
+
+# --- explicit invariants ----------------------------------------------------
+
+def test_invariant_error_defined_once():
+    assert c.InvariantError is perms.InvariantError
+    assert issubclass(perms.InvariantError, AssertionError)
+
+
+def test_compose_rank_mismatch_is_value_error():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        perms.compose(perms.identity(2), perms.identity(3))
+
+
+def test_tower_invariant_survives_optimize():
+    code = "\n".join([
+        "import sys",
+        "from affcox import canonical as c, tower",
+        "from affcox.words import Word",
+        "assert sys.flags.optimize",
+        "e = c.canonicalize(Word(2, (1, 0, 2)))",
+        "c.validate_block = lambda pairs, n: False",
+        "try:",
+        "    tower.embed(e)",
+        "except c.InvariantError as exc:",
+        "    print('InvariantError:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(affcox.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError:"), proc.stdout
+
+
+# --- one left multiplication per Hecke term ---------------------------------
+
+def test_hecke_left_mul_gen_one_left_mul_per_term(monkeypatch):
+    n = 3
+    h = hk.add(hk.basis(c.canonicalize(Word(n, (1, 0, 2)))),
+               hk.basis(c.canonicalize(Word(n, (2, 3)))))
+    calls = []
+    left_mul = c.left_mul
+    monkeypatch.setattr(c, "left_mul", lambda s, e: calls.append(s) or left_mul(s, e))
+    for s in c.generators(n):
+        calls.clear()
+        hk.hecke_left_mul_gen(s, h)
+        assert len(calls) == len(h.terms)
+
+
+# --- the CLI parser ---------------------------------------------------------
+
+def test_parser_built_once(capsys):
+    parser = cli.build_parser()
+    assert cli.main(["canon", "-n", "2", "s1 a"]) == 0
+    assert cli.main(["len", "-n", "2", "s1 a"]) == 0
+    assert cli.build_parser() is parser
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["embed", "a"])
+    assert exc.value.code == 2
+    assert "embed needs --from" in capsys.readouterr().err
