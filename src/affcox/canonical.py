@@ -36,7 +36,10 @@ same scan then carries.
 
 Words canonicalize by folding letters right-to-left through left_mul from
 the identity — valid for arbitrary (even non-reduced) input words, each
-step moving the length by exactly 1.
+step moving the length by exactly 1.  The element operations fold onto
+what they already hold: mul(u, v) folds the canonical word of u onto v
+(l(u) steps), inverse folds the reversed canonical word (l(u) steps), and
+right descents come from R(w) = L(w^{-1}) (l(w) + n + 1 steps).
 """
 
 from typing import NamedTuple, Optional
@@ -308,18 +311,24 @@ def left_mul(s, e):
     return Element(n, out.pairs, e.bricks)
 
 
-def canonicalize(w):
-    """Canonical form of an arbitrary word (reduced or not)."""
-    e = identity_element(w.n)
-    for s in reversed(w.letters):
+def fold(letters, e):
+    """The product letters . e, folding the letters right-to-left through
+    left_mul: one left multiplication per letter."""
+    for s in reversed(letters):
         e = left_mul(s, e)
     return e
 
 
+def canonicalize(w):
+    """Canonical form of an arbitrary word (reduced or not)."""
+    return fold(w.letters, identity_element(w.n))
+
+
 def mul(u, v):
+    """u . v, folding the canonical word of u onto v: l(u) steps."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    return canonicalize(Word(u.n, element_word(u).letters + element_word(v).letters))
+    return fold(element_word(u).letters, v)
 
 
 def inverse(u):
@@ -331,17 +340,12 @@ def generators(n):
 
 
 def right_descents(e):
-    """{s : l(e s) < l(e)}, by multiplying and comparing lengths."""
-    le = length(e)
-    out = set()
-    for s in generators(e.n):
-        es = canonicalize(Word(e.n, element_word(e).letters + (s,)))
-        if length(es) < le:
-            out.add(s)
-    return out
+    """{s : l(e s) < l(e)}, as R(e) = L(e^{-1})."""
+    return left_descents(inverse(e))
 
 
 def left_descents(e):
+    """{s : l(s e) < l(e)}: one left multiplication per generator."""
     le = length(e)
     return {s for s in generators(e.n) if length(left_mul(s, e)) < le}
 

@@ -21,7 +21,8 @@ the capped listing is provably complete, and the subcommand checks it
 there against the generic block enumerator.
 
 Exit codes: 0 success, 1 domain error (invalid element, not in the
-embedding image, a failed self-check), 2 usage error.
+embedding image, a failed self-check), 2 usage error, 3 internal error
+(an engine invariant failed: a bug, reported on one line).
 """
 
 import argparse
@@ -472,6 +473,9 @@ def main(argv=None):
             parser.error("embed needs --from (or -n)")
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     except (ValueError, AssertionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -7,7 +7,8 @@ free module on basis {g_w}, with the defining left relations
 
 so that g_{s_1 ... s_k} = g_{s_1} ... g_{s_k} for reduced words.  General
 products expand the left factor into its canonical reduced word and fold.
-The generators are invertible: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1.
+The generators are invertible: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1,
+so g_s^{-1} g_w = g_{sw} if s in L(w), else q^{-1} g_{sw} + (q^{-1}-1) g_w.
 
 The rank-raising arrow sends g_{sigma_i} to itself and the affine
 generator to g_{sigma_n} g_a g_{sigma_n}^{-1} one rank up; on a basis
@@ -160,6 +161,23 @@ def hecke_left_mul_gen(s, h):
     return _collect(n, out)
 
 
+def hecke_left_mul_gen_inv(s, h):
+    """g_s^{-1} . h term by term, one left multiplication per term:
+    g_s^{-1} g_w = g_{sw} when s is in L(w), else q^{-1} g_{sw} + (q^{-1} - 1) g_w."""
+    n = h.n
+    if not (s == AFFINE or 1 <= s <= n):
+        raise ValueError("letter %r invalid at rank %d" % (s, n))
+    out = []
+    for w, p in h.terms.items():
+        sw = c.left_mul(s, w)
+        if c.length(sw) < c.length(w):
+            out.append((sw, p))
+        else:
+            out.append((sw, lp_mul(LP_QINV, p)))
+            out.append((w, lp_mul(LP_QINV_MINUS_1, p)))
+    return _collect(n, out)
+
+
 def hecke_mul(u, v):
     """u . v: expand each basis term of u into its reduced word and fold."""
     if u.n != v.n:
@@ -175,11 +193,7 @@ def hecke_mul(u, v):
 
 def gen_inverse(s, n):
     """q^{-1} g_s + (q^{-1} - 1) g_1."""
-    check_rank(n)
-    return add(
-        scale(gen_basis(s, n), dict(LP_QINV)),
-        scale(unit(n), dict(LP_QINV_MINUS_1)),
-    )
+    return hecke_left_mul_gen_inv(s, unit(n))
 
 
 def hr_embed(h):
@@ -187,13 +201,12 @@ def hr_embed(h):
     g_{sigma_n} g_a g_{sigma_n}^{-1} (letters folded over each basis word)."""
     check_rank(h.n)
     n = h.n + 1
-    ginv_n = gen_inverse(n, n)
     total = HeckeElement(n, {})
     for w, p in h.terms.items():
         acc = unit(n)
         for s in reversed(c.element_word(w).letters):
             if s == AFFINE:
-                acc = hecke_mul(ginv_n, acc)
+                acc = hecke_left_mul_gen_inv(n, acc)
                 acc = hecke_left_mul_gen(AFFINE, acc)
                 acc = hecke_left_mul_gen(n, acc)
             else:

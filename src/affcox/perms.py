@@ -165,6 +165,21 @@ def bfs_reduced_words(n, max_len, max_states=5_000_000):
     return words
 
 
+def random_reduced_word(n, size, rng):
+    """A random reduced word of `size` letters, grown letter by letter: a
+    drawn letter is kept when it lengthens the window.  For sampling long
+    elements, which random words (mostly cancelling) do not reach."""
+    check_rank(n)
+    letters, w = [], identity(n)
+    while len(letters) < size:
+        s = rng.randrange(0, n + 1)
+        ws = right_mul(w, s)
+        if perm_length(ws) > len(letters):
+            letters.append(s)
+            w = ws
+    return tuple(letters)
+
+
 def count_reduced_words(w, _memo=None):
     """
     Number of reduced words for the element with window w, by recursion on

@@ -1,6 +1,7 @@
 """The left-to-right block engine: deep blocks, operation counts, invariants."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -87,6 +88,27 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
     assert calls
     for m, tables, exchanges in calls:
         assert tables <= m and exchanges <= m, (m, tables, exchanges)
+
+
+def test_element_operation_counts(monkeypatch):
+    """mul(u, v) folds u onto v in l(u) left multiplications, and
+    right_descents(e) = left_descents(inverse(e)) takes l(e) + n + 1; 200
+    pairs at n = 6 drawn from 50 random reduced elements with l <= 300."""
+    n = 6
+    rng = random.Random(606)
+    pool = [c.canonicalize(Word(n, perms.random_reduced_word(n, rng.randint(0, 300), rng)))
+            for _ in range(50)]
+    calls = []
+    orig = c.left_mul
+    monkeypatch.setattr(c, "left_mul", lambda s, e: calls.append(s) or orig(s, e))
+    for _ in range(200):
+        u, v = rng.choice(pool), rng.choice(pool)
+        calls.clear()
+        c.mul(u, v)
+        assert len(calls) == c.length(u)
+        calls.clear()
+        c.right_descents(u)
+        assert len(calls) == c.length(u) + n + 1
 
 
 # --- invariants that survive python -O --------------------------------------

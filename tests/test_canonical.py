@@ -177,12 +177,22 @@ def test_block_descents(n):
 
 # --- descent sets vs the window model ---------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3])
+def sample_word(n, rng, max_len):
+    """A random word of at most max_len letters; from rank 4 on a reduced
+    one, so the element is as long as the word."""
+    size = rng.randint(0, max_len)
+    if n <= 3:
+        return tuple(rng.randrange(0, n + 1) for _ in range(size))
+    return perms.random_reduced_word(n, size, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12])
 def test_descents_against_windows(n):
     rng = random.Random(23 + n)
     gens = tuple(range(1, n + 1)) + (perms.AFFINE,)
-    for _ in range(60):
-        letters = tuple(rng.randrange(0, n + 1) for _ in range(rng.randint(0, 12)))
+    count, max_len = (60, 12) if n <= 3 else (20, 300)
+    for _ in range(count):
+        letters = sample_word(n, rng, max_len)
         e = c.canonicalize(Word(n, letters))
         w = perms.to_permutation(letters, n)
         lw = perms.perm_length(w)
@@ -198,14 +208,26 @@ def test_descents_against_windows(n):
         assert c.left_descents(e) == want_l
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_right_descents_of_finite_part(n):
+    """sigma_i is in R(w) exactly when it is a right descent of the finite
+    part x, i.e. x(i) > x(i+1) in the window of x."""
+    for letters in perms.bfs_reduced_words(n, 6).values():
+        e = c.canonicalize(Word(n, letters))
+        x = perms.to_permutation(fin.finite_word(c.finite_part(e)).letters, n)
+        want = {i for i in range(1, n + 1) if x[i - 1] > x[i]}
+        assert c.right_descents(e) - {perms.AFFINE} == want
+
+
 # --- group operations -------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 6, 12])
 def test_mul_inverse(n):
     rng = random.Random(31 + n)
-    for _ in range(50):
-        a = tuple(rng.randrange(0, n + 1) for _ in range(rng.randint(0, 10)))
-        b = tuple(rng.randrange(0, n + 1) for _ in range(rng.randint(0, 10)))
+    count, max_len = (50, 10) if n <= 3 else (20, 300)
+    for _ in range(count):
+        a = sample_word(n, rng, max_len)
+        b = sample_word(n, rng, max_len)
         ea, eb = c.canonicalize(Word(n, a)), c.canonicalize(Word(n, b))
         prod = c.mul(ea, eb)
         wa = perms.to_permutation(a, n)

@@ -151,6 +151,15 @@ def test_domain_errors(capsys):
     assert code == 1
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(e):
+        raise c.InvariantError("descent engine broke")
+    monkeypatch.setattr(c, "right_descents", broken)
+    code, out, err = run(capsys, "descents", "-n", "2", "s1 a")
+    assert code == 3 and out == ""
+    assert err == "internal error: descent engine broke\n"
+
+
 # --- appendix generation against the enumerator -----------------------------
 
 @pytest.mark.parametrize("n,cap", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

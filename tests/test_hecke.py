@@ -133,6 +133,21 @@ def test_gen_inverse():
     }
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_left_mul_gen_inv(n):
+    """g_s^{-1} applied term by term equals the general product with
+    gen_inverse(s, n), and q^{-1} g_s h + (q^{-1} - 1) h."""
+    rng = random.Random(41 + n)
+    for _ in range(6):
+        h = random_hecke(n, rng)
+        for s in c.generators(n):
+            got = hk.hecke_left_mul_gen_inv(s, h)
+            assert got == hk.hecke_mul(hk.gen_inverse(s, n), h)
+            assert got == hk.add(hk.scale(hk.hecke_left_mul_gen(s, h), dict(hk.LP_QINV)),
+                                 hk.scale(h, dict(hk.LP_QINV_MINUS_1)))
+            assert hk.hecke_left_mul_gen(s, got) == h
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         hk.hecke_mul(hk.unit(2), hk.unit(3))
