@@ -1,9 +1,10 @@
 """
 Enumeration of affine blocks — the minimal-length representatives of the
 right cosets W(~A_n)/W(A_n), indexed by families (j_s, i_s)_{1..m} under
-the pairwise inequalities.  Depth-first extension with the inequalities as
-pruning predicates; there is no closed counting formula by affine length,
-so counts are regression data, not theory.
+the pairwise inequalities.  Depth-first extension on an explicit stack
+(no recursion limit) with the inequalities as pruning predicates; there
+is no closed counting formula by affine length, so counts are regression
+data, not theory.
 """
 
 from typing import NamedTuple
@@ -35,18 +36,16 @@ def enumerate_blocks(n, m, max_items=2_000_000):
     if m < 0:
         raise ValueError("affine length must be >= 0")
     items = []
-
-    def grow(prefix):
-        if len(prefix) == m:
-            items.append(prefix)
-            if len(items) > max_items:
-                raise RuntimeError(
-                    "block enumeration exceeded %d items at rank %d, m=%d"
-                    % (max_items, n, m)
-                )
-            return
-        for pair in _extensions(prefix, n):
-            grow(prefix + (pair,))
-
-    grow(())
+    stack = [()]  # depth first, smallest pair on top: lexicographic output
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) < m:
+            stack.extend(prefix + (p,) for p in reversed(list(_extensions(prefix, n))))
+            continue
+        items.append(prefix)
+        if len(items) > max_items:
+            raise RuntimeError(
+                "block enumeration exceeded %d items at rank %d, m=%d"
+                % (max_items, n, m)
+            )
     return BlockFamily(n, m, tuple(items))

@@ -74,10 +74,22 @@ def identity_element(n):
     return Element(n, (), ())
 
 
+def _int_pairs(field, seq):
+    """`seq` as a tuple of integer pairs; a ValueError naming `field` if it
+    is not a list of them."""
+    try:
+        out = tuple((a, b) for a, b in seq)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or not all(isinstance(v, int) for pair in out for v in pair):
+        raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
+    return out
+
+
 def make_element(n, pairs, bricks):
     check_rank(n)
-    pairs = tuple((int(j), int(i)) for j, i in pairs)
-    bricks = tuple((int(i), int(j)) for i, j in bricks)
+    pairs = _int_pairs("pairs", pairs)
+    bricks = _int_pairs("bricks", bricks)
     if not validate_block(pairs, n):
         raise ValueError("pairwise inequalities violated: %r" % (pairs,))
     if not fin.validate_finite(bricks, n):

@@ -32,6 +32,7 @@ import json
 import sys
 
 from . import canonical as c
+from . import finite as fin
 from . import hecke as hk
 from . import tower
 from .blocks import enumerate_blocks
@@ -193,16 +194,6 @@ def reference_blocks(n, max_len):
     return sorted(out, key=c.sort_key)
 
 
-def finite_shapes(n):
-    """All (n+1)! canonical brick shapes at rank n."""
-    shapes = [()]
-    for j in range(n, 0, -1):
-        shapes = shapes + [
-            s + ((i, j),) for s in shapes for i in range(1, j + 1)
-        ]
-    return sorted(shapes, key=lambda s: c.sort_key(c.make_element(n, (), s)))
-
-
 def appendix_check(n, max_core):
     """(threshold, generated-within-threshold, reference, ok)."""
     thr = appendix_threshold(n, max_core)
@@ -323,7 +314,7 @@ def _cmd_appendix(args):
     listing = appendix_blocks(args.rank, args.max_core)
     if args.max_len is not None:
         listing = [e for e in listing if c.length(e) <= args.max_len]
-    rf = [c.make_element(args.rank, (), s) for s in finite_shapes(args.rank)]
+    rf = [c.make_element(args.rank, (), s) for s in fin.finite_shapes(args.rank)]
     if args.json:
         print(json.dumps({
             "rank": args.rank,

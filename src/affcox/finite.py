@@ -10,52 +10,43 @@ Every x in W(A_n) factors uniquely as
     x = |i_1,j_1| |i_2,j_2| ... |i_s,j_s|,   n >= j_1 > j_2 > ... > j_s >= 1,
                                              j_t >= i_t >= 1,
 
-and this expression is reduced.  Since the shapes number
-prod_{j=1..n} (j+1) = (n+1)!, *every* valid shape is the canonical form of
-its product — which is what makes insertion cheap: appending a new brick in
-a fresh (lower) level is already canonical.
-
-Right insertion of sigma_k into canonical bricks, looking at the lowest
-brick |i,t|:
-
-    k <  t      ->  append the new brick |k,k| (valid shape, hence done)
-    k == t      ->  |i,t| sigma_t = |i,t-1|      (shrink; vanishes if i = t)
-    k == t+1    ->  |i,t| sigma_{t+1} = |i,t+1|  (extend, then one combine)
-    k >= t+2    ->  commute past |i,t|, recurse into the higher bricks
-
-where "combine" resolves two bricks that land on a common level c by the
-two common-top identities
-
-    |a,c||b,c| = |b,c||a-1,c-1|      (a > b, letter counts equal)
-    |a,c||b,c| = |b+1,c||a,c-1|      (a <= b, letter count drops by 2)
-
-The shapes are a code of the permutation.  Write x(p) for the window
-value at position p (right multiplication by sigma_p swaps positions p
-and p+1).  The brick on level j starts at
+and this expression is reduced.  The shapes are the level code of the
+permutation, which is the definition used here.  Write x(p) for the
+window value at position p (x . sigma_p swaps positions p and p+1).  The
+brick on level j starts at
 
     i_j = rank of x(j+1) among x(1), ..., x(j+1),
 
 and is absent when that rank is j+1 (Bjorner & Brenti, Combinatorics of
-Coxeter Groups, Sec. 8.3).  Left multiplication sigma_k . x swaps the
-values k and k+1, so it changes only the rank at the later of their two
-positions, q, and hence only the brick on level q-1:
+Coxeter Groups, Sec. 8.3).  Level j has j+1 choices, so the (n+1)! shapes
+code W(A_n) bijectively.  `from_window` reads the ranks off a window and
+`finite_window` replays the bricks (|i,j| moves the entry at position i
+to position j+1), both in O(n^2).  Products, inverses and words are
+window operations followed by one decode.  Right insertion x . sigma_k
+swaps the positions k and k+1, so only the bricks on levels k-1 and k
+move.  Left insertion sigma_k . x swaps the values k and k+1, so only the
+rank at the later of their positions, q, changes, i.e. the brick on
+level q-1:
 
     k before k+1  ->  start - 1 (length + 1; an absent brick becomes |q-1,q-1|)
     k+1 before k  ->  start + 1 (length - 1; the brick drops once start > q-1)
 
-The positions x^{-1}(k), x^{-1}(k+1) come from pushing each value through
-the bricks' inverses in tuple order: for a brick |i,j|, v = i goes to j+1,
-i < v <= j+1 goes to v-1, and any other v stays.  So left insertion is
-O(#bricks), with no refold.
+The positions of k and k+1 come from pushing each value through the
+bricks' inverses in tuple order (for |i,j|: i goes to j+1, i < v <= j+1
+goes to v-1, any other v stays), so left insertion is O(#bricks) and
+decodes nothing.
 
 The h-elements h(r,i) = |r,n| ceil(i,1) (h(n+1,0) = 1) and their
 interaction with bricks and with the parabolic P = <sigma_2..sigma_{n-1}>
 live here too, as do the exhaustive two- and three-brick identity checks.
 """
 
+from itertools import permutations
 from typing import NamedTuple
 
-from .perms import AFFINE, InvariantError, check_rank, to_permutation
+from .perms import (
+    AFFINE, InvariantError, check_rank, compose, inverse, right_mul, to_permutation,
+)
 from .words import Word
 
 
@@ -94,76 +85,62 @@ def ceil_word(i, j):
     return tuple(range(i, j - 1, -1))
 
 
-def _combine(head, brick):
-    """Append `brick`, resolving a common-level clash with head's lowest
-    brick by one of the two common-top identities.  Empty bricks drop."""
-    if head and head[-1][1] == brick[1]:
-        (a, c) = head[-1]
-        (b, _) = brick
-        if a > b:
-            pair = ((b, c), (a - 1, c - 1))
-        else:
-            pair = ((b + 1, c), (a, c - 1))
-        return head[:-1] + tuple(br for br in pair if br[0] <= br[1])
-    return head + (brick,)
+def finite_window(x):
+    """Window (x(1), ..., x(n+1)): each brick |i,j| in turn moves the entry
+    at position i to position j+1."""
+    win = list(range(1, x.n + 2))
+    for i, j in x.bricks:
+        win.insert(j, win.pop(i - 1))
+    return tuple(win)
+
+
+def from_window(win):
+    """The brick form of a permutation window, by its level code: the brick
+    on level j starts at the rank of x(j+1) among x(1..j+1)."""
+    n = len(win) - 1
+    if sorted(win) != list(range(1, n + 2)):
+        raise ValueError("not a window of W(A_n): %r" % (win,))
+    starts = ((1 + sum(u < win[j] for u in win[:j]), j) for j in range(n, 0, -1))
+    return FiniteElement(n, tuple((i, j) for i, j in starts if i <= j))
 
 
 def right_insert(x, k):
     """Canonical form of x . sigma_k."""
     if not 1 <= k <= x.n:
         raise ValueError("sigma index %r out of range at rank %d" % (k, x.n))
-    return FiniteElement(x.n, _insert(x.bricks, k))
-
-
-def _insert(bricks, k):
-    if not bricks:
-        return ((k, k),)
-    i, t = bricks[-1]
-    if k < t:
-        return bricks + ((k, k),)
-    if k == t:
-        head = bricks[:-1]
-        if i == t:
-            return head
-        return head + ((i, t - 1),)
-    if k == t + 1:
-        return _combine(bricks[:-1], (i, t + 1))
-    # k >= t+2 commutes with every letter of the lowest brick
-    return _combine(_insert(bricks[:-1], k), (i, t))
+    return from_window(right_mul(finite_window(x), k))
 
 
 def canonicalize_finite(w):
     """Canonical form of a sigma-word (no affine letters allowed)."""
-    x = finite_identity(w.n)
-    for s in w.letters:
-        if s == AFFINE:
-            raise ValueError("affine letter in a finite word")
-        x = right_insert(x, s)
-    return x
+    if AFFINE in w.letters:
+        raise ValueError("affine letter in a finite word")
+    return from_window(to_permutation(w.letters, w.n))
 
 
 def finite_word(x):
-    letters = []
-    for i, j in x.bricks:
-        letters.extend(floor_word(i, j))
-    return Word(x.n, tuple(letters))
+    return Word(x.n, tuple(s for i, j in x.bricks for s in floor_word(i, j)))
 
 
 def finite_length(x):
     return sum(j - i + 1 for i, j in x.bricks)
 
 
+def finite_shapes(n):
+    """All (n+1)! canonical brick shapes at rank n, by length, then bricks."""
+    check_rank(n)
+    shapes = [from_window(p).bricks for p in permutations(range(1, n + 2))]
+    return sorted(shapes, key=lambda s: (finite_length(FiniteElement(n, s)), s))
+
+
 def finite_mul(x, y):
     if x.n != y.n:
         raise ValueError("rank mismatch: %d vs %d" % (x.n, y.n))
-    out = x
-    for s in finite_word(y).letters:
-        out = right_insert(out, s)
-    return out
+    return from_window(compose(finite_window(x), finite_window(y)))
 
 
 def finite_inverse(x):
-    return canonicalize_finite(Word(x.n, finite_word(x).letters[::-1]))
+    return from_window(inverse(finite_window(x)))
 
 
 def finite_left_insert(x, k):
@@ -254,7 +231,7 @@ def peel_h(x):
     r = x(n+1), and x(1) is i+1 or i+2 according to i+1 < r or not.
     """
     n = x.n
-    win = to_permutation(finite_word(x).letters, n)
+    win = finite_window(x)
     r = win[n]  # x(n+1)
     v = win[0]  # x(1)
     if v == r:
@@ -262,7 +239,7 @@ def peel_h(x):
     i = v - 1 if v < r else v - 2
     h = HPrefix(r, i)
     check_hprefix(h, n)
-    p = finite_mul(finite_inverse(FiniteElement(n, h_element(h, n).bricks)), x)
+    p = from_window(compose(inverse(finite_window(h_element(h, n))), win))
     if not in_parabolic(p):
         raise InvariantError("peel_h(%r): %r . %r with p outside P" % (x, h, p))
     if finite_length(p) + len(h_word(h, n)) != finite_length(x):
@@ -301,10 +278,6 @@ def h_times_floor(j_prev, i_prev, j, n):
 
 # --- the brick identity families, instantiated exhaustively -----------------
 
-def _eq_oracle(lhs, rhs, n):
-    return to_permutation(lhs, n) == to_permutation(rhs, n)
-
-
 def brick_identities_check(n):
     """
     Instantiate every two-brick and three-brick identity over its stated
@@ -317,7 +290,7 @@ def brick_identities_check(n):
     bad = []
 
     def check(name, lhs, rhs, drop):
-        if not _eq_oracle(lhs, rhs, n):
+        if to_permutation(lhs, n) != to_permutation(rhs, n):
             bad.append("%s: sides differ (%r vs %r)" % (name, lhs, rhs))
         if len(lhs) - len(rhs) != drop:
             bad.append(

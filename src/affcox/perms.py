@@ -114,28 +114,12 @@ def perm_length(w):
 def bfs_enumerate(n, max_len, max_states=5_000_000):
     """
     All group elements of length <= max_len as a list of (window, length),
-    sorted by (length, window).  Deterministic.  Raises RuntimeError if the
-    state count exceeds max_states (the group is infinite).
+    sorted by (length, window): a view of `bfs_reduced_words`, whose guard
+    it shares.
     """
-    check_rank(n)
-    letters = tuple(range(1, n + 1)) + (AFFINE,)
-    start = identity(n)
-    seen = {start: 0}
-    frontier = [start]
-    for dist in range(1, max_len + 1):
-        nxt = []
-        for w in frontier:
-            for s in letters:
-                v = right_mul(w, s)
-                if v not in seen:
-                    seen[v] = dist
-                    nxt.append(v)
-        if len(seen) > max_states:
-            raise RuntimeError(
-                "enumeration guard exceeded (%d states)" % len(seen)
-            )
-        frontier = nxt
-    return sorted(((w, d) for w, d in seen.items()), key=lambda t: (t[1], t[0]))
+    words = bfs_reduced_words(n, max_len, max_states)
+    items = ((w, len(word)) for w, word in words.items())
+    return sorted(items, key=lambda t: (t[1], t[0]))
 
 
 def bfs_reduced_words(n, max_len, max_states=5_000_000):

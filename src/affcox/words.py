@@ -20,7 +20,7 @@ import re
 from typing import NamedTuple, Optional
 
 from .perms import (
-    AFFINE, InvariantError, check_rank, compose, identity, inverse, right_mul, to_permutation,
+    AFFINE, InvariantError, check_rank, compose, identity, inverse, right_mul,
 )
 
 
@@ -90,20 +90,17 @@ def is_reduced(w):
     return len(set(ts)) == len(ts)
 
 
-def hat_partner(w, proper_prefix_reduced=False) -> Optional[int]:
+def hat_partner(w) -> Optional[int]:
     """
     For w = s_1...s_r with reduced proper prefix: the 0-based position j of
     the unique earlier letter with t_j = t_r, or None when w is reduced.
-
-    If proper_prefix_reduced is falsy the precondition is checked and a
-    ValueError raised on violation; pass True to skip the check.
+    A ValueError if the proper prefix is not reduced.
     """
     if len(w.letters) == 0:
         return None
     ts = reflection_sequence(w)
-    if not proper_prefix_reduced:
-        if len(set(ts[:-1])) != len(ts) - 1:
-            raise ValueError("proper prefix is not reduced")
+    if len(set(ts[:-1])) != len(ts) - 1:
+        raise ValueError("proper prefix is not reduced")
     last = ts[-1]
     hits = [j for j in range(len(ts) - 1) if ts[j] == last]
     if not hits:
@@ -111,8 +108,3 @@ def hat_partner(w, proper_prefix_reduced=False) -> Optional[int]:
     if len(hits) != 1:
         raise InvariantError("hat partner not unique: %r" % (hits,))
     return hits[0]
-
-
-def word_permutation(w):
-    """Oracle window of the word's group element."""
-    return to_permutation(w.letters, w.n)

@@ -9,6 +9,7 @@ import random
 
 from affcox import canonical as c
 from affcox import cli
+from affcox import finite as fin
 from affcox import hecke as hk
 from affcox import tower
 from affcox.blocks import enumerate_blocks
@@ -49,7 +50,7 @@ def _valid_pairs_within(n, max_len):
     """Every (block, finite) combination of total length <= max_len."""
     shapes = [
         (s, c.length(c.make_element(n, (), s)))
-        for s in cli.finite_shapes(n)
+        for s in fin.finite_shapes(n)
     ]
     combos = set()
     m = 0
@@ -222,7 +223,7 @@ def test_criterion_4_tower():
         # finite parts per qualifying block at rank 3: a block either admits
         # no finite part in the image or exactly |W(A_2)| = 6 of the 24
         # shapes, and blocks of both kinds occur
-        shapes = cli.finite_shapes(3)
+        shapes = fin.finite_shapes(3)
         counts = set()
         for m in (1, 2):
             for pairs in enumerate_blocks(3, m).items:
@@ -341,7 +342,7 @@ def test_criterion_8_appendix_golden_data():
     def body():
         for n in (2, 3):
             thr = cli.appendix_threshold(n, 2)
-            shapes = cli.finite_shapes(n)
+            shapes = fin.finite_shapes(n)
             generated = set()
             for b in cli.appendix_blocks(n, 2):
                 for s in shapes:

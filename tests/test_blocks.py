@@ -1,7 +1,12 @@
 """Affine-block enumeration and the coset decomposition."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import affcox
 from affcox import blocks as bl
 from affcox import canonical as c
 from affcox import finite as fin
@@ -98,3 +103,22 @@ def test_guards():
         bl.enumerate_blocks(2, -1)
     with pytest.raises(ValueError):
         bl.enumerate_blocks(1, 0)
+
+
+def test_deep_blocks_need_no_recursion():
+    # 6m blocks at n = 2; m = 250 is deeper than a recursion limit of 200
+    code = "\n".join([
+        "import sys",
+        "from affcox import blocks as bl, canonical as c",
+        "sys.setrecursionlimit(200)",
+        "items = bl.enumerate_blocks(2, 250).items",
+        "assert list(items) == sorted(set(items))",
+        "assert all(len(p) == 250 and c.validate_block(p, 2) for p in items)",
+        "print(len(items))",
+    ])
+    src = os.path.dirname(os.path.dirname(affcox.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1500\n"

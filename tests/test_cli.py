@@ -6,6 +6,7 @@ import pytest
 
 from affcox import canonical as c
 from affcox import cli
+from affcox import finite as fin
 from affcox.words import parse_word
 
 
@@ -160,6 +161,17 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: descent engine broke\n"
 
 
+def test_malformed_json_fields(capsys):
+    for text, field in (
+        ('{"pairs": 5}', "pairs"),
+        ('{"pairs": null}', "pairs"),
+        ('{"pairs": [[3,0]], "bricks": 3}', "bricks"),
+    ):
+        code, out, err = run(capsys, "canon", "-n", "2", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s must be" % field) and err.count("\n") == 1, err
+
+
 # --- appendix generation against the enumerator -----------------------------
 
 @pytest.mark.parametrize("n,cap", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -184,7 +196,7 @@ def test_appendix_counts_frozen():
 
 def test_finite_shapes():
     for n in (2, 3):
-        shapes = cli.finite_shapes(n)
+        shapes = fin.finite_shapes(n)
         import math
         assert len(shapes) == math.factorial(n + 1)
         assert len(set(shapes)) == len(shapes)

@@ -1,10 +1,12 @@
 """The finite canonical form, h-prefixes, and the brick identity families."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+from affcox import finite as fin
 from affcox.finite import (
     FiniteElement,
     HPrefix,
@@ -29,7 +31,7 @@ from affcox.finite import (
     support,
     validate_finite,
 )
-from affcox.perms import compose, perm_length, to_permutation
+from affcox.perms import compose, inverse, perm_length, to_permutation
 from affcox.words import Word, parse_word
 
 
@@ -211,3 +213,59 @@ def test_collapsing_degenerate_case():
     # a = 0 in ceil(a,1)|1,n| = |a+1,n|: reduces to |1,n| = |1,n|
     assert ceil_word(0, 1) == ()
     assert floor_word(1, 3) == (1, 2, 3)
+
+
+# --- the level code: windows <-> brick shapes -------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_level_code_is_a_bijection(n):
+    # from_window maps the (n+1)! permutations onto the valid shapes, and
+    # it inverts finite_window, which agrees with the oracle's window
+    shapes = all_elements(n)
+    decoded = {fin.from_window(p) for p in itertools.permutations(range(1, n + 2))}
+    assert decoded == set(shapes)
+    assert len(decoded) == math.factorial(n + 1)
+    for x in shapes:
+        win = fin.finite_window(x)
+        assert win == to_permutation(finite_word(x).letters, n)
+        assert fin.from_window(win) == x
+    assert [FiniteElement(n, s) for s in fin.finite_shapes(n)] == sorted(
+        shapes, key=lambda x: (finite_length(x), x.bricks)
+    )
+
+
+def test_from_window_rejects_affine_windows():
+    with pytest.raises(ValueError):
+        fin.from_window((0, 2, 4))
+
+
+def test_window_operations_avoid_right_insert(monkeypatch):
+    # at n = 12 the W(A_n) operations decode windows and never insert
+    # letter by letter; each result is checked against the window oracle
+    def refuse(x, k):
+        raise AssertionError("right_insert called")
+    monkeypatch.setattr(fin, "right_insert", refuse)
+    n, rng = 12, random.Random(1207)
+
+    def window(x):
+        return to_permutation(finite_word(x).letters, n)
+
+    def reduced(x):
+        return perm_length(window(x)) == finite_length(x)
+
+    for _ in range(40):
+        words = [
+            tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(120)))
+            for _ in range(2)
+        ]
+        u, v = (canonicalize_finite(Word(n, w)) for w in words)
+        for w, x in zip(words, (u, v)):
+            assert window(x) == to_permutation(w, n) and reduced(x)
+        uv = finite_mul(u, v)
+        assert window(uv) == compose(window(u), window(v)) and reduced(uv)
+        ui = finite_inverse(u)
+        assert window(ui) == inverse(window(u)) and reduced(ui)
+        h, p = peel_h(u)
+        assert to_permutation(h_word(h, n) + finite_word(p).letters, n) == window(u)
+        assert in_parabolic(p) and reduced(p)
+        assert len(h_word(h, n)) + finite_length(p) == finite_length(u)
