@@ -2,14 +2,34 @@
 Enumeration of affine blocks — the minimal-length representatives of the
 right cosets W(~A_n)/W(A_n), indexed by families (j_s, i_s)_{1..m} under
 the pairwise inequalities.  Depth-first extension on an explicit stack
-(no recursion limit) with the inequalities as pruning predicates; there
-is no closed counting formula by affine length, so counts are regression
-data, not theory.
+(no recursion limit) with the inequalities as pruning predicates.  The
+number of blocks of length l is the coefficient of t^l in Bott's series
+prod_{k=1..n} 1/(1 - t^k); counts by affine length are regression data.
+
+The paper's appendix lists every block of positive affine length at ranks
+2 and 3 as a union of families
+
+    alpha . c_1^{e_1} ... c_r^{e_r}
+
+over a fixed tuple of cores c_t (pairs (j, i)), where the allowed left
+factors alpha depend on which exponents vanish (None stands for the
+trivial factor).  The first core of a family flagged has_eps has exponent
+range {0, 1}; guards cut exponent vectors a family does not own.  The
+families are infinite, so `appendix_blocks` caps the other exponents at
+max_core; below `appendix_threshold` the capped listing is provably
+complete, and there it must equal `reference_blocks`, the enumerator's
+output.  The rank-3 families are pairwise disjoint; the rank-2 listing
+needs two parametrizations (neither alone reaches every block — the first
+has no h(1,0) core, the second no h(2,1) core) which overlap on their
+common h(1,1)-only entries, so the second is flagged overlap_ok and
+duplicates are dropped instead of rejected.
 """
 
+import itertools
 from typing import NamedTuple
 
-from .perms import check_rank
+from . import canonical as c
+from .perms import InvariantError, check_rank
 from .canonical import _junction_ok
 from .canonical import coset_rep, validate_block  # noqa: F401  (re-exported)
 
@@ -49,3 +69,115 @@ def enumerate_blocks(n, m, max_items=2_000_000):
                 % (max_items, n, m)
             )
     return BlockFamily(n, m, tuple(items))
+
+
+def reference_blocks(n, max_len):
+    """Every valid block with positive affine length and length <= max_len,
+    from the enumerator, as sorted canonical elements."""
+    out = []
+    m = 1
+    while True:
+        level = [c.Element(n, pairs, ()) for pairs in enumerate_blocks(n, m).items]
+        level = [e for e in level if c.length(e) <= max_len]
+        if not level:
+            break
+        out.extend(level)
+        m += 1
+    return sorted(out, key=c.sort_key)
+
+
+# --- the appendix listings -------------------------------------------------
+
+def _rank2_first_alphas(ex):
+    h, _k = ex
+    out = [None, (3, 0), (3, 1)]
+    if h == 0:
+        out.append((2, 0))
+    return out
+
+
+def _rank2_second_alphas(ex):
+    h, _k = ex
+    out = [None, (3, 0), (2, 0)]
+    if h == 0:
+        out.append((3, 1))
+    return out
+
+
+def _r3_f1_alphas(ex):
+    e, f, h, _k = ex
+    if e:
+        return [None, (4, 0)]
+    if f:
+        return [None, (4, 0), (4, 1), (3, 0)]
+    if h:
+        return [None, (4, 0), (4, 1), (3, 0), (2, 0)]
+    return [None, (4, 0), (4, 1), (3, 0), (2, 0), (4, 2)]
+
+
+def _r3_f2_alphas(ex):
+    e, f, _h, _k = ex
+    if e:
+        return [None, (4, 0)]
+    if f:
+        return [None, (4, 0), (4, 1), (3, 0)]
+    return [None, (4, 0), (4, 1), (3, 0), (4, 2)]
+
+
+# (cores, has_eps, guard, alphas, overlap_ok)
+_FAMILIES = {
+    2: (
+        (((2, 1), (1, 1)), False, None, _rank2_first_alphas, False),
+        (((1, 0), (1, 1)), False,
+         lambda ex: sum(ex) > 0, _rank2_second_alphas, True),
+    ),
+    3: (
+        (((3, 1), (2, 1), (1, 1), (1, 2)), True, None, _r3_f1_alphas, False),
+        (((3, 1), (2, 1), (2, 2), (1, 2)), True,
+         lambda ex: ex[2] > 0, _r3_f2_alphas, False),
+        (((1, 0), (1, 1), (1, 2)), False,
+         lambda ex: ex[0] > 0, lambda ex: [None, (4, 0), (3, 0), (2, 0)], False),
+        (((3, 2), (2, 2), (1, 2)), False,
+         lambda ex: ex[0] > 0, lambda ex: [None, (4, 0), (4, 1), (4, 2)], False),
+    ),
+}
+
+_CHEAPEST_CORE = {2: 3, 3: 4}
+
+
+def appendix_blocks(n, max_core=2):
+    """The listed blocks with every core exponent <= max_core, as canonical
+    elements with trivial finite part, sorted.  Raises on a malformed or
+    duplicated listing entry — the families must be disjoint."""
+    if n not in _FAMILIES:
+        raise ValueError("appendix listings exist for ranks 2 and 3 only")
+    seen = set()
+    for cores, has_eps, guard, alphas, overlap_ok in _FAMILIES[n]:
+        ranges = [
+            range((1 if has_eps and t == 0 else max_core) + 1)
+            for t in range(len(cores))
+        ]
+        for ex in itertools.product(*ranges):
+            if guard is not None and not guard(ex):
+                continue
+            core_pairs = tuple(
+                p for p, e in zip(cores, ex) for _ in range(e)
+            )
+            for alpha in alphas(ex):
+                if alpha is None and not core_pairs:
+                    continue  # affine length 0
+                pairs = (() if alpha is None else (alpha,)) + core_pairs
+                elem = c.make_element(n, pairs, ())
+                if elem in seen:
+                    if not overlap_ok:
+                        raise InvariantError("listing families overlap at %r" % (pairs,))
+                    continue
+                seen.add(elem)
+    return sorted(seen, key=c.sort_key)
+
+
+def appendix_threshold(n, max_core):
+    """Largest length where the capped listing is complete: a block it
+    misses has some core exponent >= max_core + 1, hence length at least
+    (max_core + 1) times the cheapest core."""
+    return (max_core + 1) * _CHEAPEST_CORE[n] - 1

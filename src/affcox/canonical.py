@@ -26,7 +26,7 @@ the absorbed index v is carried through the two base tables (the j > i+1
 and j <= i+1 regimes) until a pair changes.  Only the two junctions beside
 the changed pair are then checked; if they hold, the new block is spliced
 once and returned.  The junction on the right may break: exactly one of
-six exchange rules then reproduces the original two pairs (an absorption,
+four exchange rules then reproduces the original two pairs (an absorption,
 with a new index), and the scan goes on past them, so one letter may fire
 several exchange rules.  Every input block is valid, so these local checks
 imply all five inequalities; one letter costs O(m) time and no Python
@@ -213,7 +213,7 @@ def block_left_descents(j, i, n):
     return {s for s in cand if 1 <= s <= n}
 
 
-# --- the six exchange rules -------------------------------------------------
+# --- the four exchange rules ------------------------------------------------
 
 def _exchange(left, right, n):
     """
@@ -225,21 +225,28 @@ def _exchange(left, right, n):
     Guards are evaluated in order; candidates that are not a legal two-pair
     block are discarded (this extends the rules across the v = 0 boundary,
     where only one rule survives).  Exactly one candidate must remain.
+
+    The only caller is `_scan`, where a table row turned a pair (j,i) of a
+    valid block into left = (r,u), so (r,u) is one of (j,i-1), (j,i+1),
+    (j-1,i), (j+1,i), and right = (s,v) is the unchanged next pair.  Two
+    more identities of acceptance criterion 2, E3 and E5, never apply there:
+
+      E3  v+1 < s <= u+1:  s > v+1 forces v > i by (5) at (j,i),(s,v), so
+          s >= i+3 > u+1.
+      E5  r <= u+1 < s:  s > r with s <= j forces (r,u) = (j-1,i) and
+          s = j, and r <= u+1 < s then gives j = i+2, where (4) already
+          demanded s < j.
     """
     r, u = left
     s, v = right
     cands = []
-    if r > u + 1 and s >= r:
+    if r > u + 1 and s >= r:  # E1
         cands.append(((( s + 1, u), (r, v)), 1))
-    if s > u + 1 and u >= v:
+    if s > u + 1 and u >= v:  # E2
         cands.append((((r, v - 1), (s, u)), n))
-    if v + 1 < s <= u + 1:
-        cands.append((((r, v - 1), (s - 1, u - 1)), n))
-    if s <= v + 1 and v < u:
+    if s <= v + 1 and v < u:  # E4
         cands.append((((r, v), (s, u - 1)), n))
-    if r <= u + 1 < s:
-        cands.append((((s + 1, u + 1), (r + 1, v)), 1))
-    if r < s <= u + 1:
+    if r < s <= u + 1:  # E6
         cands.append((((s, u), (r + 1, v)), 1))
     cands = [((A, B), t) for (A, B), t in cands
              if _junction_ok(None, A, n) and _junction_ok(A, B, n)]

@@ -164,26 +164,32 @@ def random_reduced_word(n, size, rng):
     return tuple(letters)
 
 
-def count_reduced_words(w, _memo=None):
+def count_reduced_words(w):
     """
-    Number of reduced words for the element with window w, by recursion on
-    right descents: every reduced word ends in some s with l(ws) < l(w).
+    Number of reduced words for the element with window w: every reduced
+    word ends in some s with l(ws) < l(w), so the count is the sum of the
+    counts of those ws.  Depth first on an explicit stack (no recursion
+    limit), each element counted once.
     """
-    if _memo is None:
-        _memo = {}
-    if w in _memo:
-        return _memo[w]
-    nn = len(w)
-    l = perm_length(w)
-    if l == 0:
-        return 1
-    total = 0
-    for s in range(0, nn):  # AFFINE and 1..n
-        v = right_mul(w, s)
-        if perm_length(v) < l:
-            total += count_reduced_words(v, _memo)
-    _memo[w] = total
-    return total
+    counts, below = {}, {}
+    stack = [w]
+    while stack:
+        x = stack[-1]
+        if x in counts:
+            stack.pop()
+        elif x in below:  # every element below x is counted by now
+            stack.pop()
+            counts[x] = sum(counts[v] for v in below.pop(x))
+        else:
+            l = perm_length(x)
+            down = [v for v in (right_mul(x, s) for s in range(len(x)))
+                    if perm_length(v) < l]
+            if down:
+                below[x] = down
+                stack.extend(down)
+            else:  # the identity
+                counts[x] = 1
+    return counts[w]
 
 
 # --- oracle self-validation -------------------------------------------------

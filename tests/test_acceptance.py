@@ -8,11 +8,10 @@ import itertools
 import random
 
 from affcox import canonical as c
-from affcox import cli
 from affcox import finite as fin
 from affcox import hecke as hk
 from affcox import tower
-from affcox.blocks import enumerate_blocks
+from affcox.blocks import appendix_blocks, appendix_threshold, enumerate_blocks
 from affcox.finite import (
     HPrefix,
     brick_identities_check,
@@ -341,10 +340,10 @@ def test_criterion_7_structural_laws():
 def test_criterion_8_appendix_golden_data():
     def body():
         for n in (2, 3):
-            thr = cli.appendix_threshold(n, 2)
+            thr = appendix_threshold(n, 2)
             shapes = fin.finite_shapes(n)
             generated = set()
-            for b in cli.appendix_blocks(n, 2):
+            for b in appendix_blocks(n, 2):
                 for s in shapes:
                     e = c.make_element(n, b.pairs, s)
                     word = c.element_word(e)

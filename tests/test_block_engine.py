@@ -47,6 +47,42 @@ def test_new_blocks_pass_full_validation(n):
                     assert c.validate_block(out.pairs, n), (s, pairs, out)
 
 
+# the exchange rules _scan can reach, as (guard, rewrite) on h(r,u) a h(s,v) a
+EXCHANGE_RULES = {
+    "E1": (lambda r, u, s, v: r > u + 1 and s >= r,
+           lambda r, u, s, v, n: (((s + 1, u), (r, v)), 1)),
+    "E2": (lambda r, u, s, v: s > u + 1 and u >= v,
+           lambda r, u, s, v, n: (((r, v - 1), (s, u)), n)),
+    "E4": (lambda r, u, s, v: s <= v + 1 and v < u,
+           lambda r, u, s, v, n: (((r, v), (s, u - 1)), n)),
+    "E6": (lambda r, u, s, v: r < s <= u + 1,
+           lambda r, u, s, v, n: (((s, u), (r + 1, v)), 1)),
+}
+
+
+def test_every_exchange_rule_fires(monkeypatch):
+    """Over every (block, letter) with n <= 5 and m <= 4, each exchange is
+    exactly one of the four rules, and each rule fires."""
+    fired = {name: 0 for name in EXCHANGE_RULES}
+    orig = c._exchange
+
+    def recording(left, right, n):
+        out = orig(left, right, n)
+        hits = [name for name, (guard, rewrite) in EXCHANGE_RULES.items()
+                if guard(*left, *right) and rewrite(*left, *right, n) == out]
+        assert len(hits) == 1, (left, right, out, hits)
+        fired[hits[0]] += 1
+        return out
+
+    monkeypatch.setattr(c, "_exchange", recording)
+    for n in range(2, 6):
+        for m in range(1, 5):
+            for pairs in enumerate_blocks(n, m).items:
+                for s in c.generators(n):
+                    c.left_mul_block(s, pairs, n)
+    assert all(fired.values()), fired
+
+
 # --- operation counts -------------------------------------------------------
 
 @pytest.mark.parametrize("k", [20, 80])

@@ -23,6 +23,25 @@ def test_frozen_counts():
     assert [len(bl.enumerate_blocks(3, m).items) for m in range(6)] == [1, 12, 42, 92, 162, 252]
 
 
+def _bott_series(n, max_len):
+    """Coefficients of prod_{k=1..n} 1/(1 - t^k) up to t^max_len."""
+    coeffs = [1] + [0] * max_len
+    for k in range(1, n + 1):
+        for l in range(k, max_len + 1):
+            coeffs[l] += coeffs[l - k]
+    return coeffs
+
+
+@pytest.mark.parametrize("n,max_len", [(2, 24), (3, 18), (4, 14), (5, 12), (6, 10)])
+def test_counts_by_length_follow_bott(n, max_len):
+    # Bott (1956): the minimal coset representatives of W(~A_n)/W(A_n)
+    # have Poincare series prod_{k=1..n} 1/(1 - t^k)
+    counts = [1] + [0] * max_len  # the empty block
+    for e in bl.reference_blocks(n, max_len):
+        counts[c.length(e)] += 1
+    assert counts == _bott_series(n, max_len)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_m1_count_formula(n):
     fam = bl.enumerate_blocks(n, 1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from affcox import blocks as bl
 from affcox import canonical as c
 from affcox import cli
 from affcox import finite as fin
@@ -161,6 +162,41 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: descent engine broke\n"
 
 
+@pytest.mark.parametrize("exc,code,err", [
+    (AssertionError(), 3, "internal error: AssertionError\n"),
+    (AssertionError("bad carry"), 3, "internal error: bad carry\n"),
+    (RuntimeError("enumeration exceeded 5 items"), 4,
+     "resource limit: enumeration exceeded 5 items\n"),
+    (RecursionError("maximum recursion depth exceeded"), 4,
+     "resource limit: maximum recursion depth exceeded\n"),
+    (MemoryError(), 4, "resource limit: MemoryError\n"),
+])
+def test_bug_and_resource_exit_codes(capsys, monkeypatch, exc, code, err):
+    def broken(e):
+        raise exc
+    monkeypatch.setattr(c, "right_descents", broken)
+    assert run(capsys, "descents", "-n", "2", "s1 a") == (code, "", err)
+
+
+@pytest.mark.parametrize("extra", [["--count-only"], ["--max-len", "12"],
+                                   ["--max-len", "12", "--count-only"]])
+def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):
+    calls = []
+    for name in ("make_element", "validate_block"):
+        orig = getattr(c, name)
+        monkeypatch.setattr(c, name, lambda *a, _f=orig, _n=name: calls.append(_n) or _f(*a))
+    code, out, _ = run(capsys, "blocks", "-n", "3", "--m", "4", *extra)
+    assert code == 0 and out and calls == []
+
+
+def test_appendix_lists_once(capsys, monkeypatch):
+    calls = []
+    orig = bl.appendix_blocks
+    monkeypatch.setattr(bl, "appendix_blocks", lambda *a: calls.append(a) or orig(*a))
+    code, _, _ = run(capsys, "appendix", "-n", "3")
+    assert code == 0 and calls == [(3, 2)]
+
+
 def test_malformed_json_fields(capsys):
     for text, field in (
         ('{"pairs": 5}', "pairs"),
@@ -176,22 +212,22 @@ def test_malformed_json_fields(capsys):
 
 @pytest.mark.parametrize("n,cap", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_appendix_blocks_complete_below_threshold(n, cap):
-    thr = cli.appendix_threshold(n, cap)
-    gen = [e for e in cli.appendix_blocks(n, cap) if c.length(e) <= thr]
-    assert gen == cli.reference_blocks(n, thr)
+    thr = bl.appendix_threshold(n, cap)
+    gen = [e for e in bl.appendix_blocks(n, cap) if c.length(e) <= thr]
+    assert gen == bl.reference_blocks(n, thr)
 
 
 def test_appendix_blocks_are_valid_and_sorted():
     for n in (2, 3):
-        listing = cli.appendix_blocks(n, 2)
+        listing = bl.appendix_blocks(n, 2)
         assert listing == sorted(set(listing), key=c.sort_key)
         for e in listing:
             assert c.affine_length(e) >= 1 and not e.bricks
 
 
 def test_appendix_counts_frozen():
-    assert len(cli.appendix_blocks(2, 2)) == 47
-    assert len(cli.appendix_blocks(3, 2)) == 431
+    assert len(bl.appendix_blocks(2, 2)) == 47
+    assert len(bl.appendix_blocks(3, 2)) == 431
 
 
 def test_finite_shapes():

@@ -150,3 +150,9 @@ def test_count_reduced_words_small():
     assert count_reduced_words(to_permutation((1,), 2)) == 1
     # longest element of the finite parabolic <s1,s2>: two reduced words
     assert count_reduced_words(to_permutation((1, 2, 1), 2)) == 2
+
+
+def test_count_reduced_words_needs_no_recursion():
+    # c^400 has one reduced word, 1200 letters deep: past the default
+    # recursion limit
+    assert count_reduced_words(to_permutation((1, 2, 0) * 400, 2)) == 1
