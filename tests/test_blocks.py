@@ -42,6 +42,26 @@ def test_counts_by_length_follow_bott(n, max_len):
     assert counts == _bott_series(n, max_len)
 
 
+def level_filter_blocks(n, max_len):
+    """The oracle for reference_blocks: whole affine-length levels from
+    enumerate_blocks, filtered by length, until a level keeps nothing."""
+    out = []
+    m = 1
+    while True:
+        level = [c.Element(n, pairs, ()) for pairs in bl.enumerate_blocks(n, m).items]
+        level = [e for e in level if c.length(e) <= max_len]
+        if not level:
+            break
+        out.extend(level)
+        m += 1
+    return sorted(out, key=c.sort_key)
+
+
+@pytest.mark.parametrize("n,max_len", [(2, 24), (3, 18), (4, 14), (6, 10), (8, 10)])
+def test_reference_blocks_equal_level_filter(n, max_len):
+    assert bl.reference_blocks(n, max_len) == level_filter_blocks(n, max_len)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_m1_count_formula(n):
     fam = bl.enumerate_blocks(n, 1)
