@@ -90,7 +90,7 @@ from . import perms
 from .perms import AFFINE, InvariantError, check_rank, compose, is_window
 from . import finite as fin
 from .finite import FiniteElement, HPrefix
-from .words import Word, hat_partner, is_reduced
+from .words import Word, hat_partner
 
 
 class Element(NamedTuple):
@@ -120,13 +120,11 @@ def identity_element(n):
 def _int_pairs(field, seq):
     """`seq` as a tuple of integer pairs; a ValueError naming `field` if it
     is not a list of them."""
-    try:
-        out = tuple((a, b) for a, b in seq)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or not all(isinstance(v, int) for pair in out for v in pair):
-        raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
-    return out
+    if isinstance(seq, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and all(type(v) is int for v in p) for p in seq):
+        return tuple((a, b) for a, b in seq)
+    raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
 
 
 def make_element(n, pairs, bricks):
@@ -260,19 +258,24 @@ def block_left_descents(j, i, n):
 
 def _exchange(left, right, n):
     """
-    Resolve a violated junction h(r,u) a h(s,v) a by the unique applicable
-    exchange rule, returning ((A, B), t) with
+    Resolve a violated junction h(r,u) a h(s,v) a by the one exchange rule
+    whose guard holds, returning ((A, B), t) with
 
         h(r,u) a h(s,v) a = h(A) a h(B) a sigma_t      (letter counts equal).
 
-    Guards are evaluated in order; candidates that are not a legal two-pair
-    block are discarded (this extends the rules across the v = 0 boundary,
-    where only one rule survives).  Exactly one candidate must remain.
-
     The only caller is `_scan`, where a table row turned a pair (j,i) of a
-    valid block into left = (r,u), so (r,u) is one of (j,i-1), (j,i+1),
-    (j-1,i), (j+1,i), and right = (s,v) is the unchanged next pair.  Two
-    more identities of acceptance criterion 2, E3 and E5, never apply there:
+    valid block into left = (r,u), and right = (s,v) is the unchanged next
+    pair; `_scan` checks that (A, B) is the original two pairs.  Rows giving
+    (j+1,i) or (j,i-1) leave the right junction valid, so (r,u) is (j-1,i)
+    or (j,i+1), and exactly one guard holds:
+
+      after (j-1,i):  E4 needs v < i, which (3) forbids; E2 needs v = i
+          with s > i+1, which (5) at (j,i),(s,v) forbids; and E1
+          (s >= r > u+1) and E6 (r < s <= u+1) exclude each other.
+      after (j,i+1):  E1 needs s = j > i+2, which (4) forbids; E6 needs
+          s > j; and E2 (s > u+1) and E4 (s <= v+1 <= u) exclude each other.
+
+    E3 and E5, the other identities of acceptance criterion 2, never apply:
 
       E3  v+1 < s <= u+1:  s > v+1 forces v > i by (5) at (j,i),(s,v), so
           s >= i+3 > u+1.
@@ -282,21 +285,15 @@ def _exchange(left, right, n):
     """
     r, u = left
     s, v = right
-    cands = []
     if r > u + 1 and s >= r:  # E1
-        cands.append(((( s + 1, u), (r, v)), 1))
+        return ((s + 1, u), (r, v)), 1
     if s > u + 1 and u >= v:  # E2
-        cands.append((((r, v - 1), (s, u)), n))
+        return ((r, v - 1), (s, u)), n
     if s <= v + 1 and v < u:  # E4
-        cands.append((((r, v), (s, u - 1)), n))
+        return ((r, v), (s, u - 1)), n
     if r < s <= u + 1:  # E6
-        cands.append((((s, u), (r + 1, v)), 1))
-    cands = [((A, B), t) for (A, B), t in cands
-             if _junction_ok(None, A, n) and _junction_ok(A, B, n)]
-    if len(cands) != 1:
-        raise InvariantError("junction %r %r: %d exchange candidates %r"
-                             % (left, right, len(cands), cands))
-    return cands[0]
+        return ((s, u), (r + 1, v)), 1
+    raise InvariantError("junction %r %r: no exchange rule applies" % (left, right))
 
 
 def left_mul_block(s, pairs, n):
@@ -549,16 +546,14 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
 
 
 def _residual_m2(pairs, x_prefix, n):
-    """Word-level decision for the extremal prefixes the tables miss."""
-    letters = (
-        block_word(pairs, n).letters
-        + fin.h_word(x_prefix, n)
-        + (AFFINE,)
-    )
-    w = Word(n, letters)
-    if is_reduced(w):
-        return None
-    return DescentCase("x4", hat_partner(w))
+    """Word-level decision for the extremal prefixes the tables miss.  The
+    proper prefix, block . h(r,i), is a minimal coset representative times
+    a reduced W(A_n) word, hence reduced, so one reflection sequence
+    decides: hat_partner is None exactly when the word is reduced."""
+    letters = (block_word(pairs, n).letters + fin.h_word(x_prefix, n)
+               + (AFFINE,))
+    pos = hat_partner(Word(n, letters))
+    return None if pos is None else DescentCase("x4", pos)
 
 
 # --- text and JSON syntax ---------------------------------------------------

@@ -62,26 +62,31 @@ EXCHANGE_RULES = {
 
 
 def test_every_exchange_rule_fires(monkeypatch):
-    """Over every (block, letter) with n <= 5 and m <= 4, each exchange is
-    exactly one of the four rules, and each rule fires."""
+    """Over every (block, letter) with n <= 6 and m <= 4, exactly one of the
+    four guards holds on each junction the scan hands to _exchange, its
+    rewrite is what _exchange returns, and each rule fires."""
     fired = {name: 0 for name in EXCHANGE_RULES}
     orig = c._exchange
 
     def recording(left, right, n):
         out = orig(left, right, n)
-        hits = [name for name, (guard, rewrite) in EXCHANGE_RULES.items()
-                if guard(*left, *right) and rewrite(*left, *right, n) == out]
-        assert len(hits) == 1, (left, right, out, hits)
-        fired[hits[0]] += 1
+        held = [name for name, (guard, _) in EXCHANGE_RULES.items()
+                if guard(*left, *right)]
+        assert len(held) == 1, (left, right, held)
+        assert EXCHANGE_RULES[held[0]][1](*left, *right, n) == out, (left, right, out)
+        fired[held[0]] += 1
         return out
 
     monkeypatch.setattr(c, "_exchange", recording)
-    for n in range(2, 6):
+    for n in range(2, 7):
         for m in range(1, 5):
             for pairs in enumerate_blocks(n, m).items:
                 for s in c.generators(n):
                     c.left_mul_block(s, pairs, n)
     assert all(fired.values()), fired
+    # a junction no rule covers
+    with pytest.raises(c.InvariantError):
+        orig((2, 1), (2, 1), 3)
 
 
 # --- operation counts -------------------------------------------------------

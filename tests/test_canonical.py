@@ -345,6 +345,39 @@ def test_affine_descent_cases_m2_examples():
         c.affine_descent_cases_m2(((3, 0),), HPrefix(3, 0), 2)
 
 
+def test_affine_descent_cases_m2_one_reflection_pass(monkeypatch):
+    """The residual family decides reducedness and the hat partner from one
+    reflection sequence: its proper prefix is always reduced."""
+    from affcox import words  # the module; a local `words` is a dict above
+    calls = []
+    orig = words.reflection_sequence
+
+    def counting(w):
+        calls.append(w)
+        return orig(w)
+
+    monkeypatch.setattr(words, "reflection_sequence", counting)
+    x4 = 0
+    for n in range(2, 6):
+        prefixes = []
+        for r in range(1, n + 2):
+            for i in range(n):
+                try:
+                    fin.check_hprefix(HPrefix(r, i), n)
+                except ValueError:
+                    continue
+                prefixes.append(HPrefix(r, i))
+        for pairs in all_blocks(n, 2):
+            if len(pairs) != 2:
+                continue
+            for h in prefixes:
+                del calls[:]
+                case = c.affine_descent_cases_m2(pairs, h, n)
+                assert len(calls) <= 1, (n, pairs, h)
+                x4 += case is not None and case.case == "x4"
+    assert x4
+
+
 # --- ordering, formatting, JSON ---------------------------------------------
 
 def test_sort_key_orders_by_length_first():

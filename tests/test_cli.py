@@ -202,6 +202,10 @@ def test_malformed_json_fields(capsys):
         ('{"pairs": 5}', "pairs"),
         ('{"pairs": null}', "pairs"),
         ('{"pairs": [[3,0]], "bricks": 3}', "bricks"),
+        ('{"pairs": [[true, 0]]}', "pairs"),
+        ('{"bricks": [[true, true]]}', "bricks"),
+        ('{"pairs": ""}', "pairs"),
+        ('{"pairs": {}}', "pairs"),
     ):
         code, out, err = run(capsys, "canon", "-n", "2", text)
         assert code == 1 and out == ""
