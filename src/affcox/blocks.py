@@ -31,7 +31,6 @@ from typing import NamedTuple
 from . import canonical as c
 from .perms import InvariantError, check_rank
 from .canonical import _junction_ok
-from .canonical import coset_rep, validate_block  # noqa: F401  (re-exported)
 
 
 class BlockFamily(NamedTuple):

@@ -115,14 +115,7 @@ def _cmd_blocks(args):
 
 
 def _cmd_embed(args):
-    source = args.source if args.source is not None else args.rank - 1
-    if args.rank is not None and args.rank != source + 1:
-        raise ValueError(
-            "--from %d and --rank %d disagree; the embedding raises rank by 1"
-            % (source, args.rank)
-        )
-    e = parse_input(args.element, source)
-    _emit_element(tower.embed(e), args.json)
+    _emit_element(tower.embed(parse_input(args.element, args.source)), args.json)
     return 0
 
 
@@ -148,14 +141,8 @@ def _cmd_hecke_mul(args):
     prod = hk.hecke_mul(u, v)
     if args.json:
         terms = [
-            {
-                "coeff": sorted(poly.items(), reverse=True),
-                "pairs": c.to_json(w)["pairs"],
-                "bricks": c.to_json(w)["bricks"],
-            }
-            for w, poly in sorted(
-                prod.terms.items(), key=lambda kv: c.sort_key(kv[0]), reverse=True
-            )
+            dict(coeff=sorted(prod.terms[w].items(), reverse=True), **c.to_json(w))
+            for w in sorted(prod.terms, key=c.sort_key, reverse=True)
         ]
         print(json.dumps({"terms": terms}))
     else:
@@ -266,10 +253,8 @@ def build_parser():
     sp.add_argument("--max-len", type=int, default=None)
 
     sp = add("embed", _cmd_embed, "apply the rank-raising embedding", rank=False)
-    sp.add_argument("--from", dest="source", type=_rank, default=None,
+    sp.add_argument("--from", dest="source", type=_rank, required=True,
                     help="rank of the input element (output rank is +1)")
-    sp.add_argument("-n", "--rank", type=_rank,
-                    help="target rank (alternative to --from)")
     sp.add_argument("element")
 
     add("member", _cmd_member, "is the element in the image of the embedding",
@@ -291,11 +276,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "embed":
-        if args.source is None and args.rank is None:
-            parser.error("embed needs --from (or -n)")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except AssertionError as exc:  # InvariantError included: a bug

@@ -6,8 +6,10 @@ affine letter).  On canonical forms it is a closed formula: with
     s = max { k : 1 <= k <= m and n - k - i_k > 0 }     (ambient rank n)
 
 every j_k is kept, i_k is raised by 1 exactly for k > s, and the finite
-part picks up the run |t, n| on the left, t = n - s + 1.  The affine
-length is preserved and the length grows by exactly 2L.
+part picks up the run |t, n| on the left, t = n - s + 1.  Since i_k is
+nondecreasing by (3), n - k - i_k falls strictly with k, so the k with
+n - k - i_k > 0 form an initial segment, and s <= n - 1 because i_k >= 0.
+The affine length is preserved and the length grows by exactly 2L.
 
 Membership in the image is three literal conditions on the canonical form
 (ranges of the first pair, the break inequality at s+1, and the finite
@@ -15,26 +17,25 @@ part factoring as |t, n| . y with y one rank down); the preimage just
 undoes the formula.
 """
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import canonical as c
 from . import finite as fin
 from .canonical import Element
 from .perms import AFFINE, InvariantError, check_rank
-
-
-class EmbeddingWitness(NamedTuple):
-    s_break: int
-    t: int
-    shifted: tuple  # per-pair: False for k <= s_break, True past the break
+from .words import Word
 
 
 def _split_index(pairs, n):
-    """max{k : n - k - i_k > 0}, 1-based; requires the k = 1 term positive."""
+    """s = max{k : n - k - i_k > 0}, 1-based, at ambient rank n; the k = 1
+    term must be positive and s at most n - 1."""
     ks = [k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0]
     if not ks:
         raise InvariantError("no split index: first pair out of range for this rank")
-    return max(ks)
+    s = max(ks)
+    if s > n - 1:
+        raise InvariantError("split index %d exceeds rank %d" % (s, n - 1))
+    return s
 
 
 def _check_image(pairs, bricks, n):
@@ -45,29 +46,18 @@ def _check_image(pairs, bricks, n):
         raise InvariantError("invalid bricks %r at rank %d" % (bricks, n))
 
 
-def embedding_witness(e) -> Optional[EmbeddingWitness]:
-    """The split data used by embed; nothing for finite elements."""
-    if not e.pairs:
-        return None
-    n = e.n + 1
-    s = _split_index(e.pairs, n)
-    if s > n - 1:
-        raise InvariantError("split index %d exceeds rank %d" % (s, n - 1))
-    return EmbeddingWitness(s, n - s + 1, tuple(k > s for k in range(1, len(e.pairs) + 1)))
-
-
 def embed(e) -> Element:
     """Image of a rank-(n-1) element at rank n, by the closed formula."""
     check_rank(e.n)
     n = e.n + 1
     if not e.pairs:
         return Element(n, (), e.bricks)
-    wit = embedding_witness(e)
+    s = _split_index(e.pairs, n)
     pairs = tuple(
-        (j, i + 1 if shifted else i)
-        for (j, i), shifted in zip(e.pairs, wit.shifted)
+        (j, i + 1 if k > s else i)
+        for k, (j, i) in enumerate(e.pairs, start=1)
     )
-    bricks = ((wit.t, n),) + e.bricks
+    bricks = ((n - s + 1, n),) + e.bricks
     _check_image(pairs, bricks, n)
     return Element(n, pairs, bricks)
 
@@ -81,8 +71,6 @@ def substitute_word(w):
             letters.extend((n, AFFINE, n))
         else:
             letters.append(s)
-    from .words import Word
-
     return Word(n, tuple(letters))
 
 

@@ -107,9 +107,9 @@ def test_blocks_match_bfs_census(n, radius):
 
 def test_coset_rep_examples():
     e = c.identity_element(2)
-    assert bl.coset_rep(e) == e
+    assert c.coset_rep(e) == e
     full = c.make_element(3, ((4, 0), (3, 1)), ((1, 1),))
-    rep = bl.coset_rep(full)
+    rep = c.coset_rep(full)
     assert rep.pairs == full.pairs and rep.bricks == ()
     assert c.length(rep) <= c.length(full)
 
@@ -126,7 +126,7 @@ def test_coset_rep_is_unique_minimum():
     assert len(set(finite_wins)) == 6  # all of W(A_2)
     for win, letters in perms.bfs_reduced_words(n, 9).items():
         e = c.canonicalize(Word(n, letters))
-        rep = bl.coset_rep(e)
+        rep = c.coset_rep(e)
         assert c.mul(rep, c.Element(n, (), e.bricks)) == e
         coset_lens = sorted(
             perms.perm_length(perms.compose(win, x)) for x in finite_wins

@@ -92,6 +92,13 @@ def test_make_element_rejects():
         c.make_element(1, (), ())
 
 
+def test_operation_input_errors():
+    with pytest.raises(ValueError, match="letter 5 invalid at rank 2"):
+        c.left_mul(5, c.identity_element(2))
+    with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
+        c.mul(c.identity_element(2), c.identity_element(3))
+
+
 # --- canonical bijection against the affine-permutation model ---------------
 
 @pytest.mark.parametrize("n,max_len", [(2, 8), (3, 6)])

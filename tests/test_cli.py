@@ -1,6 +1,8 @@
 """Command-line surface: in-process dispatch, exit codes, output shapes."""
 
 import json
+import os
+import shlex
 
 import pytest
 
@@ -51,6 +53,8 @@ def test_canon_json_round_trip(capsys):
 def test_len_and_descents(capsys):
     code, out, _ = run(capsys, "len", "-n", "2", "a s1 a")
     assert (code, out.strip()) == (0, "l=3 L=1")  # a s1 a = s1 a s1
+    code, out, _ = run(capsys, "len", "-n", "2", "--json", "a s1 a")
+    assert (code, out) == (0, '{"l": 3, "L": 1}\n')
     code, out, _ = run(capsys, "descents", "-n", "2", "s2 s1 a")
     assert code == 0
     assert out.splitlines() == ["L: s2", "R: a"]
@@ -77,14 +81,16 @@ def test_blocks(capsys):
     assert (code, out.strip()) == (0, "42")
     code, out, _ = run(capsys, "blocks", "-n", "2", "-m", "2", "--max-len", "5")
     assert len(out.splitlines()) == 5
+    code, out, _ = run(capsys, "blocks", "-n", "2", "-m", "1", "--json")
+    objs = json.loads(out)
+    assert code == 0 and len(objs) == 6
+    assert objs[0] == {"pairs": [[3, 0]], "bricks": [], "l": 1, "L": 1}
 
 
 def test_embed_member_preimage(capsys):
     code, out, _ = run(capsys, "embed", "--from", "2", "a")
     assert code == 0
     assert out.splitlines() == ["h(3,0) a | [3,3]", "l=3 L=1"]
-    code, out, _ = run(capsys, "embed", "-n", "3", "a")
-    assert out.splitlines()[0] == "h(3,0) a | [3,3]"
     code, out, _ = run(capsys, "member", "-n", "3", "h(3,0) a | [3,3]")
     assert (code, out.strip()) == (0, "yes")
     code, out, _ = run(capsys, "member", "-n", "3", "h(4,0) a |", "--json")
@@ -94,8 +100,6 @@ def test_embed_member_preimage(capsys):
     assert out.splitlines() == ["h(3,0) a |", "l=1 L=1"]
     code, _, err = run(capsys, "preimage", "-n", "3", "h(4,0) a |")
     assert code == 1 and "image" in err
-    code, _, err = run(capsys, "embed", "--from", "2", "-n", "4", "a")
-    assert code == 1
 
 
 def test_hecke_mul(capsys):
@@ -107,6 +111,13 @@ def test_hecke_mul(capsys):
     assert json.loads(out) == {
         "terms": [{"coeff": [[0, 1]], "pairs": [[2, 0]], "bricks": []}]
     }
+    code, out, _ = run(capsys, "hecke-mul", "-n", "2", "--json", "s1 a", "a s1")
+    assert code == 0
+    assert out == (
+        '{"terms": [{"coeff": [[1, 1], [0, -1]], "pairs": [[3, 1]], "bricks": [[1, 1]]}, '
+        '{"coeff": [[2, 1], [1, -1]], "pairs": [], "bricks": [[1, 1]]}, '
+        '{"coeff": [[2, 1]], "pairs": [], "bricks": []}]}\n'
+    )
 
 
 def test_appendix(capsys):
@@ -137,7 +148,8 @@ def test_usage_errors(capsys):
         ["canon", "s1"],              # missing -n
         ["canon", "-n", "1", "s1"],   # rank below 2
         ["nonsense"],                 # unknown subcommand
-        ["embed", "a"],               # neither --from nor -n
+        ["embed", "a"],               # missing --from
+        ["embed", "-n", "3", "a"],    # embed takes its rank as --from only
         ["appendix", "-n", "4"],      # appendix exists for ranks 2, 3
     ):
         with pytest.raises(SystemExit) as exc:
@@ -254,3 +266,47 @@ def test_malformed_element_tokens(capsys):
         assert repr(token) in err and "expected" in err, err
         with pytest.raises(ValueError, match="expected"):
             c.parse_element(text, 2)
+
+
+# --- the README's CLI examples ----------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def readme_examples():
+    """(argv, expected stdout lines) for each `affcox` line of the README's
+    CLI section: the inline `# ...` comment, lines separated by `  /  `, or
+    the `# ...` lines right below the command; empty when there is neither."""
+    with open(README) as f:
+        section = f.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples, below = [], False
+    for line in (l.strip() for l in section.splitlines()):
+        if line.startswith("affcox "):
+            command, _, comment = line.partition("#")
+            examples.append((shlex.split(command)[1:],
+                             comment.strip().split("  /  ") if comment else []))
+            below = not comment
+        elif below and line.startswith("# "):
+            examples[-1][1].append(line[2:])
+        else:
+            below = False
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_have_outputs():
+    assert len(README_EXAMPLES) == 12
+    assert [argv[0] for argv, expected in README_EXAMPLES if not expected] == [
+        "appendix", "selfcheck"]
+
+
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if expected:
+        assert out.splitlines() == expected

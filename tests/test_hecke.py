@@ -155,6 +155,14 @@ def test_rank_mismatch():
         hk.add(hk.unit(2), hk.unit(3))
 
 
+def test_left_mul_gen_rejects_letter_on_empty_element():
+    # no term, so no left_mul runs: the step's own check is the only guard
+    empty = hk.HeckeElement(2, {})
+    for step in (hk.hecke_left_mul_gen, hk.hecke_left_mul_gen_inv):
+        with pytest.raises(ValueError, match="letter 7 invalid at rank 2"):
+            step(7, empty)
+
+
 # --- q = 1 specialization ---------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -157,4 +157,4 @@ def test_parser_built_once(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["embed", "a"])
     assert exc.value.code == 2
-    assert "embed needs --from" in capsys.readouterr().err
+    assert "the following arguments are required: --from" in capsys.readouterr().err

@@ -30,10 +30,6 @@ def test_embed_examples():
     s1 = c.make_element(2, (), ((1, 1),))
     assert tower.embed(s1) == c.Element(3, (), ((1, 1),))
 
-    assert tower.embedding_witness(s1) is None
-    wit = tower.embedding_witness(w)
-    assert wit == tower.EmbeddingWitness(1, 3, (False, True))
-
 
 def test_embed_matches_substitution_exhaustively():
     for e in rank2_elements(8):
