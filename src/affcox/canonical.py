@@ -37,11 +37,11 @@ same scan then carries.
 Words canonicalize by folding letters right-to-left through left_mul from
 the identity — valid for arbitrary (even non-reduced) input words, each
 step moving the length by exactly 1.  This letter fold is the paper's
-engine and stays the path of `canonicalize`, the Hecke algebra and the
-left-multiplication trichotomy.
+engine and stays the path of `canonicalize` and the left-multiplication
+trichotomy; the Hecke algebra steps on windows (hecke).
 
 The element operations go through windows (perms) instead.  `window(e)`
-encodes e by one in-place pass over its canonical word, and
+encodes e in O(m + #bricks) list moves, one pair or brick at a time, and
 `from_window` decodes any window.  With N = n+1 and u = sorted(window of
 w), the window of the block is u (the minimal coset representative is the
 one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x
@@ -381,17 +381,21 @@ def canonicalize(w):
 
 
 def window(e):
-    """The window of e as a list, in one in-place pass over its canonical
-    word: sigma_k swaps entries k and k+1; a sets w(1), w(n+1) to
-    w(n+1) - (n+1), w(1) + (n+1)."""
+    """The window of e as a list, in O(m + #bricks) list moves: each pair
+    h(j,i) a moves entry j to position n+1 (sigma_j ... sigma_n), then
+    entry i+1 to position 1 (sigma_i ... sigma_1), then a sets w(1), w(n+1)
+    to w(n+1) - (n+1), w(1) + (n+1); each brick moves as in
+    finite.finite_window."""
     n = e.n
     nn = n + 1
     win = list(range(1, nn + 1))
-    for s in element_word(e).letters:
-        if s == AFFINE:
-            win[0], win[n] = win[n] - nn, win[0] + nn
-        else:
-            win[s - 1], win[s] = win[s], win[s - 1]
+    pop, insert = win.pop, win.insert
+    for j, i in e.pairs:
+        insert(n, pop(j - 1))
+        insert(0, pop(i))
+        win[0], win[n] = win[n] - nn, win[0] + nn
+    for i, j in e.bricks:
+        insert(j, pop(i - 1))
     return win
 
 

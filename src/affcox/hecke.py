@@ -10,6 +10,25 @@ products expand the left factor into its canonical reduced word and fold.
 The generators are invertible: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1,
 so g_s^{-1} g_w = g_{sw} if s in L(w), else q^{-1} g_{sw} + (q^{-1}-1) g_w.
 
+The fold runs on windows (perms), not on canonical forms.  Its terms are
+keyed by window tuples: each input term is encoded once
+(`canonical.window`) and each surviving term decoded once
+(`canonical.from_window`).  One step g_s . g_w is one O(n) pass over the
+window of w, with N = n+1:
+
+  - sw acts on values, (sw)(k) = s(w(k)): the entry of residue class s
+    mod N goes up by 1 and the entry of class s+1 goes down by 1.  With
+    AFFINE = 0 the same rule covers a, the periodic transposition of 0
+    and 1.
+  - s is in L(w) iff w^{-1}(s) > w^{-1}(s+1).  Proof: L(w) = R(w^{-1}),
+    and s is a right descent of a window v iff v(s) > v(s+1) (v(0) =
+    v(N) - N).  The entry of class t at 0-based index k with value v gives
+    w^{-1}(t) = k + 1 + t - v, by periodicity, so both positions come from
+    the same pass.
+
+So a step costs no left multiplication and no length.  Multiplying by q or
+q^{-1} shifts exponents.
+
 The rank-raising arrow sends g_{sigma_i} to itself and the affine
 generator to g_{sigma_n} g_a g_{sigma_n}^{-1} one rank up; on a basis
 element e_w it produces A_w g_{R_n(w)} plus terms that are strictly
@@ -25,7 +44,7 @@ from typing import NamedTuple, Optional, Tuple
 from . import canonical as c
 from . import tower
 from .canonical import Element
-from .perms import AFFINE, InvariantError, check_rank
+from .perms import AFFINE, InvariantError, check_rank, identity
 from .words import Word
 
 
@@ -111,8 +130,8 @@ class HeckeElement(NamedTuple):
     terms: dict  # Element -> Laurent polynomial, no zero polynomials
 
 
-def _collect(n, pairs):
-    """Sum (Element, poly) contributions into a normalized HeckeElement."""
+def _sum(pairs):
+    """Sum (key, poly) contributions into a dict with no zero polynomials."""
     terms = {}
     for w, p in pairs:
         acc = lp_add(terms.get(w, {}), p)
@@ -120,7 +139,12 @@ def _collect(n, pairs):
             terms[w] = acc
         else:
             terms.pop(w, None)
-    return HeckeElement(n, terms)
+    return terms
+
+
+def _collect(n, pairs):
+    """Sum (Element, poly) contributions into a normalized HeckeElement."""
+    return HeckeElement(n, _sum(pairs))
 
 
 def unit(n):
@@ -145,50 +169,90 @@ def add(h1, h2):
     return _collect(h1.n, list(h1.terms.items()) + list(h2.terms.items()))
 
 
-def hecke_left_mul_gen(s, h):
-    """g_s . h by the defining relations, term by term."""
-    n = h.n
+def _check_letter(s, n):
     if not (s == AFFINE or 1 <= s <= n):
         raise ValueError("letter %r invalid at rank %d" % (s, n))
-    out = []
-    for w, p in h.terms.items():
-        sw = c.left_mul(s, w)
-        if c.length(sw) < c.length(w):
-            out.append((sw, lp_mul(LP_Q, p)))
-            out.append((w, lp_mul(LP_Q_MINUS_1, p)))
+
+
+def _encode(h):
+    """The terms of h keyed by window tuples."""
+    return {tuple(c.window(w)): p for w, p in h.terms.items()}
+
+
+def _decode(n, terms):
+    """Window-keyed terms back to a HeckeElement, one decode per term; the
+    result shares no polynomial with the steps' inputs."""
+    return HeckeElement(n, {c.from_window(win): dict(p) for win, p in terms.items()})
+
+
+def _put(out, win, p):
+    """out[win] += p; the polynomials stored are never changed in place."""
+    acc = out.get(win)
+    out[win] = p if acc is None else lp_add(acc, p)
+
+
+def _step(s, terms, nn, inverse):
+    """g_s . h, or g_s^{-1} . h when `inverse`, on window-keyed terms at
+    rank nn - 1: one pass per term finds the entries of residue classes s
+    and s+1, which give both sw and whether s is in L(w)."""
+    s1 = (s + 1) % nn
+    shift = -1 if inverse else 1
+    out = {}
+    for win, p in terms.items():
+        for k, v in enumerate(win):
+            r = v % nn
+            if r == s:
+                ks, vs = k, v
+            elif r == s1:
+                kt, vt = k, v
+        sw = list(win)
+        sw[ks] = vs + 1
+        sw[kt] = vt - 1
+        sw = tuple(sw)
+        # s in L(w) iff w^{-1}(s) > w^{-1}(s+1), and w^{-1}(t) = k + 1 + t - v
+        if (ks - vs > kt - vt + 1) == inverse:
+            _put(out, sw, p)
         else:
-            out.append((sw, p))
-    return _collect(n, out)
+            qp = {e + shift: co for e, co in p.items()}
+            _put(out, sw, qp)
+            _put(out, win, lp_add(qp, {e: -co for e, co in p.items()}))
+    return {win: p for win, p in out.items() if p}
+
+
+def hecke_left_mul_gen(s, h):
+    """g_s . h by the defining relations, term by term."""
+    _check_letter(s, h.n)
+    return _decode(h.n, _step(s, _encode(h), h.n + 1, False))
 
 
 def hecke_left_mul_gen_inv(s, h):
-    """g_s^{-1} . h term by term, one left multiplication per term:
-    g_s^{-1} g_w = g_{sw} when s is in L(w), else q^{-1} g_{sw} + (q^{-1} - 1) g_w."""
-    n = h.n
-    if not (s == AFFINE or 1 <= s <= n):
-        raise ValueError("letter %r invalid at rank %d" % (s, n))
-    out = []
-    for w, p in h.terms.items():
-        sw = c.left_mul(s, w)
-        if c.length(sw) < c.length(w):
-            out.append((sw, p))
-        else:
-            out.append((sw, lp_mul(LP_QINV, p)))
-            out.append((w, lp_mul(LP_QINV_MINUS_1, p)))
-    return _collect(n, out)
+    """g_s^{-1} . h term by term: g_s^{-1} g_w = g_{sw} when s is in L(w),
+    else q^{-1} g_{sw} + (q^{-1} - 1) g_w."""
+    _check_letter(s, h.n)
+    return _decode(h.n, _step(s, _encode(h), h.n + 1, True))
+
+
+def _sum_scaled(n, folds):
+    """The sum of p * terms over (p, window-keyed terms) pairs, decoded."""
+    return _decode(n, _sum(
+        (win, lp_mul(pw, p)) for p, terms in folds for win, pw in terms.items()))
 
 
 def hecke_mul(u, v):
-    """u . v: expand each basis term of u into its reduced word and fold."""
+    """u . v: each basis term of u expands into its canonical reduced word,
+    folded onto the windows of v one step per letter."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    total = HeckeElement(u.n, {})
-    for w, p in u.terms.items():
-        acc = v
+    nn = u.n + 1
+    start = _encode(v)
+
+    def fold(w):
+        acc = start
         for s in reversed(c.element_word(w).letters):
-            acc = hecke_left_mul_gen(s, acc)
-        total = add(total, scale(acc, p))
-    return total
+            acc = _step(s, acc, nn, False)
+        return acc
+
+    return _sum_scaled(u.n, ((p, fold(w)) for w, p in u.terms.items()))
 
 
 def gen_inverse(s, n):
@@ -201,18 +265,21 @@ def hr_embed(h):
     g_{sigma_n} g_a g_{sigma_n}^{-1} (letters folded over each basis word)."""
     check_rank(h.n)
     n = h.n + 1
-    total = HeckeElement(n, {})
-    for w, p in h.terms.items():
-        acc = unit(n)
+    nn = n + 1
+    one = {identity(n): LP_ONE}
+
+    def fold(w):
+        acc = one
         for s in reversed(c.element_word(w).letters):
             if s == AFFINE:
-                acc = hecke_left_mul_gen_inv(n, acc)
-                acc = hecke_left_mul_gen(AFFINE, acc)
-                acc = hecke_left_mul_gen(n, acc)
+                acc = _step(n, acc, nn, True)
+                acc = _step(AFFINE, acc, nn, False)
+                acc = _step(n, acc, nn, False)
             else:
-                acc = hecke_left_mul_gen(s, acc)
-        total = add(total, scale(acc, p))
-    return total
+                acc = _step(s, acc, nn, False)
+        return acc
+
+    return _sum_scaled(n, ((p, fold(w)) for w, p in h.terms.items()))
 
 
 def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:

@@ -13,8 +13,8 @@ The affine length is preserved and the length grows by exactly 2L.
 
 Membership in the image is three literal conditions on the canonical form
 (ranges of the first pair, the break inequality at s+1, and the finite
-part factoring as |t, n| . y with y one rank down); the preimage just
-undoes the formula.
+part factoring as |t, n| . y with y one rank down); the preimage undoes
+the formula with the split index that the membership test found.
 """
 
 from typing import Optional
@@ -74,32 +74,39 @@ def substitute_word(w):
     return Word(n, tuple(letters))
 
 
-def is_in_image(e) -> bool:
-    """The three membership conditions at ambient rank e.n (false below 3)."""
+def _image_split(e) -> Optional[int]:
+    """The three membership conditions at ambient rank e.n (none hold below
+    3): the split index s when e is in the image, 0 when it is in the image
+    with an empty block, None when it is not."""
     n = e.n
     if n < 3:
-        return False
+        return None
     if not e.pairs:
-        return not e.bricks or e.bricks[0][1] <= n - 1
+        return 0 if not e.bricks or e.bricks[0][1] <= n - 1 else None
     j1, i1 = e.pairs[0]
     if not (j1 <= n and i1 < n - 1):
-        return False
+        return None
     s = _split_index(e.pairs, n)
     if s < len(e.pairs):
         _, i_next = e.pairs[s]  # pair s+1, 1-based
         if not (n - (s + 1) - i_next < 0):
-            return False
+            return None
     t = n - s + 1
-    return bool(e.bricks) and e.bricks[0] == (t, n)
+    return s if e.bricks and e.bricks[0] == (t, n) else None
+
+
+def is_in_image(e) -> bool:
+    """The three membership conditions at ambient rank e.n (false below 3)."""
+    return _image_split(e) is not None
 
 
 def preimage(e) -> Optional[Element]:
-    if not is_in_image(e):
+    s = _image_split(e)
+    if s is None:
         return None
     n = e.n
-    if not e.pairs:
+    if not s:
         return Element(n - 1, (), e.bricks)
-    s = _split_index(e.pairs, n)
     pairs = tuple(
         (j, i - 1 if k > s else i)
         for k, (j, i) in enumerate(e.pairs, start=1)

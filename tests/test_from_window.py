@@ -49,6 +49,41 @@ def test_from_window_on_cancelling_words(seed):
         decode_agrees(n, tuple([rng.randrange(n + 1) for _ in range(rng.randint(0, 4000))]))
 
 
+def letter_walk_window(e):
+    """The window of e by one swap per letter of its canonical word: sigma_k
+    swaps entries k and k+1; a sets w(1), w(n+1) to w(n+1) - (n+1),
+    w(1) + (n+1).  The oracle of the run-moving encoder `c.window`."""
+    n = e.n
+    nn = n + 1
+    win = list(range(1, nn + 1))
+    for s in c.element_word(e).letters:
+        if s == perms.AFFINE:
+            win[0], win[n] = win[n] - nn, win[0] + nn
+        else:
+            win[s - 1], win[s] = win[s], win[s - 1]
+    return win
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_window_matches_letter_walk_on_balls(n):
+    for win, word in perms.bfs_reduced_words(n, 7).items():
+        e = c.canonicalize(Word(n, word))
+        assert c.window(e) == letter_walk_window(e) == list(win)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_matches_letter_walk_on_long_words(seed):
+    rng = random.Random(1100 + seed)
+    for _ in range(12):
+        n = rng.choice([2, 3, 6, 12, 24])
+        if rng.random() < 0.5:
+            letters = perms.random_reduced_word(n, rng.randint(0, 600), rng)
+        else:
+            letters = tuple([rng.randrange(n + 1) for _ in range(rng.randint(0, 1500))])
+        e = c.from_window(perms.to_permutation(letters, n))
+        assert c.window(e) == letter_walk_window(e), (n, letters)
+
+
 @pytest.mark.parametrize("n", [12, 24])
 def test_mul_and_inverse_match_the_window_model(n):
     rng = random.Random(1000 + n)

@@ -163,6 +163,99 @@ def test_left_mul_gen_rejects_letter_on_empty_element():
             step(7, empty)
 
 
+# --- the window step against the letter engine -----------------------------
+
+def oracle_left_mul_gen(s, h, inverse=False):
+    """The Element-keyed step: one left_mul and two length sums per term,
+    g_s g_w = g_{sw} or q g_{sw} + (q - 1) g_w, and for g_s^{-1}
+    g_{sw} or q^{-1} g_{sw} + (q^{-1} - 1) g_w."""
+    out = []
+    for w, p in h.terms.items():
+        sw = c.left_mul(s, w)
+        if (c.length(sw) < c.length(w)) == inverse:
+            out.append((sw, p))
+        elif inverse:
+            out.append((sw, hk.lp_mul(hk.LP_QINV, p)))
+            out.append((w, hk.lp_mul(hk.LP_QINV_MINUS_1, p)))
+        else:
+            out.append((sw, hk.lp_mul(hk.LP_Q, p)))
+            out.append((w, hk.lp_mul(hk.LP_Q_MINUS_1, p)))
+    return hk._collect(h.n, out)
+
+
+def oracle_hecke_mul(u, v):
+    total = hk.HeckeElement(u.n, {})
+    for w, p in u.terms.items():
+        acc = v
+        for s in reversed(c.element_word(w).letters):
+            acc = oracle_left_mul_gen(s, acc)
+        total = hk.add(total, hk.scale(acc, p))
+    return total
+
+
+def oracle_hr_embed(h):
+    n = h.n + 1
+    total = hk.HeckeElement(n, {})
+    for w, p in h.terms.items():
+        acc = hk.unit(n)
+        for s in reversed(c.element_word(w).letters):
+            if s == perms.AFFINE:
+                acc = oracle_left_mul_gen(n, acc, inverse=True)
+                acc = oracle_left_mul_gen(perms.AFFINE, acc)
+                acc = oracle_left_mul_gen(n, acc)
+            else:
+                acc = oracle_left_mul_gen(s, acc)
+        total = hk.add(total, hk.scale(acc, p))
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_step_matches_left_mul_on_balls(n):
+    """On one basis term, _step gives window(sw), and it keeps a g_w term
+    exactly when s is in L(w), as the letter engine decides."""
+    for win, letters in perms.bfs_reduced_words(n, 7).items():
+        w = c.canonicalize(Word(n, letters))
+        assert tuple(c.window(w)) == win
+        for s in c.generators(n):
+            sw = c.left_mul(s, w)
+            sw_win = tuple(c.window(sw))
+            descent = c.length(sw) < c.length(w)
+            got = hk._step(s, {win: {0: 1}}, n + 1, False)
+            got_inv = hk._step(s, {win: {0: 1}}, n + 1, True)
+            if descent:
+                assert got == {sw_win: {1: 1}, win: {1: 1, 0: -1}}
+                assert got_inv == {sw_win: {0: 1}}
+            else:
+                assert got == {sw_win: {0: 1}}
+                assert got_inv == {sw_win: {-1: 1}, win: {-1: 1, 0: -1}}
+
+
+def random_reduced(n, length, rng):
+    return c.canonicalize(Word(n, perms.random_reduced_word(n, length, rng)))
+
+
+def test_products_match_oracle_fold():
+    rng = random.Random(2105)
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        u = hk.add(hk.basis(random_reduced(n, rng.randint(0, 12), rng)),
+                   hk.scale(hk.basis(random_reduced(n, rng.randint(0, 12), rng)),
+                            {rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])}))
+        v = random_hecke(n, rng, max_len=12)
+        assert hk.hecke_mul(u, v).terms == oracle_hecke_mul(u, v).terms
+        assert hk.hr_embed(u).terms == oracle_hr_embed(u).terms
+
+
+def test_long_products_match_oracle_fold():
+    """g_{w^-1} g_w keeps hundreds of terms for l(w) of 20 to 60."""
+    rng = random.Random(7417)
+    for n in (2, 2, 2, 3, 3, 3):
+        w = random_reduced(n, rng.randint(20, 60), rng)
+        u, v = hk.basis(c.inverse(w)), hk.basis(w)
+        assert hk.hecke_mul(u, v).terms == oracle_hecke_mul(u, v).terms
+        assert hk.hr_embed(v).terms == oracle_hr_embed(v).terms
+
+
 # --- q = 1 specialization ---------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -230,14 +323,15 @@ def test_triangularity_examples():
 
 
 def test_triangularity_exhaustive_small():
-    for win, letters in perms.bfs_reduced_words(2, 5).items():
-        w = c.canonicalize(Word(2, letters))
-        a_w, lower = hk.triangularity_certificate(w)
-        assert hk.lp_power_of_q(a_w) is not None
-        target_len = c.length(tower.embed(w))
-        for x in lower.terms:
-            assert c.length(x) < target_len
-            assert c.affine_length(x) <= c.affine_length(w)
+    for n, max_len in ((2, 14), (3, 10), (4, 8)):
+        for win, letters in perms.bfs_reduced_words(n, max_len).items():
+            w = c.canonicalize(Word(n, letters))
+            a_w, lower = hk.triangularity_certificate(w)
+            assert hk.lp_power_of_q(a_w) is not None
+            target_len = c.length(tower.embed(w))
+            for x in lower.terms:
+                assert c.length(x) < target_len
+                assert c.affine_length(x) <= c.affine_length(w)
 
 
 def test_format_hecke():

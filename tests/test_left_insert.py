@@ -132,19 +132,24 @@ def test_tower_invariant_survives_optimize():
     assert proc.stdout.startswith("InvariantError:"), proc.stdout
 
 
-# --- one left multiplication per Hecke term ---------------------------------
+# --- the Hecke algebra steps on windows --------------------------------------
 
-def test_hecke_left_mul_gen_one_left_mul_per_term(monkeypatch):
+def test_hecke_makes_no_left_mul_or_length(monkeypatch):
     n = 3
-    h = hk.add(hk.basis(c.canonicalize(Word(n, (1, 0, 2)))),
+    u = hk.add(hk.basis(c.canonicalize(Word(n, (1, 0, 2)))),
                hk.basis(c.canonicalize(Word(n, (2, 3)))))
+    v = hk.scale(hk.basis(c.canonicalize(Word(n, (0, 3, 1, 0)))), {1: 1, -1: 2})
     calls = []
-    left_mul = c.left_mul
-    monkeypatch.setattr(c, "left_mul", lambda s, e: calls.append(s) or left_mul(s, e))
+    for name in ("left_mul", "length"):
+        fn = getattr(c, name)
+        monkeypatch.setattr(c, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    hk.hecke_mul(u, v)
+    hk.hr_embed(u)
     for s in c.generators(n):
-        calls.clear()
-        hk.hecke_left_mul_gen(s, h)
-        assert len(calls) == len(h.terms)
+        hk.hecke_left_mul_gen(s, u)
+        hk.hecke_left_mul_gen_inv(s, v)
+    assert calls == []
 
 
 # --- the CLI parser ---------------------------------------------------------

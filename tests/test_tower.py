@@ -113,3 +113,15 @@ def test_finite_parts_count_per_block():
 def test_embed_rejects_bad_rank():
     with pytest.raises(Exception):
         tower.embed(c.Element(1, (), ()))
+
+
+def test_preimage_computes_the_split_index_once(monkeypatch):
+    calls = []
+    split = tower._split_index
+    monkeypatch.setattr(tower, "_split_index",
+                        lambda pairs, n: calls.append(pairs) or split(pairs, n))
+    for e in rank2_elements(6):
+        img = tower.embed(e)
+        calls.clear()
+        assert tower.preimage(img) == e
+        assert len(calls) == (1 if img.pairs else 0), e
