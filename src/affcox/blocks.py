@@ -4,7 +4,15 @@ right cosets W(~A_n)/W(A_n), indexed by families (j_s, i_s)_{1..m} under
 the pairwise inequalities.  Depth-first extension on an explicit stack
 (no recursion limit) with the inequalities as pruning predicates.  The
 number of blocks of length l is the coefficient of t^l in Bott's series
-prod_{k=1..n} 1/(1 - t^k); counts by affine length are regression data.
+prod_{k=1..n} 1/(1 - t^k).  With N = n+1, the number of affine length m >= 1 is
+
+    sum_{p,q >= 1, p+q <= N} N!/(p! q! (N-p-q)!) . C(m-1, p-1) . C(m-1, q-1):
+
+a block is the minimal coset representative, with a sorted window, so it
+is fixed by its entries r + N lambda_r (r = 1..N): by a lambda in Z^N with
+sum 0 and sum_r max(0, lambda_r) = m (perms.affine_length).  Choose its
+p positive and q negative coordinates, then m as an ordered sum of p
+positive parts and, negated, as one of q.
 
 The paper's appendix lists every block of positive affine length at ranks
 2 and 3 as a union of families

@@ -65,12 +65,14 @@ the sorted arrangement names the last pair:
     j = 1 + #{k in 2..n : u(k) < u(1) + N} + [u(N) - N < u(1) + N]
 
 two bisections, O(n) per pair with the list edits, and no tables or
-exchange rules.  The peel ends at the identity, the only sorted window
-with u(N) = N.  The junction test adds nothing to a correct peel; each
-peeled pair is still checked against the one after it with
-`_junction_ok` (O(m) in all), and each peel must shorten an upper bound
-on l(u), so an engine bug raises InvariantError instead of returning a
-wrong form or looping.
+exchange rules.  The peel makes exactly L(w) = perms.affine_length(w)
+steps, ending at the identity: a sorted window with u(1) >= 1 or
+u(N) <= N is the identity (N distinct residues summing to N(N+1)/2), so
+every other peel lowers sum_k max(0, floor((u(k) - 1)/N)) by exactly 1,
+and that sum is 0 only at the identity.  Each peeled pair is still
+checked against the one after it with `_junction_ok` (O(m) in all,
+redundant for a correct peel), and a peel that does not end at the
+identity raises InvariantError instead of returning a wrong form.
 
 So mul(u, v) decodes the composed windows, inverse(u) the inverse
 window, right descents are one comparison each on the window (sigma_k
@@ -193,10 +195,6 @@ def length(e):
 
 def affine_length(e):
     return len(e.pairs)
-
-
-def finite_part(e):
-    return FiniteElement(e.n, e.bricks)
 
 
 def coset_rep(e):
@@ -405,9 +403,10 @@ def from_window(win):
     x is the level code of the ranks of win in u = sorted(win), and the
     block is peeled off u from the right, pair (j, i) by pair, where i and
     j count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1)
-    (see the module docstring for why this pair is the last one).  A
-    ValueError if win is not a window; an InvariantError if a peeled pair
-    breaks a junction or a peel does not shorten u.
+    (see the module docstring for why this pair is the last one): exactly
+    L(w) peels, ending at the identity.  A ValueError if win is not a
+    window; an InvariantError if a peeled pair breaks a junction or the
+    peel does not end at the identity.
     """
     nn = len(win)
     n = nn - 1
@@ -416,11 +415,9 @@ def from_window(win):
     u = sorted(win)
     rank = {v: k for k, v in enumerate(u, 1)}
     x = fin.from_window([rank[v] for v in win])
-    # an upper bound on l(u): sum over k < k' of (u(k') - u(k)) / (n+1)
-    budget = sum([(2 * k - n) * v for k, v in enumerate(u)]) // nn
     pairs, last = [], None
     pop, insert = u.pop, u.insert
-    while u[n] != nn:  # the identity is the one sorted window with u(n+1) = n+1
+    for _ in range(perms.affine_length(u)):
         # the two ends move: u(1) + (n+1) to position j, u(n+1) - (n+1) next to i
         low, high = pop(0) + nn, pop() - nn
         i, below = bisect_left(u, high), bisect_left(u, low)
@@ -431,12 +428,13 @@ def from_window(win):
         else:
             insert(i + 1, high)
             j = below + 1
-        budget -= n + 2 - j + i
         pair = (j, i)
-        if budget < 0 or (last is not None and not _junction_ok(pair, last, n)):
+        if last is not None and not _junction_ok(pair, last, n):
             raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
         pairs.append(pair)
         last = pair
+    if u[n] != nn:  # u stays sorted: the identity is the one with u(n+1) = n+1
+        raise InvariantError("right peel of %r ended at %r, not the identity" % (win, u))
     if last is not None and not _junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()

@@ -90,10 +90,6 @@ def lp_mul(p1, p2):
     return out
 
 
-def lp_eval_at_1(p):
-    return sum(p.values())
-
-
 def lp_power_of_q(p) -> Optional[int]:
     """The exponent k when p = q^k, else nothing."""
     if len(p) == 1:

@@ -109,6 +109,14 @@ def perm_length(w):
     return total
 
 
+def affine_length(w):
+    """L(w) = sum_k max(0, lambda_k) over the translation coordinates
+    lambda_k = floor((w(k) - 1) / (n+1)): the number of a's in the
+    canonical form (canonical.from_window peels exactly this many pairs)."""
+    nn = len(w)
+    return sum([(v - 1) // nn for v in w if v > nn])
+
+
 def bfs_enumerate(n, max_len, max_states=5_000_000):
     """
     All group elements of length <= max_len as a list of (window, length),

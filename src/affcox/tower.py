@@ -9,12 +9,21 @@ every j_k is kept, i_k is raised by 1 exactly for k > s, and the finite
 part picks up the run |t, n| on the left, t = n - s + 1.  Since i_k is
 nondecreasing by (3), n - k - i_k falls strictly with k, so the k with
 n - k - i_k > 0 form an initial segment, and s <= n - 1 because i_k >= 0.
-The affine length is preserved and the length grows by exactly 2L.
 
-Membership in the image is three literal conditions on the canonical form
-(ranges of the first pair, the break inequality at s+1, and the finite
-part factoring as |t, n| . y with y one rank down); the preimage undoes
-the formula with the split index that the membership test found.
+The image is the stabilizer of n+1 at rank n.  For x = r + n q with
+1 <= r <= n, phi(x) = r + (n+1) q is an order-preserving bijection from Z
+onto Z minus the class of n+1, with phi(x + n) = phi(x) + n+1.  So
+conjugation by phi (fixing that class) carries the period-n bijections
+onto the period-(n+1) ones fixing n+1, and it is the letter map: sigma_i
+(i < n) still swaps i and i+1, and a, the swap of n q and n q + 1, becomes
+the swap of (n+1) q - 1 and (n+1) q + 1, which is sigma_n a sigma_n.  On
+windows w(k) = r + n q goes to r + (n+1) q and n+1 is appended: the sum
+of w(k) - k stays 0 (the q sum to 0, as the r run over 1..n), each
+translation coordinate lambda_k = floor((w(k) - 1) / n) = q is kept and
+the new entry has lambda = 0, so the affine length sum_k max(0, lambda_k)
+is preserved.  The length grows by 2L: each pair's n+1 - j + i gains 1,
+the i_k with k > s gain m - s, and |t, n| adds s.  The preimage undoes
+the formula with the same split index.
 """
 
 from typing import Optional
@@ -29,12 +38,9 @@ from .words import Word
 def _split_index(pairs, n):
     """s = max{k : n - k - i_k > 0}, 1-based, at ambient rank n; the k = 1
     term must be positive and s at most n - 1."""
-    ks = [k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0]
-    if not ks:
-        raise InvariantError("no split index: first pair out of range for this rank")
-    s = max(ks)
-    if s > n - 1:
-        raise InvariantError("split index %d exceeds rank %d" % (s, n - 1))
+    s = max([k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0], default=0)
+    if not 1 <= s <= n - 1:
+        raise InvariantError("split index %d outside 1..%d" % (s, n - 1))
     return s
 
 
@@ -74,39 +80,22 @@ def substitute_word(w):
     return Word(n, tuple(letters))
 
 
-def _image_split(e) -> Optional[int]:
-    """The three membership conditions at ambient rank e.n (none hold below
-    3): the split index s when e is in the image, 0 when it is in the image
-    with an empty block, None when it is not."""
-    n = e.n
-    if n < 3:
-        return None
-    if not e.pairs:
-        return 0 if not e.bricks or e.bricks[0][1] <= n - 1 else None
-    j1, i1 = e.pairs[0]
-    if not (j1 <= n and i1 < n - 1):
-        return None
-    s = _split_index(e.pairs, n)
-    if s < len(e.pairs):
-        _, i_next = e.pairs[s]  # pair s+1, 1-based
-        if not (n - (s + 1) - i_next < 0):
-            return None
-    t = n - s + 1
-    return s if e.bricks and e.bricks[0] == (t, n) else None
-
-
 def is_in_image(e) -> bool:
-    """The three membership conditions at ambient rank e.n (false below 3)."""
-    return _image_split(e) is not None
+    """e fixes n+1 (false below rank 3: there is no rank-1 source)."""
+    return e.n >= 3 and c.window(e)[e.n] == e.n + 1
 
 
 def preimage(e) -> Optional[Element]:
-    s = _image_split(e)
-    if s is None:
+    if not is_in_image(e):
         return None
     n = e.n
-    if not s:
+    if not e.pairs:
         return Element(n - 1, (), e.bricks)
+    s = _split_index(e.pairs, n)
+    t = n - s + 1
+    if not (e.bricks and e.bricks[0] == (t, n)):
+        raise InvariantError("%r fixes %d but does not start with |%d, %d|"
+                             % (e, n + 1, t, n))
     pairs = tuple(
         (j, i - 1 if k > s else i)
         for k, (j, i) in enumerate(e.pairs, start=1)

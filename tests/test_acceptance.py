@@ -19,6 +19,7 @@ from affcox.finite import (
 )
 from affcox.perms import (
     AFFINE,
+    affine_length,
     bfs_reduced_words,
     count_reduced_words,
     perm_length,
@@ -205,10 +206,13 @@ def test_criterion_3_left_mul_trichotomy():
 def test_criterion_4_tower():
     def body():
         elems2 = _all_elements(2, 9)
-        for e in elems2.values():
+        for win, e in elems2.items():
             img = tower.embed(e)
-            assert img == c.canonicalize(tower.substitute_word(c.element_word(e)))
+            img_word = tower.substitute_word(c.element_word(e))
+            assert img == c.canonicalize(img_word)
             assert c.affine_length(img) == c.affine_length(e)
+            assert (affine_length(to_permutation(img_word.letters, 3))
+                    == affine_length(win) == c.affine_length(e))
             assert c.length(img) == c.length(e) + 2 * c.affine_length(e)
             assert tower.is_in_image(img)
             assert tower.preimage(img) == e
@@ -239,13 +243,15 @@ def test_criterion_4_tower():
 
 def test_criterion_5_hecke_triangularity():
     def body():
-        for e in _all_elements(2, 6).values():
+        for win, e in _all_elements(2, 6).items():
             a_w, lower = hk.triangularity_certificate(e)
             assert hk.lp_power_of_q(a_w) is not None
             target_len = c.length(tower.embed(e))
             for x in lower.terms:
                 assert c.length(x) < target_len
                 assert c.affine_length(x) <= c.affine_length(e)
+                x_win = to_permutation(c.element_word(x).letters, 3)
+                assert affine_length(x_win) <= affine_length(win)
         # HR respects every defining relation on pairs of letters
         from affcox.perms import _product_order
         gens = [1, 2, AFFINE]

@@ -1,5 +1,6 @@
 """Affine-block enumeration and the coset decomposition."""
 
+import math
 import os
 import subprocess
 import sys
@@ -18,9 +19,27 @@ def test_frozen_counts():
     assert len(bl.enumerate_blocks(2, 0).items) == 1
     assert len(bl.enumerate_blocks(2, 1).items) == 6
     assert len(bl.enumerate_blocks(2, 2).items) == 12
-    # regression data (no counting formula to assert from)
+    # the closed formula for these is checked in test_counts_by_affine_length
     assert [len(bl.enumerate_blocks(2, m).items) for m in range(6)] == [1, 6, 12, 18, 24, 30]
     assert [len(bl.enumerate_blocks(3, m).items) for m in range(6)] == [1, 12, 42, 92, 162, 252]
+
+
+def blocks_of_affine_length(n, m):
+    """The closed count of blocks of affine length m >= 1 (blocks docstring):
+    N = n+1 translation coordinates summing to 0, p of them positive and q
+    negative, the positive ones summing to m."""
+    N = n + 1
+    return sum(
+        math.factorial(N) // (math.factorial(p) * math.factorial(q) * math.factorial(N - p - q))
+        * math.comb(m - 1, p - 1) * math.comb(m - 1, q - 1)
+        for p in range(1, N) for q in range(1, N - p + 1)
+    )
+
+
+@pytest.mark.parametrize("n,max_m", [(2, 8), (3, 8), (4, 8), (5, 5), (6, 5), (8, 3)])
+def test_counts_by_affine_length(n, max_m):
+    for m in range(1, max_m + 1):
+        assert len(bl.enumerate_blocks(n, m).items) == blocks_of_affine_length(n, m), m
 
 
 def _bott_series(n, max_len):

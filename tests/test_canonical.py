@@ -221,7 +221,7 @@ def test_right_descents_of_finite_part(n):
     part x, i.e. x(i) > x(i+1) in the window of x."""
     for letters in perms.bfs_reduced_words(n, 6).values():
         e = c.canonicalize(Word(n, letters))
-        x = perms.to_permutation(fin.finite_word(c.finite_part(e)).letters, n)
+        x = perms.to_permutation(fin.finite_word(fin.FiniteElement(e.n, e.bricks)).letters, n)
         want = {i for i in range(1, n + 1) if x[i - 1] > x[i]}
         assert c.right_descents(e) - {perms.AFFINE} == want
 

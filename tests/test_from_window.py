@@ -30,6 +30,7 @@ def test_from_window_matches_canonicalize_on_balls(n):
         e = c.from_window(win)
         assert e == c.canonicalize(Word(n, word)), (win, word)
         assert c.length(e) == len(word)
+        assert perms.affine_length(win) == len(e.pairs)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -39,6 +40,24 @@ def test_from_window_on_long_reduced_words(seed):
         n = rng.randint(2, 30)
         letters = perms.random_reduced_word(n, rng.randint(200, 2000), rng)
         assert c.length(decode_agrees(n, letters)) == len(letters)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12, 30])
+def test_affine_length_counts_the_pairs_on_long_words(n):
+    rng = random.Random(1400 + n)
+    win = perms.to_permutation(perms.random_reduced_word(n, 3000, rng), n)
+    e = c.from_window(win)
+    assert perms.affine_length(win) == len(e.pairs)
+    assert c.length(e) == 3000
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_decoder_raises_when_the_peel_count_is_wrong(monkeypatch, delta):
+    true_count = perms.affine_length
+    monkeypatch.setattr(perms, "affine_length", lambda w: true_count(w) + delta)
+    win = perms.to_permutation((1, 2, 0) * 3, 3)
+    with pytest.raises(c.InvariantError):
+        c.from_window(win)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -31,12 +31,26 @@ def test_embed_examples():
     assert tower.embed(s1) == c.Element(3, (), ((1, 1),))
 
 
+def embed_window(win):
+    """The residue map on windows, the oracle for embed: w(k) = r + n q
+    (1 <= r <= n) goes to r + (n+1) q, and n+1 is appended."""
+    n = len(win)
+    out = []
+    for v in win:
+        q, r = divmod(v - 1, n)
+        out.append(r + 1 + (n + 1) * q)
+    return tuple(out) + (n + 1,)
+
+
 def test_embed_matches_substitution_exhaustively():
-    for e in rank2_elements(8):
+    for win, letters in perms.bfs_reduced_words(2, 8).items():
+        e = c.canonicalize(Word(2, letters))
         img = tower.embed(e)
-        via_word = c.canonicalize(tower.substitute_word(c.element_word(e)))
-        assert img == via_word, e
+        img_word = tower.substitute_word(Word(2, letters))
+        assert img == c.canonicalize(img_word), e
         assert c.affine_length(img) == c.affine_length(e)
+        assert (perms.affine_length(perms.to_permutation(img_word.letters, 3))
+                == perms.affine_length(win) == c.affine_length(e))
         assert c.length(img) == c.length(e) + 2 * c.affine_length(e)
         assert tower.is_in_image(img)
         assert tower.preimage(img) == e
@@ -68,7 +82,8 @@ def test_is_in_image_examples():
 
 
 def test_is_in_image_matches_search():
-    """Membership by the three conditions == membership by exhaustive search."""
+    """Membership by the window (e fixes n+1) == membership by exhaustive
+    search over the images of short rank-2 elements."""
     image = set()
     for e in rank2_elements(6):
         if c.length(e) + 2 * c.affine_length(e) <= 6:
@@ -125,3 +140,39 @@ def test_preimage_computes_the_split_index_once(monkeypatch):
         calls.clear()
         assert tower.preimage(img) == e
         assert len(calls) == (1 if img.pairs else 0), e
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tower_laws_on_long_words(seed):
+    """Source ranks 2-29, words up to ~1,000 letters: embed against the
+    residue map on the oracle window, which keeps L and adds 2L to l."""
+    rng = random.Random(1200 + seed)
+    for n in range(2 + seed, 30, 4):
+        letters = perms.random_reduced_word(n, rng.randint(0, 1000), rng)
+        win = perms.to_permutation(letters, n)
+        e = c.from_window(win)
+        img = tower.embed(e)
+        img_win = embed_window(win)
+        assert tuple(c.window(img)) == img_win, (n, letters)
+        assert perms.affine_length(img_win) == perms.affine_length(win)
+        assert perms.perm_length(img_win) == len(letters) + 2 * perms.affine_length(win)
+        assert tower.is_in_image(img)
+        assert tower.preimage(img) == e
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_in_image_is_the_stabilizer_of_n_plus_1(seed):
+    """Random rank-n elements (rarely members), and members built from a
+    random rank-(n-1) window by the residue map, not by embed."""
+    rng = random.Random(1300 + seed)
+    for n in range(3 + seed, 31, 4):
+        letters = tuple([rng.randrange(n + 1) for _ in range(rng.randint(0, 1500))])
+        win = perms.to_permutation(letters, n)
+        e = c.from_window(win)
+        assert tower.is_in_image(e) == (win[n] == n + 1), (n, letters)
+        assert (tower.preimage(e) is None) == (win[n] != n + 1)
+        letters = tuple([rng.randrange(n) for _ in range(rng.randint(0, 1500))])
+        src = perms.to_permutation(letters, n - 1)
+        member = c.from_window(embed_window(src))
+        assert tower.is_in_image(member)
+        assert tower.preimage(member) == c.from_window(src), (n, letters)
