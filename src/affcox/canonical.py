@@ -91,14 +91,14 @@ from typing import NamedTuple
 from . import perms
 from .perms import AFFINE, InvariantError, check_rank, compose, is_window
 from . import finite as fin
-from .finite import FiniteElement, HPrefix
+from .finite import HPrefix
 from .words import Word, hat_partner
 
 
 class Element(NamedTuple):
     n: int
     pairs: tuple   # ((j, i), ...) — the affine block
-    bricks: tuple  # finite part, as in finite.FiniteElement
+    bricks: tuple  # ((i, j), ...) — the finite part x, levels j descending
 
 
 class Absorbed(NamedTuple):
@@ -177,20 +177,14 @@ def block_word(pairs, n):
 
 
 def element_word(e):
-    return Word(
-        e.n,
-        block_word(e.pairs, e.n).letters
-        + fin.finite_word(FiniteElement(e.n, e.bricks)).letters,
-    )
+    return Word(e.n, block_word(e.pairs, e.n).letters
+                + fin.finite_word(e.bricks, e.n).letters)
 
 
 def length(e):
     n = e.n
-    return (
-        fin.finite_length(FiniteElement(n, e.bricks))
-        + len(e.pairs)
-        + sum(n + 1 - j + i for j, i in e.pairs)
-    )
+    return (fin.finite_length(e.bricks) + len(e.pairs)
+            + sum(n + 1 - j + i for j, i in e.pairs))
 
 
 def affine_length(e):
@@ -198,7 +192,8 @@ def affine_length(e):
 
 
 def coset_rep(e):
-    """Same block, trivial finite part — the minimal coset representative."""
+    """Same block, trivial finite part: the minimal-length representative
+    of the right W(A_n)-coset of e, as the normal form states."""
     return Element(e.n, e.pairs, ())
 
 
@@ -246,8 +241,9 @@ def _table(u, j, i, n):
 
 
 def block_left_descents(j, i, n):
-    """L(h(j,i) a): {sigma_i, sigma_j} when j > i+1, else {sigma_j, sigma_{i+1}}
-    (indices clipped to the existing generators)."""
+    """The paper's left descent set of a one-pair block, L(h(j,i) a):
+    {sigma_i, sigma_j} when j > i+1, else {sigma_j, sigma_{i+1}} (indices
+    clipped to the existing generators)."""
     cand = (i, j) if j > i + 1 else (j, i + 1)
     return {s for s in cand if 1 <= s <= n}
 
@@ -359,12 +355,10 @@ def left_mul(s, e):
     if not e.pairs:
         if s == AFFINE:
             return Element(n, ((n + 1, 0),), e.bricks)
-        x = fin.finite_left_insert(FiniteElement(n, e.bricks), s)
-        return Element(n, (), x.bricks)
+        return Element(n, (), fin.finite_left_insert(e.bricks, s, n))
     out = left_mul_block(s, e.pairs, n)
     if isinstance(out, Absorbed):
-        x = fin.finite_left_insert(FiniteElement(n, e.bricks), out.v)
-        return Element(n, e.pairs, x.bricks)
+        return Element(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n))
     return Element(n, out.pairs, e.bricks)
 
 
@@ -414,7 +408,7 @@ def from_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
     u = sorted(win)
     rank = {v: k for k, v in enumerate(u, 1)}
-    x = fin.from_window([rank[v] for v in win])
+    bricks = fin.from_window([rank[v] for v in win])
     pairs, last = [], None
     pop, insert = u.pop, u.insert
     for _ in range(perms.affine_length(u)):
@@ -438,7 +432,7 @@ def from_window(win):
     if last is not None and not _junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
-    return Element(n, tuple(pairs), x.bricks)
+    return Element(n, tuple(pairs), bricks)
 
 
 def mul(u, v):

@@ -2,6 +2,12 @@
 The finite group W(A_n) (the symmetric group on n+1 points) in its
 descending-brick canonical form.
 
+An element x of W(A_n) is the element of W(~A_n) with no pairs,
+canonical.Element(n, (), bricks): its products, inverses and words are
+`canonical`'s operations on that element, and this module holds only the
+brick layer.  Its functions take a brick tuple and the rank, `(bricks, n)`,
+as the block layer takes `(pairs, n)`, and return brick tuples.
+
 A brick |i,j| is the ascending run sigma_i sigma_{i+1} ... sigma_j
 (empty when i = j+1); a brick ]i,j[ written here as ceil(i,j) is the
 descending run sigma_i sigma_{i-1} ... sigma_j (empty when i = j-1).
@@ -21,8 +27,7 @@ and is absent when that rank is j+1 (Bjorner & Brenti, Combinatorics of
 Coxeter Groups, Sec. 8.3).  Level j has j+1 choices, so the (n+1)! shapes
 code W(A_n) bijectively.  `from_window` reads the ranks off a window and
 `finite_window` replays the bricks (|i,j| moves the entry at position i
-to position j+1), both in O(n^2).  Products, inverses and words are
-window operations followed by one decode.  Right insertion x . sigma_k
+to position j+1), both in O(n^2).  Right insertion x . sigma_k
 swaps the positions k and k+1, so only the bricks on levels k-1 and k
 move.  Left insertion sigma_k . x swaps the values k and k+1, so only the
 rank at the later of their positions, q, changes, i.e. the brick on
@@ -45,25 +50,13 @@ from bisect import bisect_left
 from itertools import permutations
 from typing import NamedTuple
 
-from .perms import (
-    AFFINE, InvariantError, check_rank, compose, inverse, right_mul, to_permutation,
-)
+from .perms import InvariantError, check_rank, compose, inverse, right_mul, to_permutation
 from .words import Word
-
-
-class FiniteElement(NamedTuple):
-    n: int
-    bricks: tuple  # ((i, j), ...) with strictly descending j
 
 
 class HPrefix(NamedTuple):
     r: int
     i: int
-
-
-def finite_identity(n):
-    check_rank(n)
-    return FiniteElement(n, ())
 
 
 def validate_finite(bricks, n):
@@ -86,17 +79,17 @@ def ceil_word(i, j):
     return tuple(range(i, j - 1, -1))
 
 
-def finite_window(x):
+def finite_window(bricks, n):
     """Window (x(1), ..., x(n+1)): each brick |i,j| in turn moves the entry
     at position i to position j+1."""
-    win = list(range(1, x.n + 2))
-    for i, j in x.bricks:
+    win = list(range(1, n + 2))
+    for i, j in bricks:
         win.insert(j, win.pop(i - 1))
     return tuple(win)
 
 
 def from_window(win):
-    """The brick form of a permutation window, by its level code: the brick
+    """The bricks of a permutation window, by its level code: the brick
     on level j starts at the rank of x(j+1) among x(1..j+1), read off a
     sorted prefix by bisection."""
     n = len(win) - 1
@@ -107,58 +100,41 @@ def from_window(win):
         k = bisect_left(seen, v)
         seen.insert(k, v)
         starts.append(k + 1)
-    return FiniteElement(n, tuple([(starts[j], j) for j in range(n, 0, -1) if starts[j] <= j]))
+    return tuple([(starts[j], j) for j in range(n, 0, -1) if starts[j] <= j])
 
 
-def right_insert(x, k):
-    """Canonical form of x . sigma_k."""
-    if not 1 <= k <= x.n:
-        raise ValueError("sigma index %r out of range at rank %d" % (k, x.n))
-    return from_window(right_mul(finite_window(x), k))
+def right_insert(bricks, k, n):
+    """The bricks of x . sigma_k, by window; the oracle beside
+    finite_left_insert in the tests."""
+    if not 1 <= k <= n:
+        raise ValueError("sigma index %r out of range at rank %d" % (k, n))
+    return from_window(right_mul(finite_window(bricks, n), k))
 
 
-def canonicalize_finite(w):
-    """Canonical form of a sigma-word (no affine letters allowed)."""
-    if AFFINE in w.letters:
-        raise ValueError("affine letter in a finite word")
-    return from_window(to_permutation(w.letters, w.n))
+def finite_word(bricks, n):
+    return Word(n, tuple(s for i, j in bricks for s in floor_word(i, j)))
 
 
-def finite_word(x):
-    return Word(x.n, tuple(s for i, j in x.bricks for s in floor_word(i, j)))
-
-
-def finite_length(x):
-    return sum(j - i + 1 for i, j in x.bricks)
+def finite_length(bricks):
+    return sum(j - i + 1 for i, j in bricks)
 
 
 def finite_shapes(n):
     """All (n+1)! canonical brick shapes at rank n, by length, then bricks."""
     check_rank(n)
-    shapes = [from_window(p).bricks for p in permutations(range(1, n + 2))]
-    return sorted(shapes, key=lambda s: (finite_length(FiniteElement(n, s)), s))
+    shapes = [from_window(p) for p in permutations(range(1, n + 2))]
+    return sorted(shapes, key=lambda s: (finite_length(s), s))
 
 
-def finite_mul(x, y):
-    if x.n != y.n:
-        raise ValueError("rank mismatch: %d vs %d" % (x.n, y.n))
-    return from_window(compose(finite_window(x), finite_window(y)))
-
-
-def finite_inverse(x):
-    return from_window(inverse(finite_window(x)))
-
-
-def finite_left_insert(x, k):
-    """Canonical form of sigma_k . x: the one brick entry on level q-1 moves
+def finite_left_insert(bricks, k, n):
+    """The bricks of sigma_k . x: the one brick entry on level q-1 moves
     (see the module docstring), in O(#bricks) with no refold."""
-    n = x.n
     if not 1 <= k <= n:
         raise ValueError("sigma index %r out of range at rank %d" % (k, n))
     # positions x^{-1}(k), x^{-1}(k+1): push both values through the
     # bricks' inverses in tuple order
     p, p1 = k, k + 1
-    for i, j in x.bricks:
+    for i, j in bricks:
         if p == i:
             p = j + 1
         elif i < p <= j + 1:
@@ -169,38 +145,39 @@ def finite_left_insert(x, k):
             p1 -= 1
     level = max(p, p1) - 1
     step = -1 if p < p1 else 1  # k before k+1: the length grows
-    bricks = x.bricks
     for t, (i, j) in enumerate(bricks):
         if j == level:
             i += step
             moved = ((i, j),) if i <= j else ()
-            return FiniteElement(n, bricks[:t] + moved + bricks[t + 1:])
+            return bricks[:t] + moved + bricks[t + 1:]
         if j < level:
             break
     else:
         t = len(bricks)
     if step != -1:
         raise InvariantError("no brick on level %d to shorten in %r" % (level, bricks))
-    return FiniteElement(n, bricks[:t] + ((level, level),) + bricks[t:])
+    return bricks[:t] + ((level, level),) + bricks[t:]
 
 
-def support(x):
+def support(bricks):
     """Generator indices occurring in x (exact, since the form is reduced)."""
     out = set()
-    for i, j in x.bricks:
+    for i, j in bricks:
         out.update(range(i, j + 1))
     return out
 
 
-def is_extremal(x):
-    """Both sigma_1 and sigma_n occur in x."""
-    s = support(x)
-    return 1 in s and x.n in s
+def is_extremal(bricks, n):
+    """Both sigma_1 and sigma_n occur in x: the paper's extremal elements,
+    the definition behind the closed form `h_is_extremal`."""
+    s = support(bricks)
+    return 1 in s and n in s
 
 
-def in_parabolic(x):
-    """x lies in P = <sigma_2, ..., sigma_{n-1}>."""
-    return all(2 <= k <= x.n - 1 for k in support(x))
+def in_parabolic(bricks, n):
+    """x lies in P = <sigma_2, ..., sigma_{n-1}>, the parabolic factor of
+    `peel_h`."""
+    return all(2 <= k <= n - 1 for k in support(bricks))
 
 
 # --- h(r, i) ----------------------------------------------------------------
@@ -221,7 +198,7 @@ def h_element(h, n):
     r = n+1) followed by single-letter bricks on levels i, i-1, ..., 1."""
     check_hprefix(h, n)
     top = ((h.r, n),) if h.r <= n else ()
-    return FiniteElement(n, top + tuple((k, k) for k in range(h.i, 0, -1)))
+    return top + tuple((k, k) for k in range(h.i, 0, -1))
 
 
 def h_is_extremal(h, n):
@@ -229,35 +206,37 @@ def h_is_extremal(h, n):
     return h.r <= n and (h.i >= 1 or h.r == 1)
 
 
-def peel_h(x):
+def peel_h(bricks, n):
     """
-    The unique factorization x = h(r,i) . p with p in P; lengths add.
+    The paper's factorization x = h(r,i) . p with p in P, unique, lengths
+    adding; the case list at affine length 2 is keyed by this h(r,i).
+    Returns (h, the bricks of p).
 
     Since p fixes 1 and n+1, the outer values determine the prefix:
     r = x(n+1), and x(1) is i+1 or i+2 according to i+1 < r or not.
     """
-    n = x.n
-    win = finite_window(x)
+    win = finite_window(bricks, n)
     r = win[n]  # x(n+1)
     v = win[0]  # x(1)
     if v == r:
-        raise InvariantError("x(1) == x(n+1) == %d in %r" % (v, x))
+        raise InvariantError("x(1) == x(n+1) == %d in %r" % (v, bricks))
     i = v - 1 if v < r else v - 2
     h = HPrefix(r, i)
     check_hprefix(h, n)
-    p = from_window(compose(inverse(finite_window(h_element(h, n))), win))
-    if not in_parabolic(p):
-        raise InvariantError("peel_h(%r): %r . %r with p outside P" % (x, h, p))
-    if finite_length(p) + len(h_word(h, n)) != finite_length(x):
-        raise InvariantError("peel_h(%r): lengths of %r . %r do not add" % (x, h, p))
+    p = from_window(compose(inverse(finite_window(h_element(h, n), n)), win))
+    if not in_parabolic(p, n):
+        raise InvariantError("peel_h(%r): %r . %r with p outside P" % (bricks, h, p))
+    if finite_length(p) + len(h_word(h, n)) != finite_length(bricks):
+        raise InvariantError("peel_h(%r): lengths of %r . %r do not add" % (bricks, h, p))
     return h, p
 
 
 def h_times_floor(j_prev, i_prev, j, n):
     """
-    Resolve h(j_prev, i_prev) . |j, n| as h(j', i') . |u, n-1| with u >= 2,
-    by the three-case rule (requires j > 1 and the pair inequalities
-    against the preceding pair):
+    The paper's three-case rule, stated here for the tests to check
+    exhaustively against the window oracle: resolve h(j_prev, i_prev) .
+    |j, n| as h(j', i') . |u, n-1| with u >= 2 (requires j > 1 and the
+    pair inequalities against the preceding pair):
 
         j_prev > j > i_prev+1         ->  (j,   i_prev),   u = j_prev - 1
         j_prev > i_prev+1 >= j > 1    ->  (j-1, i_prev-1), u = j_prev - 1

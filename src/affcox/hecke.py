@@ -50,20 +50,7 @@ from .words import Word
 
 # --- Laurent polynomials ----------------------------------------------------
 
-def lp(pairs):
-    """Normalized Laurent polynomial from {exp: coeff}-like pairs."""
-    out = {}
-    for e, co in dict(pairs).items():
-        if co:
-            out[int(e)] = int(co)
-    return out
-
-
 LP_ONE = {0: 1}
-LP_Q = {1: 1}
-LP_Q_MINUS_1 = {1: 1, 0: -1}
-LP_QINV = {-1: 1}
-LP_QINV_MINUS_1 = {-1: 1, 0: -1}
 
 
 def lp_add(p1, p2):
@@ -144,6 +131,7 @@ def _collect(n, pairs):
 
 
 def unit(n):
+    """The unit g_1 of the algebra."""
     return basis(c.identity_element(n))
 
 
@@ -252,7 +240,8 @@ def hecke_mul(u, v):
 
 
 def gen_inverse(s, n):
-    """q^{-1} g_s + (q^{-1} - 1) g_1."""
+    """g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, the inverse the generators
+    have by the quadratic relation (module docstring)."""
     return hecke_left_mul_gen_inv(s, unit(n))
 
 

@@ -73,18 +73,17 @@ def to_permutation(word, n):
     return w
 
 
-def apply_perm(w, k):
-    """Value w(k) for any integer k, via periodicity."""
-    nn = len(w)
-    q, r = divmod(k - 1, nn)
-    return w[r] + q * nn
-
-
 def compose(u, v):
-    """Window of the product u.v, i.e. the map k -> u(v(k))."""
-    if len(u) != len(v):
-        raise ValueError("rank mismatch: windows of size %d and %d" % (len(u), len(v)))
-    return tuple([apply_perm(u, vk) for vk in v])
+    """Window of the product u.v, i.e. the map k -> u(v(k)), with u
+    extended to all of Z by periodicity: u(k + q(n+1)) = u(k) + q(n+1)."""
+    nn = len(u)
+    if nn != len(v):
+        raise ValueError("rank mismatch: windows of size %d and %d" % (nn, len(v)))
+    out = []
+    for vk in v:
+        q, r = divmod(vk - 1, nn)
+        out.append(u[r] + q * nn)
+    return tuple(out)
 
 
 def inverse(w):
@@ -157,24 +156,31 @@ def bfs_reduced_words(n, max_len, max_states=5_000_000):
 
 def random_reduced_word(n, size, rng):
     """A random reduced word of `size` letters, grown letter by letter: a
-    drawn letter is kept when it lengthens the window.  For sampling long
+    drawn letter s is kept when w . s is longer than w, i.e. when s is not
+    a right descent of the window, one comparison: sigma_k lengthens iff
+    w(k) < w(k+1), and a iff w(n+1) - (n+1) < w(1).  For sampling long
     elements, which random words (mostly cancelling) do not reach."""
     check_rank(n)
-    letters, w = [], identity(n)
+    nn = n + 1
+    letters, w = [], list(range(1, nn + 1))
     while len(letters) < size:
-        s = rng.randrange(0, n + 1)
-        ws = right_mul(w, s)
-        if perm_length(ws) > len(letters):
+        s = rng.randrange(0, nn)
+        if s == AFFINE:
+            if w[n] - nn < w[0]:
+                w[0], w[n] = w[n] - nn, w[0] + nn
+                letters.append(s)
+        elif w[s - 1] < w[s]:
+            w[s - 1], w[s] = w[s], w[s - 1]
             letters.append(s)
-            w = ws
     return tuple(letters)
 
 
 def count_reduced_words(w):
     """
-    Number of reduced words for the element with window w: every reduced
-    word ends in some s with l(ws) < l(w), so the count is the sum of the
-    counts of those ws.  Depth first on an explicit stack (no recursion
+    Number of reduced words for the element with window w, the oracle of
+    acceptance criterion 7 (each truncation of a rigid chain has exactly
+    one): every reduced word ends in some s with l(ws) < l(w), so the
+    count is the sum of the counts of those ws.  Depth first on an explicit stack (no recursion
     limit), each element counted once.
     """
     counts, below = {}, {}

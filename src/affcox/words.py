@@ -1,6 +1,6 @@
 """
-Words over the generator alphabet of W(~A_n), parsing/printing, the cyclic
-diagram automorphism, and the reflection-sequence reducedness test.
+Words over the generator alphabet of W(~A_n), parsing/printing, and the
+reflection-sequence reducedness test.
 
 A letter is an int: 1..n for sigma_i, 0 (perms.AFFINE) for a_{n+1}.  A Word
 pins its rank; operations never coerce across ranks.
@@ -64,13 +64,6 @@ def parse_word(text, n):
 
 def format_word(w):
     return " ".join("a" if s == AFFINE else "s%d" % s for s in w.letters)
-
-
-def rotate(w, steps):
-    """Apply the cyclic diagram automorphism a -> s1 -> s2 -> ... -> sn -> a
-    letter-wise, `steps` times (negative steps invert)."""
-    nn = w.n + 1
-    return Word(w.n, tuple((s + steps) % nn for s in w.letters))
 
 
 def reflection_sequence(w):

@@ -139,7 +139,7 @@ def test_coset_rep_is_unique_minimum():
         (), ((1, 1),), ((2, 2),), ((1, 2),), ((2, 2), (1, 1)), ((1, 2), (1, 1)),
     ]
     finite_wins = [
-        perms.to_permutation(fin.finite_word(fin.FiniteElement(n, b)).letters, n)
+        perms.to_permutation(fin.finite_word(b, n).letters, n)
         for b in all_finite
     ]
     assert len(set(finite_wins)) == 6  # all of W(A_2)

@@ -221,7 +221,7 @@ def test_right_descents_of_finite_part(n):
     part x, i.e. x(i) > x(i+1) in the window of x."""
     for letters in perms.bfs_reduced_words(n, 6).values():
         e = c.canonicalize(Word(n, letters))
-        x = perms.to_permutation(fin.finite_word(fin.FiniteElement(e.n, e.bricks)).letters, n)
+        x = perms.to_permutation(fin.finite_word(e.bricks, n).letters, n)
         want = {i for i in range(1, n + 1) if x[i - 1] > x[i]}
         assert c.right_descents(e) - {perms.AFFINE} == want
 
@@ -300,11 +300,11 @@ def test_deficiency_m1_examples():
 # --- affine-length-2 case list ----------------------------------------------
 
 def parabolic_elements(n):
-    out = [fin.finite_identity(n)]
+    out = [()]
     if n >= 3:
         # enough to witness independence from the parabolic factor
-        out.append(fin.canonicalize_finite(Word(n, (2,))))
-    return [p for p in out if fin.in_parabolic(p)]
+        out.append(fin.from_window(perms.to_permutation((2,), n)))
+    return [p for p in out if fin.in_parabolic(p, n)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -320,11 +320,12 @@ def test_affine_descent_cases_m2_exhaustive(n):
                 except ValueError:
                     continue
                 for p in parabolic_elements(n):
-                    x = fin.finite_mul(fin.h_element(h, n), p)
-                    hx, px = fin.peel_h(x)
+                    x = c.mul(c.Element(n, (), fin.h_element(h, n)),
+                              c.Element(n, (), p)).bricks
+                    hx, px = fin.peel_h(x, n)
                     assert hx == h  # the prefix really is h
                     e = c.canonicalize(
-                        Word(n, c.block_word(pairs, n).letters + fin.finite_word(x).letters)
+                        Word(n, c.block_word(pairs, n).letters + fin.finite_word(x, n).letters)
                     )
                     assert e.pairs == pairs
                     case = c.affine_descent_cases_m2(pairs, h, n)

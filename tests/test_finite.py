@@ -6,18 +6,14 @@ import random
 
 import pytest
 
+from affcox import canonical as c
 from affcox import finite as fin
 from affcox.finite import (
-    FiniteElement,
     HPrefix,
     brick_identities_check,
-    canonicalize_finite,
     ceil_word,
-    finite_identity,
-    finite_inverse,
     finite_left_insert,
     finite_length,
-    finite_mul,
     finite_word,
     floor_word,
     h_element,
@@ -32,7 +28,7 @@ from affcox.finite import (
     validate_finite,
 )
 from affcox.perms import compose, inverse, perm_length, to_permutation
-from affcox.words import Word, parse_word
+from affcox.words import parse_word
 
 
 def all_elements(n):
@@ -44,31 +40,36 @@ def all_elements(n):
         for i in range(1, level + 1):
             yield from shapes(level - 1, acc + [(i, level)])
         yield from shapes(level - 1, acc)
-    return [FiniteElement(n, br) for br in shapes(n, [])]
+    return list(shapes(n, []))
+
+
+def canon(letters, n):
+    """The bricks of a sigma-word, decoded from its oracle window."""
+    return fin.from_window(to_permutation(letters, n))
+
+
+def mul(x, y, n):
+    """x . y as W(~A_n) elements with no pairs."""
+    return c.mul(c.Element(n, (), x), c.Element(n, (), y)).bricks
 
 
 def test_braid_example():
-    x = canonicalize_finite(parse_word("s2 s1 s2", 2))
-    assert x.bricks == ((1, 2), (1, 1))
+    assert canon(parse_word("s2 s1 s2", 2).letters, 2) == ((1, 2), (1, 1))
 
 
 def test_identity_and_single_run():
-    assert canonicalize_finite(Word(3, ())) == finite_identity(3)
-    assert canonicalize_finite(Word(3, (1, 2, 3))).bricks == ((1, 3),)
-
-
-def test_affine_letter_rejected():
-    with pytest.raises(ValueError):
-        canonicalize_finite(Word(2, (0,)))
+    assert canon((), 3) == () == c.identity_element(3).bricks
+    assert canon((1, 2, 3), 3) == ((1, 3),)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_exhaustive_roundtrip_and_bijection(n):
     seen = set()
     for x in all_elements(n):
-        assert validate_finite(x.bricks, n)
-        w = finite_word(x)
-        assert canonicalize_finite(w) == x
+        assert validate_finite(x, n)
+        w = finite_word(x, n)
+        assert canon(w.letters, n) == x
+        assert c.canonicalize(w) == c.Element(n, (), x)
         win = to_permutation(w.letters, n)
         # the canonical word is reduced
         assert perm_length(win) == len(w.letters) == finite_length(x)
@@ -79,35 +80,34 @@ def test_exhaustive_roundtrip_and_bijection(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_insert_matches_oracle_everywhere(n):
     for x in all_elements(n):
-        win = to_permutation(finite_word(x).letters, n)
+        win = to_permutation(finite_word(x, n).letters, n)
         for k in range(1, n + 1):
-            y = right_insert(x, k)
-            assert to_permutation(finite_word(y).letters, n) == compose(
+            y = right_insert(x, k, n)
+            assert to_permutation(finite_word(y, n).letters, n) == compose(
                 win, to_permutation((k,), n)
             )
-            z = finite_left_insert(x, k)
-            assert to_permutation(finite_word(z).letters, n) == compose(
+            z = finite_left_insert(x, k, n)
+            assert to_permutation(finite_word(z, n).letters, n) == compose(
                 to_permutation((k,), n), win
             )
 
 
 def test_mul_and_inverse():
+    # W(A_n) products and inverses are canonical's, on elements with no pairs
     rng = random.Random(31)
     for _ in range(100):
         n = rng.choice([2, 3, 4])
-        u = canonicalize_finite(
-            Word(n, tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(9))))
+        u, v = (
+            canon(tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(9))), n)
+            for _ in range(2)
         )
-        v = canonicalize_finite(
-            Word(n, tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(9))))
+        uv = mul(u, v, n)
+        assert to_permutation(finite_word(uv, n).letters, n) == compose(
+            to_permutation(finite_word(u, n).letters, n),
+            to_permutation(finite_word(v, n).letters, n),
         )
-        uv = finite_mul(u, v)
-        assert to_permutation(finite_word(uv).letters, n) == compose(
-            to_permutation(finite_word(u).letters, n),
-            to_permutation(finite_word(v).letters, n),
-        )
-        assert finite_mul(u, finite_identity(n)) == u
-        assert finite_mul(u, finite_inverse(u)) == finite_identity(n)
+        assert mul(u, (), n) == u
+        assert mul(u, c.inverse(c.Element(n, (), u)).bricks, n) == ()
 
 
 # --- h(r, i) ----------------------------------------------------------------
@@ -115,10 +115,10 @@ def test_mul_and_inverse():
 def test_h_basics():
     # h(n+1, 0) is the identity
     assert h_word(HPrefix(4, 0), 3) == ()
-    assert h_element(HPrefix(4, 0), 3) == finite_identity(3)
+    assert h_element(HPrefix(4, 0), 3) == ()
     # h(3,1) = s3 s1 at n=3
     assert h_word(HPrefix(3, 1), 3) == (3, 1)
-    assert h_element(HPrefix(3, 1), 3).bricks == ((3, 3), (1, 1))
+    assert h_element(HPrefix(3, 1), 3) == ((3, 3), (1, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -126,7 +126,7 @@ def test_h_element_is_canonical_form_of_h_word(n):
     for r in range(1, n + 2):
         for i in range(0, n):
             h = HPrefix(r, i)
-            assert h_element(h, n) == canonicalize_finite(Word(n, h_word(h, n)))
+            assert h_element(h, n) == canon(h_word(h, n), n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -134,9 +134,9 @@ def test_peel_h_exhaustive(n):
     # uniqueness: (n+1)! elements split into (n+1)*n h-classes times (n-1)! each
     per_h = {}
     for x in all_elements(n):
-        h, p = peel_h(x)
-        assert in_parabolic(p)
-        assert finite_mul(FiniteElement(n, h_element(h, n).bricks), p) == x
+        h, p = peel_h(x, n)
+        assert in_parabolic(p, n)
+        assert mul(h_element(h, n), p, n) == x
         per_h[h] = per_h.get(h, 0) + 1
     assert len(per_h) == (n + 1) * n
     assert set(per_h.values()) == {math.factorial(n - 1)}
@@ -144,32 +144,29 @@ def test_peel_h_exhaustive(n):
 
 def test_peel_h_examples():
     n = 3
-    assert peel_h(finite_identity(n))[0] == HPrefix(4, 0)
-    x = canonicalize_finite(parse_word("s3 s1", n))
-    h, p = peel_h(x)
-    assert h == HPrefix(3, 1) and p == finite_identity(n)
+    assert peel_h((), n)[0] == HPrefix(4, 0)
+    h, p = peel_h(canon((3, 1), n), n)
+    assert h == HPrefix(3, 1) and p == ()
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_extremal_iff_peel_shape(n):
     for x in all_elements(n):
-        h, _ = peel_h(x)
+        h, _ = peel_h(x, n)
         shape = (h.r == 1 and h.i == 0) or (h.i >= 1 and h.r <= n)
-        assert is_extremal(x) == shape
+        assert is_extremal(x, n) == shape
         # and on h itself the closed-form predicate agrees with support
-        assert h_is_extremal(h, n) == is_extremal(
-            FiniteElement(n, h_element(h, n).bricks)
-        )
+        assert h_is_extremal(h, n) == is_extremal(h_element(h, n), n)
 
 
 def test_support_and_parabolic():
     n = 4
-    x = canonicalize_finite(parse_word("s2 s3", n))
+    x = canon((2, 3), n)
     assert support(x) == {2, 3}
-    assert in_parabolic(x)
-    assert not in_parabolic(canonicalize_finite(parse_word("s1", n)))
-    assert not is_extremal(x)
-    assert is_extremal(canonicalize_finite(parse_word("s1 s4", n)))
+    assert in_parabolic(x, n)
+    assert not in_parabolic(canon((1,), n), n)
+    assert not is_extremal(x, n)
+    assert is_extremal(canon((1, 4), n), n)
 
 
 # --- h(j_prev, i_prev) . |j, n| --------------------------------------------
@@ -226,12 +223,10 @@ def test_level_code_is_a_bijection(n):
     assert decoded == set(shapes)
     assert len(decoded) == math.factorial(n + 1)
     for x in shapes:
-        win = fin.finite_window(x)
-        assert win == to_permutation(finite_word(x).letters, n)
+        win = fin.finite_window(x, n)
+        assert win == to_permutation(finite_word(x, n).letters, n)
         assert fin.from_window(win) == x
-    assert [FiniteElement(n, s) for s in fin.finite_shapes(n)] == sorted(
-        shapes, key=lambda x: (finite_length(x), x.bricks)
-    )
+    assert fin.finite_shapes(n) == sorted(shapes, key=lambda x: (finite_length(x), x))
 
 
 def test_from_window_rejects_affine_windows():
@@ -242,13 +237,13 @@ def test_from_window_rejects_affine_windows():
 def test_window_operations_avoid_right_insert(monkeypatch):
     # at n = 12 the W(A_n) operations decode windows and never insert
     # letter by letter; each result is checked against the window oracle
-    def refuse(x, k):
+    def refuse(x, k, n):
         raise AssertionError("right_insert called")
     monkeypatch.setattr(fin, "right_insert", refuse)
     n, rng = 12, random.Random(1207)
 
     def window(x):
-        return to_permutation(finite_word(x).letters, n)
+        return to_permutation(finite_word(x, n).letters, n)
 
     def reduced(x):
         return perm_length(window(x)) == finite_length(x)
@@ -258,14 +253,14 @@ def test_window_operations_avoid_right_insert(monkeypatch):
             tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(120)))
             for _ in range(2)
         ]
-        u, v = (canonicalize_finite(Word(n, w)) for w in words)
+        u, v = (canon(w, n) for w in words)
         for w, x in zip(words, (u, v)):
             assert window(x) == to_permutation(w, n) and reduced(x)
-        uv = finite_mul(u, v)
+        uv = mul(u, v, n)
         assert window(uv) == compose(window(u), window(v)) and reduced(uv)
-        ui = finite_inverse(u)
+        ui = c.inverse(c.Element(n, (), u)).bricks
         assert window(ui) == inverse(window(u)) and reduced(ui)
-        h, p = peel_h(u)
-        assert to_permutation(h_word(h, n) + finite_word(p).letters, n) == window(u)
-        assert in_parabolic(p) and reduced(p)
+        h, p = peel_h(u, n)
+        assert to_permutation(h_word(h, n) + finite_word(p, n).letters, n) == window(u)
+        assert in_parabolic(p, n) and reduced(p)
         assert len(h_word(h, n)) + finite_length(p) == finite_length(u)

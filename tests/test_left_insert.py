@@ -15,27 +15,21 @@ from affcox import cli
 from affcox import finite as fin
 from affcox import hecke as hk
 from affcox import perms
-from affcox.finite import (
-    FiniteElement,
-    canonicalize_finite,
-    finite_left_insert,
-    finite_word,
-)
+from affcox.finite import finite_left_insert, finite_word
 from affcox.words import Word
 
 
-def refold_left_insert(x, k):
-    """The test oracle: fold sigma_k and the whole brick word of x again."""
-    return canonicalize_finite(Word(x.n, (k,) + finite_word(x).letters))
+def refold_left_insert(x, k, n):
+    """The test oracle: decode the window of sigma_k and the whole brick
+    word of x again."""
+    return fin.from_window(perms.to_permutation((k,) + finite_word(x, n).letters, n))
 
 
 def all_elements(n):
     """Every canonical shape at rank n: on each level j, a start 1..j or none."""
     levels = [list(range(1, j + 1)) + [None] for j in range(n, 0, -1)]
     for starts in itertools.product(*levels):
-        yield FiniteElement(n, tuple(
-            (i, j) for i, j in zip(starts, range(n, 0, -1)) if i is not None
-        ))
+        yield tuple((i, j) for i, j in zip(starts, range(n, 0, -1)) if i is not None)
 
 
 def w0(n):
@@ -47,7 +41,7 @@ def test_left_insert_matches_refold_exhaustively():
     for n in range(2, 7):
         for x in all_elements(n):
             for k in range(1, n + 1):
-                assert finite_left_insert(x, k) == refold_left_insert(x, k), (x, k)
+                assert finite_left_insert(x, k, n) == refold_left_insert(x, k, n), (x, k)
                 cases += 1
     # sum over n = 2..6 of (n+1)! * n
     assert cases == 12 + 72 + 480 + 3600 + 30240
@@ -55,7 +49,7 @@ def test_left_insert_matches_refold_exhaustively():
 
 def test_left_insert_makes_no_refold(monkeypatch):
     # w0 a w0 at n = 12: the second w0 is absorbed letter by letter
-    calls = {"inside": 0, "right_insert": 0, "canonicalize_finite": 0, "left": 0}
+    calls = {"inside": 0, "right_insert": 0, "left": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -66,22 +60,20 @@ def test_left_insert_makes_no_refold(monkeypatch):
 
     left = fin.finite_left_insert
 
-    def traced_left(x, k):
+    def traced_left(x, k, n):
         calls["left"] += 1
         calls["inside"] += 1
         try:
-            return left(x, k)
+            return left(x, k, n)
         finally:
             calls["inside"] -= 1
 
-    for name in ("right_insert", "canonicalize_finite"):
-        monkeypatch.setattr(fin, name, counting(name, getattr(fin, name)))
+    monkeypatch.setattr(fin, "right_insert", counting("right_insert", fin.right_insert))
     monkeypatch.setattr(fin, "finite_left_insert", traced_left)
     n = 12
     c.canonicalize(Word(n, w0(n) + (perms.AFFINE,) + w0(n)))
     assert calls["left"] > 0
     assert calls["right_insert"] == 0
-    assert calls["canonicalize_finite"] == 0
 
 
 def test_w0_a_w0_at_rank_40():
@@ -96,7 +88,7 @@ def test_w0_a_w0_at_rank_40():
 @pytest.mark.parametrize("k", [0, 4, -1])
 def test_left_insert_rejects_out_of_range_index(k):
     with pytest.raises(ValueError, match=r"sigma index %d out of range" % k):
-        finite_left_insert(FiniteElement(3, ((1, 3),)), k)
+        finite_left_insert(((1, 3),), k, 3)
 
 
 # --- explicit invariants ----------------------------------------------------

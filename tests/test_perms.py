@@ -12,7 +12,6 @@ import pytest
 
 from affcox.perms import (
     AFFINE,
-    apply_perm,
     bfs_enumerate,
     bfs_reduced_words,
     check_length_formula,
@@ -23,6 +22,7 @@ from affcox.perms import (
     inverse,
     is_window,
     perm_length,
+    random_reduced_word,
     right_mul,
     to_permutation,
 )
@@ -91,9 +91,14 @@ def test_inverse_and_apply(n):
         w = to_permutation(_random_word(n, rng.randrange(0, 12), rng), n)
         assert compose(w, inverse(w)) == identity(n)
         assert compose(inverse(w), w) == identity(n)
-        # periodicity of the extension
-        k = rng.randrange(-20, 20)
-        assert apply_perm(w, k + n + 1) == apply_perm(w, k) + n + 1
+        # compose extends w by periodicity, w(k + n+1) = w(k) + n+1: moving
+        # n+1 between two entries of v moves it between the same entries
+        # of w.v, and composing with a reads w(0) and w(n+2)
+        v = to_permutation(_random_word(n, rng.randrange(0, 12), rng), n)
+        shifted = (v[0] + n + 1, v[1] - n - 1) + v[2:]
+        wv, ws = compose(w, v), compose(w, shifted)
+        assert ws == (wv[0] + n + 1, wv[1] - n - 1) + wv[2:]
+        assert compose(w, to_permutation((AFFINE,), n)) == right_mul(w, AFFINE)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -156,3 +161,28 @@ def test_count_reduced_words_needs_no_recursion():
     # c^400 has one reduced word, 1200 letters deep: past the default
     # recursion limit
     assert count_reduced_words(to_permutation((1, 2, 0) * 400, 2)) == 1
+
+
+# -- the reduced-word sampler ------------------------------------------------
+
+def perm_length_sampler(n, size, rng):
+    """The oracle for random_reduced_word: a drawn letter is kept when the
+    inversion count of the whole window grows."""
+    letters, w = [], identity(n)
+    while len(letters) < size:
+        s = rng.randrange(0, n + 1)
+        ws = right_mul(w, s)
+        if perm_length(ws) > len(letters):
+            letters.append(s)
+            w = ws
+    return tuple(letters)
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_random_reduced_word_matches_length_oracle(n):
+    # one comparison per draw accepts exactly the letters the inversion
+    # count accepts, so the same seed gives the same word
+    for seed in range(3):
+        got = random_reduced_word(n, 400, random.Random(seed))
+        assert got == perm_length_sampler(n, 400, random.Random(seed))
+        assert perm_length(to_permutation(got, n)) == len(got) == 400

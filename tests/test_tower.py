@@ -94,35 +94,24 @@ def test_is_in_image_matches_search():
 
 
 def test_finite_parts_count_per_block():
-    """Every rank-3 block passing conditions (1)+(2) admits exactly
-    |W(A_2)| = 3! finite parts x with block . x in the image."""
+    """At rank 3, for every block with m <= 3, the number of the 24 finite
+    parts x with block . x in the image is 6 when n+1 is a value of the
+    block's oracle window, and 0 otherwise: x only permutes positions, so
+    the count is that of the x with x(n+1) = the position of n+1, 3! = 6."""
     from affcox import blocks as bl
+    from affcox import finite as fin
 
     n = 3
-    all_finite = []
-
-    def shapes(level, prefix):
-        all_finite.append(tuple(prefix))
-        for j in range(level - 1, 0, -1):
-            for i in range(1, j + 1):
-                shapes(j, prefix + [(i, j)])
-
-    shapes(n + 1, [])
-    assert len(all_finite) == 24  # |W(A_3)|
-
-    for m in (1, 2):
+    shapes = fin.finite_shapes(n)
+    assert len(shapes) == 24  # |W(A_3)|
+    counts = set()
+    for m in range(4):
         for pairs in bl.enumerate_blocks(n, m).items:
-            j1, i1 = pairs[0]
-            if not (j1 <= n and i1 < n - 1):
-                continue
-            s = tower._split_index(pairs, n)
-            if s < m and not (n - (s + 1) - pairs[s][1] < 0):
-                continue
-            good = [
-                b for b in all_finite
-                if tower.is_in_image(c.Element(n, pairs, b))
-            ]
-            assert len(good) == 6, (pairs, good)
+            block_win = perms.to_permutation(c.block_word(pairs, n).letters, n)
+            hits = sum(1 for x in shapes if tower.is_in_image(c.Element(n, pairs, x)))
+            assert hits == (6 if n + 1 in block_win else 0), (pairs, hits)
+            counts.add(hits)
+    assert counts == {0, 6}
 
 
 def test_embed_rejects_bad_rank():

@@ -1,4 +1,4 @@
-"""Word parsing, the diagram rotation, and the reflection-sequence tests."""
+"""Word parsing and the reflection-sequence tests."""
 
 import random
 
@@ -11,7 +11,6 @@ from affcox.words import (
     hat_partner,
     is_reduced,
     parse_word,
-    rotate,
     word,
 )
 
@@ -40,21 +39,6 @@ def test_format_and_roundtrip():
         n = rng.choice([2, 3, 5])
         w = word(n, [rng.randrange(0, n + 1) for _ in range(rng.randrange(8))])
         assert parse_word(format_word(w), n) == w
-
-
-def test_rotate():
-    w = Word(2, (AFFINE, 1))
-    assert rotate(w, 1).letters == (1, 2)
-    assert rotate(w, 0) == w
-    assert rotate(rotate(w, 1), 2) == w  # order n+1 cycle
-    rng = random.Random(9)
-    for _ in range(50):
-        n = rng.choice([2, 3, 4])
-        u = word(n, [rng.randrange(0, n + 1) for _ in range(rng.randrange(9))])
-        k = rng.randrange(-5, 6)
-        assert rotate(rotate(u, k), -k) == u
-        # the automorphism preserves reducedness and length
-        assert is_reduced(rotate(u, k)) == is_reduced(u)
 
 
 def test_is_reduced_examples():
