@@ -156,12 +156,18 @@ _FAMILIES = {
 _CHEAPEST_CORE = {2: 3, 3: 4}
 
 
+def _check_appendix_args(n, max_core):
+    if n not in _FAMILIES:
+        raise ValueError("appendix listings exist for ranks 2 and 3 only")
+    if max_core < 0:
+        raise ValueError("max core exponent must be >= 0, got %d" % max_core)
+
+
 def appendix_blocks(n, max_core=2):
     """The listed blocks with every core exponent <= max_core, as canonical
     elements with trivial finite part, sorted.  Raises on a malformed or
     duplicated listing entry — the families must be disjoint."""
-    if n not in _FAMILIES:
-        raise ValueError("appendix listings exist for ranks 2 and 3 only")
+    _check_appendix_args(n, max_core)
     seen = set()
     for cores, has_eps, guard, alphas, overlap_ok in _FAMILIES[n]:
         ranges = [
@@ -191,4 +197,5 @@ def appendix_threshold(n, max_core):
     """Largest length where the capped listing is complete: a block it
     misses has some core exponent >= max_core + 1, hence length at least
     (max_core + 1) times the cheapest core."""
+    _check_appendix_args(n, max_core)
     return (max_core + 1) * _CHEAPEST_CORE[n] - 1

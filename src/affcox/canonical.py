@@ -575,26 +575,24 @@ def _index_pair(tok, opening, closing, shape):
 
 
 def parse_element(text, n):
+    """Canonical-form text: `h(j,i) a` tokens, then `[i,j]` tokens, with an
+    optional bar between them ("h(3,0) a | [1,1]", "h(3,0) a [1,1]")."""
     check_rank(n)
     text = text.strip()
-    if text in ("", "1", "|"):
+    if text == "1":
         return identity_element(n)
-    if "|" in text:
-        left_text, _, right_text = text.partition("|")
-    else:
-        left_text, right_text = text, ""
+    left_text, bar, right_text = text.partition("|")
     pairs = []
     toks = left_text.split()
     k = 0
-    while k < len(toks):
+    # before a bar every token is a pair; without one, pairs run to the first brick
+    while k < len(toks) and (bar or not toks[k].startswith("[")):
         j, i = _index_pair(toks[k], "h(", ")", "h(j,i)")
         if k + 1 >= len(toks) or toks[k + 1] != "a":
             raise ValueError("h(%d,%d) must be followed by a" % (j, i))
         pairs.append((j, i))
         k += 2
-    bricks = []
-    for tok in right_text.split():
-        bricks.append(_index_pair(tok, "[", "]", "[i,j]"))
+    bricks = [_index_pair(tok, "[", "]", "[i,j]") for tok in toks[k:] + right_text.split()]
     return make_element(n, pairs, bricks)
 
 

@@ -5,14 +5,23 @@ free module on basis {g_w}, with the defining left relations
     g_s g_w = g_{sw}                    if s not in L(w),
     g_s g_w = q g_{s w} + (q-1) g_w     if s in L(w),
 
-so that g_{s_1 ... s_k} = g_{s_1} ... g_{s_k} for reduced words.  General
-products expand the left factor into its canonical reduced word and fold.
-The generators are invertible: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1,
-so g_s^{-1} g_w = g_{sw} if s in L(w), else q^{-1} g_{sw} + (q^{-1}-1) g_w.
+so that g_{s_1 ... s_k} = g_{s_1} ... g_{s_k} for reduced words.  The
+generators are invertible, by the quadratic relation g_s^2 = q g_1 +
+(q-1) g_s: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, so g_s^{-1} g_w =
+g_{sw} if s in L(w), else q^{-1} g_{sw} + (q^{-1}-1) g_w.
+
+Every product is one fold (`_fold`): each term p g_w of the left factor
+becomes a sequence of steps g_s or g_s^{-1} applied to the right factor,
+and p times the result is added into one sum.  For `hecke_mul` the steps
+are the canonical reduced word of w, right to left; for `hr_embed` the
+same word one rank up, with a sent to g_{sigma_n} g_a g_{sigma_n}^{-1}.
+Multiplying by one generator, or by its inverse, is the product with
+`gen_basis(s)` or `gen_inverse(s)`, and `gen_basis` decodes the window of
+s, so no Hecke operation calls the letter engine.
 
 The fold runs on windows (perms), not on canonical forms.  Its terms are
-keyed by window tuples: each input term is encoded once
-(`canonical.window`) and each surviving term decoded once
+keyed by window tuples: each term of the right factor is encoded once
+(`canonical.window`) and each surviving term of the sum decoded once
 (`canonical.from_window`).  One step g_s . g_w is one O(n) pass over the
 window of w, with N = n+1:
 
@@ -43,9 +52,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from . import canonical as c
 from . import tower
-from .canonical import Element
-from .perms import AFFINE, InvariantError, check_rank, identity
-from .words import Word
+from .perms import AFFINE, InvariantError, check_rank, identity, right_mul
 
 
 # --- Laurent polynomials ----------------------------------------------------
@@ -113,21 +120,10 @@ class HeckeElement(NamedTuple):
     terms: dict  # Element -> Laurent polynomial, no zero polynomials
 
 
-def _sum(pairs):
-    """Sum (key, poly) contributions into a dict with no zero polynomials."""
-    terms = {}
-    for w, p in pairs:
-        acc = lp_add(terms.get(w, {}), p)
-        if acc:
-            terms[w] = acc
-        else:
-            terms.pop(w, None)
-    return terms
-
-
-def _collect(n, pairs):
-    """Sum (Element, poly) contributions into a normalized HeckeElement."""
-    return HeckeElement(n, _sum(pairs))
+def _put(out, key, p):
+    """out[key] += p; the polynomials stored are never changed in place."""
+    acc = out.get(key)
+    out[key] = p if acc is None else lp_add(acc, p)
 
 
 def unit(n):
@@ -140,39 +136,28 @@ def basis(e):
 
 
 def gen_basis(s, n):
-    return basis(c.canonicalize(Word(n, (s,))))
+    """g_s, decoded from the window of s (right_mul checks the letter)."""
+    return basis(c.from_window(right_mul(identity(n), s)))
 
 
 def scale(h, p):
-    return _collect(h.n, ((w, lp_mul(pw, p)) for w, pw in h.terms.items()))
+    terms = {w: lp_mul(pw, p) for w, pw in h.terms.items()}
+    return HeckeElement(h.n, {w: pw for w, pw in terms.items() if pw})
 
 
 def add(h1, h2):
     if h1.n != h2.n:
         raise ValueError("rank mismatch: %d vs %d" % (h1.n, h2.n))
-    return _collect(h1.n, list(h1.terms.items()) + list(h2.terms.items()))
+    out = dict(h1.terms)
+    for w, p in h2.terms.items():
+        _put(out, w, p)
+    return HeckeElement(h1.n, {w: dict(p) for w, p in out.items() if p})
 
 
-def _check_letter(s, n):
-    if not (s == AFFINE or 1 <= s <= n):
-        raise ValueError("letter %r invalid at rank %d" % (s, n))
-
-
-def _encode(h):
-    """The terms of h keyed by window tuples."""
-    return {tuple(c.window(w)): p for w, p in h.terms.items()}
-
-
-def _decode(n, terms):
-    """Window-keyed terms back to a HeckeElement, one decode per term; the
-    result shares no polynomial with the steps' inputs."""
-    return HeckeElement(n, {c.from_window(win): dict(p) for win, p in terms.items()})
-
-
-def _put(out, win, p):
-    """out[win] += p; the polynomials stored are never changed in place."""
-    acc = out.get(win)
-    out[win] = p if acc is None else lp_add(acc, p)
+def gen_inverse(s, n):
+    """g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, the inverse the generators
+    have by the quadratic relation (module docstring)."""
+    return add(scale(gen_basis(s, n), {-1: 1}), scale(unit(n), {-1: 1, 0: -1}))
 
 
 def _step(s, terms, nn, inverse):
@@ -203,46 +188,56 @@ def _step(s, terms, nn, inverse):
     return {win: p for win, p in out.items() if p}
 
 
+def _fold(n, h, start, steps):
+    """The sum over the terms p g_w of h of p times the window-keyed terms
+    `start` after the (letter, inverse) steps(w), applied in order; each
+    surviving window is decoded once, at rank n."""
+    nn = n + 1
+    out = {}
+    for w, p in h.terms.items():
+        acc = start
+        for s, inverse in steps(w):
+            acc = _step(s, acc, nn, inverse)
+        for win, pw in acc.items():
+            _put(out, win, lp_mul(pw, p))
+    return HeckeElement(n, {c.from_window(win): p for win, p in out.items() if p})
+
+
 def hecke_left_mul_gen(s, h):
-    """g_s . h by the defining relations, term by term."""
-    _check_letter(s, h.n)
-    return _decode(h.n, _step(s, _encode(h), h.n + 1, False))
+    """g_s . h: the product with g_s, one step per term of h."""
+    return hecke_mul(gen_basis(s, h.n), h)
 
 
 def hecke_left_mul_gen_inv(s, h):
-    """g_s^{-1} . h term by term: g_s^{-1} g_w = g_{sw} when s is in L(w),
-    else q^{-1} g_{sw} + (q^{-1} - 1) g_w."""
-    _check_letter(s, h.n)
-    return _decode(h.n, _step(s, _encode(h), h.n + 1, True))
-
-
-def _sum_scaled(n, folds):
-    """The sum of p * terms over (p, window-keyed terms) pairs, decoded."""
-    return _decode(n, _sum(
-        (win, lp_mul(pw, p)) for p, terms in folds for win, pw in terms.items()))
+    """g_s^{-1} . h: the product with gen_inverse(s), which gives
+    g_s^{-1} g_w = g_{sw} when s is in L(w), else q^{-1} g_{sw} +
+    (q^{-1} - 1) g_w."""
+    return hecke_mul(gen_inverse(s, h.n), h)
 
 
 def hecke_mul(u, v):
     """u . v: each basis term of u expands into its canonical reduced word,
-    folded onto the windows of v one step per letter."""
+    folded onto the windows of v one step per letter, right to left."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    nn = u.n + 1
-    start = _encode(v)
-
-    def fold(w):
-        acc = start
-        for s in reversed(c.element_word(w).letters):
-            acc = _step(s, acc, nn, False)
-        return acc
-
-    return _sum_scaled(u.n, ((p, fold(w)) for w, p in u.terms.items()))
+    start = {tuple(c.window(w)): p for w, p in v.terms.items()}
+    return _fold(u.n, u, start, _word_steps)
 
 
-def gen_inverse(s, n):
-    """g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, the inverse the generators
-    have by the quadratic relation (module docstring)."""
-    return hecke_left_mul_gen_inv(s, unit(n))
+def _word_steps(w):
+    """The steps of g_w: its canonical reduced word, right to left."""
+    return ((s, False) for s in reversed(c.element_word(w).letters))
+
+
+def _raised_steps(w):
+    """The steps of the image of g_w one rank up, right to left: sigma_i
+    fixed, a to g_{sigma_n} g_a g_{sigma_n}^{-1} (n the new rank)."""
+    n = w.n + 1
+    for s in reversed(c.element_word(w).letters):
+        if s == AFFINE:
+            yield from ((n, True), (AFFINE, False), (n, False))
+        else:
+            yield s, False
 
 
 def hr_embed(h):
@@ -250,21 +245,7 @@ def hr_embed(h):
     g_{sigma_n} g_a g_{sigma_n}^{-1} (letters folded over each basis word)."""
     check_rank(h.n)
     n = h.n + 1
-    nn = n + 1
-    one = {identity(n): LP_ONE}
-
-    def fold(w):
-        acc = one
-        for s in reversed(c.element_word(w).letters):
-            if s == AFFINE:
-                acc = _step(n, acc, nn, True)
-                acc = _step(AFFINE, acc, nn, False)
-                acc = _step(n, acc, nn, False)
-            else:
-                acc = _step(s, acc, nn, False)
-        return acc
-
-    return _sum_scaled(n, ((p, fold(w)) for w, p in h.terms.items()))
+    return _fold(n, h, {identity(n): LP_ONE}, _raised_steps)
 
 
 def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:
@@ -280,7 +261,7 @@ def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:
         raise InvariantError("leading term missing")
     if lp_power_of_q(a_w) is None:
         raise InvariantError("A_w not a power of q: %r" % (a_w,))
-    lower = _collect(img.n, ((x, p) for x, p in img.terms.items() if x != target))
+    lower = HeckeElement(img.n, {x: p for x, p in img.terms.items() if x != target})
     lt, lw = c.length(target), c.affine_length(w)
     for x in lower.terms:
         if c.length(x) >= lt:

@@ -61,7 +61,7 @@ def right_mul(w, letter):
         return (w[-1] - nn,) + w[1:-1] + (w[0] + nn,)
     i = letter
     if not 1 <= i <= nn - 1:
-        raise ValueError("letter %r out of range for rank %d" % (letter, nn - 1))
+        raise ValueError("letter %r invalid at rank %d" % (letter, nn - 1))
     return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
 
 

@@ -161,6 +161,10 @@ def test_guards():
         bl.enumerate_blocks(2, -1)
     with pytest.raises(ValueError):
         bl.enumerate_blocks(1, 0)
+    for n, max_core in ((2, -1), (3, -1), (4, 2), (1, 0)):
+        for fn in (bl.appendix_blocks, bl.appendix_threshold):
+            with pytest.raises(ValueError):
+                fn(n, max_core)
 
 
 def test_deep_blocks_need_no_recursion():

@@ -418,6 +418,13 @@ def test_format_parse_round_trip():
     assert c.format_element(finite_only) == "| [1,2] [1,1]"
     assert c.parse_element("| [1,2] [1,1]", 3) == finite_only
 
+    # the bar is optional: pairs first, then bricks
+    assert c.parse_element("[1,2] [1,1]", 3) == finite_only
+    both = c.Element(2, ((3, 0),), ((1, 1),))
+    assert c.format_element(both) == "h(3,0) a | [1,1]"
+    for text in ("h(3,0) a [1,1]", "h(3,0) a|[1,1]"):
+        assert c.parse_element(text, 2) == both
+
 
 def test_parse_errors():
     with pytest.raises(ValueError):
@@ -426,6 +433,11 @@ def test_parse_errors():
         c.parse_element("x(3,0) a |", 2)
     with pytest.raises(ValueError):
         c.parse_element("| (1,2)", 3)
+    with pytest.raises(ValueError, match="expected \\[i,j\\], got 'h\\(3,0\\)'"):
+        c.parse_element("[1,1] h(3,0) a", 2)  # bricks before pairs
+    for two_bars in ("h(3,0) a | [1,1] | [1,1]", "h(3,0) a | |", "| [1,1] |"):
+        with pytest.raises(ValueError):
+            c.parse_element(two_bars, 2)
 
 
 def test_json_round_trip():

@@ -31,6 +31,14 @@ def test_canon_empty(capsys):
     assert out.splitlines() == ["1", "l=0 L=0"]
 
 
+@pytest.mark.parametrize("text,want", [
+    ("[1,1]", ["| [1,1]", "l=1 L=0"]),
+    ("h(3,0) a [1,1]", ["h(3,0) a | [1,1]", "l=2 L=1"]),
+])
+def test_canon_text_without_bar(capsys, text, want):
+    assert run(capsys, "canon", "-n", "2", text) == (0, "\n".join(want) + "\n", "")
+
+
 def test_canon_fixed_point(capsys):
     text = "h(2,0) a h(1,1) a | [2,2]"
     code, out, _ = run(capsys, "canon", "-n", "2", text)
@@ -163,6 +171,9 @@ def test_domain_errors(capsys):
     assert code == 1 and "s5" in err
     code, _, err = run(capsys, "canon", "-n", "2", "h(9,9) a |")
     assert code == 1
+    code, out, err = run(capsys, "appendix", "-n", "2", "--max-core", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: max core exponent must be >= 0, got -1\n"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -22,6 +22,14 @@ def elem(n, *letters):
     return c.canonicalize(Word(n, tuple(letters)))
 
 
+def collect(n, pairs):
+    """The sum of (Element, poly) contributions, one hk.add each."""
+    total = hk.HeckeElement(n, {})
+    for w, p in pairs:
+        total = hk.add(total, hk.HeckeElement(n, {w: p}))
+    return total
+
+
 # --- Laurent polynomial layer -----------------------------------------------
 
 def test_poly_arithmetic():
@@ -101,7 +109,7 @@ def random_hecke(n, rng, max_terms=3, max_len=5):
         letters = tuple(rng.randrange(0, n + 1) for _ in range(rng.randint(0, max_len)))
         poly = {rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}
         terms.append((c.canonicalize(Word(n, letters)), poly))
-    return hk._collect(n, terms)
+    return collect(n, terms)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -152,6 +160,30 @@ def test_left_mul_gen_inv(n):
             assert hk.hecke_left_mul_gen(s, got) == h
 
 
+def test_add_and_scale_cancel_to_zero():
+    rng = random.Random(5)
+    for n in (2, 3):
+        h = random_hecke(n, rng)
+        assert hk.add(h, hk.scale(h, {0: -1})).terms == {}
+        assert hk.scale(h, {}).terms == {}
+
+
+def test_results_share_no_polynomial_with_inputs():
+    """Every result owns its polynomials, and its inputs are unchanged."""
+    rng = random.Random(23)
+    for n in (2, 3):
+        u, v = random_hecke(n, rng), random_hecke(n, rng)
+        before = [(h, {w: dict(p) for w, p in h.terms.items()}) for h in (u, v)]
+        results = [hk.add(u, v), hk.add(u, hk.HeckeElement(n, {})),
+                   hk.scale(u, {0: 1}), hk.hecke_mul(u, v), hk.hecke_mul(hk.unit(n), v),
+                   hk.hr_embed(u)]
+        inputs = [id(p) for h in (u, v) for p in h.terms.values()]
+        for r in results:
+            assert not {id(p) for p in r.terms.values()} & set(inputs)
+        for h, terms in before:
+            assert h.terms == terms
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         hk.hecke_mul(hk.unit(2), hk.unit(3))
@@ -184,7 +216,7 @@ def oracle_left_mul_gen(s, h, inverse=False):
         else:
             out.append((sw, hk.lp_mul(LP_Q, p)))
             out.append((w, hk.lp_mul(LP_Q_MINUS_1, p)))
-    return hk._collect(h.n, out)
+    return collect(h.n, out)
 
 
 def oracle_hecke_mul(u, v):

@@ -132,15 +132,18 @@ def test_hecke_makes_no_left_mul_or_length(monkeypatch):
                hk.basis(c.canonicalize(Word(n, (2, 3)))))
     v = hk.scale(hk.basis(c.canonicalize(Word(n, (0, 3, 1, 0)))), {1: 1, -1: 2})
     calls = []
-    for name in ("left_mul", "length"):
+    for name in ("left_mul", "length", "canonicalize"):
         fn = getattr(c, name)
         monkeypatch.setattr(c, name, lambda *args, fn=fn, name=name:
                             calls.append(name) or fn(*args))
     hk.hecke_mul(u, v)
     hk.hr_embed(u)
+    hk.unit(n)
     for s in c.generators(n):
         hk.hecke_left_mul_gen(s, u)
         hk.hecke_left_mul_gen_inv(s, v)
+        hk.gen_basis(s, n)
+        hk.gen_inverse(s, n)
     assert calls == []
 
 
