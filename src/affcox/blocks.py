@@ -19,18 +19,19 @@ The paper's appendix lists every block of positive affine length at ranks
 
     alpha . c_1^{e_1} ... c_r^{e_r}
 
-over a fixed tuple of cores c_t (pairs (j, i)), where the allowed left
-factors alpha depend on which exponents vanish (None stands for the
-trivial factor).  The first core of a family flagged has_eps has exponent
-range {0, 1}; guards cut exponent vectors a family does not own.  The
-families are infinite, so `appendix_blocks` caps the other exponents at
-max_core; below `appendix_threshold` the capped listing is provably
-complete, and there it must equal `reference_blocks`, the enumerator's
-output.  The rank-3 families are pairwise disjoint; the rank-2 listing
-needs two parametrizations (neither alone reaches every block — the first
-has no h(1,0) core, the second no h(2,1) core) which overlap on their
-common h(1,1)-only entries, so the second is flagged overlap_ok and
-duplicates are dropped instead of rejected.
+over a fixed tuple of cores c_t (pairs (j, i)), where the left factors
+alpha come in tiers: the first tier always, and one more tier for each
+leading zero exponent (None stands for the trivial factor).  The first
+core of a family flagged has_eps has exponent range {0, 1}; guards cut
+exponent vectors a family does not own.  The families are infinite, so
+`appendix_blocks` caps the other exponents at max_core; below
+`appendix_threshold` the capped listing is provably complete, and there
+it must equal `reference_blocks`, the enumerator's output.  The rank-3
+families are pairwise disjoint; the rank-2 listing needs two
+parametrizations (neither alone reaches every block — the first has no
+h(1,0) core, the second no h(2,1) core) which overlap on their common
+h(1,1)-only entries, so the second is flagged overlap_ok and duplicates
+are dropped instead of rejected.
 """
 
 import itertools
@@ -99,61 +100,30 @@ def reference_blocks(n, max_len):
 
 # --- the appendix listings -------------------------------------------------
 
-def _rank2_first_alphas(ex):
-    h, _k = ex
-    out = [None, (3, 0), (3, 1)]
-    if h == 0:
-        out.append((2, 0))
-    return out
-
-
-def _rank2_second_alphas(ex):
-    h, _k = ex
-    out = [None, (3, 0), (2, 0)]
-    if h == 0:
-        out.append((3, 1))
-    return out
-
-
-def _r3_f1_alphas(ex):
-    e, f, h, _k = ex
-    if e:
-        return [None, (4, 0)]
-    if f:
-        return [None, (4, 0), (4, 1), (3, 0)]
-    if h:
-        return [None, (4, 0), (4, 1), (3, 0), (2, 0)]
-    return [None, (4, 0), (4, 1), (3, 0), (2, 0), (4, 2)]
-
-
-def _r3_f2_alphas(ex):
-    e, f, _h, _k = ex
-    if e:
-        return [None, (4, 0)]
-    if f:
-        return [None, (4, 0), (4, 1), (3, 0)]
-    return [None, (4, 0), (4, 1), (3, 0), (4, 2)]
-
-
-# (cores, has_eps, guard, alphas, overlap_ok)
+# (cores, has_eps, guard, tiers, overlap_ok)
 _FAMILIES = {
     2: (
-        (((2, 1), (1, 1)), False, None, _rank2_first_alphas, False),
+        (((2, 1), (1, 1)), False, None, ((None, (3, 0), (3, 1)), ((2, 0),)), False),
         (((1, 0), (1, 1)), False,
-         lambda ex: sum(ex) > 0, _rank2_second_alphas, True),
+         lambda ex: sum(ex) > 0, ((None, (3, 0), (2, 0)), ((3, 1),)), True),
     ),
     3: (
-        (((3, 1), (2, 1), (1, 1), (1, 2)), True, None, _r3_f1_alphas, False),
-        (((3, 1), (2, 1), (2, 2), (1, 2)), True,
-         lambda ex: ex[2] > 0, _r3_f2_alphas, False),
-        (((1, 0), (1, 1), (1, 2)), False,
-         lambda ex: ex[0] > 0, lambda ex: [None, (4, 0), (3, 0), (2, 0)], False),
-        (((3, 2), (2, 2), (1, 2)), False,
-         lambda ex: ex[0] > 0, lambda ex: [None, (4, 0), (4, 1), (4, 2)], False),
+        (((3, 1), (2, 1), (1, 1), (1, 2)), True, None,
+         ((None, (4, 0)), ((4, 1), (3, 0)), ((2, 0),), ((4, 2),)), False),
+        (((3, 1), (2, 1), (2, 2), (1, 2)), True, lambda ex: ex[2] > 0,
+         ((None, (4, 0)), ((4, 1), (3, 0)), ((4, 2),)), False),
+        (((1, 0), (1, 1), (1, 2)), False, lambda ex: ex[0] > 0,
+         ((None, (4, 0), (3, 0), (2, 0)),), False),
+        (((3, 2), (2, 2), (1, 2)), False, lambda ex: ex[0] > 0,
+         ((None, (4, 0), (4, 1), (4, 2)),), False),
     ),
 }
 
-_CHEAPEST_CORE = {2: 3, 3: 4}
+
+def _left_factors(tiers, ex):
+    """The first tier, and one more for each leading zero exponent."""
+    zeros = next((t for t, e in enumerate(ex) if e), len(ex))
+    return [alpha for tier in tiers[:zeros + 1] for alpha in tier]
 
 
 def _check_appendix_args(n, max_core):
@@ -169,7 +139,7 @@ def appendix_blocks(n, max_core=2):
     duplicated listing entry — the families must be disjoint."""
     _check_appendix_args(n, max_core)
     seen = set()
-    for cores, has_eps, guard, alphas, overlap_ok in _FAMILIES[n]:
+    for cores, has_eps, guard, tiers, overlap_ok in _FAMILIES[n]:
         ranges = [
             range((1 if has_eps and t == 0 else max_core) + 1)
             for t in range(len(cores))
@@ -180,7 +150,7 @@ def appendix_blocks(n, max_core=2):
             core_pairs = tuple(
                 p for p, e in zip(cores, ex) for _ in range(e)
             )
-            for alpha in alphas(ex):
+            for alpha in _left_factors(tiers, ex):
                 if alpha is None and not core_pairs:
                     continue  # affine length 0
                 pairs = (() if alpha is None else (alpha,)) + core_pairs
@@ -195,7 +165,10 @@ def appendix_blocks(n, max_core=2):
 
 def appendix_threshold(n, max_core):
     """Largest length where the capped listing is complete: a block it
-    misses has some core exponent >= max_core + 1, hence length at least
-    (max_core + 1) times the cheapest core."""
+    misses repeats a capped core (any but the first of a has_eps family)
+    max_core + 1 times, and a pair (j, i) costs n + 2 - j + i letters."""
     _check_appendix_args(n, max_core)
-    return (max_core + 1) * _CHEAPEST_CORE[n] - 1
+    cheapest = min(n + 2 - j + i
+                   for cores, has_eps, *_ in _FAMILIES[n]
+                   for j, i in cores[1 if has_eps else 0:])
+    return (max_core + 1) * cheapest - 1

@@ -91,7 +91,6 @@ from typing import NamedTuple
 from . import perms
 from .perms import AFFINE, InvariantError, check_rank, compose, is_window
 from . import finite as fin
-from .finite import HPrefix
 from .words import Word, hat_partner
 
 
@@ -171,7 +170,7 @@ def validate_block(pairs, n):
 def block_word(pairs, n):
     letters = []
     for j, i in pairs:
-        letters.extend(fin.h_word(HPrefix(j, i), n))
+        letters.extend(fin.h_word((j, i), n))
         letters.append(AFFINE)
     return Word(n, tuple(letters))
 
@@ -304,7 +303,7 @@ def left_mul_block(s, pairs, n):
     if (j1, i1) == (n + 1, 0):
         # a . a h(j_2,i_2) a ... reduces to the tail block
         return NewBlock(pairs[1:])
-    if fin.h_is_extremal(HPrefix(j1, i1), n):
+    if fin.h_is_extremal((j1, i1), n):
         return NewBlock(((n + 1, 0),) + pairs)
     # non-extremal, non-trivial prefix: one braid pushes a sigma into the tail
     #   a |j1,n| a       = |j1,n| a sigma_n         (i1 = 0, 2 <= j1 <= n)
@@ -487,7 +486,7 @@ def deficiency_m1(first, second, n):
     final a — always a letter inside h(j1,i1).
     """
     j1, i1 = first
-    j, i = second.r, second.i
+    j, i = second
     if (j, i) == (n + 1, 0):
         raise ValueError("second prefix must not be the identity")
     floor_len = n - j1 + 1  # letters of |j1,n|
@@ -522,7 +521,7 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
     (j1, i1), (j2, i2) = pairs
-    r, i = x_prefix.r, x_prefix.i
+    r, i = x_prefix
     h1_len = n - j1 + 1 + i1
     h2_len = n - j2 + 1 + i2
     if (r, i) == (n + 1, 0):

@@ -1,6 +1,12 @@
 """
 Batch command-line surface over the library.
 
+Every subcommand is one row of `COMMANDS`, whose `run` returns the JSON
+object and the text of its result (a block listing, of any size, builds
+only the one it prints); `main` reads the row's element arguments at
+`args.rank` and prints one of the two.  `appendix` and `selfcheck` print
+before they fail, so they print for themselves.
+
 Element arguments are sniffed: a leading '{' means the JSON form, the
 presence of 'h(', '[', '|' (or a bare '1') means canonical-form text,
 anything else is word syntax ("s3 a s3 s1 a").  Words are canonicalized
@@ -19,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 
 from . import blocks as bl
 from . import canonical as c
@@ -40,117 +47,73 @@ def parse_input(text, n):
     return c.canonicalize(parse_word(t, n))
 
 
+def _lengths(e):
+    return {"l": c.length(e), "L": c.affine_length(e)}
+
+
 def element_json(e):
-    obj = c.to_json(e)
-    obj["l"] = c.length(e)
-    obj["L"] = c.affine_length(e)
-    return obj
+    return {**c.to_json(e), **_lengths(e)}
 
 
-def _emit_element(e, as_json):
-    if as_json:
-        print(json.dumps(element_json(e)))
-    else:
-        print(c.format_element(e))
-        print("l=%d L=%d" % (c.length(e), c.affine_length(e)))
+# --- subcommands: each run returns (JSON object, text) ----------------------
+
+def _element(op):
+    """The run of a command whose result is the element op(*elements)."""
+    def run(args, *elements):
+        e = op(*elements)
+        obj = element_json(e)
+        return obj, "%s\nl=%d L=%d" % (c.format_element(e), obj["l"], obj["L"])
+    return run
 
 
-# --- subcommands ------------------------------------------------------------
-
-def _cmd_canon(args):
-    _emit_element(parse_input(args.element, args.rank), args.json)
-    return 0
-
-
-def _cmd_len(args):
-    e = parse_input(args.element, args.rank)
-    if args.json:
-        print(json.dumps({"l": c.length(e), "L": c.affine_length(e)}))
-    else:
-        print("l=%d L=%d" % (c.length(e), c.affine_length(e)))
-    return 0
+def _preimage(e):
+    pre = tower.preimage(e)
+    if pre is None:
+        raise ValueError("element is not in the image of the rank-raising embedding")
+    return pre
 
 
-def _cmd_descents(args):
-    e = parse_input(args.element, args.rank)
+def _len(args, e):
+    obj = _lengths(e)
+    return obj, "l=%(l)d L=%(L)d" % obj
+
+
+def _descents(args, e):
     key = lambda s: (s == AFFINE, s)
-    left = sorted(c.left_descents(e), key=key)
-    right = sorted(c.right_descents(e), key=key)
-    if args.json:
-        print(json.dumps({"left": left, "right": right}))
-    else:
-        print("L: %s" % (format_word(Word(e.n, tuple(left))) or "-"))
-        print("R: %s" % (format_word(Word(e.n, tuple(right))) or "-"))
-    return 0
+    obj = {"left": sorted(c.left_descents(e), key=key),
+           "right": sorted(c.right_descents(e), key=key)}
+    return obj, "L: %s\nR: %s" % tuple(
+        format_word(Word(e.n, tuple(obj[side]))) or "-" for side in ("left", "right"))
 
 
-def _cmd_mul(args):
-    u = parse_input(args.left, args.rank)
-    v = parse_input(args.right, args.rank)
-    _emit_element(c.mul(u, v), args.json)
-    return 0
+def _member(args, e):
+    ok = tower.is_in_image(e)
+    return {"member": ok}, "yes" if ok else "no"
 
 
-def _cmd_inv(args):
-    _emit_element(c.inverse(parse_input(args.element, args.rank)), args.json)
-    return 0
+def _hecke_mul(args, u, v):
+    prod = hk.hecke_mul(hk.basis(u), hk.basis(v))
+    terms = [dict(coeff=sorted(prod.terms[w].items(), reverse=True), **c.to_json(w))
+             for w in sorted(prod.terms, key=c.sort_key, reverse=True)]
+    return {"terms": terms}, hk.format_hecke(prod)
 
 
-def _cmd_blocks(args):
+def _blocks(args):
     # enumerator output is valid by construction: wrap it, do not re-validate
     items = bl.enumerate_blocks(args.rank, args.m).items
     if args.max_len is not None:
         items = [p for p in items
                  if c.length(c.Element(args.rank, p, ())) <= args.max_len]
     if args.count_only:
-        print(json.dumps({"count": len(items)}) if args.json else len(items))
-        return 0
+        return {"count": len(items)}, str(len(items))
     elems = sorted((c.Element(args.rank, p, ()) for p in items), key=c.sort_key)
-    if args.json:
-        print(json.dumps([element_json(e) for e in elems]))
-    else:
-        for e in elems:
-            print("%s  l=%d" % (c.format_element(e), c.length(e)))
-    return 0
+    if args.json:  # a listing builds only the form that is printed
+        return [element_json(e) for e in elems], None
+    return None, "\n".join("%s  l=%d" % (c.format_element(e), c.length(e))
+                           for e in elems)
 
 
-def _cmd_embed(args):
-    _emit_element(tower.embed(parse_input(args.element, args.source)), args.json)
-    return 0
-
-
-def _cmd_member(args):
-    e = parse_input(args.element, args.rank)
-    ok = tower.is_in_image(e)
-    print(json.dumps({"member": ok}) if args.json else ("yes" if ok else "no"))
-    return 0
-
-
-def _cmd_preimage(args):
-    e = parse_input(args.element, args.rank)
-    pre = tower.preimage(e)
-    if pre is None:
-        raise ValueError("element is not in the image of the rank-raising embedding")
-    _emit_element(pre, args.json)
-    return 0
-
-
-def _cmd_hecke_mul(args):
-    u = hk.basis(parse_input(args.left, args.rank))
-    v = hk.basis(parse_input(args.right, args.rank))
-    prod = hk.hecke_mul(u, v)
-    if args.json:
-        terms = [
-            dict(coeff=sorted(prod.terms[w].items(), reverse=True), **c.to_json(w))
-            for w in sorted(prod.terms, key=c.sort_key, reverse=True)
-        ]
-        print(json.dumps({"terms": terms}))
-    else:
-        print(hk.format_hecke(prod))
-    return 0
-
-
-def _cmd_appendix(args):
+def _appendix(args):
     listing = bl.appendix_blocks(args.rank, args.max_core)
     thr = bl.appendix_threshold(args.rank, args.max_core)
     gen = [e for e in listing if c.length(e) <= thr]
@@ -158,20 +121,15 @@ def _cmd_appendix(args):
     ok = gen == ref
     if args.max_len is not None:
         listing = [e for e in listing if c.length(e) <= args.max_len]
-    rf = [c.make_element(args.rank, (), s) for s in fin.finite_shapes(args.rank)]
+    # finite_shapes are canonical by construction: wrap them, do not re-validate
+    rf = [c.Element(args.rank, (), s) for s in fin.finite_shapes(args.rank)]
     if args.json:
         print(json.dumps({
-            "rank": args.rank,
-            "max_core": args.max_core,
-            "count": len(listing),
+            "rank": args.rank, "max_core": args.max_core, "count": len(listing),
             "blocks": None if args.count_only else [element_json(e) for e in listing],
             "right_factors": [c.to_json(e) for e in rf],
-            "check": {
-                "threshold": thr,
-                "generated": len(gen),
-                "enumerated": len(ref),
-                "ok": ok,
-            },
+            "check": {"threshold": thr, "generated": len(gen),
+                      "enumerated": len(ref), "ok": ok},
         }))
     else:
         if args.count_only:
@@ -187,27 +145,22 @@ def _cmd_appendix(args):
               % (thr, "ok" if ok else "MISMATCH", len(gen), len(ref)))
     if not ok:
         raise ValueError("capped listing disagrees with enumeration below l=%d" % thr)
-    return 0
 
 
-def _cmd_selfcheck(args):
+def _selfcheck(args):
     failures = []
-    for name, bad in (
-        ("relations", check_relations(args.rank)),
-        ("length formula (l <= %d)" % args.max_len,
-         check_length_formula(args.rank, args.max_len)),
-        ("brick identities", brick_identities_check(args.rank)),
-    ):
+    for name, bad in (("relations", check_relations(args.rank)),
+                      ("length formula (l <= %d)" % args.max_len,
+                       check_length_formula(args.rank, args.max_len)),
+                      ("brick identities", brick_identities_check(args.rank))):
         print("%s: %s" % (name, "ok" if not bad else "FAILED"))
         failures.extend(bad)
     if failures:
-        for line in failures:
-            print(line, file=sys.stderr)
+        print("\n".join(failures), file=sys.stderr)
         raise ValueError("%d self-check failure(s)" % len(failures))
-    return 0
 
 
-# --- argument plumbing ------------------------------------------------------
+# --- the command table ------------------------------------------------------
 
 def _rank(text):
     try:
@@ -219,66 +172,69 @@ def _rank(text):
     return v
 
 
+_RANK = (("-n", "--rank"), dict(type=_rank, required=True))
+_MAX_LEN = (("--max-len",), dict(type=int, default=None))
+_COUNT_ONLY = (("--count-only",), dict(action="store_true"))
+_FROM = (("--from",), dict(dest="rank", metavar="SOURCE", type=_rank, required=True,
+                           help="rank of the input element (output rank is +1)"))
+
+# elements: positional arguments, read at args.rank; run(args, *elements):
+# (JSON object, text) or None; options: (flags, add_argument keywords) pairs
+Command = namedtuple("Command", "name help elements run options", defaults=((_RANK,),))
+
+# every run looks its library function up when it runs, so a module
+# attribute patched by a test or a tracer is the one called
+COMMANDS = (
+    Command("canon", "canonicalize a word or element", ("element",),
+            _element(lambda e: e)),
+    Command("len", "length and affine length", ("element",), _len),
+    Command("descents", "left and right descent sets", ("element",), _descents),
+    Command("mul", "product of two elements", ("left", "right"),
+            _element(lambda u, v: c.mul(u, v))),
+    Command("inv", "inverse", ("element",), _element(lambda e: c.inverse(e))),
+    Command("blocks", "blocks at a given affine length", (), _blocks,
+            (_RANK, (("-m", "--m"), dict(type=int, required=True)), _COUNT_ONLY,
+             _MAX_LEN)),
+    Command("embed", "apply the rank-raising embedding", ("element",),
+            _element(lambda e: tower.embed(e)), (_FROM,)),
+    Command("member", "is the element in the image of the embedding",
+            ("element",), _member),
+    Command("preimage", "invert the embedding", ("element",), _element(_preimage)),
+    Command("hecke-mul", "product of two Hecke basis elements", ("left", "right"),
+            _hecke_mul),
+    Command("appendix", "regenerate the golden listings", (), _appendix,
+            ((("-n", "--rank"), dict(type=int, choices=(2, 3), required=True)),
+             (("--max-core",), dict(type=int, default=2)), _MAX_LEN, _COUNT_ONLY)),
+    Command("selfcheck", "run the oracle validation suite", (), _selfcheck,
+            (_RANK, (("--max-len",), dict(type=int, default=8)))),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The argparse parser, built on first use and reused by every `main`
-    call (parse_args leaves a parser unchanged)."""
+    """One subparser per row (--json, its options, its elements), built on
+    first use and reused by every `main` call (parse_args changes no parser)."""
     p = argparse.ArgumentParser(
         prog="affcox",
-        description="Canonical forms in the affine Coxeter groups of type ~A_n.",
-    )
+        description="Canonical forms in the affine Coxeter groups of type ~A_n.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help, *positional, rank=True):
-        """A subcommand taking --json, then -n unless rank is False, then
-        the positional arguments."""
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(fn=fn)
+    for cmd in COMMANDS:
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        sp.set_defaults(cmd=cmd)
         sp.add_argument("--json", action="store_true")
-        if rank:
-            sp.add_argument("-n", "--rank", type=_rank, required=True)
-        for arg in positional:
-            sp.add_argument(arg)
-        return sp
-
-    add("canon", _cmd_canon, "canonicalize a word or element", "element")
-    add("len", _cmd_len, "length and affine length", "element")
-    add("descents", _cmd_descents, "left and right descent sets", "element")
-    add("mul", _cmd_mul, "product of two elements", "left", "right")
-    add("inv", _cmd_inv, "inverse", "element")
-
-    sp = add("blocks", _cmd_blocks, "blocks at a given affine length")
-    sp.add_argument("-m", "--m", type=int, required=True)
-    sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--max-len", type=int, default=None)
-
-    sp = add("embed", _cmd_embed, "apply the rank-raising embedding", rank=False)
-    sp.add_argument("--from", dest="source", type=_rank, required=True,
-                    help="rank of the input element (output rank is +1)")
-    sp.add_argument("element")
-
-    add("member", _cmd_member, "is the element in the image of the embedding",
-        "element")
-    add("preimage", _cmd_preimage, "invert the embedding", "element")
-    add("hecke-mul", _cmd_hecke_mul, "product of two Hecke basis elements",
-        "left", "right")
-
-    sp = add("appendix", _cmd_appendix, "regenerate the golden listings", rank=False)
-    sp.add_argument("-n", "--rank", type=int, choices=(2, 3), required=True)
-    sp.add_argument("--max-core", type=int, default=2)
-    sp.add_argument("--max-len", type=int, default=None)
-    sp.add_argument("--count-only", action="store_true")
-
-    sp = add("selfcheck", _cmd_selfcheck, "run the oracle validation suite")
-    sp.add_argument("--max-len", type=int, default=8)
-
+        for flags, kwargs in cmd.options:
+            sp.add_argument(*flags, **kwargs)
+        for name in cmd.elements:
+            sp.add_argument(name)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        elements = [parse_input(getattr(args, name), args.rank)
+                    for name in args.cmd.elements]
+        shown = args.cmd.run(args, *elements)
     except AssertionError as exc:  # InvariantError included: a bug
         print("internal error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 3
@@ -288,6 +244,11 @@ def main(argv=None):
     except (RuntimeError, MemoryError) as exc:
         print("resource limit: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 4
+    if shown is not None:
+        obj, text = shown
+        if args.json or text:  # an empty listing prints nothing
+            print(json.dumps(obj) if args.json else text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -55,6 +55,8 @@ from .words import Word
 
 
 class HPrefix(NamedTuple):
+    """h(r, i) as `peel_h` and `h_times_floor` return it; the h functions
+    below take any (r, i) pair."""
     r: int
     i: int
 
@@ -183,27 +185,31 @@ def in_parabolic(bricks, n):
 # --- h(r, i) ----------------------------------------------------------------
 
 def check_hprefix(h, n):
-    if not (1 <= h.r <= n + 1 and 0 <= h.i <= n - 1):
-        raise ValueError("invalid h(%d,%d) at rank %d" % (h.r, h.i, n))
+    r, i = h
+    if not (1 <= r <= n + 1 and 0 <= i <= n - 1):
+        raise ValueError("invalid h(%d,%d) at rank %d" % (r, i, n))
 
 
 def h_word(h, n):
     """Letters of h(r,i) = |r,n| ceil(i,1)."""
     check_hprefix(h, n)
-    return floor_word(h.r, n) + ceil_word(h.i, 1)
+    r, i = h
+    return floor_word(r, n) + ceil_word(i, 1)
 
 
 def h_element(h, n):
     """Canonical bricks of h(r,i): the run |r,n| on level n (absent when
     r = n+1) followed by single-letter bricks on levels i, i-1, ..., 1."""
     check_hprefix(h, n)
-    top = ((h.r, n),) if h.r <= n else ()
-    return top + tuple((k, k) for k in range(h.i, 0, -1))
+    r, i = h
+    top = ((r, n),) if r <= n else ()
+    return top + tuple((k, k) for k in range(i, 0, -1))
 
 
 def h_is_extremal(h, n):
     """h(r,i) extremal <=> (i >= 1 or r = 1) and r <= n."""
-    return h.r <= n and (h.i >= 1 or h.r == 1)
+    r, i = h
+    return r <= n and (i >= 1 or r == 1)
 
 
 def peel_h(bricks, n):

@@ -10,6 +10,8 @@ from affcox import blocks as bl
 from affcox import canonical as c
 from affcox import cli
 from affcox import finite as fin
+from affcox import hecke as hk
+from affcox import tower
 from affcox.words import parse_word
 
 
@@ -93,6 +95,11 @@ def test_blocks(capsys):
     objs = json.loads(out)
     assert code == 0 and len(objs) == 6
     assert objs[0] == {"pairs": [[3, 0]], "bricks": [], "l": 1, "L": 1}
+    # an empty listing prints nothing, or an empty JSON list
+    assert run(capsys, "blocks", "-n", "2", "-m", "1",
+               "--max-len", "0") == (0, "", "")
+    assert run(capsys, "blocks", "-n", "2", "-m", "1", "--max-len", "0",
+               "--json") == (0, "[]\n", "")
 
 
 def test_embed_member_preimage(capsys):
@@ -177,12 +184,32 @@ def test_domain_errors(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
+    """Each command looks its library call up when it runs: a patched
+    target that breaks an invariant ends the command with exit 3."""
     def broken(e):
         raise c.InvariantError("descent engine broke")
     monkeypatch.setattr(c, "right_descents", broken)
     code, out, err = run(capsys, "descents", "-n", "2", "s1 a")
     assert code == 3 and out == ""
     assert err == "internal error: descent engine broke\n"
+    for module, name, argv in (
+        (c, "canonicalize", ["canon", "-n", "2", "s1 a"]),
+        (c, "length", ["len", "-n", "2", "h(3,0) a |"]),
+        (c, "mul", ["mul", "-n", "2", "s1 a", "a s1"]),
+        (c, "inverse", ["inv", "-n", "2", "h(3,0) a |"]),
+        (tower, "embed", ["embed", "--from", "2", "h(3,0) a |"]),
+        (tower, "is_in_image", ["member", "-n", "3", "h(3,0) a | [3,3]"]),
+        (tower, "preimage", ["preimage", "-n", "3", "h(3,0) a | [3,3]"]),
+        (hk, "hecke_mul", ["hecke-mul", "-n", "2", "s1", "s1"]),
+        (bl, "enumerate_blocks", ["blocks", "-n", "2", "-m", "1"]),
+        (bl, "appendix_blocks", ["appendix", "-n", "2"]),
+    ):
+        def broken(*args, _name=name):
+            raise c.InvariantError("%s broke" % _name)
+        with monkeypatch.context() as m:
+            m.setattr(module, name, broken)
+            want = (3, "", "internal error: %s broke\n" % name)
+            assert run(capsys, *argv) == want, argv
 
 
 @pytest.mark.parametrize("exc,code,err", [
@@ -309,7 +336,9 @@ README_EXAMPLES = readme_examples()
 
 
 def test_readme_examples_have_outputs():
-    assert len(README_EXAMPLES) == 12
+    # one example per command of the table, in its order
+    assert [argv[0] for argv, _ in README_EXAMPLES] == [
+        cmd.name for cmd in cli.COMMANDS]
     assert [argv[0] for argv, expected in README_EXAMPLES if not expected] == [
         "appendix", "selfcheck"]
 
