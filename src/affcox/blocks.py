@@ -41,6 +41,8 @@ from . import canonical as c
 from .perms import InvariantError, check_rank
 from .canonical import _junction_ok
 
+MAX_ITEMS = 2_000_000  # enumerate_blocks raises RuntimeError past this many
+
 
 class BlockFamily(NamedTuple):
     rank: int
@@ -59,7 +61,7 @@ def _extensions(prefix, n):
                 yield (j, i)
 
 
-def enumerate_blocks(n, m, max_items=2_000_000):
+def enumerate_blocks(n, m):
     check_rank(n)
     if m < 0:
         raise ValueError("affine length must be >= 0")
@@ -71,11 +73,9 @@ def enumerate_blocks(n, m, max_items=2_000_000):
             stack.extend(prefix + (p,) for p in reversed(list(_extensions(prefix, n))))
             continue
         items.append(prefix)
-        if len(items) > max_items:
-            raise RuntimeError(
-                "block enumeration exceeded %d items at rank %d, m=%d"
-                % (max_items, n, m)
-            )
+        if len(items) > MAX_ITEMS:
+            raise RuntimeError("block enumeration exceeded %d items at rank %d, m=%d"
+                               % (MAX_ITEMS, n, m))
     return BlockFamily(n, m, tuple(items))
 
 

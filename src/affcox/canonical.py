@@ -19,20 +19,21 @@ right W(A_n)-coset; m is the affine length; the total length is
     l(w) = l(x) + m + sum_s (n+1 - j_s + i_s).
 
 The letter engine multiplies by one generator on the left: s . w_a for a
-block w_a either *absorbs* (s w_a = w_a sigma_v, length +1, block unchanged) or
-yields a new block differing in exactly one prepended/dropped pair or one
-entry by +-1.  The sigma case is one left-to-right scan over the pairs:
-the absorbed index v is carried through the two base tables (the j > i+1
-and j <= i+1 regimes) until a pair changes.  Only the two junctions beside
-the changed pair are then checked; if they hold, the new block is spliced
-once and returned.  The junction on the right may break: exactly one of
-four exchange rules then reproduces the original two pairs (an absorption,
-with a new index), and the scan goes on past them, so one letter may fire
-several exchange rules.  Every input block is valid, so these local checks
-imply all five inequalities; one letter costs O(m) time and no Python
-stack.  The a case drops a leading trivial prefix, prepends (n+1,0)
-before an extremal prefix, or braids one sigma into the tail, which the
-same scan then carries.
+block w_a, the empty one included, either *absorbs* (s w_a = w_a sigma_v,
+length +1, block unchanged) or yields a new block differing in exactly one
+prepended/dropped pair or one entry by +-1.  The sigma case is one
+left-to-right scan over the pairs: the absorbed index v is carried through
+the base table (the paper's two tables, for j > i+1 and j <= i+1, as one
+rule) until a pair changes.  Only the two junctions beside the changed pair
+are then checked; if they hold, the new block is spliced once and returned.
+The junction on the right may break: exactly one of four exchange rules
+then reproduces the original two pairs (an absorption, with a new index),
+and the scan goes on past them, so one letter may fire several exchange
+rules.  Every input block is valid, so these local checks imply all five
+inequalities; one letter costs O(m) time and no Python stack.  The a case
+prepends (n+1,0) to the empty block or before an extremal prefix, drops a
+leading trivial prefix, or braids one sigma into the tail, which the same
+scan then carries.
 
 Words canonicalize by folding letters right-to-left through left_mul from
 the identity — valid for arbitrary (even non-reduced) input words, each
@@ -75,14 +76,13 @@ redundant for a correct peel), and a peel that does not end at the
 identity raises InvariantError instead of returning a wrong form.
 
 So mul(u, v) decodes the composed windows, inverse(u) the inverse
-window, right descents are one comparison each on the window (sigma_k
-iff w(k) > w(k+1), a iff w(N) - N > w(1)), and left descents the same on
-the inverse window, L(w) = R(w^{-1}); none of them calls left_mul.
-canonicalize could decode the window of its word too (about 12x the
-operations per second on perfbench's canon-long workload), but it stays
-the letter fold, which is what the paper describes: perfbench stores
-every per-operation latency, so more operations per run read there as a
-larger peak RSS, past the benchmark's bound.
+window, right descents are one comparison each on the window
+(perms.descends), and left descents the same on the inverse window,
+L(w) = R(w^{-1}); none of them calls left_mul.  canonicalize could decode
+the window of its word too (about 12x the operations per second on
+perfbench's canon-long workload), but it stays the letter fold: perfbench
+stores every per-operation latency, so more operations per run read there
+as a larger peak RSS, past the benchmark's bound.
 """
 
 from bisect import bisect_left
@@ -196,47 +196,35 @@ def coset_rep(e):
     return Element(e.n, e.pairs, ())
 
 
-# --- the two base tables: sigma_u . (h(j,i) a) ------------------------------
+# --- the base table: sigma_u . (h(j,i) a) ----------------------------------
 #
-# Guards are evaluated literally, in row order, falling through; this makes
-# the degenerate boundary rows at small rank resolve themselves, and extends
-# table B formally to the pair (1,0) (where it is checked to be correct).
+# The paper's two seven-row tables, A for j > i+1 and B for j <= i+1 (B
+# extended to the pair (1,0), where it is checked), are one rule: the two
+# regimes differ only in the letter that moves i (sigma_i in A, sigma_{i+1}
+# in B) and in the bounds of the absorptions.  The j rows come first, as
+# row order had it at the boundaries u = i+1 = j-1 (A) and u = i+1 = j (B).
 
 def _table(u, j, i, n):
-    """Outcome of sigma_u . (h(j,i) a): ('absorb', v) or ('pair', (j', i'))."""
+    """Outcome of sigma_u . (h(j,i) a): ('absorb', v) or ('pair', (j', i')).
+    Each branch is tagged with the rows of the paper's tables it covers."""
     if not 1 <= u <= n:
         raise InvariantError("table index u=%d out of range at n=%d" % (u, n))
-    if j > i + 1:
-        if 1 <= u < i:
-            return ("absorb", u + 1)
-        if u == i:
-            return ("pair", (j, i - 1))
-        if u == i + 1 < j - 1:
-            return ("pair", (j, i + 1))
-        if i + 1 < u < j - 1:
-            return ("absorb", u)
-        if u == j - 1 >= i + 1:
-            return ("pair", (j - 1, i))
-        if u == j:
-            return ("pair", (j + 1, i))
-        if j < u <= n:
-            return ("absorb", u - 1)
-    else:
-        if 1 <= u < j - 1:
-            return ("absorb", u + 1)
-        if u == j - 1:
-            return ("pair", (j - 1, i))
-        if u == j:
-            return ("pair", (j + 1, i))
-        if j < u < i + 1:
-            return ("absorb", u)
-        if u == i + 1 > j:
-            return ("pair", (j, i - 1))
-        if u == i + 2:
-            return ("pair", (j, i + 1))
-        if i + 2 < u <= n:
-            return ("absorb", u - 1)
-    raise InvariantError("no table row for u=%d, (j,i)=(%d,%d), n=%d" % (u, j, i, n))
+    if u == j - 1:  # A5, B2
+        return ("pair", (j - 1, i))
+    if u == j:  # A6, B3
+        return ("pair", (j + 1, i))
+    wide = j > i + 1
+    a = i if wide else i + 1
+    if u == a:  # A2, B5
+        return ("pair", (j, i - 1))
+    if u == a + 1:  # A3, B6
+        return ("pair", (j, i + 1))
+    lo, hi = (i, j) if wide else (j - 1, i + 2)
+    if u < lo:  # A1, B1
+        return ("absorb", u + 1)
+    if u < hi:  # A4, B4: lo < u < hi
+        return ("absorb", u)
+    return ("absorb", u - 1)  # A7, B7: u > hi
 
 
 def block_left_descents(j, i, n):
@@ -290,21 +278,19 @@ def _exchange(left, right, n):
 
 
 def left_mul_block(s, pairs, n):
-    """
-    s . w_a for a nonempty block: Absorbed(v) meaning s w_a = w_a sigma_v
-    (length +1, block unchanged), or NewBlock (length +-1, differing from
-    pairs by one dropped/prepended pair or one entry moved by 1).
-    """
-    if not pairs:
-        raise ValueError("left_mul_block needs a nonempty block")
+    """s . w_a for a block, the empty one included: Absorbed(v) meaning
+    s w_a = w_a sigma_v (length +1, block unchanged), or NewBlock (length
+    +-1, differing from pairs by one dropped/prepended pair or one entry
+    moved by 1).  On the empty block, a prepends (n+1,0) and sigma_u comes
+    back as Absorbed(u), from a scan over no pairs."""
     if s != AFFINE:
         return _scan(s, pairs, 0, n)
+    if not pairs or fin.h_is_extremal(pairs[0], n):
+        return NewBlock(((n + 1, 0),) + pairs)
     j1, i1 = pairs[0]
     if (j1, i1) == (n + 1, 0):
         # a . a h(j_2,i_2) a ... reduces to the tail block
         return NewBlock(pairs[1:])
-    if fin.h_is_extremal((j1, i1), n):
-        return NewBlock(((n + 1, 0),) + pairs)
     # non-extremal, non-trivial prefix: one braid pushes a sigma into the tail
     #   a |j1,n| a       = |j1,n| a sigma_n         (i1 = 0, 2 <= j1 <= n)
     #   a ceil(i1,1) a   = ceil(i1,1) a sigma_1     (j1 = n+1, i1 >= 1)
@@ -351,10 +337,6 @@ def left_mul(s, e):
     n = e.n
     if not (s == AFFINE or 1 <= s <= n):
         raise ValueError("letter %r invalid at rank %d" % (s, n))
-    if not e.pairs:
-        if s == AFFINE:
-            return Element(n, ((n + 1, 0),), e.bricks)
-        return Element(n, (), fin.finite_left_insert(e.bricks, s, n))
     out = left_mul_block(s, e.pairs, n)
     if isinstance(out, Absorbed):
         return Element(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n))
@@ -450,24 +432,16 @@ def generators(n):
     return tuple(range(1, n + 1)) + (AFFINE,)
 
 
-def _window_descents(win):
-    """R(w) off the window: sigma_k iff w(k) > w(k+1), a iff
-    w(n+1) - (n+1) > w(1)."""
-    n = len(win) - 1
-    out = {k for k in range(1, n + 1) if win[k - 1] > win[k]}
-    if win[n] - (n + 1) > win[0]:
-        out.add(AFFINE)
-    return out
-
-
 def right_descents(e):
     """{s : l(e s) < l(e)}, one comparison per generator on the window."""
-    return _window_descents(window(e))
+    win = window(e)
+    return {s for s in generators(e.n) if perms.descends(win, s)}
 
 
 def left_descents(e):
     """{s : l(s e) < l(e)} = R(e^{-1}), off the inverse window."""
-    return _window_descents(perms.inverse(window(e)))
+    win = perms.inverse(window(e))
+    return {s for s in generators(e.n) if perms.descends(win, s)}
 
 
 def sort_key(e):
@@ -603,4 +577,13 @@ def to_json(e):
 
 
 def from_json(obj, n):
-    return make_element(n, obj.get("pairs", ()), obj.get("bricks", ()))
+    """The element of `to_json`, a missing field empty.  The lengths `l` and
+    `L` of the CLI's JSON output must be the element's; other keys raise."""
+    unknown = sorted(set(obj) - {"pairs", "bricks", "l", "L"})
+    if unknown:
+        raise ValueError("unknown key(s) in element JSON: %s" % ", ".join(map(repr, unknown)))
+    e = make_element(n, obj.get("pairs", ()), obj.get("bricks", ()))
+    for key, want in (("l", length(e)), ("L", affine_length(e))):
+        if key in obj and not (type(obj[key]) is int and obj[key] == want):
+            raise ValueError("%s=%r, but the element has %s=%d" % (key, obj[key], key, want))
+    return e

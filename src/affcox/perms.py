@@ -25,6 +25,7 @@ it is validated against BFS distance from the identity.
 """
 
 AFFINE = 0  # the letter a_{n+1}
+MAX_STATES = 5_000_000  # bfs_reduced_words raises RuntimeError past this many
 
 
 class InvariantError(AssertionError):
@@ -116,18 +117,18 @@ def affine_length(w):
     return sum([(v - 1) // nn for v in w if v > nn])
 
 
-def bfs_enumerate(n, max_len, max_states=5_000_000):
+def bfs_enumerate(n, max_len):
     """
     All group elements of length <= max_len as a list of (window, length),
     sorted by (length, window): a view of `bfs_reduced_words`, whose guard
     it shares.
     """
-    words = bfs_reduced_words(n, max_len, max_states)
+    words = bfs_reduced_words(n, max_len)
     items = ((w, len(word)) for w, word in words.items())
     return sorted(items, key=lambda t: (t[1], t[0]))
 
 
-def bfs_reduced_words(n, max_len, max_states=5_000_000):
+def bfs_reduced_words(n, max_len):
     """
     Dict window -> one reduced word, for every element of length <= max_len.
     The word recorded is the BFS discovery word, hence of minimal length.
@@ -146,32 +147,37 @@ def bfs_reduced_words(n, max_len, max_states=5_000_000):
                 if v not in words:
                     words[v] = base + (s,)
                     nxt.append(v)
-        if len(words) > max_states:
-            raise RuntimeError(
-                "enumeration guard exceeded (%d states)" % len(words)
-            )
+        if len(words) > MAX_STATES:
+            raise RuntimeError("enumeration guard exceeded (%d states)" % len(words))
         frontier = nxt
     return words
 
 
+def descends(w, s):
+    """Whether s is a right descent of the window w, l(w s) < l(w), by one
+    comparison: sigma_k iff w(k) > w(k+1), a iff w(n+1) - (n+1) > w(1)."""
+    if s == AFFINE:
+        return w[-1] - len(w) > w[0]
+    return w[s - 1] > w[s]
+
+
 def random_reduced_word(n, size, rng):
     """A random reduced word of `size` letters, grown letter by letter: a
-    drawn letter s is kept when w . s is longer than w, i.e. when s is not
-    a right descent of the window, one comparison: sigma_k lengthens iff
-    w(k) < w(k+1), and a iff w(n+1) - (n+1) < w(1).  For sampling long
-    elements, which random words (mostly cancelling) do not reach."""
+    drawn letter is kept unless it `descends` (w . s is then shorter than w).
+    For sampling long elements, which random words (mostly cancelling) do
+    not reach."""
     check_rank(n)
     nn = n + 1
     letters, w = [], list(range(1, nn + 1))
     while len(letters) < size:
         s = rng.randrange(0, nn)
+        if descends(w, s):
+            continue
         if s == AFFINE:
-            if w[n] - nn < w[0]:
-                w[0], w[n] = w[n] - nn, w[0] + nn
-                letters.append(s)
-        elif w[s - 1] < w[s]:
+            w[0], w[n] = w[n] - nn, w[0] + nn
+        else:
             w[s - 1], w[s] = w[s], w[s - 1]
-            letters.append(s)
+        letters.append(s)
     return tuple(letters)
 
 

@@ -48,6 +48,53 @@ def test_new_blocks_pass_full_validation(n):
                     assert c.validate_block(out.pairs, n), (s, pairs, out)
 
 
+# --- the base table against the paper's two tables ---------------------------
+
+def paper_tables(u, j, i, n):
+    """sigma_u . (h(j,i) a) by the paper's two seven-row tables, A for
+    j > i+1 and B for j <= i+1, read in row order: the oracle of
+    `canonical._table`, which writes them as one rule."""
+    if j > i + 1:
+        if 1 <= u < i:
+            return ("absorb", u + 1)
+        if u == i:
+            return ("pair", (j, i - 1))
+        if u == i + 1 < j - 1:
+            return ("pair", (j, i + 1))
+        if i + 1 < u < j - 1:
+            return ("absorb", u)
+        if u == j - 1 >= i + 1:
+            return ("pair", (j - 1, i))
+        if u == j:
+            return ("pair", (j + 1, i))
+        if j < u <= n:
+            return ("absorb", u - 1)
+    else:
+        if 1 <= u < j - 1:
+            return ("absorb", u + 1)
+        if u == j - 1:
+            return ("pair", (j - 1, i))
+        if u == j:
+            return ("pair", (j + 1, i))
+        if j < u < i + 1:
+            return ("absorb", u)
+        if u == i + 1 > j:
+            return ("pair", (j, i - 1))
+        if u == i + 2:
+            return ("pair", (j, i + 1))
+        if i + 2 < u <= n:
+            return ("absorb", u - 1)
+    raise AssertionError("no table row for u=%d, (j,i)=(%d,%d), n=%d" % (u, j, i, n))
+
+
+def test_table_is_the_papers_two_tables():
+    for n in range(2, 31):
+        for j in range(1, n + 2):
+            for i in range(n):
+                for u in range(1, n + 1):
+                    assert c._table(u, j, i, n) == paper_tables(u, j, i, n), (u, j, i, n)
+
+
 # the exchange rules _scan can reach, as (guard, rewrite) on h(r,u) a h(s,v) a
 EXCHANGE_RULES = {
     "E1": (lambda r, u, s, v: r > u + 1 and s >= r,
@@ -130,6 +177,24 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
     assert calls
     for m, tables, exchanges in calls:
         assert tables <= m and exchanges <= m, (m, tables, exchanges)
+
+
+def test_one_block_call_per_letter(monkeypatch):
+    """Every letter takes one path: left_mul calls left_mul_block once,
+    whether or not the element has pairs."""
+    calls = []
+    for name in ("left_mul", "left_mul_block"):
+        orig = getattr(c, name)
+        monkeypatch.setattr(c, name,
+                            lambda *args, name=name, orig=orig: calls.append(name) or orig(*args))
+    rng = random.Random(16)
+    for n in (2, 3, 5):
+        for w in [Word(n, (1, 2, 1)), Word(n, (perms.AFFINE, 1, perms.AFFINE))] + [
+                Word(n, tuple(rng.randrange(n + 1) for _ in range(40))) for _ in range(10)]:
+            calls.clear()
+            c.canonicalize(w)
+            assert calls.count("left_mul") == len(w.letters)
+            assert calls.count("left_mul_block") == len(w.letters)
 
 
 def test_element_operation_counts(monkeypatch):

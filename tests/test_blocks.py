@@ -154,9 +154,11 @@ def test_coset_rep_is_unique_minimum():
         assert coset_lens[1] > coset_lens[0]
 
 
-def test_guards():
-    with pytest.raises(RuntimeError):
-        bl.enumerate_blocks(2, 10, max_items=5)
+def test_guards(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(bl, "MAX_ITEMS", 5)
+        with pytest.raises(RuntimeError):
+            bl.enumerate_blocks(2, 10)
     with pytest.raises(ValueError):
         bl.enumerate_blocks(2, -1)
     with pytest.raises(ValueError):

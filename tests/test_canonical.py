@@ -446,3 +446,9 @@ def test_json_round_trip():
     assert obj == {"pairs": [[4, 0], [3, 1]], "bricks": [[1, 1]]}
     assert c.from_json(obj, 3) == e
     assert c.from_json({"pairs": [], "bricks": []}, 2) == c.identity_element(2)
+    # the lengths of the CLI's JSON output are read back and checked
+    assert c.from_json({**obj, "l": 5, "L": 2}, 3) == e
+    for bad in ({"pair": [[4, 0]]}, {**obj, "brick": []}, {**obj, "l": 4},
+                {**obj, "L": 3}, {**obj, "l": "5"}):
+        with pytest.raises(ValueError):
+            c.from_json(bad, 3)

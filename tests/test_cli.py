@@ -150,18 +150,30 @@ def test_appendix(capsys):
     obj = json.loads(out)
     assert obj["check"]["ok"] is True
     assert obj["count"] == 47 and len(obj["right_factors"]) == 6
+    code, out, _ = run(capsys, "appendix", "-n", "2", "--max-len", "3", "--count-only")
+    assert code == 0
+    # h(3,0) a, h(2,0) a, h(3,1) a, h(1,0) a, h(2,1) a; every m = 2 block has l >= 4
+    assert out.splitlines() == ["5", "check (l <= 8): ok, 24 generated vs 24 enumerated"]
 
 
-def test_selfcheck(capsys):
+def test_selfcheck(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck", "-n", "2", "--max-len", "6")
     assert code == 0
     assert [l.split(":")[1].strip() for l in out.splitlines()] == ["ok"] * 3
+    # a failed check prints its status line, the failure, then one error line
+    monkeypatch.setattr(cli, "check_relations", lambda n: ["s1 s1 is not 1"])
+    code, out, err = run(capsys, "selfcheck", "-n", "2", "--max-len", "4")
+    assert code == 1
+    assert out.splitlines() == ["relations: FAILED", "length formula (l <= 4): ok",
+                                "brick identities: ok"]
+    assert err == "s1 s1 is not 1\nerror: 1 self-check failure(s)\n"
 
 
 def test_usage_errors(capsys):
     for argv in (
         ["canon", "s1"],              # missing -n
         ["canon", "-n", "1", "s1"],   # rank below 2
+        ["canon", "-n", "x", "s1"],   # rank not an integer
         ["nonsense"],                 # unknown subcommand
         ["embed", "a"],               # missing --from
         ["embed", "-n", "3", "a"],    # embed takes its rank as --from only
@@ -181,6 +193,17 @@ def test_domain_errors(capsys):
     code, out, err = run(capsys, "appendix", "-n", "2", "--max-core", "-1")
     assert (code, out) == (1, "")
     assert err == "error: max core exponent must be >= 0, got -1\n"
+    # JSON input: a misspelled key, or lengths that are not the element's
+    for text, msg in (
+        ('{"pair": [[3,0]]}', "error: unknown key(s) in element JSON: 'pair'\n"),
+        ('{"pairs": [[3,0]], "brick": [[1,1]]}',
+         "error: unknown key(s) in element JSON: 'brick'\n"),
+        ('{"pairs": [[3,0]], "l": 2}', "error: l=2, but the element has l=1\n"),
+        ('{"pairs": [[3,0]], "L": 0}', "error: L=0, but the element has L=1\n"),
+    ):
+        assert run(capsys, "canon", "-n", "2", text) == (1, "", msg), text
+    code, _, err = run(capsys, "mul", "-n", "2", '{"pairs": [[3,0]], "brick": [[1,1]]}', "s1")
+    assert code == 1 and err.startswith("error: unknown key(s)")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

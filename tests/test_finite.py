@@ -119,6 +119,10 @@ def test_h_basics():
     # h(3,1) = s3 s1 at n=3
     assert h_word(HPrefix(3, 1), 3) == (3, 1)
     assert h_element(HPrefix(3, 1), 3) == ((3, 3), (1, 1))
+    # r in 1..n+1 and i in 0..n-1
+    for h in ((0, 0), (5, 0), (4, 3), (2, -1)):
+        with pytest.raises(ValueError, match="invalid h"):
+            fin.check_hprefix(h, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

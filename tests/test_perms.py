@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from affcox import perms
 from affcox.perms import (
     AFFINE,
     bfs_enumerate,
@@ -138,9 +139,10 @@ def test_bfs_windows_valid_and_distinct():
     assert all(is_window(w) for w in windows)
 
 
-def test_bfs_guard():
+def test_bfs_guard(monkeypatch):
+    monkeypatch.setattr(perms, "MAX_STATES", 50)
     with pytest.raises(RuntimeError):
-        bfs_enumerate(2, 40, max_states=50)
+        bfs_enumerate(2, 40)
 
 
 def test_bfs_reduced_words_are_geodesic():

@@ -28,6 +28,9 @@ def test_parse_errors():
         parse_word("x7", 3)
     with pytest.raises(ValueError):
         parse_word("s0", 3)
+    for letters in ((1, 4), (-1,)):  # word() checks each letter's range too
+        with pytest.raises(ValueError, match="invalid at rank 3"):
+            word(3, letters)
 
 
 def test_format_and_roundtrip():
