@@ -41,7 +41,7 @@ from . import canonical as c
 from .perms import InvariantError, check_rank
 from .canonical import _junction_ok
 
-MAX_ITEMS = 2_000_000  # enumerate_blocks raises RuntimeError past this many
+MAX_ITEMS = 2_000_000  # every listing here raises RuntimeError past this many
 
 
 class BlockFamily(NamedTuple):
@@ -91,6 +91,9 @@ def reference_blocks(n, max_len):
         prefix, length = stack.pop()
         if prefix:
             out.append(c.Element(n, prefix, ()))
+            if len(out) > MAX_ITEMS:
+                raise RuntimeError("reference listing exceeded %d items at rank %d, "
+                                   "l <= %d" % (MAX_ITEMS, n, max_len))
         for j, i in _extensions(prefix, n):
             grown = length + n + 2 - j + i
             if grown <= max_len:
@@ -136,8 +139,16 @@ def _check_appendix_args(n, max_core):
 def appendix_blocks(n, max_core=2):
     """The listed blocks with every core exponent <= max_core, as canonical
     elements with trivial finite part, sorted.  Raises on a malformed or
-    duplicated listing entry — the families must be disjoint."""
+    duplicated listing entry — the families must be disjoint.  A
+    RuntimeError, before listing anything, when the exponent vectors times
+    the left factors bound the listing above MAX_ITEMS."""
     _check_appendix_args(n, max_core)
+    # has_eps gives the first core 2 exponents, every other core max_core + 1
+    bound = sum(2 ** has_eps * (max_core + 1) ** (len(cores) - has_eps)
+                * sum(map(len, tiers)) for cores, has_eps, _, tiers, _ in _FAMILIES[n])
+    if bound > MAX_ITEMS:
+        raise RuntimeError("appendix listing may exceed %d items at rank %d, max core %d"
+                           % (MAX_ITEMS, n, max_core))
     seen = set()
     for cores, has_eps, guard, tiers, overlap_ok in _FAMILIES[n]:
         ranges = [

@@ -21,19 +21,19 @@ right W(A_n)-coset; m is the affine length; the total length is
 The letter engine multiplies by one generator on the left: s . w_a for a
 block w_a, the empty one included, either *absorbs* (s w_a = w_a sigma_v,
 length +1, block unchanged) or yields a new block differing in exactly one
-prepended/dropped pair or one entry by +-1.  The sigma case is one
-left-to-right scan over the pairs: the absorbed index v is carried through
-the base table (the paper's two tables, for j > i+1 and j <= i+1, as one
-rule) until a pair changes.  Only the two junctions beside the changed pair
-are then checked; if they hold, the new block is spliced once and returned.
-The junction on the right may break: exactly one of four exchange rules
-then reproduces the original two pairs (an absorption, with a new index),
-and the scan goes on past them, so one letter may fire several exchange
-rules.  Every input block is valid, so these local checks imply all five
-inequalities; one letter costs O(m) time and no Python stack.  The a case
-prepends (n+1,0) to the empty block or before an extremal prefix, drops a
-leading trivial prefix, or braids one sigma into the tail, which the same
-scan then carries.
+prepended/dropped pair or one entry by +-1.  `left_mul_block` checks the
+letter (perms.check_letter) and runs one left-to-right loop over the pairs:
+the absorbed index v is carried through the base table (the paper's two
+tables, for j > i+1 and j <= i+1, as one rule) until a pair changes.  Only
+the two junctions beside the changed pair are then checked; if they hold,
+the new block is spliced once and returned.  A broken right junction is
+restored by exactly one of four exchange rules (an absorption, with a new
+index), and the loop goes on past both pairs, so one letter may fire
+several exchange rules.  Every input block is valid, so these local checks
+imply all five inequalities; one letter costs O(m) time and no Python
+stack.  A sigma enters the loop at the first pair.  The a case prepends
+(n+1,0) to the empty block or before an extremal prefix, drops a leading
+trivial prefix, or braids one sigma into the loop at the second pair.
 
 Words canonicalize by folding letters right-to-left through left_mul from
 the identity — valid for arbitrary (even non-reduced) input words, each
@@ -89,7 +89,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from . import perms
-from .perms import AFFINE, InvariantError, check_rank, compose, is_window
+from .perms import AFFINE, InvariantError, check_letter, check_rank, compose, is_window
 from . import finite as fin
 from .words import Word, hat_partner
 
@@ -244,11 +244,11 @@ def _exchange(left, right, n):
 
         h(r,u) a h(s,v) a = h(A) a h(B) a sigma_t      (letter counts equal).
 
-    The only caller is `_scan`, where a table row turned a pair (j,i) of a
-    valid block into left = (r,u), and right = (s,v) is the unchanged next
-    pair; `_scan` checks that (A, B) is the original two pairs.  Rows giving
-    (j+1,i) or (j,i-1) leave the right junction valid, so (r,u) is (j-1,i)
-    or (j,i+1), and exactly one guard holds:
+    The only caller is `left_mul_block`, where a table row turned a pair
+    (j,i) of a valid block into left = (r,u), and right = (s,v) is the
+    unchanged next pair; the caller checks that (A, B) is the original two
+    pairs.  Rows giving (j+1,i) or (j,i-1) leave the right junction valid,
+    so (r,u) is (j-1,i) or (j,i+1), and exactly one guard holds:
 
       after (j-1,i):  E4 needs v < i, which (3) forbids; E2 needs v = i
           with s > i+1, which (5) at (j,i),(s,v) forbids; and E1
@@ -278,37 +278,34 @@ def _exchange(left, right, n):
 
 
 def left_mul_block(s, pairs, n):
-    """s . w_a for a block, the empty one included: Absorbed(v) meaning
+    """
+    s . w_a for a valid block, the empty one included: Absorbed(v) meaning
     s w_a = w_a sigma_v (length +1, block unchanged), or NewBlock (length
     +-1, differing from pairs by one dropped/prepended pair or one entry
-    moved by 1).  On the empty block, a prepends (n+1,0) and sigma_u comes
-    back as Absorbed(u), from a scan over no pairs."""
-    if s != AFFINE:
-        return _scan(s, pairs, 0, n)
-    if not pairs or fin.h_is_extremal(pairs[0], n):
-        return NewBlock(((n + 1, 0),) + pairs)
-    j1, i1 = pairs[0]
-    if (j1, i1) == (n + 1, 0):
-        # a . a h(j_2,i_2) a ... reduces to the tail block
-        return NewBlock(pairs[1:])
-    # non-extremal, non-trivial prefix: one braid pushes a sigma into the tail
-    #   a |j1,n| a       = |j1,n| a sigma_n         (i1 = 0, 2 <= j1 <= n)
-    #   a ceil(i1,1) a   = ceil(i1,1) a sigma_1     (j1 = n+1, i1 >= 1)
-    return _scan(n if i1 == 0 else 1, pairs, 1, n)
+    moved by 1).  A ValueError unless s is a letter at rank n.
 
-
-def _scan(v, pairs, k, n):
+    a prepends (n+1,0) to the empty block or before an extremal prefix and
+    drops a leading trivial prefix; any other prefix takes one braid,
+        a |j1,n| a       = |j1,n| a sigma_n         (i1 = 0, 2 <= j1 <= n)
+        a ceil(i1,1) a   = ceil(i1,1) a sigma_1     (j1 = n+1, i1 >= 1)
+    and the loop starts at k = 1 with that sigma, where sigma_s starts at
+    k = 0 with v = s.  It carries the absorbed index v left to right (on
+    the empty block sigma_u comes back as Absorbed(u)).  At the first pair
+    that changes, only its two junctions can break, since the rest of the
+    block is untouched and was valid.  The junction on its left always
+    holds.  A broken junction on its right is restored by an exchange rule,
+    whose index the loop carries on past both pairs; otherwise the new pair
+    is spliced in and the loop ends.
     """
-    sigma_v . pairs[k:] with pairs[:k] held fixed, for a valid block.
-
-    Carries the absorbed index left to right.  At the first pair that
-    changes, only its two junctions can break, since the rest of the block
-    is untouched and was valid.  The junction on its left always holds.
-    A broken junction on its right is restored by an exchange rule, whose
-    index the scan carries on past both pairs; otherwise the new pair is
-    spliced in and the scan ends.
-    """
-    m = len(pairs)
+    check_letter(s, n)
+    v, k, m = s, 0, len(pairs)
+    if s == AFFINE:
+        if not pairs or fin.h_is_extremal(pairs[0], n):
+            return NewBlock(((n + 1, 0),) + pairs)
+        j1, i1 = pairs[0]
+        if (j1, i1) == (n + 1, 0):  # a . a h(j_2,i_2) a ... is the tail block
+            return NewBlock(pairs[1:])
+        v, k = (n if i1 == 0 else 1), 1
     while k < m:
         j, i = pairs[k]
         kind, out = _table(v, j, i, n)
@@ -333,10 +330,9 @@ def _scan(v, pairs, k, n):
 # --- element-level operations ----------------------------------------------
 
 def left_mul(s, e):
-    """s . e for a single generator s; length moves by exactly 1."""
+    """s . e for a single generator s by one left_mul_block call, which
+    checks the letter; length moves by exactly 1."""
     n = e.n
-    if not (s == AFFINE or 1 <= s <= n):
-        raise ValueError("letter %r invalid at rank %d" % (s, n))
     out = left_mul_block(s, e.pairs, n)
     if isinstance(out, Absorbed):
         return Element(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n))

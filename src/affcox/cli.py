@@ -148,15 +148,19 @@ def _appendix(args):
 
 
 def _selfcheck(args):
-    failures = []
-    for name, bad in (("relations", check_relations(args.rank)),
-                      ("length formula (l <= %d)" % args.max_len,
-                       check_length_formula(args.rank, args.max_len)),
-                      ("brick identities", brick_identities_check(args.rank))):
-        print("%s: %s" % (name, "ok" if not bad else "FAILED"))
-        failures.extend(bad)
+    checks = {"relations": check_relations(args.rank),
+              "length formula": check_length_formula(args.rank, args.max_len),
+              "brick identities": brick_identities_check(args.rank)}
+    failures = [bad for found in checks.values() for bad in found]
+    if args.json:
+        print(json.dumps({**checks, "max_len": args.max_len}))
+    else:
+        for name, found in checks.items():
+            bound = " (l <= %d)" % args.max_len if name == "length formula" else ""
+            print("%s%s: %s" % (name, bound, "FAILED" if found else "ok"))
+        if failures:
+            print("\n".join(failures), file=sys.stderr)
     if failures:
-        print("\n".join(failures), file=sys.stderr)
         raise ValueError("%d self-check failure(s)" % len(failures))
 
 

@@ -39,6 +39,13 @@ def check_rank(n):
         raise ValueError("rank must be an integer >= 2, got %r" % (n,))
 
 
+def check_letter(s, n):
+    """The one letter rule: a ValueError unless s is an int that is AFFINE
+    or a sigma index 1..n."""
+    if not (type(s) is int and (s == AFFINE or 1 <= s <= n)):
+        raise ValueError("letter %r invalid at rank %d" % (s, n))
+
+
 def identity(n):
     """Identity window (1, 2, ..., n+1)."""
     check_rank(n)
@@ -58,11 +65,10 @@ def is_window(w):
 def right_mul(w, letter):
     """Window of w . s for a single letter s."""
     nn = len(w)
+    check_letter(letter, nn - 1)
     if letter == AFFINE:
         return (w[-1] - nn,) + w[1:-1] + (w[0] + nn,)
     i = letter
-    if not 1 <= i <= nn - 1:
-        raise ValueError("letter %r invalid at rank %d" % (letter, nn - 1))
     return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
 
 

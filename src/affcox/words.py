@@ -20,7 +20,8 @@ import re
 from typing import NamedTuple, Optional
 
 from .perms import (
-    AFFINE, InvariantError, check_rank, compose, identity, inverse, right_mul,
+    AFFINE, InvariantError, check_letter, check_rank, compose, identity, inverse,
+    right_mul,
 )
 
 
@@ -37,8 +38,7 @@ def word(n, letters):
     check_rank(n)
     letters = tuple(letters)
     for s in letters:
-        if not (s == AFFINE or 1 <= s <= n):
-            raise ValueError("letter %r invalid at rank %d" % (s, n))
+        check_letter(s, n)
     return Word(n, letters)
 
 

@@ -95,7 +95,7 @@ def test_table_is_the_papers_two_tables():
                     assert c._table(u, j, i, n) == paper_tables(u, j, i, n), (u, j, i, n)
 
 
-# the exchange rules _scan can reach, as (guard, rewrite) on h(r,u) a h(s,v) a
+# the exchange rules left_mul_block can reach, as (guard, rewrite) on h(r,u) a h(s,v) a
 EXCHANGE_RULES = {
     "E1": (lambda r, u, s, v: r > u + 1 and s >= r,
            lambda r, u, s, v, n: (((s + 1, u), (r, v)), 1)),
@@ -110,7 +110,7 @@ EXCHANGE_RULES = {
 
 def test_every_exchange_rule_fires(monkeypatch):
     """Over every (block, letter) with n <= 6 and m <= 4, exactly one of the
-    four guards holds on each junction the scan hands to _exchange, its
+    four guards holds on each junction left_mul_block hands to _exchange, its
     rewrite is what _exchange returns, and each rule fires."""
     fired = {name: 0 for name in EXCHANGE_RULES}
     orig = c._exchange

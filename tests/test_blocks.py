@@ -159,6 +159,14 @@ def test_guards(monkeypatch):
         m.setattr(bl, "MAX_ITEMS", 5)
         with pytest.raises(RuntimeError):
             bl.enumerate_blocks(2, 10)
+        # 3 entries at max core 0, but its bound of 8 is refused before any is built
+        built = []
+        m.setattr(c, "make_element", lambda *args: built.append(args))
+        with pytest.raises(RuntimeError, match="appendix listing may exceed 5 items"):
+            bl.appendix_blocks(2, 0)
+        assert built == []
+        with pytest.raises(RuntimeError, match="reference listing exceeded 5 items"):
+            bl.reference_blocks(2, 8)  # 24 blocks
     with pytest.raises(ValueError):
         bl.enumerate_blocks(2, -1)
     with pytest.raises(ValueError):

@@ -95,6 +95,12 @@ def test_make_element_rejects():
 def test_operation_input_errors():
     with pytest.raises(ValueError, match="letter 5 invalid at rank 2"):
         c.left_mul(5, c.identity_element(2))
+    # the engine checks the letter's range and type on entry, on any block
+    for s, pairs in ((7, ()), (7, ((3, 0),)), (1.5, ((3, 0),))):
+        with pytest.raises(ValueError, match="invalid at rank 2"):
+            c.left_mul_block(s, pairs, 2)
+    with pytest.raises(ValueError, match="letter 1.5 invalid at rank 2"):
+        c.left_mul(1.5, c.identity_element(2))
     with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
         c.mul(c.identity_element(2), c.identity_element(3))
 

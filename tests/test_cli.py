@@ -154,12 +154,20 @@ def test_appendix(capsys):
     assert code == 0
     # h(3,0) a, h(2,0) a, h(3,1) a, h(1,0) a, h(2,1) a; every m = 2 block has l >= 4
     assert out.splitlines() == ["5", "check (l <= 8): ok, 24 generated vs 24 enumerated"]
+    # a listing past the items guard is refused before anything is listed
+    code, out, err = run(capsys, "appendix", "-n", "3", "--max-core", "1000")
+    assert (code, out) == (4, "")
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_selfcheck(capsys, monkeypatch):
     code, out, _ = run(capsys, "selfcheck", "-n", "2", "--max-len", "6")
     assert code == 0
     assert [l.split(":")[1].strip() for l in out.splitlines()] == ["ok"] * 3
+    code, out, _ = run(capsys, "selfcheck", "-n", "2", "--max-len", "6", "--json")
+    assert code == 0
+    assert json.loads(out) == {"relations": [], "length formula": [],
+                               "brick identities": [], "max_len": 6}
     # a failed check prints its status line, the failure, then one error line
     monkeypatch.setattr(cli, "check_relations", lambda n: ["s1 s1 is not 1"])
     code, out, err = run(capsys, "selfcheck", "-n", "2", "--max-len", "4")
@@ -167,6 +175,11 @@ def test_selfcheck(capsys, monkeypatch):
     assert out.splitlines() == ["relations: FAILED", "length formula (l <= 4): ok",
                                 "brick identities: ok"]
     assert err == "s1 s1 is not 1\nerror: 1 self-check failure(s)\n"
+    # under --json the failures are in the one object, and the error line follows
+    code, out, err = run(capsys, "selfcheck", "-n", "2", "--max-len", "4", "--json")
+    assert code == 1 and err == "error: 1 self-check failure(s)\n"
+    assert json.loads(out) == {"relations": ["s1 s1 is not 1"], "length formula": [],
+                               "brick identities": [], "max_len": 4}
 
 
 def test_usage_errors(capsys):

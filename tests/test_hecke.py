@@ -199,6 +199,12 @@ def test_left_mul_gen_rejects_letter_on_empty_element():
             step(7, empty)
 
 
+def test_gen_basis_rejects_a_letter_that_is_not_an_int():
+    for s in (1.0, True, 3):
+        with pytest.raises(ValueError, match="invalid at rank 2"):
+            hk.gen_basis(s, 2)
+
+
 # --- the window step against the letter engine -----------------------------
 
 def oracle_left_mul_gen(s, h, inverse=False):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from affcox.perms import AFFINE, perm_length, to_permutation
+from affcox.perms import AFFINE, identity, perm_length, right_mul, to_permutation
 from affcox.words import (
     Word,
     format_word,
@@ -31,6 +31,11 @@ def test_parse_errors():
     for letters in ((1, 4), (-1,)):  # word() checks each letter's range too
         with pytest.raises(ValueError, match="invalid at rank 3"):
             word(3, letters)
+    for letters in ([1.0], [True], [1.0, True, 0]):  # and that it is an int
+        with pytest.raises(ValueError, match="invalid at rank 2"):
+            word(2, letters)
+    with pytest.raises(ValueError, match="letter 1.5 invalid at rank 2"):
+        right_mul(identity(2), 1.5)
 
 
 def test_format_and_roundtrip():
