@@ -35,13 +35,14 @@ stack.  A sigma enters the loop at the first pair.  The a case prepends
 (n+1,0) to the empty block or before an extremal prefix, drops a leading
 trivial prefix, or braids one sigma into the loop at the second pair.
 
-Words canonicalize by folding letters right-to-left through left_mul from
-the identity — valid for arbitrary (even non-reduced) input words, each
-step moving the length by exactly 1.  This letter fold is the paper's
-engine and stays the path of `canonicalize` and the left-multiplication
-trichotomy; the Hecke algebra steps on windows (hecke).
+The letter engine is the paper's left multiplication (`left_mul`, the
+left-multiplication trichotomy).  Folding a word's letters right-to-left
+through it from the identity also reaches the word's canonical form, each
+step moving the length by exactly 1, at O(m) per letter.  The tests keep
+that fold as their oracle of `canonicalize`, which decodes the word's
+window instead: the form is unique, so any exact route reaches it.
 
-The element operations go through windows (perms) instead.  `window(e)`
+The element operations go through windows (perms).  `window(e)`
 encodes e in O(m + #bricks) list moves, one pair or brick at a time, and
 `from_window` decodes any window.  With N = n+1 and u = sorted(window of
 w), the window of the block is u (the minimal coset representative is the
@@ -75,14 +76,10 @@ checked against the one after it with `_junction_ok` (O(m) in all,
 redundant for a correct peel), and a peel that does not end at the
 identity raises InvariantError instead of returning a wrong form.
 
-So mul(u, v) decodes the composed windows, inverse(u) the inverse
-window, right descents are one comparison each on the window
-(perms.descends), and left descents the same on the inverse window,
-L(w) = R(w^{-1}); none of them calls left_mul.  canonicalize could decode
-the window of its word too (about 12x the operations per second on
-perfbench's canon-long workload), but it stays the letter fold: perfbench
-stores every per-operation latency, so more operations per run read there
-as a larger peak RSS, past the benchmark's bound.
+So canonicalize(w) decodes the window of its word, mul(u, v) the
+composed windows, inverse(u) the inverse window, right descents are one
+comparison each on the window (perms.descends), and left descents the same
+on the inverse window, L(w) = R(w^{-1}); none of them calls left_mul.
 """
 
 from bisect import bisect_left
@@ -340,13 +337,10 @@ def left_mul(s, e):
 
 
 def canonicalize(w):
-    """Canonical form of an arbitrary word (reduced or not), folding its
-    letters right-to-left through left_mul from the identity: one left
-    multiplication per letter."""
-    e = identity_element(w.n)
-    for s in reversed(w.letters):
-        e = left_mul(s, e)
-    return e
+    """Canonical form of an arbitrary word (reduced or not): the word's
+    window (perms.to_permutation, which checks the rank and every letter),
+    decoded, in O(l n + n^2 + m n) for l letters and affine length m."""
+    return from_window(perms.to_permutation(w.letters, w.n))
 
 
 def window(e):

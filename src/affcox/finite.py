@@ -131,7 +131,7 @@ def finite_shapes(n):
 def finite_left_insert(bricks, k, n):
     """The bricks of sigma_k . x: the one brick entry on level q-1 moves
     (see the module docstring), in O(#bricks) with no refold."""
-    if not 1 <= k <= n:
+    if not (type(k) is int and 1 <= k <= n):
         raise ValueError("sigma index %r out of range at rank %d" % (k, n))
     # positions x^{-1}(k), x^{-1}(k+1): push both values through the
     # bricks' inverses in tuple order

@@ -14,6 +14,7 @@ from affcox import finite as fin
 from affcox import perms
 from affcox.blocks import enumerate_blocks
 from affcox.words import Word
+from oracles import letter_fold
 
 
 def coxeter_power(n, k):
@@ -26,6 +27,7 @@ def coxeter_power(n, k):
 def test_deep_block_canonicalizes():
     w = coxeter_power(2, 5000)
     e = c.canonicalize(w)
+    assert letter_fold(w) == e
     assert c.affine_length(e) == 5000
     assert c.length(e) == len(w.letters)
     assert perms.to_permutation(c.element_word(e).letters, 2) == \
@@ -141,7 +143,7 @@ def test_every_exchange_rule_fires(monkeypatch):
 @pytest.mark.parametrize("k", [20, 80])
 def test_left_mul_block_operation_counts(monkeypatch, k):
     """At most one table lookup and one exchange per pair, and no full-block
-    validation, in every left multiplication of a block."""
+    validation, in every left multiplication of a block of the letter fold."""
     counts = {"validate_block": 0, "_table": 0, "_exchange": 0}
     inside = []
 
@@ -172,7 +174,7 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
                           counts["_exchange"] - before["_exchange"]))
 
     monkeypatch.setattr(c, "left_mul_block", block_wrapper)
-    e = c.canonicalize(coxeter_power(3, k))
+    e = letter_fold(coxeter_power(3, k))
     assert c.affine_length(e) == k
     assert calls
     for m, tables, exchanges in calls:
@@ -180,8 +182,8 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
 
 
 def test_one_block_call_per_letter(monkeypatch):
-    """Every letter takes one path: left_mul calls left_mul_block once,
-    whether or not the element has pairs."""
+    """Every letter of the letter fold takes one path: left_mul calls
+    left_mul_block once, whether or not the element has pairs."""
     calls = []
     for name in ("left_mul", "left_mul_block"):
         orig = getattr(c, name)
@@ -192,7 +194,7 @@ def test_one_block_call_per_letter(monkeypatch):
         for w in [Word(n, (1, 2, 1)), Word(n, (perms.AFFINE, 1, perms.AFFINE))] + [
                 Word(n, tuple(rng.randrange(n + 1) for _ in range(40))) for _ in range(10)]:
             calls.clear()
-            c.canonicalize(w)
+            letter_fold(w)
             assert calls.count("left_mul") == len(w.letters)
             assert calls.count("left_mul_block") == len(w.letters)
 
@@ -201,14 +203,16 @@ def test_element_operation_counts(monkeypatch):
     """mul, inverse and both descent sets go through windows: no left
     multiplication, table lookup or finite left insertion, on 200 pairs at
     n = 6 drawn from 50 random reduced elements with l <= 300; and
-    canonicalize(w) stays the letter fold, len(w) left multiplications."""
+    canonicalize(w) is one decode of its word's window, with no letter
+    engine call at all."""
     n = 6
     rng = random.Random(606)
     words = [Word(n, perms.random_reduced_word(n, rng.randint(0, 300), rng))
              for _ in range(50)]
     pool = [c.canonicalize(w) for w in words]
     calls = []
-    for mod, name in ((c, "left_mul"), (c, "_table"), (fin, "finite_left_insert")):
+    for mod, name in ((c, "left_mul"), (c, "left_mul_block"), (c, "_table"),
+                      (fin, "finite_left_insert"), (c, "from_window")):
         orig = getattr(mod, name)
         monkeypatch.setattr(mod, name,
                             lambda *args, name=name, orig=orig: calls.append(name) or orig(*args))
@@ -218,11 +222,11 @@ def test_element_operation_counts(monkeypatch):
         c.inverse(u)
         c.left_descents(u)
         c.right_descents(v)
-    assert calls == []
+    assert set(calls) == {"from_window"}
     for w in words:
         calls.clear()
         c.canonicalize(w)
-        assert calls.count("left_mul") == len(w.letters)
+        assert calls == ["from_window"], calls
 
 
 # --- invariants that survive python -O --------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -47,6 +48,7 @@ def test_canonicalize_frozen_examples():
     assert c.length(e2) == 7 and c.affine_length(e2) == 2
 
     assert c.canonicalize(Word(2, (1, 1))) == c.identity_element(2)
+    assert c.canonicalize(Word(2, ())) == c.identity_element(2)
 
 
 def test_left_mul_single_pair_examples():
@@ -134,6 +136,37 @@ def test_random_words_canonicalize(n):
         win = perms.to_permutation(letters, n)
         assert perms.to_permutation(c.element_word(e).letters, n) == win
         assert c.length(e) == perms.perm_length(win)
+
+
+# --- canonicalize's input: the window of its word ---------------------------
+
+@pytest.mark.parametrize("w,want", [
+    (Word(2, (1.5,)), "letter 1.5 invalid at rank 2"),
+    (Word(2, (True,)), "letter True invalid at rank 2"),
+    (Word(2, (7,)), "letter 7 invalid at rank 2"),
+    (Word(1, ()), "rank must be an integer >= 2, got 1"),
+])
+def test_canonicalize_rejects_bad_input(w, want):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+        c.canonicalize(w)
+
+
+def long_words():
+    """A 3,000-letter reduced word at n = 30 (m = 73), c^2000 at n = 3 and a
+    3,000-letter cancelling word at n = 30."""
+    rng = random.Random(1)
+    yield Word(30, perms.random_reduced_word(30, 3000, rng))
+    yield Word(3, (1, 2, 3, perms.AFFINE) * 2000)
+    yield Word(30, tuple(rng.randrange(31) for _ in range(3000)))
+
+
+@pytest.mark.parametrize("w", long_words(), ids=["reduced-n30", "ck-n3", "cancelling-n30"])
+def test_canonicalize_long_words_by_letter_expansion(w):
+    e = c.canonicalize(w)
+    win = perms.to_permutation(w.letters, w.n)
+    assert perms.to_permutation(c.element_word(e).letters, w.n) == win
+    assert c.length(e) == perms.perm_length(win)
+    assert c.affine_length(e) == perms.affine_length(win)
 
 
 # --- the left-multiplication trichotomy on blocks ---------------------------

@@ -201,6 +201,8 @@ def test_usage_errors(capsys):
 def test_domain_errors(capsys):
     code, _, err = run(capsys, "canon", "-n", "2", "s5")
     assert code == 1 and "s5" in err
+    assert run(capsys, "canon", "-n", "3", "s1 s9") == (
+        1, "", "error: index out of range: s9 at rank 3\n")
     code, _, err = run(capsys, "canon", "-n", "2", "h(9,9) a |")
     assert code == 1
     code, out, err = run(capsys, "appendix", "-n", "2", "--max-core", "-1")

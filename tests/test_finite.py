@@ -92,6 +92,12 @@ def test_insert_matches_oracle_everywhere(n):
             )
 
 
+@pytest.mark.parametrize("k", [1.5, True])
+def test_left_insert_rejects_non_int_index(k):
+    with pytest.raises(ValueError, match=r"sigma index %r out of range at rank 3" % k):
+        finite_left_insert((), k, 3)
+
+
 def test_mul_and_inverse():
     # W(A_n) products and inverses are canonical's, on elements with no pairs
     rng = random.Random(31)

