@@ -1,10 +1,13 @@
 """
 Enumeration of affine blocks — the minimal-length representatives of the
 right cosets W(~A_n)/W(A_n), indexed by families (j_s, i_s)_{1..m} under
-the pairwise inequalities.  Depth-first extension on an explicit stack
-(no recursion limit) with the inequalities as pruning predicates.  The
-number of blocks of length l is the coefficient of t^l in Bott's series
-prod_{k=1..n} 1/(1 - t^k).  With N = n+1, the number of affine length m >= 1 is
+the pairwise inequalities.  One depth-first walk on an explicit stack
+(no recursion limit), pruned by the inequalities and by a length bound,
+lists them with exactly m pairs (`enumerate_blocks`), with length <=
+max_len (`reference_blocks`), or both (`enumerate_blocks` with max_len).
+The number of blocks of length l is the coefficient of t^l in Bott's
+series prod_{k=1..n} 1/(1 - t^k).  With N = n+1, the number of affine
+length m >= 1 is
 
     sum_{p,q >= 1, p+q <= N} N!/(p! q! (N-p-q)!) . C(m-1, p-1) . C(m-1, q-1):
 
@@ -61,44 +64,52 @@ def _extensions(prefix, n):
                 yield (j, i)
 
 
-def enumerate_blocks(n, m):
-    check_rank(n)
-    if m < 0:
-        raise ValueError("affine length must be >= 0")
+def _check_bound(what, v):
+    """The walk's bounds are ints (not bools) >= 0, checked before it starts:
+    a depth no prefix can match would let it grow without end."""
+    if not (type(v) is int and v >= 0):
+        raise ValueError("%s must be an int >= 0, got %r" % (what, v))
+
+
+def _walk(n, m, max_len):
+    """The blocks with exactly m pairs (at least one when m is None) and
+    length <= max_len (any length when None), lexicographic on their pair
+    sequences: one depth-first walk over `_extensions` on an explicit
+    stack, smallest pair on top.  A pair adds canonical.pair_length >= 1
+    letters, so a prefix past max_len has no extension that comes back."""
     items = []
-    stack = [()]  # depth first, smallest pair on top: lexicographic output
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) < m:
-            stack.extend(prefix + (p,) for p in reversed(list(_extensions(prefix, n))))
-            continue
-        items.append(prefix)
-        if len(items) > MAX_ITEMS:
-            raise RuntimeError("block enumeration exceeded %d items at rank %d, m=%d"
-                               % (MAX_ITEMS, n, m))
-    return BlockFamily(n, m, tuple(items))
-
-
-def reference_blocks(n, max_len):
-    """Every valid block with positive affine length and length <= max_len,
-    as sorted canonical elements: one depth-first walk over `_extensions`
-    that drops a prefix once it is longer than max_len (a pair (j, i) adds
-    n + 2 - j + i >= 1 letters, so no extension of it comes back)."""
-    check_rank(n)
-    out = []
     stack = [((), 0)]
     while stack:
         prefix, length = stack.pop()
-        if prefix:
-            out.append(c.Element(n, prefix, ()))
-            if len(out) > MAX_ITEMS:
-                raise RuntimeError("reference listing exceeded %d items at rank %d, "
-                                   "l <= %d" % (MAX_ITEMS, n, max_len))
-        for j, i in _extensions(prefix, n):
-            grown = length + n + 2 - j + i
-            if grown <= max_len:
-                stack.append((prefix + ((j, i),), grown))
-    return sorted(out, key=c.sort_key)
+        if len(prefix) == m or (m is None and prefix):
+            items.append(prefix)
+            if len(items) > MAX_ITEMS:
+                raise RuntimeError("block listing exceeded %d items at rank %d, "
+                                   "m=%r, max_len=%r" % (MAX_ITEMS, n, m, max_len))
+        if len(prefix) == m:
+            continue
+        for p in reversed(list(_extensions(prefix, n))):
+            grown = length + c.pair_length(p, n)
+            if max_len is None or grown <= max_len:
+                stack.append((prefix + (p,), grown))
+    return items
+
+
+def enumerate_blocks(n, m, *, max_len=None):
+    """The blocks with exactly m pairs, and length <= max_len if given."""
+    check_rank(n)
+    _check_bound("affine length", m)
+    if max_len is not None:
+        _check_bound("max length", max_len)
+    return BlockFamily(n, m, tuple(_walk(n, m, max_len)))
+
+
+def reference_blocks(n, max_len):
+    """Every block with positive affine length and length <= max_len, as
+    sorted canonical elements."""
+    check_rank(n)
+    _check_bound("max length", max_len)
+    return sorted((c.Element(n, p, ()) for p in _walk(n, None, max_len)), key=c.sort_key)
 
 
 # --- the appendix listings -------------------------------------------------
@@ -177,9 +188,9 @@ def appendix_blocks(n, max_core=2):
 def appendix_threshold(n, max_core):
     """Largest length where the capped listing is complete: a block it
     misses repeats a capped core (any but the first of a has_eps family)
-    max_core + 1 times, and a pair (j, i) costs n + 2 - j + i letters."""
+    max_core + 1 times, and a pair costs canonical.pair_length letters."""
     _check_appendix_args(n, max_core)
-    cheapest = min(n + 2 - j + i
+    cheapest = min(c.pair_length(p, n)
                    for cores, has_eps, *_ in _FAMILIES[n]
-                   for j, i in cores[1 if has_eps else 0:])
+                   for p in cores[1 if has_eps else 0:])
     return (max_core + 1) * cheapest - 1

@@ -177,10 +177,15 @@ def element_word(e):
                 + fin.finite_word(e.bricks, e.n).letters)
 
 
+def pair_length(pair, n):
+    """Letters of h(j,i) a: n + 1 - j in |j,n|, i in ceil(i,1), and the a;
+    at least 1, since j <= n + 1 and i >= 0."""
+    j, i = pair
+    return n + 2 - j + i
+
+
 def length(e):
-    n = e.n
-    return (fin.finite_length(e.bricks) + len(e.pairs)
-            + sum(n + 1 - j + i for j, i in e.pairs))
+    return fin.finite_length(e.bricks) + sum(pair_length(p, e.n) for p in e.pairs)
 
 
 def affine_length(e):
@@ -447,8 +452,12 @@ def deficiency_m1(first, second, n):
     non-identity prefix h(j,i): None when the word is reduced (so in
     particular whenever h(j,i) is extremal); otherwise the matching
     deficient case "1".."4" with the 0-based hat-partner position of the
-    final a — always a letter inside h(j1,i1).
+    final a — always a letter inside h(j1,i1).  A ValueError unless first
+    is a valid first pair and second an h-prefix other than the identity.
     """
+    if not _junction_ok(None, first, n):
+        raise ValueError("invalid first pair %r at rank %d" % (first, n))
+    fin.check_hprefix(second, n)
     j1, i1 = first
     j, i = second
     if (j, i) == (n + 1, 0):
@@ -480,10 +489,14 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     3 <= r <= n, outside the tabulated guards — also puts a in R(w).
     Its guards do not close into a two-parameter table, so it is decided
     directly on the word and reported as case "x4", hat partner extracted
-    the same way (it always lands inside h(j_1,i_1)).
+    the same way (it always lands inside h(j_1,i_1)).  A ValueError unless
+    pairs is a block and x_prefix an h-prefix.
     """
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
+    if not validate_block(pairs, n):
+        raise ValueError("pairwise inequalities violated: %r" % (pairs,))
+    fin.check_hprefix(x_prefix, n)
     (j1, i1), (j2, i2) = pairs
     r, i = x_prefix
     h1_len = n - j1 + 1 + i1

@@ -100,10 +100,7 @@ def _hecke_mul(args, u, v):
 
 def _blocks(args):
     # enumerator output is valid by construction: wrap it, do not re-validate
-    items = bl.enumerate_blocks(args.rank, args.m).items
-    if args.max_len is not None:
-        items = [p for p in items
-                 if c.length(c.Element(args.rank, p, ())) <= args.max_len]
+    items = bl.enumerate_blocks(args.rank, args.m, max_len=args.max_len).items
     if args.count_only:
         return {"count": len(items)}, str(len(items))
     elems = sorted((c.Element(args.rank, p, ()) for p in items), key=c.sort_key)
@@ -166,18 +163,23 @@ def _selfcheck(args):
 
 # --- the command table ------------------------------------------------------
 
-def _rank(text):
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("rank must be an integer")
-    if v < 2:
-        raise argparse.ArgumentTypeError("rank must be at least 2")
-    return v
+def _int_at_least(what, low):
+    """An argparse type: an integer >= low, else a usage error."""
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%s must be an integer" % what)
+        if v < low:
+            raise argparse.ArgumentTypeError("%s must be at least %d" % (what, low))
+        return v
+    return parse
 
 
+_rank = _int_at_least("rank", 2)
+_max_len = _int_at_least("max length", 0)
 _RANK = (("-n", "--rank"), dict(type=_rank, required=True))
-_MAX_LEN = (("--max-len",), dict(type=int, default=None))
+_MAX_LEN = (("--max-len",), dict(type=_max_len, default=None))
 _COUNT_ONLY = (("--count-only",), dict(action="store_true"))
 _FROM = (("--from",), dict(dest="rank", metavar="SOURCE", type=_rank, required=True,
                            help="rank of the input element (output rank is +1)"))
@@ -210,7 +212,7 @@ COMMANDS = (
             ((("-n", "--rank"), dict(type=int, choices=(2, 3), required=True)),
              (("--max-core",), dict(type=int, default=2)), _MAX_LEN, _COUNT_ONLY)),
     Command("selfcheck", "run the oracle validation suite", (), _selfcheck,
-            (_RANK, (("--max-len",), dict(type=int, default=8)))),
+            (_RANK, (("--max-len",), dict(type=_max_len, default=8)))),
 )
 
 

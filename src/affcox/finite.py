@@ -220,7 +220,10 @@ def peel_h(bricks, n):
 
     Since p fixes 1 and n+1, the outer values determine the prefix:
     r = x(n+1), and x(1) is i+1 or i+2 according to i+1 < r or not.
+    A ValueError unless bricks is a canonical shape.
     """
+    if not validate_finite(bricks, n):
+        raise ValueError("invalid finite canonical form: %r" % (bricks,))
     win = finite_window(bricks, n)
     r = win[n]  # x(n+1)
     v = win[0]  # x(1)

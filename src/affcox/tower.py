@@ -21,9 +21,9 @@ windows w(k) = r + n q goes to r + (n+1) q and n+1 is appended: the sum
 of w(k) - k stays 0 (the q sum to 0, as the r run over 1..n), each
 translation coordinate lambda_k = floor((w(k) - 1) / n) = q is kept and
 the new entry has lambda = 0, so the affine length sum_k max(0, lambda_k)
-is preserved.  The length grows by 2L: each pair's n+1 - j + i gains 1,
-the i_k with k > s gain m - s, and |t, n| adds s.  The preimage undoes
-the formula with the same split index.
+is preserved.  The length grows by 2L: each pair's canonical.pair_length
+gains 1, the i_k with k > s gain m - s, and |t, n| adds s.  The preimage
+undoes the formula with the same split index.
 """
 
 from typing import Optional

@@ -81,6 +81,15 @@ def test_reference_blocks_equal_level_filter(n, max_len):
     assert bl.reference_blocks(n, max_len) == level_filter_blocks(n, max_len)
 
 
+@pytest.mark.parametrize("n,m,max_len", [(2, 5, 12), (2, 5, 16), (2, 3, 0), (3, 4, 14),
+                                         (4, 3, 9), (6, 3, 10), (8, 2, 10)])
+def test_length_bound_equals_level_filter(n, m, max_len):
+    fam = bl.enumerate_blocks(n, m, max_len=max_len)
+    assert fam.rank == n and fam.affine_length == m
+    assert fam.items == tuple(p for p in bl.enumerate_blocks(n, m).items
+                              if c.length(c.Element(n, p, ())) <= max_len)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_m1_count_formula(n):
     fam = bl.enumerate_blocks(n, 1)
@@ -157,7 +166,8 @@ def test_coset_rep_is_unique_minimum():
 def test_guards(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(bl, "MAX_ITEMS", 5)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="block listing exceeded 5 items at rank 2, "
+                                               "m=10, max_len=None"):
             bl.enumerate_blocks(2, 10)
         # 3 entries at max core 0, but its bound of 8 is refused before any is built
         built = []
@@ -165,10 +175,21 @@ def test_guards(monkeypatch):
         with pytest.raises(RuntimeError, match="appendix listing may exceed 5 items"):
             bl.appendix_blocks(2, 0)
         assert built == []
-        with pytest.raises(RuntimeError, match="reference listing exceeded 5 items"):
+        with pytest.raises(RuntimeError, match="block listing exceeded 5 items at rank 2, "
+                                               "m=None, max_len=8"):
             bl.reference_blocks(2, 8)  # 24 blocks
-    with pytest.raises(ValueError):
-        bl.enumerate_blocks(2, -1)
+        # the bounds are ints >= 0, checked before the walk starts: a float
+        # depth would never match, and the walk would grow without end
+        walked = []
+        m.setattr(bl, "_extensions", lambda *args: walked.append(args) or iter(()))
+        for m_, max_len in ((-1, None), (1.5, None), (True, None), (None, None),
+                            (2, -1), (2, 1.5), (2, True)):
+            with pytest.raises(ValueError):
+                bl.enumerate_blocks(2, m_, max_len=max_len)
+        for max_len in (-1, 1.5, True, None):
+            with pytest.raises(ValueError):
+                bl.reference_blocks(2, max_len)
+        assert walked == []
     with pytest.raises(ValueError):
         bl.enumerate_blocks(1, 0)
     for n, max_core in ((2, -1), (3, -1), (4, 2), (1, 0)):

@@ -334,6 +334,10 @@ def test_deficiency_m1_examples():
     assert case == c.DescentCase("4", 0)  # the leftmost sigma_1
     with pytest.raises(ValueError):
         c.deficiency_m1((4, 0), HPrefix(4, 0), 3)
+    # a prefix or a first pair that does not exist at the rank
+    for first, second in (((3, 0), (0, 5)), ((3, 0), (4, 0)), ((0, 1), (2, 0))):
+        with pytest.raises(ValueError):
+            c.deficiency_m1(first, second, 2)
 
 
 # --- affine-length-2 case list ----------------------------------------------
@@ -390,6 +394,10 @@ def test_affine_descent_cases_m2_examples():
     assert case is not None and case.case == "0"
     with pytest.raises(ValueError):
         c.affine_descent_cases_m2(((3, 0),), HPrefix(3, 0), 2)
+    # a prefix that does not exist at rank 2, and two pairs that are no block
+    for pairs, h in ((((3, 0), (2, 1)), (9, 9)), (((1, 1), (3, 0)), (3, 0))):
+        with pytest.raises(ValueError):
+            c.affine_descent_cases_m2(pairs, h, 2)
 
 
 def test_affine_descent_cases_m2_one_reflection_pass(monkeypatch):

@@ -102,6 +102,17 @@ def test_blocks(capsys):
                "--json") == (0, "[]\n", "")
 
 
+@pytest.mark.parametrize("n,m,max_len", [(8, 8, 10), (6, 9, 12)])
+def test_blocks_max_len_prunes_the_walk(capsys, monkeypatch, n, m, max_len):
+    """--max-len bounds the walk: no whole level is built and then filtered."""
+    calls = []
+    orig = bl._extensions
+    monkeypatch.setattr(bl, "_extensions", lambda *a: calls.append(a) or orig(*a))
+    argv = ("blocks", "-n", str(n), "-m", str(m), "--max-len", str(max_len), "--count-only")
+    assert run(capsys, *argv) == (0, "0\n", "")
+    assert 0 < len(calls) <= 1000
+
+
 def test_embed_member_preimage(capsys):
     code, out, _ = run(capsys, "embed", "--from", "2", "a")
     assert code == 0
@@ -191,6 +202,10 @@ def test_usage_errors(capsys):
         ["embed", "a"],               # missing --from
         ["embed", "-n", "3", "a"],    # embed takes its rank as --from only
         ["appendix", "-n", "4"],      # appendix exists for ranks 2, 3
+        ["blocks", "-n", "2", "-m", "1", "--max-len", "-1"],  # negative bound
+        ["blocks", "-n", "2", "-m", "1", "--max-len", "x"],
+        ["appendix", "-n", "2", "--max-len", "-3", "--count-only"],
+        ["selfcheck", "-n", "2", "--max-len", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -242,7 +257,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         (bl, "enumerate_blocks", ["blocks", "-n", "2", "-m", "1"]),
         (bl, "appendix_blocks", ["appendix", "-n", "2"]),
     ):
-        def broken(*args, _name=name):
+        def broken(*args, _name=name, **kwargs):
             raise c.InvariantError("%s broke" % _name)
         with monkeypatch.context() as m:
             m.setattr(module, name, broken)

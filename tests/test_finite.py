@@ -157,6 +157,10 @@ def test_peel_h_examples():
     assert peel_h((), n)[0] == HPrefix(4, 0)
     h, p = peel_h(canon((3, 1), n), n)
     assert h == HPrefix(3, 1) and p == ()
+    # bricks that are not a canonical shape are bad input, not an engine bug
+    for bricks in (((1, 5),), ((1, 1), (2, 2))):
+        with pytest.raises(ValueError, match="invalid finite canonical form"):
+            peel_h(bricks, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
