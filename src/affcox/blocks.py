@@ -26,15 +26,11 @@ over a fixed tuple of cores c_t (pairs (j, i)), where the left factors
 alpha come in tiers: the first tier always, and one more tier for each
 leading zero exponent (None stands for the trivial factor).  The first
 core of a family flagged has_eps has exponent range {0, 1}; guards cut
-exponent vectors a family does not own.  The families are infinite, so
-`appendix_blocks` caps the other exponents at max_core; below
-`appendix_threshold` the capped listing is provably complete, and there
-it must equal `reference_blocks`, the enumerator's output.  The rank-3
-families are pairwise disjoint; the rank-2 listing needs two
-parametrizations (neither alone reaches every block — the first has no
-h(1,0) core, the second no h(2,1) core) which overlap on their common
-h(1,1)-only entries, so the second is flagged overlap_ok and duplicates
-are dropped instead of rejected.
+exponent vectors a family does not own, so the families are pairwise
+disjoint at both ranks.  The families are infinite, so `appendix_blocks`
+caps the other exponents at max_core; below `appendix_threshold` the
+capped listing is provably complete, and there `appendix` checks that it
+equals `reference_blocks`, the enumerator's output.
 """
 
 import itertools
@@ -65,8 +61,8 @@ def _extensions(prefix, n):
 
 
 def _check_bound(what, v):
-    """The walk's bounds are ints (not bools) >= 0, checked before it starts:
-    a depth no prefix can match would let it grow without end."""
+    """Every bound here is an int, not a bool, >= 0, checked before any listing
+    starts: a depth no prefix can match would let the walk grow without end."""
     if not (type(v) is int and v >= 0):
         raise ValueError("%s must be an int >= 0, got %r" % (what, v))
 
@@ -114,22 +110,21 @@ def reference_blocks(n, max_len):
 
 # --- the appendix listings -------------------------------------------------
 
-# (cores, has_eps, guard, tiers, overlap_ok)
+# (cores, has_eps, guard, tiers)
 _FAMILIES = {
     2: (
-        (((2, 1), (1, 1)), False, None, ((None, (3, 0), (3, 1)), ((2, 0),)), False),
-        (((1, 0), (1, 1)), False,
-         lambda ex: sum(ex) > 0, ((None, (3, 0), (2, 0)), ((3, 1),)), True),
+        (((2, 1), (1, 1)), False, None, ((None, (3, 0), (3, 1)), ((2, 0),))),
+        (((1, 0), (1, 1)), False, lambda ex: ex[0] > 0, ((None, (3, 0), (2, 0)),)),
     ),
     3: (
         (((3, 1), (2, 1), (1, 1), (1, 2)), True, None,
-         ((None, (4, 0)), ((4, 1), (3, 0)), ((2, 0),), ((4, 2),)), False),
+         ((None, (4, 0)), ((4, 1), (3, 0)), ((2, 0),), ((4, 2),))),
         (((3, 1), (2, 1), (2, 2), (1, 2)), True, lambda ex: ex[2] > 0,
-         ((None, (4, 0)), ((4, 1), (3, 0)), ((4, 2),)), False),
+         ((None, (4, 0)), ((4, 1), (3, 0)), ((4, 2),))),
         (((1, 0), (1, 1), (1, 2)), False, lambda ex: ex[0] > 0,
-         ((None, (4, 0), (3, 0), (2, 0)),), False),
+         ((None, (4, 0), (3, 0), (2, 0)),)),
         (((3, 2), (2, 2), (1, 2)), False, lambda ex: ex[0] > 0,
-         ((None, (4, 0), (4, 1), (4, 2)),), False),
+         ((None, (4, 0), (4, 1), (4, 2)),)),
     ),
 }
 
@@ -143,8 +138,7 @@ def _left_factors(tiers, ex):
 def _check_appendix_args(n, max_core):
     if n not in _FAMILIES:
         raise ValueError("appendix listings exist for ranks 2 and 3 only")
-    if max_core < 0:
-        raise ValueError("max core exponent must be >= 0, got %d" % max_core)
+    _check_bound("max core exponent", max_core)
 
 
 def appendix_blocks(n, max_core=2):
@@ -156,12 +150,12 @@ def appendix_blocks(n, max_core=2):
     _check_appendix_args(n, max_core)
     # has_eps gives the first core 2 exponents, every other core max_core + 1
     bound = sum(2 ** has_eps * (max_core + 1) ** (len(cores) - has_eps)
-                * sum(map(len, tiers)) for cores, has_eps, _, tiers, _ in _FAMILIES[n])
+                * sum(map(len, tiers)) for cores, has_eps, _, tiers in _FAMILIES[n])
     if bound > MAX_ITEMS:
         raise RuntimeError("appendix listing may exceed %d items at rank %d, max core %d"
                            % (MAX_ITEMS, n, max_core))
     seen = set()
-    for cores, has_eps, guard, tiers, overlap_ok in _FAMILIES[n]:
+    for cores, has_eps, guard, tiers in _FAMILIES[n]:
         ranges = [
             range((1 if has_eps and t == 0 else max_core) + 1)
             for t in range(len(cores))
@@ -178,9 +172,7 @@ def appendix_blocks(n, max_core=2):
                 pairs = (() if alpha is None else (alpha,)) + core_pairs
                 elem = c.make_element(n, pairs, ())
                 if elem in seen:
-                    if not overlap_ok:
-                        raise InvariantError("listing families overlap at %r" % (pairs,))
-                    continue
+                    raise InvariantError("listing families overlap at %r" % (pairs,))
                 seen.add(elem)
     return sorted(seen, key=c.sort_key)
 
@@ -194,3 +186,20 @@ def appendix_threshold(n, max_core):
                    for cores, has_eps, *_ in _FAMILIES[n]
                    for p in cores[1 if has_eps else 0:])
     return (max_core + 1) * cheapest - 1
+
+
+def appendix(n, max_core, max_len=None):
+    """(listing, threshold, generated, enumerated): `appendix_blocks` cut to
+    length <= max_len, and its check against `reference_blocks` up to the
+    threshold.  A disagreement is a bug in this module: InvariantError."""
+    if max_len is not None:
+        _check_bound("max length", max_len)
+    listing = appendix_blocks(n, max_core)
+    thr = appendix_threshold(n, max_core)
+    gen = [e for e in listing if c.length(e) <= thr]
+    ref = reference_blocks(n, thr)
+    if gen != ref:
+        raise InvariantError("capped listing disagrees with enumeration below l=%d" % thr)
+    if max_len is not None:
+        listing = [e for e in listing if c.length(e) <= max_len]
+    return listing, thr, len(gen), len(ref)

@@ -169,7 +169,7 @@ def test_guards(monkeypatch):
         with pytest.raises(RuntimeError, match="block listing exceeded 5 items at rank 2, "
                                                "m=10, max_len=None"):
             bl.enumerate_blocks(2, 10)
-        # 3 entries at max core 0, but its bound of 8 is refused before any is built
+        # 3 entries at max core 0, but its bound of 7 is refused before any is built
         built = []
         m.setattr(c, "make_element", lambda *args: built.append(args))
         with pytest.raises(RuntimeError, match="appendix listing may exceed 5 items"):
@@ -192,10 +192,32 @@ def test_guards(monkeypatch):
         assert walked == []
     with pytest.raises(ValueError):
         bl.enumerate_blocks(1, 0)
-    for n, max_core in ((2, -1), (3, -1), (4, 2), (1, 0)):
+    # max_core takes the walk's bound rule: an int, not a bool, >= 0
+    for n, max_core in ((2, -1), (3, -1), (2, 1.5), (3, 1.5), (2, True), (4, 2), (1, 0)):
         for fn in (bl.appendix_blocks, bl.appendix_threshold):
             with pytest.raises(ValueError):
                 fn(n, max_core)
+    with pytest.raises(ValueError, match=r"^max core exponent must be an int >= 0, got -1$"):
+        bl.appendix_blocks(2, -1)
+    for max_len in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="max length"):
+            bl.appendix(2, 2, max_len)
+
+
+def test_appendix_families_are_disjoint(monkeypatch):
+    """A block that two families list is a bug in the data, never dropped."""
+    monkeypatch.setattr(bl, "_FAMILIES", {**bl._FAMILIES, 2: bl._FAMILIES[2] * 2})
+    with pytest.raises(perms.InvariantError, match="listing families overlap"):
+        bl.appendix_blocks(2, 1)
+
+
+def test_appendix_cuts_and_checks():
+    listing, thr, gen, ref = bl.appendix(2, 2, 3)
+    # every m = 2 block has l >= 4; the check runs on the whole capped listing
+    assert [c.format_element(e) for e in listing] == [
+        "h(3,0) a |", "h(2,0) a |", "h(3,1) a |", "h(1,0) a |", "h(2,1) a |"]
+    assert (thr, gen, ref) == (8, 24, 24)
+    assert bl.appendix(3, 1) == (bl.appendix_blocks(3, 1), 7, 30, 30)
 
 
 def test_deep_blocks_need_no_recursion():

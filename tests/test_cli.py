@@ -206,6 +206,8 @@ def test_usage_errors(capsys):
         ["blocks", "-n", "2", "-m", "1", "--max-len", "x"],
         ["appendix", "-n", "2", "--max-len", "-3", "--count-only"],
         ["selfcheck", "-n", "2", "--max-len", "-1"],
+        ["blocks", "-n", "2", "-m", "-1"],  # counts are integers >= 0, as --max-len
+        ["appendix", "-n", "2", "--max-core", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -220,9 +222,6 @@ def test_domain_errors(capsys):
         1, "", "error: index out of range: s9 at rank 3\n")
     code, _, err = run(capsys, "canon", "-n", "2", "h(9,9) a |")
     assert code == 1
-    code, out, err = run(capsys, "appendix", "-n", "2", "--max-core", "-1")
-    assert (code, out) == (1, "")
-    assert err == "error: max core exponent must be >= 0, got -1\n"
     # JSON input: a misspelled key, or lengths that are not the element's
     for text, msg in (
         ('{"pair": [[3,0]]}', "error: unknown key(s) in element JSON: 'pair'\n"),
@@ -292,6 +291,17 @@ def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):
     assert code == 0 and out and calls == []
 
 
+def test_appendix_mismatch_is_internal_error(capsys, monkeypatch):
+    """The families and the enumerator are library data and code: an
+    enumerator that disagrees with the listing is a bug, and nothing prints."""
+    orig = bl.reference_blocks
+    monkeypatch.setattr(bl, "reference_blocks", lambda n, max_len: orig(n, max_len)[1:])
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "appendix", "-n", "2", *extra)
+        assert (code, out) == (3, ""), extra
+        assert err.startswith("internal error: ") and err.count("\n") == 1, err
+
+
 def test_appendix_lists_once(capsys, monkeypatch):
     calls = []
     orig = bl.appendix_blocks
@@ -333,8 +343,9 @@ def test_appendix_blocks_are_valid_and_sorted():
 
 
 def test_appendix_counts_frozen():
-    assert len(bl.appendix_blocks(2, 2)) == 47
-    assert len(bl.appendix_blocks(3, 2)) == 431
+    # beyond the threshold the enumerator check does not reach: pin the sizes
+    for n, sizes in ((2, (3, 19, 47, 87, 139, 203)), (3, (7, 111, 431, 1087, 2199, 3887))):
+        assert [len(bl.appendix_blocks(n, cap)) for cap in range(6)] == list(sizes), n
 
 
 def test_finite_shapes():
