@@ -136,7 +136,7 @@ def _left_factors(tiers, ex):
 
 
 def _check_appendix_args(n, max_core):
-    if n not in _FAMILIES:
+    if type(n) is not int or n not in _FAMILIES:
         raise ValueError("appendix listings exist for ranks 2 and 3 only")
     _check_bound("max core exponent", max_core)
 

@@ -115,20 +115,10 @@ def identity_element(n):
     return Element(n, (), ())
 
 
-def _int_pairs(field, seq):
-    """`seq` as a tuple of integer pairs; a ValueError naming `field` if it
-    is not a list of them."""
-    if isinstance(seq, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2
-            and all(type(v) is int for v in p) for p in seq):
-        return tuple((a, b) for a, b in seq)
-    raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
-
-
 def make_element(n, pairs, bricks):
     check_rank(n)
-    pairs = _int_pairs("pairs", pairs)
-    bricks = _int_pairs("bricks", bricks)
+    pairs = fin.int_pairs("pairs", pairs)
+    bricks = fin.int_pairs("bricks", bricks)
     if not validate_block(pairs, n):
         raise ValueError("pairwise inequalities violated: %r" % (pairs,))
     if not fin.validate_finite(bricks, n):
@@ -138,13 +128,13 @@ def make_element(n, pairs, bricks):
 
 def _junction_ok(prev, pair, n):
     """
-    The pairwise inequalities for `pair` following `prev` in a block, or
-    for `pair` as the first pair when prev is None: (1) for a first pair,
-    (2)-(5) otherwise.
+    The pairwise inequalities, on int entries, for `pair` following `prev`
+    in a block, or for `pair` as the first pair when prev is None: (1)
+    (finite.hprefix_ok, the h-prefix range) for a first pair, (2)-(5) otherwise.
     """
-    j, i = pair
     if prev is None:
-        return 1 <= j <= n + 1 and 0 <= i <= n - 1
+        return fin.hprefix_ok(pair, n)
+    j, i = pair
     jp, ip = prev
     return (
         ((i == 0 and j == 1) or (1 <= i <= n - 1 and 1 <= j <= n))
@@ -155,7 +145,7 @@ def _junction_ok(prev, pair, n):
 
 
 def validate_block(pairs, n):
-    """The five pairwise inequalities, over the whole block."""
+    """The five pairwise inequalities, over the whole block of int pairs."""
     prev = None
     for pair in pairs:
         if not _junction_ok(prev, pair, n):
@@ -380,7 +370,7 @@ def from_window(win):
     """
     nn = len(win)
     n = nn - 1
-    if not (all(isinstance(v, int) for v in win) and is_window(win)):
+    if not (all(type(v) is int for v in win) and is_window(win)):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
     u = sorted(win)
     rank = {v: k for k, v in enumerate(u, 1)}
@@ -462,9 +452,8 @@ def deficiency_m1(first, second, n):
     j, i = second
     if (j, i) == (n + 1, 0):
         raise ValueError("second prefix must not be the identity")
-    floor_len = n - j1 + 1  # letters of |j1,n|
-    if j == n + 1 and 1 <= i <= i1:
-        return DescentCase("1", floor_len + (i1 - i))
+    if j == n + 1 and 1 <= i <= i1:  # sigma_i, the i-th letter from the end of h(j1,i1)
+        return DescentCase("1", pair_length(first, n) - 1 - i)
     if i == 0 and 1 < j <= n and j1 <= j and i1 < j - 1:
         return DescentCase("2", j - j1)
     if i == 0 and 2 < j <= n and j1 < j and i1 >= j - 1:
@@ -492,29 +481,29 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     the same way (it always lands inside h(j_1,i_1)).  A ValueError unless
     pairs is a block and x_prefix an h-prefix.
     """
+    pairs = fin.int_pairs("pairs", pairs)
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
     if not validate_block(pairs, n):
         raise ValueError("pairwise inequalities violated: %r" % (pairs,))
     fin.check_hprefix(x_prefix, n)
-    (j1, i1), (j2, i2) = pairs
+    (_, i1), (j2, i2) = pairs
     r, i = x_prefix
-    h1_len = n - j1 + 1 + i1
-    h2_len = n - j2 + 1 + i2
+    h1 = pair_length(pairs[0], n) - 1  # letters of h(j1,i1), before its a
     if (r, i) == (n + 1, 0):
-        return DescentCase("0", h1_len + 1 + h2_len)
+        return DescentCase("0", h1 + pair_length(pairs[1], n))
     if fin.h_is_extremal(x_prefix, n):
         if (r, i) == (n, 1) and j2 > 1 and 1 <= i2 < n - 1:
-            return DescentCase("x1", h1_len)
+            return DescentCase("x1", h1)
         if r == n and i >= 2 and i <= i2 < n - 1 and i < j2 and i1 >= i - 1:
-            return DescentCase("x2", (n - j1 + 1) + (i1 - (i - 1)))
+            return DescentCase("x2", h1 - (i - 1))
         if r == n and 1 <= i <= i2 < n - 1 and i >= j2 and i1 >= i:
-            return DescentCase("x3", (n - j1 + 1) + (i1 - i))
+            return DescentCase("x3", h1 - i)
         return _residual_m2(pairs, x_prefix, n)
     case = deficiency_m1((j2, i2), x_prefix, n)
     if case is None:
         return None
-    return DescentCase(case.case, (h1_len + 1) + case.position)
+    return DescentCase(case.case, h1 + 1 + case.position)
 
 
 def _residual_m2(pairs, x_prefix, n):

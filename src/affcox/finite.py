@@ -61,8 +61,18 @@ class HPrefix(NamedTuple):
     i: int
 
 
+def int_pairs(field, seq):
+    """`seq` as a tuple of integer pairs, the one structure-and-type rule for
+    a caller's pairs or bricks; a ValueError naming `field` otherwise."""
+    if isinstance(seq, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and all(type(v) is int for v in p) for p in seq):
+        return tuple((a, b) for a, b in seq)
+    raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
+
+
 def validate_finite(bricks, n):
-    """The canonical-shape invariants."""
+    """The canonical-shape invariants, on int entries (`int_pairs`)."""
     prev_j = n + 1
     for i, j in bricks:
         if not (1 <= i <= j <= n and j < prev_j):
@@ -82,8 +92,8 @@ def ceil_word(i, j):
 
 
 def finite_window(bricks, n):
-    """Window (x(1), ..., x(n+1)): each brick |i,j| in turn moves the entry
-    at position i to position j+1."""
+    """Window (x(1), ..., x(n+1)) of a canonical shape with int entries: each
+    brick |i,j| in turn moves the entry at position i to position j+1."""
     win = list(range(1, n + 2))
     for i, j in bricks:
         win.insert(j, win.pop(i - 1))
@@ -105,11 +115,15 @@ def from_window(win):
     return tuple([(starts[j], j) for j in range(n, 0, -1) if starts[j] <= j])
 
 
+def _check_sigma(k, n):
+    if not (type(k) is int and 1 <= k <= n):
+        raise ValueError("sigma index %r out of range at rank %d" % (k, n))
+
+
 def right_insert(bricks, k, n):
     """The bricks of x . sigma_k, by window; the oracle beside
     finite_left_insert in the tests."""
-    if not 1 <= k <= n:
-        raise ValueError("sigma index %r out of range at rank %d" % (k, n))
+    _check_sigma(k, n)
     return from_window(right_mul(finite_window(bricks, n), k))
 
 
@@ -131,8 +145,7 @@ def finite_shapes(n):
 def finite_left_insert(bricks, k, n):
     """The bricks of sigma_k . x: the one brick entry on level q-1 moves
     (see the module docstring), in O(#bricks) with no refold."""
-    if not (type(k) is int and 1 <= k <= n):
-        raise ValueError("sigma index %r out of range at rank %d" % (k, n))
+    _check_sigma(k, n)
     # positions x^{-1}(k), x^{-1}(k+1): push both values through the
     # bricks' inverses in tuple order
     p, p1 = k, k + 1
@@ -184,10 +197,16 @@ def in_parabolic(bricks, n):
 
 # --- h(r, i) ----------------------------------------------------------------
 
-def check_hprefix(h, n):
+def hprefix_ok(h, n):
+    """Inequality (1): the range of an h-prefix h(r,i), and of a block's
+    first pair (canonical._junction_ok): ints, 1 <= r <= n+1, 0 <= i <= n-1."""
     r, i = h
-    if not (1 <= r <= n + 1 and 0 <= i <= n - 1):
-        raise ValueError("invalid h(%d,%d) at rank %d" % (r, i, n))
+    return type(r) is int and type(i) is int and 1 <= r <= n + 1 and 0 <= i <= n - 1
+
+
+def check_hprefix(h, n):
+    if not hprefix_ok(h, n):
+        raise ValueError("invalid h(%r,%r) at rank %d" % (h[0], h[1], n))
 
 
 def h_word(h, n):
@@ -222,6 +241,7 @@ def peel_h(bricks, n):
     r = x(n+1), and x(1) is i+1 or i+2 according to i+1 < r or not.
     A ValueError unless bricks is a canonical shape.
     """
+    bricks = int_pairs("bricks", bricks)
     if not validate_finite(bricks, n):
         raise ValueError("invalid finite canonical form: %r" % (bricks,))
     win = finite_window(bricks, n)

@@ -22,6 +22,9 @@ Length is the affine inversion count
 
 (Python's // is the mathematical floor, so the formula transcribes directly);
 it is validated against BFS distance from the identity.
+
+The window arithmetic takes windows that were already checked (`is_window`,
+canonical.from_window) and checks only the letters and ranks it is given.
 """
 
 AFFINE = 0  # the letter a_{n+1}
@@ -35,7 +38,7 @@ class InvariantError(AssertionError):
 
 
 def check_rank(n):
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError("rank must be an integer >= 2, got %r" % (n,))
 
 
@@ -172,18 +175,12 @@ def random_reduced_word(n, size, rng):
     drawn letter is kept unless it `descends` (w . s is then shorter than w).
     For sampling long elements, which random words (mostly cancelling) do
     not reach."""
-    check_rank(n)
-    nn = n + 1
-    letters, w = [], list(range(1, nn + 1))
+    letters, w = [], identity(n)
     while len(letters) < size:
-        s = rng.randrange(0, nn)
-        if descends(w, s):
-            continue
-        if s == AFFINE:
-            w[0], w[n] = w[n] - nn, w[0] + nn
-        else:
-            w[s - 1], w[s] = w[s], w[s - 1]
-        letters.append(s)
+        s = rng.randrange(0, n + 1)
+        if not descends(w, s):
+            w = right_mul(w, s)
+            letters.append(s)
     return tuple(letters)
 
 

@@ -35,13 +35,15 @@ from .perms import AFFINE, InvariantError, check_rank
 from .words import Word
 
 
-def _split_index(pairs, n):
-    """s = max{k : n - k - i_k > 0}, 1-based, at ambient rank n; the k = 1
-    term must be positive and s at most n - 1."""
+def _shift(pairs, n, step):
+    """(s, the pairs with each i_k moved by step for k > s): the split index
+    s = max{k : n - k - i_k > 0}, 1-based, at ambient rank n, and step +1
+    for embed, -1 for preimage.  The k = 1 term must be positive and s at
+    most n - 1."""
     s = max([k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0], default=0)
     if not 1 <= s <= n - 1:
         raise InvariantError("split index %d outside 1..%d" % (s, n - 1))
-    return s
+    return s, tuple((j, i + step if k > s else i) for k, (j, i) in enumerate(pairs, start=1))
 
 
 def _check_image(pairs, bricks, n):
@@ -58,11 +60,7 @@ def embed(e) -> Element:
     n = e.n + 1
     if not e.pairs:
         return Element(n, (), e.bricks)
-    s = _split_index(e.pairs, n)
-    pairs = tuple(
-        (j, i + 1 if k > s else i)
-        for k, (j, i) in enumerate(e.pairs, start=1)
-    )
+    s, pairs = _shift(e.pairs, n, 1)
     bricks = ((n - s + 1, n),) + e.bricks
     _check_image(pairs, bricks, n)
     return Element(n, pairs, bricks)
@@ -91,15 +89,11 @@ def preimage(e) -> Optional[Element]:
     n = e.n
     if not e.pairs:
         return Element(n - 1, (), e.bricks)
-    s = _split_index(e.pairs, n)
+    s, pairs = _shift(e.pairs, n, -1)
     t = n - s + 1
     if not (e.bricks and e.bricks[0] == (t, n)):
         raise InvariantError("%r fixes %d but does not start with |%d, %d|"
                              % (e, n + 1, t, n))
-    pairs = tuple(
-        (j, i - 1 if k > s else i)
-        for k, (j, i) in enumerate(e.pairs, start=1)
-    )
     bricks = e.bricks[1:]
     _check_image(pairs, bricks, n - 1)
     return Element(n - 1, pairs, bricks)

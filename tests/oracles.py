@@ -12,3 +12,14 @@ def letter_fold(w):
     for s in reversed(w.letters):
         e = c.left_mul(s, e)
     return e
+
+
+def embed_window(win):
+    """The residue map on windows, the oracle of `tower.embed`: w(k) = r + n q
+    (1 <= r <= n) goes to r + (n+1) q, and n+1 is appended."""
+    n = len(win)
+    out = []
+    for v in win:
+        q, r = divmod(v - 1, n)
+        out.append(r + 1 + (n + 1) * q)
+    return tuple(out) + (n + 1,)

@@ -193,10 +193,14 @@ def test_guards(monkeypatch):
     with pytest.raises(ValueError):
         bl.enumerate_blocks(1, 0)
     # max_core takes the walk's bound rule: an int, not a bool, >= 0
-    for n, max_core in ((2, -1), (3, -1), (2, 1.5), (3, 1.5), (2, True), (4, 2), (1, 0)):
+    for n, max_core in ((2, -1), (3, -1), (2, 1.5), (3, 1.5), (2, True), (4, 2), (1, 0),
+                        (2.0, 1), (3.0, 1)):
         for fn in (bl.appendix_blocks, bl.appendix_threshold):
             with pytest.raises(ValueError):
                 fn(n, max_core)
+    # the rank is an int: 2.0 == 2 would find the rank-2 families
+    with pytest.raises(ValueError, match=r"^appendix listings exist for ranks 2 and 3 only$"):
+        bl.appendix_threshold(2.0, 1)
     with pytest.raises(ValueError, match=r"^max core exponent must be an int >= 0, got -1$"):
         bl.appendix_blocks(2, -1)
     for max_len in (-1, 1.5, True):

@@ -338,6 +338,13 @@ def test_deficiency_m1_examples():
     for first, second in (((3, 0), (0, 5)), ((3, 0), (4, 0)), ((0, 1), (2, 0))):
         with pytest.raises(ValueError):
             c.deficiency_m1(first, second, 2)
+    # the indices are ints: a float or bool would give a position or None
+    for first, second, msg in (((1.5, 0), (2, 0), "invalid first pair"),
+                               ((True, 0), (2, 0), "invalid first pair"),
+                               ((3, 1), (2.5, 0), r"invalid h\(2.5,0\) at rank 3"),
+                               ((3, 1), (4, False), "invalid h")):
+        with pytest.raises(ValueError, match=msg):
+            c.deficiency_m1(first, second, 3)
 
 
 # --- affine-length-2 case list ----------------------------------------------
@@ -398,6 +405,11 @@ def test_affine_descent_cases_m2_examples():
     for pairs, h in ((((3, 0), (2, 1)), (9, 9)), (((1, 1), (3, 0)), (3, 0))):
         with pytest.raises(ValueError):
             c.affine_descent_cases_m2(pairs, h, 2)
+    # the indices are ints: each of these gave case x1
+    with pytest.raises(ValueError, match=r"invalid h\(3.0,1\) at rank 3"):
+        c.affine_descent_cases_m2(((3, 1), (2, 1)), (3.0, 1), 3)
+    with pytest.raises(ValueError, match="pairs must be a list of integer pairs"):
+        c.affine_descent_cases_m2(((3, 1), (2.0, 1)), (3, 1), 3)
 
 
 def test_affine_descent_cases_m2_one_reflection_pass(monkeypatch):

@@ -94,8 +94,10 @@ def test_insert_matches_oracle_everywhere(n):
 
 @pytest.mark.parametrize("k", [1.5, True])
 def test_left_insert_rejects_non_int_index(k):
-    with pytest.raises(ValueError, match=r"sigma index %r out of range at rank 3" % k):
-        finite_left_insert((), k, 3)
+    # right_insert, its oracle, takes the same sigma index rule
+    for insert in (finite_left_insert, right_insert):
+        with pytest.raises(ValueError, match=r"^sigma index %r out of range at rank 3$" % k):
+            insert((), k, 3)
 
 
 def test_mul_and_inverse():
@@ -125,10 +127,11 @@ def test_h_basics():
     # h(3,1) = s3 s1 at n=3
     assert h_word(HPrefix(3, 1), 3) == (3, 1)
     assert h_element(HPrefix(3, 1), 3) == ((3, 3), (1, 1))
-    # r in 1..n+1 and i in 0..n-1
-    for h in ((0, 0), (5, 0), (4, 3), (2, -1)):
-        with pytest.raises(ValueError, match="invalid h"):
-            fin.check_hprefix(h, 3)
+    # ints with r in 1..n+1 and i in 0..n-1
+    for h in ((0, 0), (5, 0), (4, 3), (2, -1), (2.5, 0), (4.0, 0), (True, 0), (3, 1.0)):
+        for fn in (fin.check_hprefix, h_word, h_element):
+            with pytest.raises(ValueError, match=r"^invalid h\(%r,%r\) at rank 3$" % h):
+                fn(h, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -161,6 +164,10 @@ def test_peel_h_examples():
     for bricks in (((1, 5),), ((1, 1), (2, 2))):
         with pytest.raises(ValueError, match="invalid finite canonical form"):
             peel_h(bricks, 2)
+    # and so are bricks that are not integer pairs
+    for bricks in (((1.0, 1),), ((True, 1),), ((1, 1, 1),), "11"):
+        with pytest.raises(ValueError, match="bricks must be a list of integer pairs"):
+            peel_h(bricks, 3)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -127,6 +127,7 @@ def test_mul_and_inverse_match_the_window_model(n):
     (1, 2, 4),
     (1, 2), (1,), (),  # fewer than 3 entries
     (1.0, 2.0, 3.0),   # not integers
+    (3, 2, True),      # a bool in place of the int 1
     ("1", "2", "3"),
 ])
 def test_from_window_rejects_non_windows(win):

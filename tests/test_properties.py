@@ -12,7 +12,7 @@ from affcox import canonical as c
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
-from oracles import letter_fold
+from oracles import embed_window, letter_fold
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 RANKS = st.integers(2, 30)
@@ -35,7 +35,14 @@ def decoded(w):
 @PROPERTY
 @given(RANKS.flatmap(words))
 def test_letter_fold_is_the_decoder(w):
-    assert letter_fold(w) == c.canonicalize(w) == decoded(w)
+    """canonicalize against the letter engine and against the window model:
+    the canonical word has the word's window, and perm_length letters."""
+    e = c.canonicalize(w)
+    assert letter_fold(w) == e
+    win = perms.to_permutation(w.letters, w.n)
+    letters = c.element_word(e).letters
+    assert perms.to_permutation(letters, w.n) == win
+    assert len(letters) == perms.perm_length(win)
 
 
 @PROPERTY
@@ -71,3 +78,10 @@ def test_mul_is_associative_and_inverse_an_involution(ws):
 def test_embed_is_a_homomorphism(ws):
     u, v = map(decoded, ws)
     assert tower.embed(c.mul(u, v)) == c.mul(tower.embed(u), tower.embed(v))
+
+
+@PROPERTY
+@given(st.integers(2, 29).flatmap(words))
+def test_embed_is_the_residue_extension(w):
+    e = decoded(w)
+    assert tuple(c.window(tower.embed(e))) == embed_window(c.window(e))

@@ -8,6 +8,7 @@ from affcox import canonical as c
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
+from oracles import embed_window
 
 
 def rank2_elements(max_len):
@@ -29,17 +30,6 @@ def test_embed_examples():
 
     s1 = c.make_element(2, (), ((1, 1),))
     assert tower.embed(s1) == c.Element(3, (), ((1, 1),))
-
-
-def embed_window(win):
-    """The residue map on windows, the oracle for embed: w(k) = r + n q
-    (1 <= r <= n) goes to r + (n+1) q, and n+1 is appended."""
-    n = len(win)
-    out = []
-    for v in win:
-        q, r = divmod(v - 1, n)
-        out.append(r + 1 + (n + 1) * q)
-    return tuple(out) + (n + 1,)
 
 
 def test_embed_matches_substitution_exhaustively():
@@ -121,9 +111,9 @@ def test_embed_rejects_bad_rank():
 
 def test_preimage_computes_the_split_index_once(monkeypatch):
     calls = []
-    split = tower._split_index
-    monkeypatch.setattr(tower, "_split_index",
-                        lambda pairs, n: calls.append(pairs) or split(pairs, n))
+    shift = tower._shift
+    monkeypatch.setattr(tower, "_shift",
+                        lambda pairs, n, step: calls.append(pairs) or shift(pairs, n, step))
     for e in rank2_elements(6):
         img = tower.embed(e)
         calls.clear()
