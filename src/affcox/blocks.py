@@ -37,7 +37,7 @@ import itertools
 from typing import NamedTuple
 
 from . import canonical as c
-from .perms import InvariantError, check_rank
+from .perms import InvariantError, check_count, check_rank
 from .canonical import _junction_ok
 
 MAX_ITEMS = 2_000_000  # every listing here raises RuntimeError past this many
@@ -58,13 +58,6 @@ def _extensions(prefix, n):
         for i in range(i_min, n):
             if _junction_ok(prev, (j, i), n):
                 yield (j, i)
-
-
-def _check_bound(what, v):
-    """Every bound here is an int, not a bool, >= 0, checked before any listing
-    starts: a depth no prefix can match would let the walk grow without end."""
-    if not (type(v) is int and v >= 0):
-        raise ValueError("%s must be an int >= 0, got %r" % (what, v))
 
 
 def _walk(n, m, max_len):
@@ -94,9 +87,9 @@ def _walk(n, m, max_len):
 def enumerate_blocks(n, m, *, max_len=None):
     """The blocks with exactly m pairs, and length <= max_len if given."""
     check_rank(n)
-    _check_bound("affine length", m)
+    check_count("affine length", m)
     if max_len is not None:
-        _check_bound("max length", max_len)
+        check_count("max length", max_len)
     return BlockFamily(n, m, tuple(_walk(n, m, max_len)))
 
 
@@ -104,7 +97,7 @@ def reference_blocks(n, max_len):
     """Every block with positive affine length and length <= max_len, as
     sorted canonical elements."""
     check_rank(n)
-    _check_bound("max length", max_len)
+    check_count("max length", max_len)
     return sorted((c.Element(n, p, ()) for p in _walk(n, None, max_len)), key=c.sort_key)
 
 
@@ -138,7 +131,7 @@ def _left_factors(tiers, ex):
 def _check_appendix_args(n, max_core):
     if type(n) is not int or n not in _FAMILIES:
         raise ValueError("appendix listings exist for ranks 2 and 3 only")
-    _check_bound("max core exponent", max_core)
+    check_count("max core exponent", max_core)
 
 
 def appendix_blocks(n, max_core=2):
@@ -193,7 +186,7 @@ def appendix(n, max_core, max_len=None):
     length <= max_len, and its check against `reference_blocks` up to the
     threshold.  A disagreement is a bug in this module: InvariantError."""
     if max_len is not None:
-        _check_bound("max length", max_len)
+        check_count("max length", max_len)
     listing = appendix_blocks(n, max_core)
     thr = appendix_threshold(n, max_core)
     gen = [e for e in listing if c.length(e) <= thr]

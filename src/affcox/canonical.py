@@ -46,10 +46,10 @@ The element operations go through windows (perms).  `window(e)`
 encodes e in O(m + #bricks) list moves, one pair or brick at a time, and
 `from_window` decodes any window.  With N = n+1 and u = sorted(window of
 w), the window of the block is u (the minimal coset representative is the
-one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x
-is the level code of the ranks of w's entries in u, since w = u . x acts
-as k -> u(x(k)).  The block is then peeled off u from the right, one pair
-at a time:
+one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x is
+the level code of the window itself (finite.level_code): w = u . x acts as
+k -> u(x(k)) with u increasing, so w's entries have the relative order of
+x's.  The block is then peeled off u from the right, one pair at a time:
 
     u . (h(j,i) a)^{-1}  =  u . a sigma_1 ... sigma_i sigma_n ... sigma_j
 
@@ -360,8 +360,8 @@ def window(e):
 def from_window(win):
     """
     The canonical form of the element with window `win`, in O(n^2 + m n):
-    x is the level code of the ranks of win in u = sorted(win), and the
-    block is peeled off u from the right, pair (j, i) by pair, where i and
+    x is the level code of win itself, and the block is peeled off
+    u = sorted(win) from the right, pair (j, i) by pair, where i and
     j count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1)
     (see the module docstring for why this pair is the last one): exactly
     L(w) peels, ending at the identity.  A ValueError if win is not a
@@ -370,11 +370,10 @@ def from_window(win):
     """
     nn = len(win)
     n = nn - 1
-    if not (all(type(v) is int for v in win) and is_window(win)):
+    if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
     u = sorted(win)
-    rank = {v: k for k, v in enumerate(u, 1)}
-    bricks = fin.from_window([rank[v] for v in win])
+    bricks = fin.level_code(win)
     pairs, last = [], None
     pop, insert = u.pop, u.insert
     for _ in range(perms.affine_length(u)):

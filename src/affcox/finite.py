@@ -3,7 +3,8 @@ The finite group W(A_n) (the symmetric group on n+1 points) in its
 descending-brick canonical form.
 
 An element x of W(A_n) is the element of W(~A_n) with no pairs,
-canonical.Element(n, (), bricks): its products, inverses and words are
+canonical.Element(n, (), bricks), and its window is a window with affine
+length L = 0 (perms.affine_length): its products, inverses and words are
 `canonical`'s operations on that element, and this module holds only the
 brick layer.  Its functions take a brick tuple and the rank, `(bricks, n)`,
 as the block layer takes `(pairs, n)`, and return brick tuples.
@@ -25,13 +26,13 @@ brick on level j starts at
 
 and is absent when that rank is j+1 (Bjorner & Brenti, Combinatorics of
 Coxeter Groups, Sec. 8.3).  Level j has j+1 choices, so the (n+1)! shapes
-code W(A_n) bijectively.  `from_window` reads the ranks off a window and
-`finite_window` replays the bricks (|i,j| moves the entry at position i
-to position j+1), both in O(n^2).  Right insertion x . sigma_k
-swaps the positions k and k+1, so only the bricks on levels k-1 and k
-move.  Left insertion sigma_k . x swaps the values k and k+1, so only the
-rank at the later of their positions, q, changes, i.e. the brick on
-level q-1:
+code W(A_n) bijectively.  `level_code` reads the ranks off any distinct
+ints (`from_window` checks for a W(A_n) window first) and `finite_window`
+replays the bricks (|i,j| moves the entry at position i to position j+1),
+both in O(n^2).  Right insertion x . sigma_k swaps the positions k and
+k+1, so only the bricks on levels k-1 and k move.  Left insertion
+sigma_k . x swaps the values k and k+1, so only the rank at the later of
+their positions, q, changes, i.e. the brick on level q-1:
 
     k before k+1  ->  start - 1 (length + 1; an absent brick becomes |q-1,q-1|)
     k+1 before k  ->  start + 1 (length - 1; the brick drops once start > q-1)
@@ -50,7 +51,8 @@ from bisect import bisect_left
 from itertools import permutations
 from typing import NamedTuple
 
-from .perms import InvariantError, check_rank, compose, inverse, right_mul, to_permutation
+from .perms import (InvariantError, affine_length, check_rank, compose, inverse, is_window,
+                    right_mul, to_permutation)
 from .words import Word
 
 
@@ -101,12 +103,17 @@ def finite_window(bricks, n):
 
 
 def from_window(win):
-    """The bricks of a permutation window, by its level code: the brick
-    on level j starts at the rank of x(j+1) among x(1..j+1), read off a
-    sorted prefix by bisection."""
-    n = len(win) - 1
-    if sorted(win) != list(range(1, n + 2)):
+    """The `level_code` of a W(A_n) window: a window with L = 0, so 1..n+1."""
+    if not (is_window(win) and affine_length(win) == 0):
         raise ValueError("not a window of W(A_n): %r" % (win,))
+    return level_code(win)
+
+
+def level_code(win):
+    """The bricks of the relative order of any distinct ints, unchecked: the
+    brick on level j starts at the rank of x(j+1) among x(1..j+1), read off
+    a sorted prefix by bisection."""
+    n = len(win) - 1
     seen, starts = [], []
     for v in win:
         k = bisect_left(seen, v)
@@ -271,6 +278,8 @@ def h_times_floor(j_prev, i_prev, j, n):
         j_prev > i_prev+1 >= j > 1    ->  (j-1, i_prev-1), u = j_prev - 1
         i_prev+1 >= j_prev >= j > 1   ->  (j-1, i_prev),   u = j_prev
     """
+    check_hprefix((j_prev, i_prev), n)
+    check_hprefix((j, 0), n)
     if j <= 1:
         raise ValueError("h_times_floor needs j > 1, got %d" % j)
     if j > j_prev:

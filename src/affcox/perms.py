@@ -23,8 +23,10 @@ Length is the affine inversion count
 (Python's // is the mathematical floor, so the formula transcribes directly);
 it is validated against BFS distance from the identity.
 
-The window arithmetic takes windows that were already checked (`is_window`,
-canonical.from_window) and checks only the letters and ranks it is given.
+It owns the input rules, each testing an integer as `type(v) is int`:
+letter (`check_letter`), rank (`check_rank`), count (`check_count`) and
+window (`is_window`).  The window arithmetic takes windows already checked
+by `is_window` and checks only the letters and ranks it is given.
 """
 
 AFFINE = 0  # the letter a_{n+1}
@@ -49,6 +51,13 @@ def check_letter(s, n):
         raise ValueError("letter %r invalid at rank %d" % (s, n))
 
 
+def check_count(what, v):
+    """The one count rule, for every bound and size: an int >= 0, not a bool,
+    checked before a walk starts, which could otherwise grow without end."""
+    if not (type(v) is int and v >= 0):
+        raise ValueError("%s must be an int >= 0, got %r" % (what, v))
+
+
 def identity(n):
     """Identity window (1, 2, ..., n+1)."""
     check_rank(n)
@@ -56,9 +65,9 @@ def identity(n):
 
 
 def is_window(w):
-    """Both window invariants: distinct residues mod n+1, normalized sum."""
+    """The one window rule: 3+ ints, distinct residues mod n+1, normalized sum."""
     nn = len(w)
-    if nn < 3:
+    if nn < 3 or not all(type(v) is int for v in w):
         return False
     if len({v % nn for v in w}) != nn:
         return False
@@ -143,6 +152,7 @@ def bfs_reduced_words(n, max_len):
     The word recorded is the BFS discovery word, hence of minimal length.
     """
     check_rank(n)
+    check_count("max length", max_len)
     letters = tuple(range(1, n + 1)) + (AFFINE,)
     start = identity(n)
     words = {start: ()}
@@ -176,6 +186,7 @@ def random_reduced_word(n, size, rng):
     For sampling long elements, which random words (mostly cancelling) do
     not reach."""
     letters, w = [], identity(n)
+    check_count("size", size)
     while len(letters) < size:
         s = rng.randrange(0, n + 1)
         if not descends(w, s):

@@ -2,6 +2,7 @@
 it by: slower, but built from other parts of the engine."""
 
 from affcox import canonical as c
+from affcox import finite as fin
 
 
 def letter_fold(w):
@@ -23,3 +24,11 @@ def embed_window(win):
         q, r = divmod(v - 1, n)
         out.append(r + 1 + (n + 1) * q)
     return tuple(out) + (n + 1,)
+
+
+def ranked_level_code(win):
+    """The level code of a window by its ranks: `finite.from_window` of the
+    rank of each entry in sorted(win), a permutation of 1..n+1.  The oracle
+    of `finite.level_code` on the distinct ints of an affine window."""
+    rank = {v: k for k, v in enumerate(sorted(win), 1)}
+    return fin.from_window([rank[v] for v in win])

@@ -218,6 +218,11 @@ def test_h_times_floor_rejects():
         h_times_floor(3, 0, 1, 3)  # j must exceed 1
     with pytest.raises(ValueError):
         h_times_floor(2, 0, 3, 3)  # j <= j_prev violated
+    # the indices pass the h-prefix rule (finite.check_hprefix) first
+    with pytest.raises(ValueError, match=r"invalid h\(3.0,1\)"):
+        h_times_floor(3.0, 1, 2, 3)
+    with pytest.raises(ValueError, match=r"invalid h\(2.0,0\)"):
+        h_times_floor(3, 1, 2.0, 3)
 
 
 # --- identity families ------------------------------------------------------
@@ -251,8 +256,10 @@ def test_level_code_is_a_bijection(n):
 
 
 def test_from_window_rejects_affine_windows():
-    with pytest.raises(ValueError):
-        fin.from_window((0, 2, 4))
+    # a W(A_n) window is a window (perms.is_window) with L = 0
+    for win in [(0, 2, 4), [1.0, 2, 3], [True, 2, 3], (2, 1)]:
+        with pytest.raises(ValueError, match=r"not a window of W\(A_n\)"):
+            fin.from_window(win)
 
 
 def test_window_operations_avoid_right_insert(monkeypatch):

@@ -115,6 +115,12 @@ def test_length_at_most_letter_count(n):
 def test_bfs_small_counts():
     assert len(bfs_enumerate(2, 0)) == 1
     assert len(bfs_enumerate(2, 1)) == 4  # identity + the three generators
+    # the bound is a count: an int >= 0 (perms.check_count)
+    for bad in (1.5, -1, True):
+        with pytest.raises(ValueError, match="max length must be an int >= 0"):
+            bfs_enumerate(2, bad)
+    with pytest.raises(ValueError, match="max length must be an int >= 0"):
+        check_length_formula(2, 2.0)
 
 
 def test_bfs_growth_frozen():
@@ -130,6 +136,12 @@ def test_bfs_growth_frozen():
     assert [c3[k] for k in range(10)] == [
         1, 4, 10, 20, 34, 52, 74, 100, 130, 164,
     ]
+
+
+@pytest.mark.parametrize("w", [(1.0, 2, 3), (True, 2, 3), (1, 2.0, 3.0)])
+def test_is_window_needs_int_entries(w):
+    # each passes both invariants by value, since 1.0 == True == 1
+    assert not is_window(w)
 
 
 def test_bfs_windows_valid_and_distinct():
@@ -188,3 +200,9 @@ def test_random_reduced_word_matches_length_oracle(n):
         got = random_reduced_word(n, 400, random.Random(seed))
         assert got == perm_length_sampler(n, 400, random.Random(seed))
         assert perm_length(to_permutation(got, n)) == len(got) == 400
+
+
+@pytest.mark.parametrize("size", [1.5, True, -3, "2"])
+def test_random_reduced_word_rejects_a_size_that_is_not_a_count(size):
+    with pytest.raises(ValueError, match="size must be an int >= 0"):
+        random_reduced_word(2, size, random.Random(0))

@@ -9,10 +9,11 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from affcox import canonical as c
+from affcox import finite as fin
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
-from oracles import embed_window, letter_fold
+from oracles import embed_window, letter_fold, ranked_level_code
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 RANKS = st.integers(2, 30)
@@ -43,6 +44,15 @@ def test_letter_fold_is_the_decoder(w):
     letters = c.element_word(e).letters
     assert perms.to_permutation(letters, w.n) == win
     assert len(letters) == perms.perm_length(win)
+
+
+@PROPERTY
+@given(RANKS.flatmap(words))
+def test_level_code_reads_relative_order(w):
+    """The decoder's x: the level code of the affine window itself equals
+    that of its ranks, a permutation window."""
+    win = perms.to_permutation(w.letters, w.n)
+    assert fin.level_code(win) == ranked_level_code(win)
 
 
 @PROPERTY
