@@ -136,8 +136,8 @@ def _check_appendix_args(n, max_core):
 
 def appendix_blocks(n, max_core=2):
     """The listed blocks with every core exponent <= max_core, as canonical
-    elements with trivial finite part, sorted.  Raises on a malformed or
-    duplicated listing entry — the families must be disjoint.  A
+    elements with trivial finite part, sorted.  An InvariantError on a
+    malformed or duplicated listing entry, a bug in the data.  A
     RuntimeError, before listing anything, when the exponent vectors times
     the left factors bound the listing above MAX_ITEMS."""
     _check_appendix_args(n, max_core)
@@ -163,7 +163,9 @@ def appendix_blocks(n, max_core=2):
                 if alpha is None and not core_pairs:
                     continue  # affine length 0
                 pairs = (() if alpha is None else (alpha,)) + core_pairs
-                elem = c.make_element(n, pairs, ())
+                if not c.validate_block(pairs, n):
+                    raise InvariantError("listing family gives an invalid block %r" % (pairs,))
+                elem = c.Element(n, pairs, ())
                 if elem in seen:
                     raise InvariantError("listing families overlap at %r" % (pairs,))
                 seen.add(elem)

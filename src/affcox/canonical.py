@@ -86,7 +86,8 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from . import perms
-from .perms import AFFINE, InvariantError, check_letter, check_rank, compose, is_window
+from .perms import (AFFINE, InvariantError, check_letter, check_rank, compose, generators,
+                    is_window)
 from . import finite as fin
 from .words import Word, hat_partner
 
@@ -368,10 +369,10 @@ def from_window(win):
     window; an InvariantError if a peeled pair breaks a junction or the
     peel does not end at the identity.
     """
-    nn = len(win)
-    n = nn - 1
     if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
+    nn = len(win)
+    n = nn - 1
     u = sorted(win)
     bricks = fin.level_code(win)
     pairs, last = [], None
@@ -410,10 +411,6 @@ def mul(u, v):
 def inverse(u):
     """u^{-1}: the inverse window, decoded."""
     return from_window(perms.inverse(window(u)))
-
-
-def generators(n):
-    return tuple(range(1, n + 1)) + (AFFINE,)
 
 
 def right_descents(e):

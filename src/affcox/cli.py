@@ -33,7 +33,7 @@ from . import finite as fin
 from . import hecke as hk
 from . import tower
 from .finite import brick_identities_check
-from .perms import AFFINE, check_length_formula, check_relations
+from .perms import check_length_formula, check_relations
 from .words import Word, format_word, parse_word
 
 # --- element input/output ---------------------------------------------------
@@ -79,9 +79,8 @@ def _len(args, e):
 
 
 def _descents(args, e):
-    key = lambda s: (s == AFFINE, s)
-    obj = {"left": sorted(c.left_descents(e), key=key),
-           "right": sorted(c.right_descents(e), key=key)}
+    gens, left, right = c.generators(e.n), c.left_descents(e), c.right_descents(e)
+    obj = {"left": [s for s in gens if s in left], "right": [s for s in gens if s in right]}
     return obj, "L: %s\nR: %s" % tuple(
         format_word(Word(e.n, tuple(obj[side]))) or "-" for side in ("left", "right"))
 

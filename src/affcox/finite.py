@@ -27,12 +27,12 @@ brick on level j starts at
 and is absent when that rank is j+1 (Bjorner & Brenti, Combinatorics of
 Coxeter Groups, Sec. 8.3).  Level j has j+1 choices, so the (n+1)! shapes
 code W(A_n) bijectively.  `level_code` reads the ranks off any distinct
-ints (`from_window` checks for a W(A_n) window first) and `finite_window`
-replays the bricks (|i,j| moves the entry at position i to position j+1),
-both in O(n^2).  Right insertion x . sigma_k swaps the positions k and
-k+1, so only the bricks on levels k-1 and k move.  Left insertion
-sigma_k . x swaps the values k and k+1, so only the rank at the later of
-their positions, q, changes, i.e. the brick on level q-1:
+ints and `finite_window` replays the bricks (|i,j| moves the entry at
+position i to position j+1), both in O(n^2).  Right insertion x . sigma_k
+swaps the positions k and k+1, so only the bricks on levels k-1 and k
+move.  Left insertion sigma_k . x swaps the values k and k+1, so only the
+rank at the later of their positions, q, changes, i.e. the brick on level
+q-1:
 
     k before k+1  ->  start - 1 (length + 1; an absent brick becomes |q-1,q-1|)
     k+1 before k  ->  start + 1 (length - 1; the brick drops once start > q-1)
@@ -48,11 +48,9 @@ live here too, as do the exhaustive two- and three-brick identity checks.
 """
 
 from bisect import bisect_left
-from itertools import permutations
 from typing import NamedTuple
 
-from .perms import (InvariantError, affine_length, check_rank, compose, inverse, is_window,
-                    right_mul, to_permutation)
+from .perms import InvariantError, check_rank, compose, inverse, right_mul, to_permutation
 from .words import Word
 
 
@@ -102,13 +100,6 @@ def finite_window(bricks, n):
     return tuple(win)
 
 
-def from_window(win):
-    """The `level_code` of a W(A_n) window: a window with L = 0, so 1..n+1."""
-    if not (is_window(win) and affine_length(win) == 0):
-        raise ValueError("not a window of W(A_n): %r" % (win,))
-    return level_code(win)
-
-
 def level_code(win):
     """The bricks of the relative order of any distinct ints, unchecked: the
     brick on level j starts at the rank of x(j+1) among x(1..j+1), read off
@@ -123,6 +114,7 @@ def level_code(win):
 
 
 def _check_sigma(k, n):
+    check_rank(n)
     if not (type(k) is int and 1 <= k <= n):
         raise ValueError("sigma index %r out of range at rank %d" % (k, n))
 
@@ -131,7 +123,7 @@ def right_insert(bricks, k, n):
     """The bricks of x . sigma_k, by window; the oracle beside
     finite_left_insert in the tests."""
     _check_sigma(k, n)
-    return from_window(right_mul(finite_window(bricks, n), k))
+    return level_code(right_mul(finite_window(bricks, n), k))
 
 
 def finite_word(bricks, n):
@@ -145,7 +137,9 @@ def finite_length(bricks):
 def finite_shapes(n):
     """All (n+1)! canonical brick shapes at rank n, by length, then bricks."""
     check_rank(n)
-    shapes = [from_window(p) for p in permutations(range(1, n + 2))]
+    shapes = [()]
+    for j in range(n, 0, -1):  # the level code: |i,j| with 1 <= i <= j, or none
+        shapes = [s + b for s in shapes for b in [((i, j),) for i in range(1, j + 1)] + [()]]
     return sorted(shapes, key=lambda s: (finite_length(s), s))
 
 
@@ -212,6 +206,7 @@ def hprefix_ok(h, n):
 
 
 def check_hprefix(h, n):
+    check_rank(n)
     if not hprefix_ok(h, n):
         raise ValueError("invalid h(%r,%r) at rank %d" % (h[0], h[1], n))
 
@@ -248,6 +243,7 @@ def peel_h(bricks, n):
     r = x(n+1), and x(1) is i+1 or i+2 according to i+1 < r or not.
     A ValueError unless bricks is a canonical shape.
     """
+    check_rank(n)
     bricks = int_pairs("bricks", bricks)
     if not validate_finite(bricks, n):
         raise ValueError("invalid finite canonical form: %r" % (bricks,))
@@ -258,8 +254,9 @@ def peel_h(bricks, n):
         raise InvariantError("x(1) == x(n+1) == %d in %r" % (v, bricks))
     i = v - 1 if v < r else v - 2
     h = HPrefix(r, i)
-    check_hprefix(h, n)
-    p = from_window(compose(inverse(finite_window(h_element(h, n), n)), win))
+    if not hprefix_ok(h, n):
+        raise InvariantError("peel_h(%r) gave %r" % (bricks, h))
+    p = level_code(compose(inverse(finite_window(h_element(h, n), n)), win))
     if not in_parabolic(p, n):
         raise InvariantError("peel_h(%r): %r . %r with p outside P" % (bricks, h, p))
     if finite_length(p) + len(h_word(h, n)) != finite_length(bricks):
@@ -295,7 +292,8 @@ def h_times_floor(j_prev, i_prev, j, n):
         out, u = HPrefix(j - 1, i_prev), j_prev
     if u < 2:
         raise InvariantError("h_times_floor(%d, %d, %d): u = %d < 2" % (j_prev, i_prev, j, u))
-    check_hprefix(out, n)
+    if not hprefix_ok(out, n):
+        raise InvariantError("h_times_floor(%d, %d, %d) gave %r" % (j_prev, i_prev, j, out))
     return out, u
 
 

@@ -58,6 +58,11 @@ def check_count(what, v):
         raise ValueError("%s must be an int >= 0, got %r" % (what, v))
 
 
+def generators(n):
+    """The generators in their one order: sigma_1, ..., sigma_n, then a."""
+    return tuple(range(1, n + 1)) + (AFFINE,)
+
+
 def identity(n):
     """Identity window (1, 2, ..., n+1)."""
     check_rank(n)
@@ -65,10 +70,11 @@ def identity(n):
 
 
 def is_window(w):
-    """The one window rule: 3+ ints, distinct residues mod n+1, normalized sum."""
-    nn = len(w)
-    if nn < 3 or not all(type(v) is int for v in w):
+    """The one window rule: a list or tuple of 3+ ints, distinct residues
+    mod n+1, normalized sum."""
+    if not isinstance(w, (list, tuple)) or len(w) < 3 or not all(type(v) is int for v in w):
         return False
+    nn = len(w)
     if len({v % nn for v in w}) != nn:
         return False
     return sum(w) == nn * (nn + 1) // 2
@@ -153,7 +159,7 @@ def bfs_reduced_words(n, max_len):
     """
     check_rank(n)
     check_count("max length", max_len)
-    letters = tuple(range(1, n + 1)) + (AFFINE,)
+    letters = generators(n)
     start = identity(n)
     words = {start: ()}
     frontier = [start]

@@ -27,8 +27,9 @@ def embed_window(win):
 
 
 def ranked_level_code(win):
-    """The level code of a window by its ranks: `finite.from_window` of the
+    """The level code of a window by its ranks: `finite.level_code` of the
     rank of each entry in sorted(win), a permutation of 1..n+1.  The oracle
-    of `finite.level_code` on the distinct ints of an affine window."""
+    of "the level code reads only relative order" on the distinct ints of
+    an affine window."""
     rank = {v: k for k, v in enumerate(sorted(win), 1)}
-    return fin.from_window([rank[v] for v in win])
+    return fin.level_code([rank[v] for v in win])

@@ -1,19 +1,16 @@
 """The left-to-right block engine: deep blocks, operation counts, invariants."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import affcox
 from affcox import canonical as c
 from affcox import cli
 from affcox import finite as fin
 from affcox import perms
 from affcox.blocks import enumerate_blocks
 from affcox.words import Word
+from harness import run_python
 from oracles import letter_fold
 
 
@@ -250,9 +247,5 @@ def test_invariant_error_survives_optimize():
         "except c.InvariantError as exc:",
         "    print('InvariantError:', exc)",
     ])
-    src = os.path.dirname(os.path.dirname(affcox.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvariantError:"), proc.stdout
+    out = run_python(code, "-O")
+    assert out.startswith("InvariantError:"), out

@@ -1,18 +1,16 @@
 """Affine-block enumeration and the coset decomposition."""
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
-import affcox
 from affcox import blocks as bl
 from affcox import canonical as c
+from affcox import cli
 from affcox import finite as fin
 from affcox import perms
 from affcox.words import Word
+from harness import run_python
 
 
 def test_frozen_counts():
@@ -169,9 +167,10 @@ def test_guards(monkeypatch):
         with pytest.raises(RuntimeError, match="block listing exceeded 5 items at rank 2, "
                                                "m=10, max_len=None"):
             bl.enumerate_blocks(2, 10)
-        # 3 entries at max core 0, but its bound of 7 is refused before any is built
+        # 3 entries at max core 0, but its bound of 7 is refused before any is
+        # built: appendix_blocks checks each member's pairs as it builds it
         built = []
-        m.setattr(c, "make_element", lambda *args: built.append(args))
+        m.setattr(c, "validate_block", lambda *args: built.append(args))
         with pytest.raises(RuntimeError, match="appendix listing may exceed 5 items"):
             bl.appendix_blocks(2, 0)
         assert built == []
@@ -215,6 +214,19 @@ def test_appendix_families_are_disjoint(monkeypatch):
         bl.appendix_blocks(2, 1)
 
 
+def test_malformed_family_is_an_invariant_error(monkeypatch, capsys):
+    """A family member that breaks the pairwise inequalities is a bug in the
+    data: an InvariantError, and exit 3 from the CLI, not bad input."""
+    (cores, *rest), *others = bl._FAMILIES[2]
+    bad = (((2, 2),) + cores[1:], *rest)  # i = 2 > n - 1 at rank 2
+    monkeypatch.setattr(bl, "_FAMILIES", {**bl._FAMILIES, 2: (bad, *others)})
+    with pytest.raises(perms.InvariantError, match=r"invalid block \(\(2, 2\),\)"):
+        bl.appendix_blocks(2, 1)
+    assert cli.main(["appendix", "-n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1, err
+
+
 def test_appendix_cuts_and_checks():
     listing, thr, gen, ref = bl.appendix(2, 2, 3)
     # every m = 2 block has l >= 4; the check runs on the whole capped listing
@@ -235,9 +247,4 @@ def test_deep_blocks_need_no_recursion():
         "assert all(len(p) == 250 and c.validate_block(p, 2) for p in items)",
         "print(len(items))",
     ])
-    src = os.path.dirname(os.path.dirname(affcox.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1500\n"
+    assert run_python(code, timeout=120) == "1500\n"

@@ -353,7 +353,7 @@ def parabolic_elements(n):
     out = [()]
     if n >= 3:
         # enough to witness independence from the parabolic factor
-        out.append(fin.from_window(perms.to_permutation((2,), n)))
+        out.append(c.from_window(perms.to_permutation((2,), n)).bricks)
     return [p for p in out if fin.in_parabolic(p, n)]
 
 

@@ -45,7 +45,7 @@ def all_elements(n):
 
 def canon(letters, n):
     """The bricks of a sigma-word, decoded from its oracle window."""
-    return fin.from_window(to_permutation(letters, n))
+    return c.from_window(to_permutation(letters, n)).bricks
 
 
 def mul(x, y, n):
@@ -98,6 +98,9 @@ def test_left_insert_rejects_non_int_index(k):
     for insert in (finite_left_insert, right_insert):
         with pytest.raises(ValueError, match=r"^sigma index %r out of range at rank 3$" % k):
             insert((), k, 3)
+        # and both check the rank first, by perms.check_rank
+        with pytest.raises(ValueError, match=r"^rank must be an integer >= 2, got %r$" % k):
+            insert((), 1, k)
 
 
 def test_mul_and_inverse():
@@ -132,6 +135,11 @@ def test_h_basics():
         for fn in (fin.check_hprefix, h_word, h_element):
             with pytest.raises(ValueError, match=r"^invalid h\(%r,%r\) at rank 3$" % h):
                 fn(h, 3)
+    # and the rank passes perms.check_rank first
+    for n in (3.0, 1, True):
+        for fn in (fin.check_hprefix, h_word, h_element):
+            with pytest.raises(ValueError, match=r"^rank must be an integer >= 2, got %r$" % n):
+                fn((2, 0), n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -155,7 +163,7 @@ def test_peel_h_exhaustive(n):
     assert set(per_h.values()) == {math.factorial(n - 1)}
 
 
-def test_peel_h_examples():
+def test_peel_h_examples(monkeypatch):
     n = 3
     assert peel_h((), n)[0] == HPrefix(4, 0)
     h, p = peel_h(canon((3, 1), n), n)
@@ -168,6 +176,15 @@ def test_peel_h_examples():
     for bricks in (((1.0, 1),), ((True, 1),), ((1, 1, 1),), "11"):
         with pytest.raises(ValueError, match="bricks must be a list of integer pairs"):
             peel_h(bricks, 3)
+    # and so is a rank that is not an int >= 2
+    for n in (2.0, 1, True):
+        with pytest.raises(ValueError, match=r"^rank must be an integer >= 2, got %r$" % n):
+            peel_h(((1, 1),), n)
+    # an h that peel_h computed breaking inequality (1) is a bug, not bad input
+    with monkeypatch.context() as m:
+        m.setattr(fin, "hprefix_ok", lambda h, n: False)
+        with pytest.raises(fin.InvariantError, match=r"^peel_h\(\(\(1, 1\),\)\) gave HPrefix"):
+            peel_h(((1, 1),), 3)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -213,7 +230,7 @@ def test_h_times_floor_all_cases(n):
                 assert len(lhs) == len(rhs)
 
 
-def test_h_times_floor_rejects():
+def test_h_times_floor_rejects(monkeypatch):
     with pytest.raises(ValueError):
         h_times_floor(3, 0, 1, 3)  # j must exceed 1
     with pytest.raises(ValueError):
@@ -223,6 +240,14 @@ def test_h_times_floor_rejects():
         h_times_floor(3.0, 1, 2, 3)
     with pytest.raises(ValueError, match=r"invalid h\(2.0,0\)"):
         h_times_floor(3, 1, 2.0, 3)
+    with pytest.raises(ValueError, match=r"^rank must be an integer >= 2, got 3.0$"):
+        h_times_floor(3, 1, 2, 3.0)
+    # an h that h_times_floor computed breaking inequality (1) is a bug, not
+    # bad input; the patched rule still passes the inputs, plain tuples
+    with monkeypatch.context() as m:
+        m.setattr(fin, "hprefix_ok", lambda h, n: not isinstance(h, HPrefix))
+        with pytest.raises(fin.InvariantError, match=r"^h_times_floor\(3, 1, 2\) gave HPrefix"):
+            h_times_floor(3, 1, 2, 3)
 
 
 # --- identity families ------------------------------------------------------
@@ -242,24 +267,26 @@ def test_collapsing_degenerate_case():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_level_code_is_a_bijection(n):
-    # from_window maps the (n+1)! permutations onto the valid shapes, and
+    # level_code maps the (n+1)! permutations onto the valid shapes, and
     # it inverts finite_window, which agrees with the oracle's window
     shapes = all_elements(n)
-    decoded = {fin.from_window(p) for p in itertools.permutations(range(1, n + 2))}
+    decoded = {fin.level_code(p) for p in itertools.permutations(range(1, n + 2))}
     assert decoded == set(shapes)
     assert len(decoded) == math.factorial(n + 1)
     for x in shapes:
         win = fin.finite_window(x, n)
         assert win == to_permutation(finite_word(x, n).letters, n)
-        assert fin.from_window(win) == x
+        assert fin.level_code(win) == x
     assert fin.finite_shapes(n) == sorted(shapes, key=lambda x: (finite_length(x), x))
 
 
-def test_from_window_rejects_affine_windows():
-    # a W(A_n) window is a window (perms.is_window) with L = 0
-    for win in [(0, 2, 4), [1.0, 2, 3], [True, 2, 3], (2, 1)]:
-        with pytest.raises(ValueError, match=r"not a window of W\(A_n\)"):
-            fin.from_window(win)
+def test_from_window_rejects_non_windows_and_gives_affine_windows_pairs():
+    # a W(A_n) window is a window (perms.is_window) with L = 0, decoded by
+    # the one decoder, canonical.from_window, to an element with no pairs
+    for win in [[1.0, 2, 3], [True, 2, 3], (2, 1)]:
+        with pytest.raises(ValueError, match=r"not a window of W\(~A_n\)"):
+            c.from_window(win)
+    assert c.from_window((0, 2, 4)).pairs
 
 
 def test_window_operations_avoid_right_insert(monkeypatch):

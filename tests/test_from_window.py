@@ -1,17 +1,14 @@
 """The window decoder: canonical forms read off windows, checked against the
 letter fold (`oracles.letter_fold`) and the window model, and its guards."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import affcox
 from affcox import canonical as c
 from affcox import perms
 from affcox.words import Word
+from harness import run_python
 from oracles import letter_fold
 
 
@@ -129,6 +126,10 @@ def test_mul_and_inverse_match_the_window_model(n):
     (1.0, 2.0, 3.0),   # not integers
     (3, 2, True),      # a bool in place of the int 1
     ("1", "2", "3"),
+    {1: 0, 2: 0, 3: 0},  # a window is a list or a tuple: not a dict,
+    {3, 1, 2},           # a set,
+    None,                # nothing,
+    iter((1, 2, 3)),     # or an iterator
 ])
 def test_from_window_rejects_non_windows(win):
     with pytest.raises(ValueError, match="not a window"):
@@ -156,10 +157,5 @@ def test_decoder_invariants_survive_optimize():
         "except c.InvariantError as exc:",
         "    print('InvariantError:', exc)",
     ])
-    src = os.path.dirname(os.path.dirname(affcox.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = run_python(code, "-O").splitlines()
     assert len(lines) == 3 and all(l.startswith("InvariantError:") for l in lines), lines

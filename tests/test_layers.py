@@ -46,3 +46,16 @@ def test_hecke_keys_by_element_without_importing_it():
     deps = imports("hecke")
     assert "words" not in {dep for dep, _ in deps}
     assert ("canonical", ("Element",)) not in deps
+
+
+def test_each_shared_rule_is_defined_in_one_module():
+    # one decoder of any window, W(A_n) windows included, and one
+    # generator order; nested definitions count too
+    owners = {}
+    for name in LAYER:
+        with open(os.path.join(PKG, name + ".py")) as f:
+            for node in ast.walk(ast.parse(f.read())):
+                if isinstance(node, ast.FunctionDef):
+                    owners.setdefault(node.name, set()).add(name)
+    assert owners["from_window"] == {"canonical"}
+    assert owners["generators"] == {"perms"}

@@ -2,14 +2,8 @@
 explicit invariant errors, one length comparison per Hecke term, and the
 CLI parser built once."""
 
-import itertools
-import os
-import subprocess
-import sys
-
 import pytest
 
-import affcox
 from affcox import canonical as c
 from affcox import cli
 from affcox import finite as fin
@@ -17,20 +11,14 @@ from affcox import hecke as hk
 from affcox import perms
 from affcox.finite import finite_left_insert, finite_word
 from affcox.words import Word
+from harness import run_python
 from oracles import letter_fold
 
 
 def refold_left_insert(x, k, n):
     """The test oracle: decode the window of sigma_k and the whole brick
     word of x again."""
-    return fin.from_window(perms.to_permutation((k,) + finite_word(x, n).letters, n))
-
-
-def all_elements(n):
-    """Every canonical shape at rank n: on each level j, a start 1..j or none."""
-    levels = [list(range(1, j + 1)) + [None] for j in range(n, 0, -1)]
-    for starts in itertools.product(*levels):
-        yield tuple((i, j) for i, j in zip(starts, range(n, 0, -1)) if i is not None)
+    return c.from_window(perms.to_permutation((k,) + finite_word(x, n).letters, n)).bricks
 
 
 def w0(n):
@@ -40,7 +28,7 @@ def w0(n):
 def test_left_insert_matches_refold_exhaustively():
     cases = 0
     for n in range(2, 7):
-        for x in all_elements(n):
+        for x in fin.finite_shapes(n):
             for k in range(1, n + 1):
                 assert finite_left_insert(x, k, n) == refold_left_insert(x, k, n), (x, k)
                 cases += 1
@@ -118,12 +106,8 @@ def test_tower_invariant_survives_optimize():
         "except c.InvariantError as exc:",
         "    print('InvariantError:', exc)",
     ])
-    src = os.path.dirname(os.path.dirname(affcox.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvariantError:"), proc.stdout
+    out = run_python(code, "-O")
+    assert out.startswith("InvariantError:"), out
 
 
 # --- the Hecke algebra steps on windows --------------------------------------
