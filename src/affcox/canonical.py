@@ -76,10 +76,12 @@ checked against the one after it with `_junction_ok` (O(m) in all,
 redundant for a correct peel), and a peel that does not end at the
 identity raises InvariantError instead of returning a wrong form.
 
-So canonicalize(w) decodes the window of its word, mul(u, v) the
-composed windows, inverse(u) the inverse window, right descents are one
-comparison each on the window (perms.descends), and left descents the same
-on the inverse window, L(w) = R(w^{-1}); none of them calls left_mul.
+So canonicalize(w) decodes the window of its word, which `word_window`
+folds into one list in place (O(l) after one check per distinct letter,
+with no call to perms.to_permutation), mul(u, v) the composed windows,
+inverse(u) the inverse window, right descents are one comparison each on
+the window (perms.descends), and left descents the same on the inverse
+window, L(w) = R(w^{-1}); none of them calls left_mul.
 """
 
 from bisect import bisect_left
@@ -334,9 +336,38 @@ def left_mul(s, e):
 
 def canonicalize(w):
     """Canonical form of an arbitrary word (reduced or not): the word's
-    window (perms.to_permutation, which checks the rank and every letter),
-    decoded, in O(l n + n^2 + m n) for l letters and affine length m."""
-    return from_window(perms.to_permutation(w.letters, w.n))
+    window (`word_window`), decoded, in O(l + n^2 + m n) for l letters and
+    affine length m."""
+    return from_window(word_window(w))
+
+
+def word_window(w):
+    """The window of a word as a list, folded in place from the identity in
+    O(l + n) after one rank check and one check per distinct letter:
+    sigma_s swaps entries s and s+1, and a sets w(1), w(n+1) to
+    w(n+1) - (n+1), w(1) + (n+1), as perms.right_mul does on tuples.  A
+    ValueError names the first bad letter, as perms.to_permutation's does."""
+    n, letters = w.n, w.letters
+    check_rank(n)
+    # equal letters of one type are one letter; a word that mixes types
+    # (1 and True, say) is never valid, and is checked letter by letter, as
+    # is one with an unhashable letter
+    distinct = letters
+    if len(set(map(type, letters))) == 1:
+        try:
+            distinct = dict.fromkeys(letters)
+        except TypeError:
+            pass
+    for s in distinct:
+        check_letter(s, n)
+    nn = n + 1
+    win = list(range(1, nn + 1))
+    for s in letters:
+        if s == AFFINE:
+            win[0], win[n] = win[n] - nn, win[0] + nn
+        else:
+            win[s - 1], win[s] = win[s], win[s - 1]
+    return win
 
 
 def window(e):

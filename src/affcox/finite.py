@@ -73,6 +73,7 @@ def int_pairs(field, seq):
 
 def validate_finite(bricks, n):
     """The canonical-shape invariants, on int entries (`int_pairs`)."""
+    check_rank(n)
     prev_j = n + 1
     for i, j in bricks:
         if not (1 <= i <= j <= n and j < prev_j):
@@ -94,6 +95,7 @@ def ceil_word(i, j):
 def finite_window(bricks, n):
     """Window (x(1), ..., x(n+1)) of a canonical shape with int entries: each
     brick |i,j| in turn moves the entry at position i to position j+1."""
+    check_rank(n)
     win = list(range(1, n + 2))
     for i, j in bricks:
         win.insert(j, win.pop(i - 1))
@@ -127,6 +129,7 @@ def right_insert(bricks, k, n):
 
 
 def finite_word(bricks, n):
+    check_rank(n)
     return Word(n, tuple(s for i, j in bricks for s in floor_word(i, j)))
 
 

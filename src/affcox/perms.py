@@ -27,6 +27,10 @@ It owns the input rules, each testing an integer as `type(v) is int`:
 letter (`check_letter`), rank (`check_rank`), count (`check_count`) and
 window (`is_window`).  The window arithmetic takes windows already checked
 by `is_window` and checks only the letters and ranks it is given.
+`to_permutation` and `right_mul` are the judge's fold, one checked letter
+and one new tuple at a time: the tests and the benchmark's oracle call
+them, and no library hot path does (canonical.word_window folds a word's
+window in place).
 """
 
 AFFINE = 0  # the letter a_{n+1}

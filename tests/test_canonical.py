@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -144,11 +145,42 @@ def test_random_words_canonicalize(n):
     (Word(2, (1.5,)), "letter 1.5 invalid at rank 2"),
     (Word(2, (True,)), "letter True invalid at rank 2"),
     (Word(2, (7,)), "letter 7 invalid at rank 2"),
+    (Word(2, (-1,)), "letter -1 invalid at rank 2"),
+    (Word(2, (None,)), "letter None invalid at rank 2"),
+    (Word(2, ([1],)), "letter [1] invalid at rank 2"),
+    # the first bad letter in word order, whatever its type or hashability
+    (Word(2, (0, 3, 1.0)), "letter 3 invalid at rank 2"),
+    (Word(2, (1, 1.0)), "letter 1.0 invalid at rank 2"),
+    (Word(2, (2, 1, 0, True, 1)), "letter True invalid at rank 2"),
+    (Word(2, (0, 1, [1], 3)), "letter [1] invalid at rank 2"),
     (Word(1, ()), "rank must be an integer >= 2, got 1"),
+    (Word(1.5, ()), "rank must be an integer >= 2, got 1.5"),
+    (Word(True, ()), "rank must be an integer >= 2, got True"),
+    (Word(1, (7,)), "rank must be an integer >= 2, got 1"),
 ])
 def test_canonicalize_rejects_bad_input(w, want):
     with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
         c.canonicalize(w)
+
+
+def test_canonicalize_does_not_call_the_window_model(monkeypatch):
+    """The library's path is independent of the judge: with every binding of
+    perms.to_permutation and perms.right_mul made to raise, canonicalize
+    still returns the element the window model decodes."""
+    rng = random.Random(10)
+    words = [Word(10, perms.random_reduced_word(10, 400, rng)),
+             Word(10, tuple(rng.randrange(11) for _ in range(400)))]
+    want = [c.from_window(perms.to_permutation(w.letters, w.n)) for w in words]
+
+    def judge_only(*args):
+        raise AssertionError("the window model was called on the library path")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("affcox"):
+            for name in ("to_permutation", "right_mul"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, judge_only)
+    assert [c.canonicalize(w) for w in words] == want
 
 
 def long_words():
@@ -164,6 +196,8 @@ def long_words():
 def test_canonicalize_long_words_by_letter_expansion(w):
     e = c.canonicalize(w)
     win = perms.to_permutation(w.letters, w.n)
+    # canonicalize's in-place fold against the judge's tuple fold
+    assert tuple(c.word_window(w)) == win
     assert perms.to_permutation(c.element_word(e).letters, w.n) == win
     assert c.length(e) == perms.perm_length(win)
     assert c.affine_length(e) == perms.affine_length(win)

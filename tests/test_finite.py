@@ -28,7 +28,7 @@ from affcox.finite import (
     validate_finite,
 )
 from affcox.perms import compose, inverse, perm_length, to_permutation
-from affcox.words import parse_word
+from affcox.words import Word, parse_word
 
 
 def all_elements(n):
@@ -101,6 +101,31 @@ def test_left_insert_rejects_non_int_index(k):
         # and both check the rank first, by perms.check_rank
         with pytest.raises(ValueError, match=r"^rank must be an integer >= 2, got %r$" % k):
             insert((), 1, k)
+
+
+RANK_ERROR = r"^rank must be an integer >= 2, got %r$"
+BAD_RANKS = (1.5, 2.0, True, 1)
+
+
+def test_finite_window_checks_the_rank():
+    assert fin.finite_window(((1, 1),), 2) == (2, 1, 3)
+    for n in BAD_RANKS:
+        with pytest.raises(ValueError, match=RANK_ERROR % n):
+            fin.finite_window((), n)
+
+
+def test_finite_word_checks_the_rank():
+    assert finite_word(((1, 2),), 2) == Word(2, (1, 2))
+    for n in BAD_RANKS:
+        with pytest.raises(ValueError, match=RANK_ERROR % n):
+            finite_word(((1, 1),), n)
+
+
+def test_validate_finite_checks_the_rank():
+    assert validate_finite(((1, 1),), 2) and not validate_finite(((1, 3),), 2)
+    for n in BAD_RANKS:
+        with pytest.raises(ValueError, match=RANK_ERROR % n):
+            validate_finite(((1, 1),), n)
 
 
 def test_mul_and_inverse():

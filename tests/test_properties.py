@@ -48,6 +48,14 @@ def test_letter_fold_is_the_decoder(w):
 
 @PROPERTY
 @given(RANKS.flatmap(words))
+def test_canonicalize_is_the_decoded_window(w):
+    """canonicalize's in-place fold and the window model's fold, each
+    decoded, are two independent paths to one element."""
+    assert c.canonicalize(w) == decoded(w)
+
+
+@PROPERTY
+@given(RANKS.flatmap(words))
 def test_level_code_reads_relative_order(w):
     """The decoder's x: the level code of the affine window itself equals
     that of its ranks, a permutation window."""
