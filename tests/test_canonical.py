@@ -145,6 +145,7 @@ def test_random_words_canonicalize(n):
     (Word(2, (1.5,)), "letter 1.5 invalid at rank 2"),
     (Word(2, (True,)), "letter True invalid at rank 2"),
     (Word(2, (7,)), "letter 7 invalid at rank 2"),
+    (Word(1, ()), "rank must be an integer >= 2, got 1"),
     (Word(2, (-1,)), "letter -1 invalid at rank 2"),
     (Word(2, (None,)), "letter None invalid at rank 2"),
     (Word(2, ([1],)), "letter [1] invalid at rank 2"),
@@ -153,7 +154,6 @@ def test_random_words_canonicalize(n):
     (Word(2, (1, 1.0)), "letter 1.0 invalid at rank 2"),
     (Word(2, (2, 1, 0, True, 1)), "letter True invalid at rank 2"),
     (Word(2, (0, 1, [1], 3)), "letter [1] invalid at rank 2"),
-    (Word(1, ()), "rank must be an integer >= 2, got 1"),
     (Word(1.5, ()), "rank must be an integer >= 2, got 1.5"),
     (Word(True, ()), "rank must be an integer >= 2, got True"),
     (Word(1, (7,)), "rank must be an integer >= 2, got 1"),
