@@ -71,25 +71,29 @@ exchange rules.  The peel makes exactly L(w) = perms.affine_length(w)
 steps, ending at the identity: a sorted window with u(1) >= 1 or
 u(N) <= N is the identity (N distinct residues summing to N(N+1)/2), so
 every other peel lowers sum_k max(0, floor((u(k) - 1)/N)) by exactly 1,
-and that sum is 0 only at the identity.  Each peeled pair is still
-checked against the one after it with `_junction_ok` (O(m) in all,
-redundant for a correct peel), and a peel that does not end at the
-identity raises InvariantError instead of returning a wrong form.
+and that sum is 0 only at the identity.  Each distinct junction of the
+peeled pairs is still checked with `_junction_ok`, once per run of equal
+pairs: the change into the run and its self-junction (p, p), which the
+rest of the run repeats (redundant for a correct peel; a check dropped
+would only repeat a pure function on the same arguments).  A peel that
+does not end at the identity raises InvariantError instead of returning
+a wrong form.
 
 So canonicalize(w) decodes the window of its word, which `word_window`
-folds into one list in place (O(l) after one check per distinct letter,
-with no call to perms.to_permutation), mul(u, v) the composed windows,
-inverse(u) the inverse window, right descents are one comparison each on
-the window (perms.descends), and left descents the same on the inverse
-window, L(w) = R(w^{-1}); none of them calls left_mul.
+folds into one list in place (O(l) after one letter check per word,
+perms.check_letters, with no call to perms.to_permutation), mul(u, v)
+the composed windows, inverse(u) the inverse window, right descents are
+one comparison each on the window (perms.descends), and left descents
+the same on the inverse window, L(w) = R(w^{-1}); none of them calls
+left_mul.
 """
 
 from bisect import bisect_left
 from typing import NamedTuple
 
 from . import perms
-from .perms import (AFFINE, InvariantError, check_letter, check_rank, compose, generators,
-                    is_window)
+from .perms import (AFFINE, InvariantError, check_letter, check_letters, check_rank, compose,
+                    generators, is_window)
 from . import finite as fin
 from .words import Word, hat_partner
 
@@ -343,30 +347,22 @@ def canonicalize(w):
 
 def word_window(w):
     """The window of a word as a list, folded in place from the identity in
-    O(l + n) after one rank check and one check per distinct letter:
-    sigma_s swaps entries s and s+1, and a sets w(1), w(n+1) to
-    w(n+1) - (n+1), w(1) + (n+1), as perms.right_mul does on tuples.  A
-    ValueError names the first bad letter, as perms.to_permutation's does."""
+    O(l + n) after one rank check and one letter check for the whole word
+    (perms.check_letters): sigma_s swaps entries s and s+1, and a sets
+    w(1), w(n+1) to w(n+1) - (n+1), w(1) + (n+1), as perms.right_mul does
+    on tuples.  A ValueError names the first bad letter, as
+    perms.to_permutation's does."""
     n, letters = w.n, w.letters
     check_rank(n)
-    # equal letters of one type are one letter; a word that mixes types
-    # (1 and True, say) is never valid, and is checked letter by letter, as
-    # is one with an unhashable letter
-    distinct = letters
-    if len(set(map(type, letters))) == 1:
-        try:
-            distinct = dict.fromkeys(letters)
-        except TypeError:
-            pass
-    for s in distinct:
-        check_letter(s, n)
+    check_letters(letters, n)
     nn = n + 1
-    win = list(range(1, nn + 1))
+    win = list(range(nn + 1))  # win[k] = w(k); win[0] is a sentinel slot
     for s in letters:
-        if s == AFFINE:
-            win[0], win[n] = win[n] - nn, win[0] + nn
-        else:
-            win[s - 1], win[s] = win[s], win[s - 1]
+        if s:
+            win[s], win[s + 1] = win[s + 1], win[s]
+        else:  # s is AFFINE
+            win[1], win[nn] = win[nn] - nn, win[1] + nn
+    del win[0]
     return win
 
 
@@ -396,9 +392,10 @@ def from_window(win):
     u = sorted(win) from the right, pair (j, i) by pair, where i and
     j count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1)
     (see the module docstring for why this pair is the last one): exactly
-    L(w) peels, ending at the identity.  A ValueError if win is not a
-    window; an InvariantError if a peeled pair breaks a junction or the
-    peel does not end at the identity.
+    L(w) peels, ending at the identity.  Junctions are checked once per
+    run of equal pairs (the change into the run, and its self-junction).
+    A ValueError if win is not a window; an InvariantError if a peeled
+    pair breaks a junction or the peel does not end at the identity.
     """
     if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
@@ -406,7 +403,7 @@ def from_window(win):
     n = nn - 1
     u = sorted(win)
     bricks = fin.level_code(win)
-    pairs, last = [], None
+    pairs, last, run_ok = [], None, False
     pop, insert = u.pop, u.insert
     for _ in range(perms.affine_length(u)):
         # the two ends move: u(1) + (n+1) to position j, u(n+1) - (n+1) next to i
@@ -420,10 +417,13 @@ def from_window(win):
             insert(i + 1, high)
             j = below + 1
         pair = (j, i)
-        if last is not None and not _junction_ok(pair, last, n):
-            raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
+        # each distinct junction once: every change of pair, and the
+        # self-junction (p, p) once per run of equal pairs
+        if pair != last or not run_ok:
+            if last is not None and not _junction_ok(pair, last, n):
+                raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
+            run_ok, last = pair == last, pair
         pairs.append(pair)
-        last = pair
     if u[n] != nn:  # u stays sorted: the identity is the one with u(n+1) = n+1
         raise InvariantError("right peel of %r ended at %r, not the identity" % (win, u))
     if last is not None and not _junction_ok(None, last, n):

@@ -23,10 +23,12 @@ Length is the affine inversion count
 (Python's // is the mathematical floor, so the formula transcribes directly);
 it is validated against BFS distance from the identity.
 
-It owns the input rules, each testing an integer as `type(v) is int`:
-letter (`check_letter`), rank (`check_rank`), count (`check_count`) and
-window (`is_window`).  The window arithmetic takes windows already checked
-by `is_window` and checks only the letters and ranks it is given.
+It owns the input rules, each testing an integer as `type(v) is int` (or
+a type set as a subset of {int}): letter (`check_letter`, and
+`check_letters` for a whole word), rank (`check_rank`), count
+(`check_count`) and window (`is_window`).  The window arithmetic takes
+windows already checked by `is_window` and checks only the letters and
+ranks it is given.
 `to_permutation` and `right_mul` are the judge's fold, one checked letter
 and one new tuple at a time: the tests and the benchmark's oracle call
 them, and no library hot path does (canonical.word_window folds a word's
@@ -55,6 +57,15 @@ def check_letter(s, n):
         raise ValueError("letter %r invalid at rank %d" % (s, n))
 
 
+def check_letters(letters, n):
+    """The letter rule for a whole word: one pass over the letters' types
+    and one subset test against {0..n}.  If either fails, `check_letter`
+    runs over the letters in word order, so the first bad letter raises."""
+    if not (set(map(type, letters)) <= {int} and set(letters) <= set(range(n + 1))):
+        for s in letters:
+            check_letter(s, n)
+
+
 def check_count(what, v):
     """The one count rule, for every bound and size: an int >= 0, not a bool,
     checked before a walk starts, which could otherwise grow without end."""
@@ -76,7 +87,7 @@ def identity(n):
 def is_window(w):
     """The one window rule: a list or tuple of 3+ ints, distinct residues
     mod n+1, normalized sum."""
-    if not isinstance(w, (list, tuple)) or len(w) < 3 or not all(type(v) is int for v in w):
+    if not isinstance(w, (list, tuple)) or len(w) < 3 or not set(map(type, w)) <= {int}:
         return False
     nn = len(w)
     if len({v % nn for v in w}) != nn:

@@ -20,7 +20,7 @@ import re
 from typing import NamedTuple, Optional
 
 from .perms import (
-    AFFINE, InvariantError, check_letter, check_rank, compose, identity, inverse,
+    AFFINE, InvariantError, check_letters, check_rank, compose, identity, inverse,
     right_mul,
 )
 
@@ -37,8 +37,7 @@ def word(n, letters):
     """Build a Word, validating rank and letter ranges."""
     check_rank(n)
     letters = tuple(letters)
-    for s in letters:
-        check_letter(s, n)
+    check_letters(letters, n)
     return Word(n, letters)
 
 

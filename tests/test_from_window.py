@@ -137,19 +137,27 @@ def test_from_window_rejects_non_windows(win):
 
 
 def test_decoder_invariants_survive_optimize():
-    # a junction check that rejects everything, then a peel that never
-    # sorts (bisection pinned to 0, junctions waved through): both must
-    # raise InvariantError with asserts compiled out, and neither may loop
+    # a junction check that rejects everything; one that rejects only a
+    # self-junction (p, p), on c^4 = (1,0)^4; one that rejects only a
+    # change of pair, on (4,0)(1,0)(1,0); then a peel that never sorts
+    # (bisection pinned to 0, junctions waved through): each must raise
+    # InvariantError with asserts compiled out, and none may loop
     code = "\n".join([
         "import sys",
         "from affcox import canonical as c, perms",
         "assert sys.flags.optimize",
-        "c._junction_ok = lambda prev, pair, n: False",
-        "for word in [(0,), (1, 2, 3, 0) * 2]:",
+        "def decode(word):",
         "    try:",
         "        c.from_window(perms.to_permutation(word, 3))",
         "    except c.InvariantError as exc:",
         "        print('InvariantError:', exc)",
+        "c._junction_ok = lambda prev, pair, n: False",
+        "decode((0,))",
+        "decode((1, 2, 3, 0) * 2)",
+        "c._junction_ok = lambda prev, pair, n: prev != pair",
+        "decode((1, 2, 3, 0) * 4)",
+        "c._junction_ok = lambda prev, pair, n: prev is None or prev == pair",
+        "decode((0, 1, 2, 3, 0, 1, 2, 3, 0))",
         "c._junction_ok = lambda prev, pair, n: True",
         "c.bisect_left = lambda u, v: 0",
         "try:",
@@ -158,4 +166,6 @@ def test_decoder_invariants_survive_optimize():
         "    print('InvariantError:', exc)",
     ])
     lines = run_python(code, "-O").splitlines()
-    assert len(lines) == 3 and all(l.startswith("InvariantError:") for l in lines), lines
+    assert len(lines) == 5 and all(l.startswith("InvariantError:") for l in lines), lines
+    assert lines[2].endswith("gave (1, 0) before (1, 0)"), lines
+    assert lines[3].endswith("gave (4, 0) before (1, 0)"), lines

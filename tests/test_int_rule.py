@@ -1,7 +1,8 @@
-"""The integer test is `type(v) is int`, as in `perms.check_letter`: no
-`isinstance(v, int)` in the library, since a bool passes it, and the test
-itself is written only inside the named rule functions, which every other
-function calls."""
+"""The integer test is `type(v) is int`, as in `perms.check_letter`, or
+its one-pass form over many values, a type set compared with `{int}`, as
+in `perms.check_letters`: no `isinstance(v, int)` in the library, since a
+bool passes it, and the test itself is written only inside the named rule
+functions, which every other function calls."""
 
 import ast
 import glob
@@ -11,7 +12,7 @@ import affcox
 
 # module -> the functions that state an input rule with `type(v) is int`
 RULES = {
-    "perms": {"check_rank", "check_letter", "check_count", "is_window"},
+    "perms": {"check_rank", "check_letter", "check_letters", "check_count", "is_window"},
     "finite": {"int_pairs", "_check_sigma", "hprefix_ok"},
     "blocks": {"_check_appendix_args"},
     "canonical": {"from_json"},
@@ -33,8 +34,14 @@ def _names_int(node):
 
 
 def _is_type_int_test(node):
-    """`type(...) is int` or `type(...) is not int`."""
-    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+    """`type(...) is int`, `type(...) is not int`, or a type set compared
+    with `{int}` (`set(map(type, xs)) <= {int}`)."""
+    if not isinstance(node, ast.Compare):
+        return False
+    if any(isinstance(side, ast.Set) and any(_names_int(elt) for elt in side.elts)
+           for side in [node.left, *node.comparators]):
+        return True
+    return (isinstance(node.left, ast.Call)
             and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
             and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
             and any(_names_int(right) for right in node.comparators))

@@ -1,17 +1,19 @@
 """Property checks of the two exact engines against the window model, at
 ranks 2..30 on words of up to 2,000 letters: random reduced words
 (`perms.random_reduced_word` with a drawn seed) and cancelling words
-(uniform random letters).  Derandomized and without an example database,
-so every run checks the same inputs."""
+(uniform random letters); and of the whole-word letter rule against the
+per-letter one, on words with hostile letters.  Derandomized and without
+an example database, so every run checks the same inputs."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affcox import canonical as c
 from affcox import finite as fin
 from affcox import perms
 from affcox import tower
+from affcox import words as wd
 from affcox.words import Word
 from oracles import embed_window, letter_fold, ranked_level_code
 
@@ -103,3 +105,57 @@ def test_embed_is_a_homomorphism(ws):
 def test_embed_is_the_residue_extension(w):
     e = decoded(w)
     assert tuple(c.window(tower.embed(e))) == embed_window(c.window(e))
+
+
+def hostile_letters(n):
+    """A bool, a float equal to a valid letter, out-of-range and huge ints,
+    None, a str and an unhashable list."""
+    return [True, False, 1.0, -1, n + 1, 10 ** 30, None, "1", [1]]
+
+
+@st.composite
+def hostile_words(draw):
+    """A rank, and a word of valid letters with up to 3 hostile ones
+    inserted at drawn places."""
+    n = draw(RANKS)
+    letters = draw(st.lists(st.integers(0, n), max_size=40))
+    for bad in draw(st.lists(st.sampled_from(hostile_letters(n)), max_size=3)):
+        letters.insert(draw(st.integers(0, len(letters))), bad)
+    return n, letters
+
+
+def first_bad_letter(check, *args):
+    """The ValueError message of check(*args), or None if it passes."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def letter_loop(letters, n):
+    for s in letters:
+        perms.check_letter(s, n)
+
+
+@PROPERTY
+@given(hostile_words())
+@example((3, []))
+@example((3, [1, True]))
+@example((3, [True, 1]))
+@example((3, [2, 1.0, 0]))
+@example((3, [0, -1]))
+@example((3, [1, 4]))
+@example((3, [10 ** 30]))
+@example((3, [None, 1]))
+@example((3, [2, "1"]))
+@example((3, [1, [1]]))
+def test_check_letters_is_the_letter_loop(case):
+    """perms.check_letters accepts exactly the words whose every letter
+    passes check_letter, and otherwise raises the first bad letter's
+    message; so do both word constructors that call it."""
+    n, letters = case
+    want = first_bad_letter(letter_loop, letters, n)
+    assert first_bad_letter(perms.check_letters, letters, n) == want
+    assert first_bad_letter(wd.word, n, letters) == want
+    assert first_bad_letter(c.word_window, Word(n, tuple(letters))) == want
