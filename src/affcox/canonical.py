@@ -79,21 +79,37 @@ would only repeat a pure function on the same arguments).  A peel that
 does not end at the identity raises InvariantError instead of returning
 a wrong form.
 
-So canonicalize(w) decodes the window of its word, which `word_window`
-folds into one list in place (O(l) after one letter check per word,
-perms.check_letters, with no call to perms.to_permutation), mul(u, v)
-the composed windows, inverse(u) the inverse window, right descents are
-one comparison each on the window (perms.descends), and left descents
-the same on the inverse window, L(w) = R(w^{-1}); none of them calls
-left_mul.
+So canonicalize(w) peels the window of its word, which `word_window`
+folds into one list in place (O(l), with no call to perms.to_permutation),
+mul(u, v) the composed windows, inverse(u) the inverse window, right
+descents are one comparison each on the window (perms.descends), and left
+descents the same on the inverse window, L(w) = R(w^{-1}); none of them
+calls left_mul.
+
+One checked boundary, an unchecked interior.  Plain data is checked once,
+where it enters, by the rules of perms:
+  - a words.Word checks its rank and letters when it is made (`Word`,
+    words.word, words.parse_word, and every copy of one);
+  - `identity_element` checks a rank; `make_element`, `parse_element` and
+    `from_json` check a rank, pairs and bricks;
+  - `from_window` checks a window (perms.is_window), then peels it;
+  - `left_mul` and `left_mul_block` check a letter; `deficiency_m1` and
+    `affine_descent_cases_m2` check their pairs and prefix.
+Everything else takes a Word or an Element, already checked, and checks
+nothing again: `canonicalize` folds its Word's window (`word_window`) and
+peels it with `_peel`, the decoder without the window check, as `mul`,
+`inverse`, hecke's fold and hecke.gen_basis peel the windows they built.
+`_peel` keeps the engine's own invariants (InvariantError, which survives
+python -O).  An Element is taken as the functions here return it: one made
+directly from its NamedTuple fields is outside the contract.
 """
 
 from bisect import bisect_left
 from typing import NamedTuple
 
 from . import perms
-from .perms import (AFFINE, InvariantError, check_letter, check_letters, check_rank, compose,
-                    generators, is_window)
+from .perms import (AFFINE, InvariantError, check_letter, check_rank, compose, generators,
+                    is_window)
 from . import finite as fin
 from .words import Word, hat_partner
 
@@ -166,7 +182,7 @@ def block_word(pairs, n):
     for j, i in pairs:
         letters.extend(fin.h_word((j, i), n))
         letters.append(AFFINE)
-    return Word(n, tuple(letters))
+    return Word(n, letters)
 
 
 def element_word(e):
@@ -339,22 +355,19 @@ def left_mul(s, e):
 
 
 def canonicalize(w):
-    """Canonical form of an arbitrary word (reduced or not): the word's
-    window (`word_window`), decoded, in O(l + n^2 + m n) for l letters and
-    affine length m."""
-    return from_window(word_window(w))
+    """Canonical form of an arbitrary Word (reduced or not): the word's
+    window (`word_window`), peeled, in O(l + n^2 + m n) for l letters and
+    affine length m.  The Word was checked when it was made, and the window
+    is the library's own, so nothing is checked again."""
+    return _peel(word_window(w))
 
 
 def word_window(w):
-    """The window of a word as a list, folded in place from the identity in
-    O(l + n) after one rank check and one letter check for the whole word
-    (perms.check_letters): sigma_s swaps entries s and s+1, and a sets
-    w(1), w(n+1) to w(n+1) - (n+1), w(1) + (n+1), as perms.right_mul does
-    on tuples.  A ValueError names the first bad letter, as
-    perms.to_permutation's does."""
+    """The window of a Word as a list, folded in place from the identity in
+    O(l + n), unchecked: the Word's rank and letters were checked when it
+    was made.  sigma_s swaps entries s and s+1, and a sets w(1), w(n+1) to
+    w(n+1) - (n+1), w(1) + (n+1), as perms.right_mul does on tuples."""
     n, letters = w.n, w.letters
-    check_rank(n)
-    check_letters(letters, n)
     nn = n + 1
     win = list(range(nn + 1))  # win[k] = w(k); win[0] is a sentinel slot
     for s in letters:
@@ -387,18 +400,29 @@ def window(e):
 
 def from_window(win):
     """
-    The canonical form of the element with window `win`, in O(n^2 + m n):
-    x is the level code of win itself, and the block is peeled off
-    u = sorted(win) from the right, pair (j, i) by pair, where i and
-    j count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1)
-    (see the module docstring for why this pair is the last one): exactly
-    L(w) peels, ending at the identity.  Junctions are checked once per
-    run of equal pairs (the change into the run, and its self-junction).
-    A ValueError if win is not a window; an InvariantError if a peeled
-    pair breaks a junction or the peel does not end at the identity.
+    The canonical form of the element with window `win`: the one checked
+    decoder, for windows from outside the library.  A ValueError if win is
+    not a window (perms.is_window); otherwise `_peel(win)`.
     """
     if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
+    return _peel(win)
+
+
+def _peel(win):
+    """
+    The canonical form of the element with window `win`, in O(n^2 + m n),
+    unchecked: win is a window the library built (word_window, compose,
+    perms.inverse, a Hecke step) or one `from_window` checked.  x is the
+    level code of win itself, and the block is peeled off u = sorted(win)
+    from the right, pair (j, i) by pair, where i and j count the entries
+    u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1) (see the module
+    docstring for why this pair is the last one): exactly L(w) peels,
+    ending at the identity.  Junctions are checked once per run of equal
+    pairs (the change into the run, and its self-junction).  An
+    InvariantError if a peeled pair breaks a junction or the peel does not
+    end at the identity.
+    """
     nn = len(win)
     n = nn - 1
     u = sorted(win)
@@ -436,12 +460,12 @@ def mul(u, v):
     """u . v: the composed windows, decoded."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    return from_window(compose(window(u), window(v)))
+    return _peel(compose(window(u), window(v)))
 
 
 def inverse(u):
     """u^{-1}: the inverse window, decoded."""
-    return from_window(perms.inverse(window(u)))
+    return _peel(perms.inverse(window(u)))
 
 
 def right_descents(e):

@@ -82,7 +82,7 @@ def _descents(args, e):
     gens, left, right = c.generators(e.n), c.left_descents(e), c.right_descents(e)
     obj = {"left": [s for s in gens if s in left], "right": [s for s in gens if s in right]}
     return obj, "L: %s\nR: %s" % tuple(
-        format_word(Word(e.n, tuple(obj[side]))) or "-" for side in ("left", "right"))
+        format_word(Word(e.n, obj[side])) or "-" for side in ("left", "right"))
 
 
 def _member(args, e):

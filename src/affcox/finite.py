@@ -129,8 +129,7 @@ def right_insert(bricks, k, n):
 
 
 def finite_word(bricks, n):
-    check_rank(n)
-    return Word(n, tuple(s for i, j in bricks for s in floor_word(i, j)))
+    return Word(n, (s for i, j in bricks for s in floor_word(i, j)))
 
 
 def finite_length(bricks):

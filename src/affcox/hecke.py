@@ -21,9 +21,10 @@ s, so no Hecke operation calls the letter engine.
 
 The fold runs on windows (perms), not on canonical forms.  Its terms are
 keyed by window tuples: each term of the right factor is encoded once
-(`canonical.window`) and each surviving term of the sum decoded once
-(`canonical.from_window`).  One step g_s . g_w is one O(n) pass over the
-window of w, with N = n+1:
+(`canonical.window`) and each surviving term of the sum decoded once by
+the unchecked peel (`canonical._peel`: the windows are the fold's own;
+`canonical.from_window` checks only windows from outside).  One step
+g_s . g_w is one O(n) pass over the window of w, with N = n+1:
 
   - sw acts on values, (sw)(k) = s(w(k)): the entry of residue class s
     mod N goes up by 1 and the entry of class s+1 goes down by 1.  With
@@ -136,8 +137,8 @@ def basis(e):
 
 
 def gen_basis(s, n):
-    """g_s, decoded from the window of s (right_mul checks the letter)."""
-    return basis(c.from_window(right_mul(identity(n), s)))
+    """g_s, peeled from the window of s (right_mul checks the letter)."""
+    return basis(c._peel(right_mul(identity(n), s)))
 
 
 def scale(h, p):
@@ -191,7 +192,8 @@ def _step(s, terms, nn, inverse):
 def _fold(n, h, start, steps):
     """The sum over the terms p g_w of h of p times the window-keyed terms
     `start` after the (letter, inverse) steps(w), applied in order; each
-    surviving window is decoded once, at rank n."""
+    surviving window is the fold's own, so it is peeled (canonical._peel)
+    once, at rank n, without a window check."""
     nn = n + 1
     out = {}
     for w, p in h.terms.items():
@@ -200,7 +202,7 @@ def _fold(n, h, start, steps):
             acc = _step(s, acc, nn, inverse)
         for win, pw in acc.items():
             _put(out, win, lp_mul(pw, p))
-    return HeckeElement(n, {c.from_window(win): p for win, p in out.items() if p})
+    return HeckeElement(n, {c._peel(win): p for win, p in out.items() if p})
 
 
 def hecke_left_mul_gen(s, h):

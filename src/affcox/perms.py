@@ -26,9 +26,12 @@ it is validated against BFS distance from the identity.
 It owns the input rules, each testing an integer as `type(v) is int` (or
 a type set as a subset of {int}): letter (`check_letter`, and
 `check_letters` for a whole word), rank (`check_rank`), count
-(`check_count`) and window (`is_window`).  The window arithmetic takes
-windows already checked by `is_window` and checks only the letters and
-ranks it is given.
+(`check_count`) and window (`is_window`).  A word's and a window's rules
+are paid once, at the library's boundary: a words.Word runs `check_rank`
+and `check_letters` when it is made, and canonical.from_window runs
+`is_window` on a window from outside.  The window arithmetic takes
+windows already checked or built by the library and checks only the
+letters and ranks it is given.
 `to_permutation` and `right_mul` are the judge's fold, one checked letter
 and one new tuple at a time: the tests and the benchmark's oracle call
 them, and no library hot path does (canonical.word_window folds a word's

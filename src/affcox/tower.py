@@ -75,7 +75,7 @@ def substitute_word(w):
             letters.extend((n, AFFINE, n))
         else:
             letters.append(s)
-    return Word(n, tuple(letters))
+    return Word(n, letters)
 
 
 def is_in_image(e) -> bool:

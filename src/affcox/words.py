@@ -3,7 +3,9 @@ Words over the generator alphabet of W(~A_n), parsing/printing, and the
 reflection-sequence reducedness test.
 
 A letter is an int: 1..n for sigma_i, 0 (perms.AFFINE) for a_{n+1}.  A Word
-pins its rank; operations never coerce across ranks.
+pins its rank; operations never coerce across ranks.  A Word is checked
+when it is made (`Word`), and no route makes an unchecked one, so the
+rank and letter rules of perms are paid once per word, at that boundary.
 
 Text syntax: whitespace- or '*'-separated tokens, `s<k>` for sigma_k and `a`
 for the affine generator, e.g. "s1 a s2" or "s1*a*s2".
@@ -25,19 +27,37 @@ from .perms import (
 )
 
 
-class Word(NamedTuple):
+class _Fields(NamedTuple):
     n: int
     letters: tuple
+
+
+class Word(_Fields):
+    """A word at rank n, checked once, when it is made: `check_rank`, then
+    the letters as a tuple (any iterable is read once) and `check_letters`.
+    Every route to a Word goes through `__new__`: the constructor, `_make`
+    and so `_replace`, and pickle and copy (by `__getnewargs__`).  So code
+    that takes a Word need not check it again."""
+    __slots__ = ()
+
+    def __new__(cls, n, letters):
+        check_rank(n)
+        letters = tuple(letters)
+        check_letters(letters, n)
+        return tuple.__new__(cls, (n, letters))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make skips __new__, and compares len() with the
+        # field count, which __len__ (the letter count) breaks
+        return cls(*iterable)
 
     def __len__(self):
         return len(self.letters)
 
 
 def word(n, letters):
-    """Build a Word, validating rank and letter ranges."""
-    check_rank(n)
-    letters = tuple(letters)
-    check_letters(letters, n)
+    """Build a Word; the checks are `Word`'s."""
     return Word(n, letters)
 
 
@@ -58,7 +78,7 @@ def parse_word(text, n):
         if not 1 <= k <= n:
             raise ValueError("index out of range: s%d at rank %d" % (k, n))
         letters.append(k)
-    return Word(n, tuple(letters))
+    return Word(n, letters)
 
 
 def format_word(w):

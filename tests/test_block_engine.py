@@ -201,7 +201,8 @@ def test_element_operation_counts(monkeypatch):
     multiplication, table lookup or finite left insertion, on 200 pairs at
     n = 6 drawn from 50 random reduced elements with l <= 300; and
     canonicalize(w) is one decode of its word's window, with no letter
-    engine call at all."""
+    engine call at all.  `_peel` is the unchecked decoder these paths call
+    on windows they built; `from_window` adds only the window check."""
     n = 6
     rng = random.Random(606)
     words = [Word(n, perms.random_reduced_word(n, rng.randint(0, 300), rng))
@@ -209,7 +210,7 @@ def test_element_operation_counts(monkeypatch):
     pool = [c.canonicalize(w) for w in words]
     calls = []
     for mod, name in ((c, "left_mul"), (c, "left_mul_block"), (c, "_table"),
-                      (fin, "finite_left_insert"), (c, "from_window")):
+                      (fin, "finite_left_insert"), (c, "_peel")):
         orig = getattr(mod, name)
         monkeypatch.setattr(mod, name,
                             lambda *args, name=name, orig=orig: calls.append(name) or orig(*args))
@@ -219,11 +220,11 @@ def test_element_operation_counts(monkeypatch):
         c.inverse(u)
         c.left_descents(u)
         c.right_descents(v)
-    assert set(calls) == {"from_window"}
+    assert set(calls) == {"_peel"}
     for w in words:
         calls.clear()
         c.canonicalize(w)
-        assert calls == ["from_window"], calls
+        assert calls == ["_peel"], calls
 
 
 # --- invariants that survive python -O --------------------------------------

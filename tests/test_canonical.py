@@ -142,25 +142,35 @@ def test_random_words_canonicalize(n):
 # --- canonicalize's input: the window of its word ---------------------------
 
 @pytest.mark.parametrize("w,want", [
-    (Word(2, (1.5,)), "letter 1.5 invalid at rank 2"),
-    (Word(2, (True,)), "letter True invalid at rank 2"),
-    (Word(2, (7,)), "letter 7 invalid at rank 2"),
-    (Word(1, ()), "rank must be an integer >= 2, got 1"),
-    (Word(2, (-1,)), "letter -1 invalid at rank 2"),
-    (Word(2, (None,)), "letter None invalid at rank 2"),
-    (Word(2, ([1],)), "letter [1] invalid at rank 2"),
+    ((2, (1.5,)), "letter 1.5 invalid at rank 2"),
+    ((2, (True,)), "letter True invalid at rank 2"),
+    ((2, (7,)), "letter 7 invalid at rank 2"),
+    ((1, ()), "rank must be an integer >= 2, got 1"),
+    ((2, (-1,)), "letter -1 invalid at rank 2"),
+    ((2, (None,)), "letter None invalid at rank 2"),
+    ((2, ([1],)), "letter [1] invalid at rank 2"),
     # the first bad letter in word order, whatever its type or hashability
-    (Word(2, (0, 3, 1.0)), "letter 3 invalid at rank 2"),
-    (Word(2, (1, 1.0)), "letter 1.0 invalid at rank 2"),
-    (Word(2, (2, 1, 0, True, 1)), "letter True invalid at rank 2"),
-    (Word(2, (0, 1, [1], 3)), "letter [1] invalid at rank 2"),
-    (Word(1.5, ()), "rank must be an integer >= 2, got 1.5"),
-    (Word(True, ()), "rank must be an integer >= 2, got True"),
-    (Word(1, (7,)), "rank must be an integer >= 2, got 1"),
+    ((2, (0, 3, 1.0)), "letter 3 invalid at rank 2"),
+    ((2, (1, 1.0)), "letter 1.0 invalid at rank 2"),
+    ((2, (2, 1, 0, True, 1)), "letter True invalid at rank 2"),
+    ((2, (0, 1, [1], 3)), "letter [1] invalid at rank 2"),
+    ((1.5, ()), "rank must be an integer >= 2, got 1.5"),
+    ((True, ()), "rank must be an integer >= 2, got True"),
+    ((1, (7,)), "rank must be an integer >= 2, got 1"),
 ])
 def test_canonicalize_rejects_bad_input(w, want):
+    # w is (rank, letters): a Word is checked when it is made, so the bad
+    # one is refused where it is built, inside the check
     with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
-        c.canonicalize(w)
+        c.canonicalize(Word(*w))
+
+
+def test_canonicalize_reads_an_iterator_of_letters_once():
+    # the Word reads its letters into a tuple when it is made, so the fold
+    # sees them: the element of s1 s2, not the identity
+    assert Word(3, iter((1, 2))).letters == (1, 2)
+    assert c.canonicalize(Word(3, iter((1, 2)))).bricks == ((1, 2),)
+    assert c.canonicalize(Word(3, iter((1, 2)))) == c.canonicalize(Word(3, (1, 2)))
 
 
 def test_canonicalize_does_not_call_the_window_model(monkeypatch):

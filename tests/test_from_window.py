@@ -141,16 +141,21 @@ def test_decoder_invariants_survive_optimize():
     # self-junction (p, p), on c^4 = (1,0)^4; one that rejects only a
     # change of pair, on (4,0)(1,0)(1,0); then a peel that never sorts
     # (bisection pinned to 0, junctions waved through): each must raise
-    # InvariantError with asserts compiled out, and none may loop
+    # InvariantError with asserts compiled out, and none may loop, both
+    # through from_window and through canonicalize, which calls the
+    # unchecked peel (_peel) on its own window
     code = "\n".join([
         "import sys",
         "from affcox import canonical as c, perms",
+        "from affcox.words import Word",
         "assert sys.flags.optimize",
         "def decode(word):",
-        "    try:",
-        "        c.from_window(perms.to_permutation(word, 3))",
-        "    except c.InvariantError as exc:",
-        "        print('InvariantError:', exc)",
+        "    for run in (lambda: c.from_window(perms.to_permutation(word, 3)),",
+        "                lambda: c.canonicalize(Word(3, word))):",
+        "        try:",
+        "            run()",
+        "        except c.InvariantError as exc:",
+        "            print('InvariantError:', exc)",
         "c._junction_ok = lambda prev, pair, n: False",
         "decode((0,))",
         "decode((1, 2, 3, 0) * 2)",
@@ -160,12 +165,10 @@ def test_decoder_invariants_survive_optimize():
         "decode((0, 1, 2, 3, 0, 1, 2, 3, 0))",
         "c._junction_ok = lambda prev, pair, n: True",
         "c.bisect_left = lambda u, v: 0",
-        "try:",
-        "    c.from_window(perms.to_permutation((1, 2, 0) * 3, 3))",
-        "except c.InvariantError as exc:",
-        "    print('InvariantError:', exc)",
+        "decode((1, 2, 0) * 3)",
     ])
     lines = run_python(code, "-O").splitlines()
-    assert len(lines) == 5 and all(l.startswith("InvariantError:") for l in lines), lines
-    assert lines[2].endswith("gave (1, 0) before (1, 0)"), lines
-    assert lines[3].endswith("gave (4, 0) before (1, 0)"), lines
+    assert len(lines) == 10 and all(l.startswith("InvariantError:") for l in lines), lines
+    assert all(l.endswith("gave (1, 0) before (1, 0)") for l in lines[4:6]), lines
+    assert all(l.endswith("gave (4, 0) before (1, 0)") for l in lines[6:8]), lines
+    assert all("not the identity" in l for l in lines[8:]), lines

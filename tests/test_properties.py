@@ -153,9 +153,11 @@ def letter_loop(letters, n):
 def test_check_letters_is_the_letter_loop(case):
     """perms.check_letters accepts exactly the words whose every letter
     passes check_letter, and otherwise raises the first bad letter's
-    message; so do both word constructors that call it."""
+    message; so do the Word constructor that calls it, `words.word`, and
+    canonicalize's window fold on the Word built inside the checked call."""
     n, letters = case
     want = first_bad_letter(letter_loop, letters, n)
     assert first_bad_letter(perms.check_letters, letters, n) == want
+    assert first_bad_letter(Word, n, letters) == want
     assert first_bad_letter(wd.word, n, letters) == want
-    assert first_bad_letter(c.word_window, Word(n, tuple(letters))) == want
+    assert first_bad_letter(lambda: c.word_window(Word(n, letters))) == want

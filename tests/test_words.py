@@ -1,10 +1,14 @@
 """Word parsing and the reflection-sequence tests."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from affcox.perms import AFFINE, identity, perm_length, right_mul, to_permutation
+from affcox.perms import (
+    AFFINE, check_letter, check_rank, identity, perm_length, right_mul, to_permutation,
+)
 from affcox.words import (
     Word,
     format_word,
@@ -36,6 +40,55 @@ def test_parse_errors():
             word(2, letters)
     with pytest.raises(ValueError, match="letter 1.5 invalid at rank 2"):
         right_mul(identity(2), 1.5)
+    # parse_word names the token it read, not the letter
+    with pytest.raises(ValueError, match="^index out of range: s4 at rank 3$"):
+        parse_word("s1 s4", 3)
+
+
+# --- a Word is checked when it is made, by every route ----------------------
+
+def smuggled(n, letters):
+    """A Word made past Word.__new__, which only tuple.__new__ can do: the
+    input pickle and copy must refuse when they rebuild it."""
+    return tuple.__new__(Word, (n, letters))
+
+
+ROUTES = {
+    "Word": Word,
+    "word": word,
+    "_make": lambda n, letters: Word._make((n, letters)),
+    "_replace": lambda n, letters: Word(2, (1,))._replace(n=n, letters=letters),
+    "pickle": lambda n, letters: pickle.loads(pickle.dumps(smuggled(n, letters))),
+    "copy": lambda n, letters: copy.copy(smuggled(n, letters)),
+    "deepcopy": lambda n, letters: copy.deepcopy(smuggled(n, letters)),
+}
+
+BAD_WORDS = [
+    (1, (1,)), (1.5, ()), (True, (1,)), (2.0, (1,)), (None, ()),
+    (2, (3,)), (2, (-1,)), (2, (1, 1.0)), (2, (0, True)), (2, (None,)), (3, (2, "1")),
+]
+
+
+def rule_message(n, letters):
+    """The ValueError of check_rank, then check_letter in word order."""
+    try:
+        check_rank(n)
+        for s in letters:
+            check_letter(s, n)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("not a bad word: %r %r" % (n, letters))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_no_route_to_an_unchecked_word(route):
+    make = ROUTES[route]
+    good = make(3, (1, AFFINE, 3, 2))
+    assert type(good) is Word and good == Word(3, (1, AFFINE, 3, 2))
+    for n, letters in BAD_WORDS:
+        with pytest.raises(ValueError) as exc:
+            make(n, letters)
+        assert str(exc.value) == rule_message(n, letters), (route, n, letters)
 
 
 def test_format_and_roundtrip():
