@@ -104,6 +104,7 @@ python -O).  An Element is taken as the functions here return it: one made
 directly from its NamedTuple fields is outside the contract.
 """
 
+import re
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -111,7 +112,7 @@ from . import perms
 from .perms import (AFFINE, InvariantError, check_letter, check_rank, compose, generators,
                     is_window)
 from . import finite as fin
-from .words import Word, hat_partner
+from .words import INDEX, Word, hat_partner
 
 
 class Element(NamedTuple):
@@ -178,16 +179,21 @@ def validate_block(pairs, n):
 
 
 def block_word(pairs, n):
-    letters = []
-    for j, i in pairs:
-        letters.extend(fin.h_word((j, i), n))
-        letters.append(AFFINE)
-    return Word(n, letters)
+    """The word of a block: element_word with no bricks."""
+    return element_word(Element(n, pairs, ()))
 
 
 def element_word(e):
-    return Word(e.n, block_word(e.pairs, e.n).letters
-                + fin.finite_word(e.bricks, e.n).letters)
+    """The canonical reduced word of e as one Word: h(j,i) a for each pair
+    (finite.h_word checks its range), then |i,j| for each brick."""
+    n = e.n
+    letters = []
+    for pair in e.pairs:
+        letters += fin.h_word(pair, n)
+        letters.append(AFFINE)
+    for i, j in e.bricks:
+        letters += fin.floor_word(i, j)
+    return Word(n, letters)
 
 
 def pair_length(pair, n):
@@ -496,7 +502,7 @@ def deficiency_m1(first, second, n):
     final a — always a letter inside h(j1,i1).  A ValueError unless first
     is a valid first pair and second an h-prefix other than the identity.
     """
-    if not _junction_ok(None, first, n):
+    if not (fin.is_pair(first) and _junction_ok(None, first, n)):
         raise ValueError("invalid first pair %r at rank %d" % (first, n))
     fin.check_hprefix(second, n)
     j1, i1 = first
@@ -578,15 +584,16 @@ def format_element(e):
     return (left + " | " + right).strip()
 
 
+_INDEX_PAIR = re.compile(r"(%s),(%s)" % (INDEX, INDEX))
+
+
 def _index_pair(tok, opening, closing, shape):
-    """The two integers of a token such as h(3,1) or [2,2]."""
+    """The two integers of a token such as h(3,1) or [2,2], each written as
+    words.INDEX, the digits of both text syntaxes."""
     if tok.startswith(opening) and tok.endswith(closing):
-        parts = tok[len(opening):-len(closing)].split(",")
-        if len(parts) == 2:
-            try:
-                return int(parts[0]), int(parts[1])
-            except ValueError:
-                pass
+        m = _INDEX_PAIR.fullmatch(tok[len(opening):-len(closing)])
+        if m:
+            return int(m.group(1)), int(m.group(2))
     raise ValueError("expected %s, got %r" % (shape, tok))
 
 
@@ -621,7 +628,10 @@ def to_json(e):
 
 def from_json(obj, n):
     """The element of `to_json`, a missing field empty.  The lengths `l` and
-    `L` of the CLI's JSON output must be the element's; other keys raise."""
+    `L` of the CLI's JSON output must be the element's; other keys, and
+    anything but a JSON object (a dict), raise."""
+    if not isinstance(obj, dict):
+        raise ValueError("element JSON must be an object, got %r" % (obj,))
     unknown = sorted(set(obj) - {"pairs", "bricks", "l", "L"})
     if unknown:
         raise ValueError("unknown key(s) in element JSON: %s" % ", ".join(map(repr, unknown)))

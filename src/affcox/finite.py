@@ -51,7 +51,6 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .perms import InvariantError, check_rank, compose, inverse, right_mul, to_permutation
-from .words import Word
 
 
 class HPrefix(NamedTuple):
@@ -61,12 +60,16 @@ class HPrefix(NamedTuple):
     i: int
 
 
+def is_pair(p):
+    """A list or tuple of two: the shape of a caller's pair, brick or h-prefix."""
+    return isinstance(p, (list, tuple)) and len(p) == 2
+
+
 def int_pairs(field, seq):
     """`seq` as a tuple of integer pairs, the one structure-and-type rule for
     a caller's pairs or bricks; a ValueError naming `field` otherwise."""
     if isinstance(seq, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2
-            and all(type(v) is int for v in p) for p in seq):
+            is_pair(p) and all(type(v) is int for v in p) for p in seq):
         return tuple((a, b) for a, b in seq)
     raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
 
@@ -128,10 +131,6 @@ def right_insert(bricks, k, n):
     return level_code(right_mul(finite_window(bricks, n), k))
 
 
-def finite_word(bricks, n):
-    return Word(n, (s for i, j in bricks for s in floor_word(i, j)))
-
-
 def finite_length(bricks):
     return sum(j - i + 1 for i, j in bricks)
 
@@ -185,13 +184,6 @@ def support(bricks):
     return out
 
 
-def is_extremal(bricks, n):
-    """Both sigma_1 and sigma_n occur in x: the paper's extremal elements,
-    the definition behind the closed form `h_is_extremal`."""
-    s = support(bricks)
-    return 1 in s and n in s
-
-
 def in_parabolic(bricks, n):
     """x lies in P = <sigma_2, ..., sigma_{n-1}>, the parabolic factor of
     `peel_h`."""
@@ -208,7 +200,10 @@ def hprefix_ok(h, n):
 
 
 def check_hprefix(h, n):
+    """The rank, then a pair (`is_pair`) passing `hprefix_ok`, which trusts its shape."""
     check_rank(n)
+    if not is_pair(h):
+        raise ValueError("an h-prefix is a pair (r, i), got %r" % (h,))
     if not hprefix_ok(h, n):
         raise ValueError("invalid h(%r,%r) at rank %d" % (h[0], h[1], n))
 

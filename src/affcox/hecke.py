@@ -210,13 +210,6 @@ def hecke_left_mul_gen(s, h):
     return hecke_mul(gen_basis(s, h.n), h)
 
 
-def hecke_left_mul_gen_inv(s, h):
-    """g_s^{-1} . h: the product with gen_inverse(s), which gives
-    g_s^{-1} g_w = g_{sw} when s is in L(w), else q^{-1} g_{sw} +
-    (q^{-1} - 1) g_w."""
-    return hecke_mul(gen_inverse(s, h.n), h)
-
-
 def hecke_mul(u, v):
     """u . v: each basis term of u expands into its canonical reduced word,
     folded onto the windows of v one step per letter, right to left."""

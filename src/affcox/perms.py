@@ -204,50 +204,6 @@ def descends(w, s):
     return w[s - 1] > w[s]
 
 
-def random_reduced_word(n, size, rng):
-    """A random reduced word of `size` letters, grown letter by letter: a
-    drawn letter is kept unless it `descends` (w . s is then shorter than w).
-    For sampling long elements, which random words (mostly cancelling) do
-    not reach."""
-    letters, w = [], identity(n)
-    check_count("size", size)
-    while len(letters) < size:
-        s = rng.randrange(0, n + 1)
-        if not descends(w, s):
-            w = right_mul(w, s)
-            letters.append(s)
-    return tuple(letters)
-
-
-def count_reduced_words(w):
-    """
-    Number of reduced words for the element with window w, the oracle of
-    acceptance criterion 7 (each truncation of a rigid chain has exactly
-    one): every reduced word ends in some s with l(ws) < l(w), so the
-    count is the sum of the counts of those ws.  Depth first on an explicit stack (no recursion
-    limit), each element counted once.
-    """
-    counts, below = {}, {}
-    stack = [w]
-    while stack:
-        x = stack[-1]
-        if x in counts:
-            stack.pop()
-        elif x in below:  # every element below x is counted by now
-            stack.pop()
-            counts[x] = sum(counts[v] for v in below.pop(x))
-        else:
-            l = perm_length(x)
-            down = [v for v in (right_mul(x, s) for s in range(len(x)))
-                    if perm_length(v) < l]
-            if down:
-                below[x] = down
-                stack.extend(down)
-            else:  # the identity
-                counts[x] = 1
-    return counts[w]
-
-
 # --- oracle self-validation -------------------------------------------------
 #
 # The two checks below are the mandatory gates on the chosen realization:

@@ -61,7 +61,8 @@ def word(n, letters):
     return Word(n, letters)
 
 
-_TOKEN = re.compile(r"^s([0-9]+)$")
+INDEX = "[0-9]+"  # an index in either text syntax: ASCII decimal digits
+_TOKEN = re.compile(r"^s(%s)$" % INDEX)
 
 
 def parse_word(text, n):

@@ -1,8 +1,11 @@
 """Independent routes to what the library computes, for the tests to judge
-it by: slower, but built from other parts of the engine."""
+it by: slower, but built from other parts of the engine.  Also the tests'
+input generators, which no library path calls."""
 
 from affcox import canonical as c
 from affcox import finite as fin
+from affcox.perms import check_count, descends, identity, perm_length, right_mul
+from affcox.words import Word
 
 
 def letter_fold(w):
@@ -33,3 +36,60 @@ def ranked_level_code(win):
     an affine window."""
     rank = {v: k for k, v in enumerate(sorted(win), 1)}
     return fin.level_code([rank[v] for v in win])
+
+
+def count_reduced_words(w):
+    """
+    Number of reduced words for the element with window w, the oracle of
+    acceptance criterion 7 (each truncation of a rigid chain has exactly
+    one): every reduced word ends in some s with l(ws) < l(w), so the
+    count is the sum of the counts of those ws.  Depth first on an explicit stack (no recursion
+    limit), each element counted once.
+    """
+    counts, below = {}, {}
+    stack = [w]
+    while stack:
+        x = stack[-1]
+        if x in counts:
+            stack.pop()
+        elif x in below:  # every element below x is counted by now
+            stack.pop()
+            counts[x] = sum(counts[v] for v in below.pop(x))
+        else:
+            l = perm_length(x)
+            down = [v for v in (right_mul(x, s) for s in range(len(x)))
+                    if perm_length(v) < l]
+            if down:
+                below[x] = down
+                stack.extend(down)
+            else:  # the identity
+                counts[x] = 1
+    return counts[w]
+
+
+def finite_word(bricks, n):
+    """The word |i_1,j_1| ... |i_s,j_s| of the bricks of x in W(A_n), the
+    letters straight from the definition of a brick."""
+    return Word(n, (s for i, j in bricks for s in fin.floor_word(i, j)))
+
+
+def is_extremal(bricks, n):
+    """Both sigma_1 and sigma_n occur in x: the paper's extremal elements,
+    the definition behind the closed form `finite.h_is_extremal`."""
+    s = fin.support(bricks)
+    return 1 in s and n in s
+
+
+def random_reduced_word(n, size, rng):
+    """A random reduced word of `size` letters, grown letter by letter: a
+    drawn letter is kept unless it `descends` (w . s is then shorter than w).
+    For sampling long elements, which random words (mostly cancelling) do
+    not reach."""
+    letters, w = [], identity(n)
+    check_count("size", size)
+    while len(letters) < size:
+        s = rng.randrange(0, n + 1)
+        if not descends(w, s):
+            w = right_mul(w, s)
+            letters.append(s)
+    return tuple(letters)

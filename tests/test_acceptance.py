@@ -21,11 +21,11 @@ from affcox.perms import (
     AFFINE,
     affine_length,
     bfs_reduced_words,
-    count_reduced_words,
     perm_length,
     to_permutation,
 )
 from affcox.words import Word, is_reduced
+from oracles import count_reduced_words
 
 
 def _report(num, name, body):

@@ -11,7 +11,7 @@ from affcox import perms
 from affcox.blocks import enumerate_blocks
 from affcox.words import Word
 from harness import run_python
-from oracles import letter_fold
+from oracles import letter_fold, random_reduced_word
 
 
 def coxeter_power(n, k):
@@ -205,7 +205,7 @@ def test_element_operation_counts(monkeypatch):
     on windows they built; `from_window` adds only the window check."""
     n = 6
     rng = random.Random(606)
-    words = [Word(n, perms.random_reduced_word(n, rng.randint(0, 300), rng))
+    words = [Word(n, random_reduced_word(n, rng.randint(0, 300), rng))
              for _ in range(50)]
     pool = [c.canonicalize(w) for w in words]
     calls = []

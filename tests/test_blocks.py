@@ -7,10 +7,10 @@ import pytest
 from affcox import blocks as bl
 from affcox import canonical as c
 from affcox import cli
-from affcox import finite as fin
 from affcox import perms
 from affcox.words import Word
 from harness import run_python
+from oracles import finite_word
 
 
 def test_frozen_counts():
@@ -146,7 +146,7 @@ def test_coset_rep_is_unique_minimum():
         (), ((1, 1),), ((2, 2),), ((1, 2),), ((2, 2), (1, 1)), ((1, 2), (1, 1)),
     ]
     finite_wins = [
-        perms.to_permutation(fin.finite_word(b, n).letters, n)
+        perms.to_permutation(finite_word(b, n).letters, n)
         for b in all_finite
     ]
     assert len(set(finite_wins)) == 6  # all of W(A_2)

@@ -12,6 +12,7 @@ from affcox import finite as fin
 from affcox import perms
 from affcox.finite import HPrefix
 from affcox.words import Word, hat_partner, is_reduced, parse_word
+from oracles import finite_word, random_reduced_word
 
 
 def all_blocks(n, max_m):
@@ -106,6 +107,15 @@ def test_operation_input_errors():
         c.left_mul(1.5, c.identity_element(2))
     with pytest.raises(ValueError, match="rank mismatch: 2 vs 3"):
         c.mul(c.identity_element(2), c.identity_element(3))
+    # a pair or prefix that is not a pair is refused by rule, not unpacked
+    with pytest.raises(ValueError, match=r"^an h-prefix is a pair \(r, i\), got None$"):
+        c.deficiency_m1((3, 1), None, 3)
+    with pytest.raises(ValueError, match="^invalid first pair None at rank 3$"):
+        c.deficiency_m1(None, (2, 0), 3)
+    with pytest.raises(ValueError, match="^invalid first pair \\(3, 1, 0\\) at rank 3$"):
+        c.deficiency_m1((3, 1, 0), (2, 0), 3)
+    with pytest.raises(ValueError, match=r"^an h-prefix is a pair \(r, i\), got None$"):
+        c.affine_descent_cases_m2(((3, 1), (2, 1)), None, 3)
 
 
 # --- canonical bijection against the affine-permutation model ---------------
@@ -178,7 +188,7 @@ def test_canonicalize_does_not_call_the_window_model(monkeypatch):
     perms.to_permutation and perms.right_mul made to raise, canonicalize
     still returns the element the window model decodes."""
     rng = random.Random(10)
-    words = [Word(10, perms.random_reduced_word(10, 400, rng)),
+    words = [Word(10, random_reduced_word(10, 400, rng)),
              Word(10, tuple(rng.randrange(11) for _ in range(400)))]
     want = [c.from_window(perms.to_permutation(w.letters, w.n)) for w in words]
 
@@ -197,7 +207,7 @@ def long_words():
     """A 3,000-letter reduced word at n = 30 (m = 73), c^2000 at n = 3 and a
     3,000-letter cancelling word at n = 30."""
     rng = random.Random(1)
-    yield Word(30, perms.random_reduced_word(30, 3000, rng))
+    yield Word(30, random_reduced_word(30, 3000, rng))
     yield Word(3, (1, 2, 3, perms.AFFINE) * 2000)
     yield Word(30, tuple(rng.randrange(31) for _ in range(3000)))
 
@@ -273,7 +283,7 @@ def sample_word(n, rng, max_len):
     size = rng.randint(0, max_len)
     if n <= 3:
         return tuple(rng.randrange(0, n + 1) for _ in range(size))
-    return perms.random_reduced_word(n, size, rng)
+    return random_reduced_word(n, size, rng)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 12])
@@ -304,7 +314,7 @@ def test_right_descents_of_finite_part(n):
     part x, i.e. x(i) > x(i+1) in the window of x."""
     for letters in perms.bfs_reduced_words(n, 6).values():
         e = c.canonicalize(Word(n, letters))
-        x = perms.to_permutation(fin.finite_word(e.bricks, n).letters, n)
+        x = perms.to_permutation(finite_word(e.bricks, n).letters, n)
         want = {i for i in range(1, n + 1) if x[i - 1] > x[i]}
         assert c.right_descents(e) - {perms.AFFINE} == want
 
@@ -419,7 +429,7 @@ def test_affine_descent_cases_m2_exhaustive(n):
                     hx, px = fin.peel_h(x, n)
                     assert hx == h  # the prefix really is h
                     e = c.canonicalize(
-                        Word(n, c.block_word(pairs, n).letters + fin.finite_word(x, n).letters)
+                        Word(n, c.block_word(pairs, n).letters + finite_word(x, n).letters)
                     )
                     assert e.pairs == pairs
                     case = c.affine_descent_cases_m2(pairs, h, n)
@@ -541,6 +551,15 @@ def test_parse_errors():
     for two_bars in ("h(3,0) a | [1,1] | [1,1]", "h(3,0) a | |", "| [1,1] |"):
         with pytest.raises(ValueError):
             c.parse_element(two_bars, 2)
+    # indices are ASCII decimal digits, as in word syntax (s<k>): no sign,
+    # no underscore, no other script's digits
+    for tok in ("h(1_0,0)", "h(+3,0)", "h(\u0663,0)", "h(-1,0)"):
+        want = r"^expected h\(j,i\), got %s$" % re.escape(repr(tok))
+        with pytest.raises(ValueError, match=want):
+            c.parse_element(tok + " a", 10)
+    for tok in ("[+1,1]", "[1,\uff11]", "[1_1,1]"):
+        with pytest.raises(ValueError, match=r"^expected \[i,j\], got "):
+            c.parse_element("h(3,0) a | " + tok, 10)
 
 
 def test_json_round_trip():
@@ -552,6 +571,6 @@ def test_json_round_trip():
     # the lengths of the CLI's JSON output are read back and checked
     assert c.from_json({**obj, "l": 5, "L": 2}, 3) == e
     for bad in ({"pair": [[4, 0]]}, {**obj, "brick": []}, {**obj, "l": 4},
-                {**obj, "L": 3}, {**obj, "l": "5"}):
+                {**obj, "L": 3}, {**obj, "l": "5"}, [], "{}"):
         with pytest.raises(ValueError):
             c.from_json(bad, 3)

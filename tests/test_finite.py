@@ -14,14 +14,12 @@ from affcox.finite import (
     ceil_word,
     finite_left_insert,
     finite_length,
-    finite_word,
     floor_word,
     h_element,
     h_is_extremal,
     h_times_floor,
     h_word,
     in_parabolic,
-    is_extremal,
     peel_h,
     right_insert,
     support,
@@ -29,6 +27,7 @@ from affcox.finite import (
 )
 from affcox.perms import compose, inverse, perm_length, to_permutation
 from affcox.words import Word, parse_word
+from oracles import finite_word, is_extremal
 
 
 def all_elements(n):
@@ -160,6 +159,12 @@ def test_h_basics():
         for fn in (fin.check_hprefix, h_word, h_element):
             with pytest.raises(ValueError, match=r"^invalid h\(%r,%r\) at rank 3$" % h):
                 fn(h, 3)
+    # a value that is not a pair (a list or tuple of two) is refused by the
+    # same rule, not by a failed unpacking
+    for h in (None, (1, 2, 3), [4], 5, "40"):
+        for fn in (fin.check_hprefix, h_word, h_element):
+            with pytest.raises(ValueError, match=r"^an h-prefix is a pair \(r, i\), got "):
+                fn(h, 3)
     # and the rank passes perms.check_rank first
     for n in (3.0, 1, True):
         for fn in (fin.check_hprefix, h_word, h_element):
@@ -260,6 +265,8 @@ def test_h_times_floor_rejects(monkeypatch):
         h_times_floor(3, 0, 1, 3)  # j must exceed 1
     with pytest.raises(ValueError):
         h_times_floor(2, 0, 3, 3)  # j <= j_prev violated
+    with pytest.raises(ValueError, match="^pair inequality j < j_prev violated$"):
+        h_times_floor(3, 0, 3, 3)  # j = j_prev after a pair with j_prev > i_prev+1
     # the indices pass the h-prefix rule (finite.check_hprefix) first
     with pytest.raises(ValueError, match=r"invalid h\(3.0,1\)"):
         h_times_floor(3.0, 1, 2, 3)

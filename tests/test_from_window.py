@@ -9,7 +9,7 @@ from affcox import canonical as c
 from affcox import perms
 from affcox.words import Word
 from harness import run_python
-from oracles import letter_fold
+from oracles import letter_fold, random_reduced_word
 
 
 def decode_agrees(n, letters):
@@ -36,14 +36,14 @@ def test_from_window_on_long_reduced_words(seed):
     rng = random.Random(800 + seed)
     for _ in range(3):
         n = rng.randint(2, 30)
-        letters = perms.random_reduced_word(n, rng.randint(200, 2000), rng)
+        letters = random_reduced_word(n, rng.randint(200, 2000), rng)
         assert c.length(decode_agrees(n, letters)) == len(letters)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 12, 30])
 def test_affine_length_counts_the_pairs_on_long_words(n):
     rng = random.Random(1400 + n)
-    win = perms.to_permutation(perms.random_reduced_word(n, 3000, rng), n)
+    win = perms.to_permutation(random_reduced_word(n, 3000, rng), n)
     e = c.from_window(win)
     assert perms.affine_length(win) == len(e.pairs)
     assert c.length(e) == 3000
@@ -94,7 +94,7 @@ def test_window_matches_letter_walk_on_long_words(seed):
     for _ in range(12):
         n = rng.choice([2, 3, 6, 12, 24])
         if rng.random() < 0.5:
-            letters = perms.random_reduced_word(n, rng.randint(0, 600), rng)
+            letters = random_reduced_word(n, rng.randint(0, 600), rng)
         else:
             letters = tuple([rng.randrange(n + 1) for _ in range(rng.randint(0, 1500))])
         e = c.from_window(perms.to_permutation(letters, n))
@@ -106,7 +106,7 @@ def test_mul_and_inverse_match_the_window_model(n):
     rng = random.Random(1000 + n)
     elems = []
     for _ in range(12):
-        letters = perms.random_reduced_word(n, rng.randint(0, 400), rng)
+        letters = random_reduced_word(n, rng.randint(0, 400), rng)
         elems.append((c.canonicalize(Word(n, letters)), perms.to_permutation(letters, n)))
     for (u, uw), (v, vw) in zip(elems, elems[1:] + elems[:1]):
         uv = c.mul(u, v)

@@ -2,7 +2,9 @@
 perms < words < finite < canonical < {blocks, tower} < hecke < cli.
 Each module's intra-package imports are read from its source with `ast`.
 The boundary between checked input and the unchecked interior is pinned
-here too: who calls the unchecked decoder, and what canonicalize checks."""
+here too: who calls the unchecked decoder, and what canonicalize checks.
+So is the library's surface: a public function or class that nothing in
+the package uses stays only for a stated reason."""
 
 import ast
 import os
@@ -11,8 +13,9 @@ import sys
 
 import affcox
 from affcox import canonical as c
-from affcox import perms
+from affcox import words
 from affcox.words import Word
+from oracles import finite_word, random_reduced_word
 
 PKG = os.path.dirname(affcox.__file__)
 LAYER = {"perms": 0, "words": 1, "finite": 2, "canonical": 3,
@@ -98,7 +101,7 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
     rng = random.Random(26)
     words = []
     for n in (2, 3, 6, 12, 24):
-        words.append(Word(n, perms.random_reduced_word(n, 200, rng)))
+        words.append(Word(n, random_reduced_word(n, 200, rng)))
         words.append(Word(n, [rng.randrange(n + 1) for _ in range(200)]))
     calls = []
     for module in list(sys.modules.values()):
@@ -112,3 +115,110 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
     assert calls == []
     assert c.from_window(c.window(elements[0])) == elements[0]
     assert calls == ["is_window"]  # the counters are live
+
+
+def test_element_word_makes_one_word(monkeypatch):
+    """element_word reads the letters of the pairs and of the bricks into
+    one list and makes one Word, so its letters are checked once."""
+    e = c.canonicalize(Word(4, (4, 0, 4, 3, 1, 0, 2, 1, 3)))
+    assert e.pairs and e.bricks
+    want = c.block_word(e.pairs, 4).letters + finite_word(e.bricks, 4).letters
+    calls = []
+    orig = words.check_letters
+    monkeypatch.setattr(words, "check_letters", lambda *args: calls.append(args) or orig(*args))
+    w = c.element_word(e)
+    assert len(calls) == 1
+    assert w == (4, want)
+
+
+# Public names with no consumer in the package, each kept for the statement
+# of the paper it reproduces or for the benchmark file that reads it.  Test
+# oracles and test input generators live in tests/oracles.py instead.
+UNCONSUMED = {
+    "canonical.affine_descent_cases_m2": "the case list deciding a in R(w) "
+        "at affine length 2 (the right descent set); perfbench/workloads.py",
+    "canonical.block_left_descents": "the left descent set of a one-pair "
+        "block, L(h(j,i) a)",
+    "canonical.coset_rep": "the block is the minimal-length representative "
+        "of the right W(A_n)-coset",
+    "canonical.from_window": "every element has one canonical form, read off "
+        "its window; the one checked decoder of a window from outside",
+    "canonical.left_mul": "the left-multiplication trichotomy; "
+        "perfbench/tracer.py and perfbench/workloads.py",
+    "finite.h_times_floor": "the three-case rule h(j',i') . |j,n| = "
+        "h(j,i) . |u,n-1|",
+    "finite.peel_h": "the factorization x = h(r,i) . p with p in "
+        "<sigma_2, ..., sigma_{n-1}>, lengths adding",
+    "finite.right_insert": "perfbench/tracer.py",
+    "hecke.gen_inverse": "g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, by the "
+        "quadratic relation",
+    "hecke.hecke_left_mul_gen": "perfbench/tracer.py",
+    "hecke.triangularity_certificate": "the Hecke arrow is triangular: "
+        "A_w g_{R(w)} plus shorter terms; perfbench/workloads.py",
+    "tower.substitute_word": "the embedding on words, a to sigma_n a sigma_n; "
+        "perfbench/workloads.py",
+    "words.is_reduced": "the reflection-sequence criterion for reduced "
+        "words; perfbench/tracer.py",
+    "words.word": "perfbench/workloads.py builds its input words with it",
+}
+
+
+def consumers():
+    """(public, consumed): the public top-level functions and classes of
+    the package as 'module.name', and those that another top-level
+    definition or module-level code refers to.  A reference is resolved
+    through its module's own imports (`c.x`, `fin.x`, `from .m import x`),
+    and a name bound inside a function (an argument or an assignment)
+    refers to nothing outside it."""
+    trees, defs, aliases, imported = {}, {}, {}, {}
+    for name in LAYER:
+        with open(os.path.join(PKG, name + ".py")) as f:
+            trees[name] = tree = ast.parse(f.read())
+        defs[name] = {node.name for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        aliases[name], imported[name] = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        imported[name][a.asname or a.name] = (node.module, a.name)
+                    else:
+                        aliases[name][a.asname or a.name] = a.name
+
+    def resolve(module, attr):
+        while attr not in defs[module] and attr in imported[module]:
+            module, attr = imported[module][attr]
+        return "%s.%s" % (module, attr)
+
+    consumed = set()
+    for name, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            local = {n.arg for n in ast.walk(top) if isinstance(n, ast.arg)} | {
+                n.id for n in ast.walk(top)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id not in local and (
+                        node.id in defs[name] or node.id in imported[name]):
+                    ref = resolve(name, node.id)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases[name]):
+                    ref = resolve(aliases[name][node.value.id], node.attr)
+                else:
+                    continue
+                if ref != "%s.%s" % (name, owner):
+                    consumed.add(ref)
+    public = {"%s.%s" % (name, d) for name in LAYER for d in defs[name]
+              if not d.startswith("_")}
+    return public, consumed
+
+
+def test_every_public_name_has_a_consumer_or_a_reason():
+    public, consumed = consumers()
+    assert public - consumed - set(UNCONSUMED) == set()
+    # each entry names a public definition that still has no consumer
+    assert set(UNCONSUMED) <= public - consumed
+    assert all(UNCONSUMED.values())
+    # the scan is live: a cli.COMMANDS row (c.mul), `from .m import x`
+    # (words.Word), and one name in two modules (inverse)
+    assert {"canonical.mul", "words.Word", "canonical.inverse", "perms.inverse"} <= consumed

@@ -18,15 +18,14 @@ from affcox.perms import (
     check_length_formula,
     check_relations,
     compose,
-    count_reduced_words,
     identity,
     inverse,
     is_window,
     perm_length,
-    random_reduced_word,
     right_mul,
     to_permutation,
 )
+from oracles import count_reduced_words, random_reduced_word
 
 
 # -- frozen regression windows (derived once, then fixed) --------------------

@@ -1,6 +1,6 @@
 """Property checks of the two exact engines against the window model, at
 ranks 2..30 on words of up to 2,000 letters: random reduced words
-(`perms.random_reduced_word` with a drawn seed) and cancelling words
+(`oracles.random_reduced_word` with a drawn seed) and cancelling words
 (uniform random letters); and of the whole-word letter rule against the
 per-letter one, on words with hostile letters.  Derandomized and without
 an example database, so every run checks the same inputs."""
@@ -15,7 +15,7 @@ from affcox import perms
 from affcox import tower
 from affcox import words as wd
 from affcox.words import Word
-from oracles import embed_window, letter_fold, ranked_level_code
+from oracles import embed_window, letter_fold, random_reduced_word, ranked_level_code
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 RANKS = st.integers(2, 30)
@@ -26,7 +26,7 @@ def words(draw, n):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     size = draw(st.integers(0, 2000))
     if draw(st.booleans()):
-        return Word(n, perms.random_reduced_word(n, size, rng))
+        return Word(n, random_reduced_word(n, size, rng))
     return Word(n, tuple(rng.randrange(n + 1) for _ in range(size)))
 
 

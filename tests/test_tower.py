@@ -8,7 +8,7 @@ from affcox import canonical as c
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
-from oracles import embed_window
+from oracles import embed_window, random_reduced_word
 
 
 def rank2_elements(max_len):
@@ -127,7 +127,7 @@ def test_tower_laws_on_long_words(seed):
     residue map on the oracle window, which keeps L and adds 2L to l."""
     rng = random.Random(1200 + seed)
     for n in range(2 + seed, 30, 4):
-        letters = perms.random_reduced_word(n, rng.randint(0, 1000), rng)
+        letters = random_reduced_word(n, rng.randint(0, 1000), rng)
         win = perms.to_permutation(letters, n)
         e = c.from_window(win)
         img = tower.embed(e)
