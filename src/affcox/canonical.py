@@ -93,8 +93,8 @@ where it enters, by the rules of perms:
   - `identity_element` checks a rank; `make_element`, `parse_element` and
     `from_json` check a rank, pairs and bricks;
   - `from_window` checks a window (perms.is_window), then peels it;
-  - `left_mul` and `left_mul_block` check a letter; `deficiency_m1` and
-    `affine_descent_cases_m2` check their pairs and prefix.
+  - `left_mul_block` (so `left_mul`) checks a rank and a letter;
+    `deficiency_m1` and `affine_descent_cases_m2` a rank, pairs and prefix.
 Everything else takes a Word or an Element, already checked, and checks
 nothing again: `canonicalize` folds its Word's window (`word_window`) and
 peels it with `_peel`, the decoder without the window check, as `mul`,
@@ -130,7 +130,7 @@ class NewBlock(NamedTuple):
 
 
 class DescentCase(NamedTuple):
-    case: str      # "1".."4" (deficient), "x1".."x3", or "0"
+    case: str      # "1".."4" (deficient), "x1".."x4", or "0"
     position: int  # 0-based hat-partner position in the tested word
 
 
@@ -303,7 +303,7 @@ def left_mul_block(s, pairs, n):
     s . w_a for a valid block, the empty one included: Absorbed(v) meaning
     s w_a = w_a sigma_v (length +1, block unchanged), or NewBlock (length
     +-1, differing from pairs by one dropped/prepended pair or one entry
-    moved by 1).  A ValueError unless s is a letter at rank n.
+    moved by 1).  A ValueError unless n is a rank and s a letter at it.
 
     a prepends (n+1,0) to the empty block or before an extremal prefix and
     drops a leading trivial prefix; any other prefix takes one braid,
@@ -318,6 +318,7 @@ def left_mul_block(s, pairs, n):
     whose index the loop carries on past both pairs; otherwise the new pair
     is spliced in and the loop ends.
     """
+    check_rank(n)
     check_letter(s, n)
     v, k, m = s, 0, len(pairs)
     if s == AFFINE:
@@ -499,9 +500,10 @@ def deficiency_m1(first, second, n):
     non-identity prefix h(j,i): None when the word is reduced (so in
     particular whenever h(j,i) is extremal); otherwise the matching
     deficient case "1".."4" with the 0-based hat-partner position of the
-    final a — always a letter inside h(j1,i1).  A ValueError unless first
-    is a valid first pair and second an h-prefix other than the identity.
+    final a — always a letter inside h(j1,i1).  A ValueError unless n is a
+    rank, first a valid first pair and second an h-prefix but the identity.
     """
+    check_rank(n)
     if not (fin.is_pair(first) and _junction_ok(None, first, n)):
         raise ValueError("invalid first pair %r at rank %d" % (first, n))
     fin.check_hprefix(second, n)
@@ -535,9 +537,11 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     3 <= r <= n, outside the tabulated guards — also puts a in R(w).
     Its guards do not close into a two-parameter table, so it is decided
     directly on the word and reported as case "x4", hat partner extracted
-    the same way (it always lands inside h(j_1,i_1)).  A ValueError unless
-    pairs is a block and x_prefix an h-prefix.
+    the same way (it always lands inside h(j_1,i_1)).  Every other extremal
+    prefix is None: none puts a in R(w) for any 2-pair block at n = 2..10.
+    A ValueError unless n is a rank, pairs a block and x_prefix an h-prefix.
     """
+    check_rank(n)
     pairs = fin.int_pairs("pairs", pairs)
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
@@ -556,7 +560,7 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
             return DescentCase("x2", h1 - (i - 1))
         if r == n and 1 <= i <= i2 < n - 1 and i >= j2 and i1 >= i:
             return DescentCase("x3", h1 - i)
-        return _residual_m2(pairs, x_prefix, n)
+        return _residual_m2(pairs, x_prefix, n) if i == 1 and r >= 3 else None
     case = deficiency_m1((j2, i2), x_prefix, n)
     if case is None:
         return None
@@ -564,12 +568,12 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
 
 
 def _residual_m2(pairs, x_prefix, n):
-    """Word-level decision for the extremal prefixes the tables miss.  The
-    proper prefix, block . h(r,i), is a minimal coset representative times
-    a reduced W(A_n) word, hence reduced, so one reflection sequence
-    decides: hat_partner is None exactly when the word is reduced."""
-    letters = (block_word(pairs, n).letters + fin.h_word(x_prefix, n)
-               + (AFFINE,))
+    """Word-level decision for the x4 family, the extremal prefixes
+    |r,n| sigma_1 (3 <= r <= n) that the tables miss.  The proper prefix,
+    block . h(r,1), is a minimal coset representative times a reduced
+    W(A_n) word, hence reduced, so one reflection sequence decides:
+    hat_partner is None exactly when the word is reduced."""
+    letters = block_word(pairs, n).letters + fin.h_word(x_prefix, n) + (AFFINE,)
     pos = hat_partner(Word(n, letters))
     return None if pos is None else DescentCase("x4", pos)
 
@@ -601,6 +605,8 @@ def parse_element(text, n):
     """Canonical-form text: `h(j,i) a` tokens, then `[i,j]` tokens, with an
     optional bar between them ("h(3,0) a | [1,1]", "h(3,0) a [1,1]")."""
     check_rank(n)
+    if not isinstance(text, str):
+        raise ValueError("text must be a str, got %r" % (text,))
     text = text.strip()
     if text == "1":
         return identity_element(n)

@@ -34,8 +34,11 @@ windows already checked or built by the library and checks only the
 letters and ranks it is given.
 `to_permutation` and `right_mul` are the judge's fold, one checked letter
 and one new tuple at a time: the tests and the benchmark's oracle call
-them, and no library hot path does (canonical.word_window folds a word's
-window in place).
+them, and no library hot path does (canonical.word_window and
+words.reflection_sequence fold a word's window in place).  Outside perms,
+finite.right_insert (the tests' oracle of finite_left_insert),
+hecke.gen_basis (g_s's letter check) and finite.brick_identities_check
+are their only callers, as tests/test_layers.py pins.
 """
 
 AFFINE = 0  # the letter a_{n+1}

@@ -15,16 +15,14 @@ t_j = (s_1...s_{j-1}) s_j (s_1...s_{j-1})^{-1}, the word s_1...s_r is
 reduced iff the t_j are pairwise distinct.  When it is not (but the proper
 prefix is), the *hat partner* of the last letter is the unique j < r with
 t_j = t_r; deleting positions j and r-1 (0-based) leaves the same group
-element.
+element.  A reflection of W(~A_n) is the periodic swap of two values, so
+the pair its letter swaps names t_j (Bjorner & Brenti, GTM 231, Sec. 8.3).
 """
 
 import re
 from typing import NamedTuple, Optional
 
-from .perms import (
-    AFFINE, InvariantError, check_letters, check_rank, compose, identity, inverse,
-    right_mul,
-)
+from .perms import AFFINE, check_letters, check_rank
 
 
 class _Fields(NamedTuple):
@@ -67,6 +65,8 @@ _TOKEN = re.compile(r"^s(%s)$" % INDEX)
 
 def parse_word(text, n):
     check_rank(n)
+    if not isinstance(text, str):
+        raise ValueError("text must be a str, got %r" % (text,))
     letters = []
     for tok in text.replace("*", " ").split():
         if tok == "a":
@@ -87,14 +87,20 @@ def format_word(w):
 
 
 def reflection_sequence(w):
-    """Windows of t_j = (s_1...s_{j-1}) s_j (s_1...s_{j-1})^{-1}, j = 1..r."""
-    prefix = identity(w.n)
+    """t_1, ..., t_r as value pairs (x, y), x < y, shifted to 1 <= x <= n+1,
+    off one in-place fold: t_j swaps the values at positions s_j, s_j + 1
+    of the prefix's window (for a: 0 and 1, with w(0) = w(n+1) - (n+1))."""
+    nn = w.n + 1
+    win = list(range(nn + 1))  # win[k] = w(k); win[0] is a sentinel slot
     out = []
     for s in w.letters:
-        nxt = right_mul(prefix, s)
-        # t = prefix . s . prefix^{-1}
-        out.append(compose(nxt, inverse(prefix)))
-        prefix = nxt
+        if s:
+            win[s], win[s + 1] = x, y = win[s + 1], win[s]
+        else:  # s is AFFINE
+            x, y = win[nn] - nn, win[1]
+            win[1], win[nn] = x, y + nn
+        shift = (min(x, y) - 1) // nn * nn
+        out.append((min(x, y) - shift, max(x, y) - shift))
     return out
 
 
@@ -109,15 +115,8 @@ def hat_partner(w) -> Optional[int]:
     the unique earlier letter with t_j = t_r, or None when w is reduced.
     A ValueError if the proper prefix is not reduced.
     """
-    if len(w.letters) == 0:
-        return None
     ts = reflection_sequence(w)
-    if len(set(ts[:-1])) != len(ts) - 1:
+    first = {t: j for j, t in enumerate(ts[:-1])}
+    if len(first) < len(ts) - 1:
         raise ValueError("proper prefix is not reduced")
-    last = ts[-1]
-    hits = [j for j in range(len(ts) - 1) if ts[j] == last]
-    if not hits:
-        return None
-    if len(hits) != 1:
-        raise InvariantError("hat partner not unique: %r" % (hits,))
-    return hits[0]
+    return first.get(ts[-1]) if ts else None

@@ -4,7 +4,9 @@ input generators, which no library path calls."""
 
 from affcox import canonical as c
 from affcox import finite as fin
-from affcox.perms import check_count, descends, identity, perm_length, right_mul
+from affcox.perms import (
+    check_count, compose, descends, identity, inverse, perm_length, right_mul,
+)
 from affcox.words import Word
 
 
@@ -16,6 +18,19 @@ def letter_fold(w):
     for s in reversed(w.letters):
         e = c.left_mul(s, e)
     return e
+
+
+def reflection_windows(w):
+    """The windows of t_j = (s_1...s_{j-1}) s_j (s_1...s_{j-1})^{-1},
+    j = 1..r, by the window model's fold and group law.  The oracle of
+    `words.reflection_sequence`, which names each t_j by a value pair."""
+    prefix = identity(w.n)
+    out = []
+    for s in w.letters:
+        nxt = right_mul(prefix, s)
+        out.append(compose(nxt, inverse(prefix)))  # prefix . s . prefix^{-1}
+        prefix = nxt
+    return out
 
 
 def embed_window(win):

@@ -284,6 +284,7 @@ def test_criterion_6_descent_cases():
                             + h_word(h, n) + (AFFINE,))
                     case = c.deficiency_m1(first, h, n)
                     assert (case is None) == is_reduced(Word(n, word))
+                    assert (case is None) == (perm_length(to_permutation(word, n)) == len(word))
                     if case is not None:
                         from affcox.words import hat_partner
                         assert case.position == hat_partner(Word(n, word))
@@ -297,9 +298,12 @@ def test_criterion_6_descent_cases():
                             + h_word(h, n) + (AFFINE,))
                     case = c.affine_descent_cases_m2(pairs, h, n)
                     assert (case is None) == is_reduced(Word(n, word)), (pairs, h)
+                    assert (case is None) == (perm_length(to_permutation(word, n)) == len(word))
                     if case is not None:
                         from affcox.words import hat_partner
                         assert case.position == hat_partner(Word(n, word))
+                        hatted = word[:case.position] + word[case.position + 1:-1]
+                        assert to_permutation(hatted, n) == to_permutation(word, n)
 
     _report(6, "descent case lists", body)
 

@@ -116,6 +116,14 @@ def test_operation_input_errors():
         c.deficiency_m1((3, 1, 0), (2, 0), 3)
     with pytest.raises(ValueError, match=r"^an h-prefix is a pair \(r, i\), got None$"):
         c.affine_descent_cases_m2(((3, 1), (2, 1)), None, 3)
+    # each checks the rank before it uses it
+    for n in (None, 1.5, True, 1):
+        want = "^rank must be an integer >= 2, got %s$" % re.escape(repr(n))
+        for call in (lambda: c.deficiency_m1((3, 1), (2, 0), n),
+                     lambda: c.affine_descent_cases_m2(((3, 1), (2, 1)), (3, 0), n),
+                     lambda: c.left_mul_block(1, (), n)):
+            with pytest.raises(ValueError, match=want):
+                call()
 
 
 # --- canonical bijection against the affine-permutation model ---------------
@@ -435,14 +443,40 @@ def test_affine_descent_cases_m2_exhaustive(n):
                     case = c.affine_descent_cases_m2(pairs, h, n)
                     has_a = perms.AFFINE in c.right_descents(e)
                     assert (case is not None) == has_a, (n, pairs, (r, i), p)
+                    wa = Word(n, c.element_word(e).letters + (perms.AFFINE,))
+                    win = perms.to_permutation(wa.letters, n)
+                    assert (case is None) == (perms.perm_length(win) == len(wa))
                     if case is not None:
-                        wa = Word(n, c.element_word(e).letters + (perms.AFFINE,))
                         assert not is_reduced(wa)
                         assert hat_partner(wa) == case.position
+                        # deleting the hat partner and the final a keeps the element
+                        hatted = wa.letters[:case.position] + wa.letters[case.position + 1:-1]
+                        assert perms.to_permutation(hatted, n) == win
                         if case.case == "x4":
                             # the residual family has exactly this shape
                             assert i == 1 and 3 <= r <= n
                             assert case.position < n - pairs[0][0] + 1  # in |j1,n|
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_affine_descent_cases_m2_is_the_window_descent(n):
+    """Past the exhaustive ranks, every 2-pair block and h-prefix: a case
+    exactly when a is a right descent of block . h(r,i), read off its
+    window, and deleting the case's position and the final a keeps the
+    element."""
+    prefixes = [h for h in (HPrefix(r, i) for r in range(1, n + 2) for i in range(n))
+                if fin.hprefix_ok(h, n)]
+    for pairs in all_blocks(n, 2):
+        if len(pairs) != 2:
+            continue
+        for h in prefixes:
+            case = c.affine_descent_cases_m2(pairs, h, n)
+            e = c.Element(n, pairs, fin.h_element(h, n))
+            assert (case is not None) == (perms.AFFINE in c.right_descents(e)), (pairs, h)
+            if case is not None:
+                wa = c.element_word(e).letters + (perms.AFFINE,)
+                hatted = wa[:case.position] + wa[case.position + 1:-1]
+                assert perms.to_permutation(hatted, n) == perms.to_permutation(wa, n)
 
 
 def test_affine_descent_cases_m2_examples():
@@ -560,6 +594,9 @@ def test_parse_errors():
     for tok in ("[+1,1]", "[1,\uff11]", "[1_1,1]"):
         with pytest.raises(ValueError, match=r"^expected \[i,j\], got "):
             c.parse_element("h(3,0) a | " + tok, 10)
+    for text in (None, b"s1", 1, ["s1"]):  # text is a str, or a ValueError
+        with pytest.raises(ValueError, match="^text must be a str, got "):
+            c.parse_element(text, 3)
 
 
 def test_json_round_trip():

@@ -95,6 +95,18 @@ def test_only_library_built_windows_reach_the_unchecked_peel():
         "canonical.inverse", "hecke._fold", "hecke.gen_basis"}
 
 
+def test_only_named_callers_reach_the_judges_fold():
+    # perms is the window model, the independent judge; outside it, its
+    # fold serves only the test oracle of finite_left_insert that perfbench
+    # traces (right_insert), the letter check of g_s (gen_basis) and the
+    # brick identities, never a library hot path
+    assert callers("right_mul") == {
+        "finite.right_insert", "hecke.gen_basis",
+        "perms.bfs_reduced_words", "perms.to_permutation"}
+    assert callers("to_permutation") == {
+        "finite.brick_identities_check", "perms._product_order", "perms.check_relations"}
+
+
 def test_canonicalize_checks_nothing_again(monkeypatch):
     """A Word was checked when it was made, so canonicalize calls no letter,
     rank or window rule: every binding of them in the package is counted."""

@@ -1,7 +1,8 @@
 """Property checks of the two exact engines against the window model, at
 ranks 2..30 on words of up to 2,000 letters: random reduced words
 (`oracles.random_reduced_word` with a drawn seed) and cancelling words
-(uniform random letters); and of the whole-word letter rule against the
+(uniform random letters); of the reflection value pairs against the
+window model's reflections; and of the whole-word letter rule against the
 per-letter one, on words with hostile letters.  Derandomized and without
 an example database, so every run checks the same inputs."""
 
@@ -15,16 +16,18 @@ from affcox import perms
 from affcox import tower
 from affcox import words as wd
 from affcox.words import Word
-from oracles import embed_window, letter_fold, random_reduced_word, ranked_level_code
+from oracles import (
+    embed_window, letter_fold, random_reduced_word, ranked_level_code, reflection_windows,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 RANKS = st.integers(2, 30)
 
 
 @st.composite
-def words(draw, n):
+def words(draw, n, max_size=2000):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    size = draw(st.integers(0, 2000))
+    size = draw(st.integers(0, max_size))
     if draw(st.booleans()):
         return Word(n, random_reduced_word(n, size, rng))
     return Word(n, tuple(rng.randrange(n + 1) for _ in range(size)))
@@ -161,3 +164,25 @@ def test_check_letters_is_the_letter_loop(case):
     assert first_bad_letter(Word, n, letters) == want
     assert first_bad_letter(wd.word, n, letters) == want
     assert first_bad_letter(lambda: c.word_window(Word(n, letters))) == want
+
+
+def equality_pattern(xs):
+    """For each entry, the index of its first occurrence: two lists have
+    the same pattern exactly when their entries are equal at the same
+    pairs of indices."""
+    first = {}
+    return [first.setdefault(x, k) for k, x in enumerate(xs)]
+
+
+@PROPERTY
+@given(RANKS.flatmap(lambda n: words(n, 300)))
+@example(Word(2, ()))
+def test_reflection_pairs_name_the_reflection_windows(w):
+    """reflection_sequence's value pair (x, y) names t_j: t_j(x) = y with
+    1 <= x <= n+1 and x < y, and two pairs are equal exactly when the
+    window model's reflections are (words of up to 300 letters)."""
+    pairs, wins = wd.reflection_sequence(w), reflection_windows(w)
+    assert len(pairs) == len(wins) == len(w)
+    for (x, y), win in zip(pairs, wins):
+        assert 1 <= x <= w.n + 1 and x < y and win[x - 1] == y
+    assert equality_pattern(pairs) == equality_pattern(wins)

@@ -43,6 +43,9 @@ def test_parse_errors():
     # parse_word names the token it read, not the letter
     with pytest.raises(ValueError, match="^index out of range: s4 at rank 3$"):
         parse_word("s1 s4", 3)
+    for text in (None, b"s1", 1, ["s1"]):  # text is a str, or a ValueError
+        with pytest.raises(ValueError, match="^text must be a str, got "):
+            parse_word(text, 3)
 
 
 # --- a Word is checked when it is made, by every route ----------------------
@@ -128,6 +131,7 @@ def test_hat_partner_frozen():
     assert hat_partner(Word(2, (1, 1))) == 0
     assert hat_partner(Word(3, (1, 2, 1, 2))) == 0
     assert hat_partner(parse_word("s3 a s3 s1 a", 3)) is None
+    assert hat_partner(Word(2, ())) is None  # no last letter, no partner
 
 
 def test_hat_partner_prefix_check():
