@@ -588,17 +588,17 @@ def format_element(e):
     return (left + " | " + right).strip()
 
 
-_INDEX_PAIR = re.compile(r"(%s),(%s)" % (INDEX, INDEX))
+_H_PAIR = re.compile(r"h\((%s),(%s)\)" % (INDEX, INDEX))
+_BRICK = re.compile(r"\[(%s),(%s)\]" % (INDEX, INDEX))
 
 
-def _index_pair(tok, opening, closing, shape):
+def _index_pair(tok, pattern, shape):
     """The two integers of a token such as h(3,1) or [2,2], each written as
-    words.INDEX, the digits of both text syntaxes."""
-    if tok.startswith(opening) and tok.endswith(closing):
-        m = _INDEX_PAIR.fullmatch(tok[len(opening):-len(closing)])
-        if m:
-            return int(m.group(1)), int(m.group(2))
-    raise ValueError("expected %s, got %r" % (shape, tok))
+    words.INDEX, the digits of both text syntaxes: one match of `pattern`."""
+    m = pattern.fullmatch(tok)
+    if m is None:
+        raise ValueError("expected %s, got %r" % (shape, tok))
+    return int(m[1]), int(m[2])
 
 
 def parse_element(text, n):
@@ -616,12 +616,12 @@ def parse_element(text, n):
     k = 0
     # before a bar every token is a pair; without one, pairs run to the first brick
     while k < len(toks) and (bar or not toks[k].startswith("[")):
-        j, i = _index_pair(toks[k], "h(", ")", "h(j,i)")
+        j, i = _index_pair(toks[k], _H_PAIR, "h(j,i)")
         if k + 1 >= len(toks) or toks[k + 1] != "a":
             raise ValueError("h(%d,%d) must be followed by a" % (j, i))
         pairs.append((j, i))
         k += 2
-    bricks = [_index_pair(tok, "[", "]", "[i,j]") for tok in toks[k:] + right_text.split()]
+    bricks = [_index_pair(tok, _BRICK, "[i,j]") for tok in toks[k:] + right_text.split()]
     return make_element(n, pairs, bricks)
 
 

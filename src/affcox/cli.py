@@ -3,9 +3,11 @@ Batch command-line surface over the library.
 
 Every subcommand is one row of `COMMANDS`, whose `run` returns the JSON
 object and the text of its result (a block listing, of any size, builds
-only the one it prints); `main` reads the row's element arguments at
-`args.rank` and prints one of the two.  Only `selfcheck` prints for
-itself: it prints its status lines before it fails.
+only the one it prints); `main` parses argv once, with the subparser of
+the row that argv[0] names (anything else goes to the top-level parser,
+which exits with help or a usage error), reads the row's element
+arguments at `args.rank` and prints one of the two.  Only `selfcheck`
+prints for itself: it prints its status lines before it fails.
 
 Element arguments are sniffed: a leading '{' means the JSON form, the
 presence of 'h(', '[', '|' (or a bare '1') means canonical-form text,
@@ -205,8 +207,9 @@ COMMANDS = (
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """One subparser per row (--json, its options, its elements), built on
-    first use and reused by every `main` call (parse_args changes no parser)."""
+    """The top-level parser and its subparsers by name, one per row (--json,
+    its options, its elements); built on first use and reused by every
+    `main` call, which hands a known command's argv to its subparser only."""
     p = argparse.ArgumentParser(
         prog="affcox",
         description="Canonical forms in the affine Coxeter groups of type ~A_n.")
@@ -219,11 +222,18 @@ def build_parser():
             sp.add_argument(*flags, **kwargs)
         for name in cmd.elements:
             sp.add_argument(name)
-    return p
+    return p, sub.choices
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = build_parser()
+    if argv and argv[0] in commands:  # argv is parsed once, by its command
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            top.error("unrecognized arguments: %s" % " ".join(extra))
+    else:  # no command, help, or a usage error: the top level exits
+        args = top.parse_args(argv)
     try:
         elements = [parse_input(getattr(args, name), args.rank)
                     for name in args.cmd.elements]

@@ -48,6 +48,7 @@ live here too, as do the exhaustive two- and three-brick identity checks.
 """
 
 from bisect import bisect_left
+from itertools import chain
 from typing import NamedTuple
 
 from .perms import InvariantError, check_rank, compose, inverse, right_mul, to_permutation
@@ -68,8 +69,8 @@ def is_pair(p):
 def int_pairs(field, seq):
     """`seq` as a tuple of integer pairs, the one structure-and-type rule for
     a caller's pairs or bricks; a ValueError naming `field` otherwise."""
-    if isinstance(seq, (list, tuple)) and all(
-            is_pair(p) and all(type(v) is int for v in p) for p in seq):
+    if (isinstance(seq, (list, tuple)) and all(map(is_pair, seq))
+            and set(map(type, chain.from_iterable(seq))) <= {int}):
         return tuple((a, b) for a, b in seq)
     raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
 

@@ -215,6 +215,48 @@ def test_usage_errors(capsys):
         capsys.readouterr()
 
 
+TOP_USAGE = "usage: affcox [-h]"  # the first line of the top-level usage at 80 columns
+CHOICES = ("(choose from 'canon', 'len', 'descents', 'mul', 'inv', 'blocks', 'embed', "
+           "'member', 'preimage', 'hecke-mul', 'appendix', 'selfcheck')")
+
+
+@pytest.mark.parametrize("argv,code,first,last", [
+    ([], 2, TOP_USAGE, "affcox: error: the following arguments are required: command"),
+    (["canon", "-n", "3", "s1", "extra"], 2, TOP_USAGE,
+     "affcox: error: unrecognized arguments: extra"),
+    (["-n", "3", "canon", "s1"], 2, TOP_USAGE,
+     "affcox: error: argument command: invalid choice: '3' " + CHOICES),
+    (["CANON", "-n", "2", "s1"], 2, TOP_USAGE,
+     "affcox: error: argument command: invalid choice: 'CANON' " + CHOICES),
+    (["can", "-n", "2", "s1"], 2, TOP_USAGE,
+     "affcox: error: argument command: invalid choice: 'can' " + CHOICES),
+    # after `--` a dash-led word is the element, read as word syntax
+    (["canon", "-n", "3", "--", "-s1"], 1, "error: malformed token '-s1'",
+     "error: malformed token '-s1'"),
+], ids=["empty", "extra", "option-first", "upper-case", "abbreviated", "dash-dash"])
+def test_usage_error_output(capsys, monkeypatch, argv, code, first, last):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    assert (err.splitlines()[0], err.splitlines()[-1]) == (first, last)
+
+
+@pytest.mark.parametrize("argv,usage", [(["-h"], TOP_USAGE),
+                                        (["canon", "-h"], "usage: affcox canon")],
+                         ids=["top", "canon"])
+def test_help(capsys, monkeypatch, argv, usage):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith(usage)
+
+
 def test_domain_errors(capsys):
     code, _, err = run(capsys, "canon", "-n", "2", "s5")
     assert code == 1 and "s5" in err
@@ -414,3 +456,76 @@ def test_readme_example(capsys, argv, expected):
     assert (code, err) == (0, "")
     if expected:
         assert out.splitlines() == expected
+
+
+# --- dispatch: a known command is parsed once, by its own subparser ----------
+
+HAPPY_ARGV = [shlex.split(line) for line in (
+    "canon -n 2 ''",
+    "canon -n 2 [1,1]",
+    "canon -n 2 'h(3,0) a [1,1]'",
+    "canon -n 2 'h(2,0) a h(1,1) a | [2,2]'",
+    "canon -n 2 's2 s1 a' --json",
+    """canon -n 2 '{"pairs": [[2, 1]], "bricks": [], "l": 3, "L": 1}' --json""",
+    "len -n 2 --json 'a s1 a'",
+    "len -n 2 'h(3,0) a |'",
+    "descents -n 2 1 --json",
+    "descents -n 2 's1 a'",
+    "mul -n 2 's1 a' 'a s1' --json",
+    "inv -n 2 'h(3,0) a |'",
+    "blocks -n 2 -m 1",
+    "blocks -n 2 -m 2 --max-len 5",
+    "blocks -n 2 -m 1 --json",
+    "blocks -n 2 -m 1 --max-len 0",
+    "blocks -n 2 -m 1 --max-len 0 --json",
+    "blocks -n 8 -m 8 --max-len 10 --count-only",
+    "blocks -n 3 --m 4 --max-len 12 --count-only",
+    "embed --from 2 'h(3,0) a |'",
+    "member -n 3 'h(4,0) a |' --json",
+    "hecke-mul -n 2 s2 a --json",
+    "hecke-mul -n 2 --json 's1 a' 'a s1'",
+    "appendix -n 2",
+    "appendix -n 2 --json",
+    "appendix -n 2 --max-len 3 --count-only",
+    "appendix -n 3 --count-only",
+    "selfcheck -n 2 --max-len 6",
+    "selfcheck -n 2 --max-len 4 --json",
+)]
+
+
+class TopLevelParse(Exception):
+    """Raised by the top-level parser where a test forbids its use."""
+
+
+@pytest.fixture
+def top_level_raises(monkeypatch):
+    top, _ = cli.build_parser()
+    def refuse(*args, **kwargs):
+        raise TopLevelParse()
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(top, name, refuse)
+
+
+def test_known_command_skips_the_top_level_parser(capsys, top_level_raises):
+    for argv in [argv for argv, _ in README_EXAMPLES] + HAPPY_ARGV:
+        assert run(capsys, *argv)[::2] == (0, ""), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["nonsense"], ["-h"], ["-n", "2", "canon", "s1"]],
+                         ids=["empty", "unknown", "help", "option-first"])
+def test_the_rest_reaches_the_top_level_parser(top_level_raises, argv):
+    with pytest.raises(TopLevelParse):
+        cli.main(argv)
+
+
+def test_parser_built_once(capsys):
+    top, commands = cli.build_parser()
+    assert list(commands) == [cmd.name for cmd in cli.COMMANDS]
+    assert cli.main(["canon", "-n", "2", "s1 a"]) == 0
+    assert cli.main(["len", "-n", "2", "s1 a"]) == 0
+    again = cli.build_parser()
+    assert again[0] is top and again[1] is commands
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["embed", "a"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --from" in capsys.readouterr().err

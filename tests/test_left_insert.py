@@ -1,11 +1,9 @@
 """Left insertion into the finite part, and the checks that ride with it:
-explicit invariant errors, one length comparison per Hecke term, and the
-CLI parser built once."""
+explicit invariant errors and one length comparison per Hecke term."""
 
 import pytest
 
 from affcox import canonical as c
-from affcox import cli
 from affcox import finite as fin
 from affcox import hecke as hk
 from affcox import perms
@@ -132,15 +130,3 @@ def test_hecke_makes_no_left_mul_or_length(monkeypatch):
         hk.gen_inverse(s, n)
     assert calls == []
 
-
-# --- the CLI parser ---------------------------------------------------------
-
-def test_parser_built_once(capsys):
-    parser = cli.build_parser()
-    assert cli.main(["canon", "-n", "2", "s1 a"]) == 0
-    assert cli.main(["len", "-n", "2", "s1 a"]) == 0
-    assert cli.build_parser() is parser
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["embed", "a"])
-    assert exc.value.code == 2
-    assert "the following arguments are required: --from" in capsys.readouterr().err
