@@ -49,7 +49,8 @@ w), the window of the block is u (the minimal coset representative is the
 one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x is
 the level code of the window itself (finite.level_code): w = u . x acts as
 k -> u(x(k)) with u increasing, so w's entries have the relative order of
-x's.  The block is then peeled off u from the right, one pair at a time:
+x's.  The block is then peeled off u from the right, one run of equal
+pairs at a time.  One step peels the last pair (j,i):
 
     u . (h(j,i) a)^{-1}  =  u . a sigma_1 ... sigma_i sigma_n ... sigma_j
 
@@ -67,17 +68,40 @@ the sorted arrangement names the last pair:
     j = 1 + #{k in 2..n : u(k) < u(1) + N} + [u(N) - N < u(1) + N]
 
 two bisections, O(n) per pair with the list edits, and no tables or
-exchange rules.  The peel makes exactly L(w) = perms.affine_length(w)
-steps, ending at the identity: a sorted window with u(1) >= 1 or
-u(N) <= N is the identity (N distinct residues summing to N(N+1)/2), so
-every other peel lowers sum_k max(0, floor((u(k) - 1)/N)) by exactly 1,
-and that sum is 0 only at the identity.  Each distinct junction of the
-peeled pairs is still checked with `_junction_ok`, once per run of equal
-pairs: the change into the run and its self-junction (p, p), which the
-rest of the run repeats (redundant for a correct peel; a check dropped
-would only repeat a pure function on the same arguments).  A peel that
-does not end at the identity raises InvariantError instead of returning
-a wrong form.
+exchange rules.  A run of equal pairs goes on without them.  Call the pair
+narrow when u(1) + N < u(N) - N (then j <= i+1) and wide otherwise; a wide
+pair never repeats, since by (4) a wide pair is followed by a smaller j.
+After a narrow step, the new sorted window u[0..n] (0-based) is a bottom
+u[0:j] (the entries of u(2..n) below u(1) + N, then u(1) + N), an unmoved
+middle u[j:i+1] and a top u[i+1:] (u(N) - N, then the entries above it).
+The old u(2..n) lie strictly between the old u(1) and u(N), so the bottom
+and the top each span less than N.  The next step peels the same pair
+exactly when
+
+    u[0] + N < u[j]  and  u[n] - N > u[i]     (a middle, j <= i)
+    u[0] + N < u[n] - N                       (no middle, j = i+1).
+
+If so, u[1:j] lies below u[0] + N (the bottom spans less than N), u[i+1:n]
+above u[n] - N (the top spans less than N), and the middle between them,
+so the counts give j and i again and the pair is narrow.  If not, then
+with a middle u[j] joins the count below u[0] + N or u[i] leaves the
+count below u[n] - N, and with none the pair is wide: another pair.  The
+repeat moves u[0] + N to slot j-1 and u[n] - N to slot i+1, two list
+moves with the middle unmoved, and the new bottom and top again span less
+than N (u[1] > u[0] and u[n-1] < u[n]).  So the same two comparisons,
+against the same middle, decide each further step: a run of r equal pairs
+costs two bisections, then two comparisons and two moves per repeat.
+
+The peel makes exactly L(w) = perms.affine_length(w) steps, ending at the
+identity: a sorted window with u(1) >= 1 or u(N) <= N is the identity (N
+distinct residues summing to N(N+1)/2), so every other peel lowers
+sum_k max(0, floor((u(k) - 1)/N)) by exactly 1, and that sum is 0 only at
+the identity.  Each distinct junction of the peeled pairs is still
+checked with `_junction_ok`, once per run of equal pairs: the change into
+the run and its self-junction (p, p), which the rest of the run repeats
+(redundant for a correct peel; a check dropped would only repeat a pure
+function on the same arguments).  A peel that does not end at the
+identity raises InvariantError instead of returning a wrong form.
 
 So canonicalize(w) peels the window of its word, which `word_window`
 folds into one list in place (O(l), with no call to perms.to_permutation),
@@ -422,39 +446,58 @@ def _peel(win):
     unchecked: win is a window the library built (word_window, compose,
     perms.inverse, a Hecke step) or one `from_window` checked.  x is the
     level code of win itself, and the block is peeled off u = sorted(win)
-    from the right, pair (j, i) by pair, where i and j count the entries
-    u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1) (see the module
-    docstring for why this pair is the last one): exactly L(w) peels,
-    ending at the identity.  Junctions are checked once per run of equal
-    pairs (the change into the run, and its self-junction).  An
-    InvariantError if a peeled pair breaks a junction or the peel does not
-    end at the identity.
+    from the right, one run of equal pairs at a time (see the module
+    docstring for why each step's pair is the last one, and why a run
+    goes on): a pair (j, i) is found by two bisections, where i and j
+    count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1);
+    a narrow pair (j <= i+1) repeats while two comparisons hold, each
+    repeat two list moves; exactly L(w) peels, ending at the identity.
+    Junctions are checked once per run (the change into it, and its
+    self-junction).  An InvariantError if a peeled pair breaks a junction
+    or the peel does not end at the identity.
     """
     nn = len(win)
     n = nn - 1
     u = sorted(win)
     bricks = fin.level_code(win)
-    pairs, last, run_ok = [], None, False
+    pairs, last = [], None
     pop, insert = u.pop, u.insert
-    for _ in range(perms.affine_length(u)):
+    left = perms.affine_length(u)
+    while left > 0:
         # the two ends move: u(1) + (n+1) to position j, u(n+1) - (n+1) next to i
         low, high = pop(0) + nn, pop() - nn
         i, below = bisect_left(u, high), bisect_left(u, low)
         insert(below, low)
-        if high < low:
+        k = 1
+        if high < low:  # wide, j > i+1: by (4) the pair does not repeat
             insert(i, high)
             j = below + 2
-        else:
-            insert(i + 1, high)
+        else:  # narrow: the run goes on while two comparisons hold
+            top = i + 1
+            insert(top, high)
             j = below + 1
+            if j < top:  # the middle u[j:top] stays put
+                lo, hi = u[j] - nn, u[i] + nn
+                while k < left and u[0] < lo and u[n] > hi:
+                    insert(below, pop(0) + nn)
+                    insert(top, pop() - nn)
+                    k += 1
+            else:
+                span = 2 * nn
+                while k < left and u[n] - u[0] > span:
+                    insert(below, pop(0) + nn)
+                    insert(top, pop() - nn)
+                    k += 1
+        left -= k
         pair = (j, i)
-        # each distinct junction once: every change of pair, and the
-        # self-junction (p, p) once per run of equal pairs
-        if pair != last or not run_ok:
-            if last is not None and not _junction_ok(pair, last, n):
-                raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
-            run_ok, last = pair == last, pair
-        pairs.append(pair)
+        # each distinct junction once: the change into the run, and its
+        # self-junction (p, p)
+        if last is not None and not _junction_ok(pair, last, n):
+            raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
+        if k > 1 and not _junction_ok(pair, pair, n):
+            raise InvariantError("right peel of %r gave %r before %r" % (win, pair, pair))
+        last = pair
+        pairs += [pair] * k
     if u[n] != nn:  # u stays sorted: the identity is the one with u(n+1) = n+1
         raise InvariantError("right peel of %r ended at %r, not the identity" % (win, u))
     if last is not None and not _junction_ok(None, last, n):

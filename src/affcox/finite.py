@@ -109,14 +109,15 @@ def finite_window(bricks, n):
 def level_code(win):
     """The bricks of the relative order of any distinct ints, unchecked: the
     brick on level j starts at the rank of x(j+1) among x(1..j+1), read off
-    a sorted prefix by bisection."""
-    n = len(win) - 1
-    seen, starts = [], []
-    for v in win:
+    a sorted prefix by bisection, in one pass that emits each brick."""
+    seen, bricks = [], []
+    for j, v in enumerate(win):
         k = bisect_left(seen, v)
         seen.insert(k, v)
-        starts.append(k + 1)
-    return tuple([(starts[j], j) for j in range(n, 0, -1) if starts[j] <= j])
+        if k < j:  # x(j+1) is not the largest so far: a brick (k+1, j)
+            bricks.append((k + 1, j))
+    bricks.reverse()
+    return tuple(bricks)
 
 
 def _check_sigma(k, n):

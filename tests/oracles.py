@@ -2,10 +2,13 @@
 it by: slower, but built from other parts of the engine.  Also the tests'
 input generators, which no library path calls."""
 
+from bisect import bisect_left
+
 from affcox import canonical as c
 from affcox import finite as fin
 from affcox.perms import (
-    check_count, compose, descends, identity, inverse, perm_length, right_mul,
+    InvariantError, affine_length, check_count, compose, descends, identity, inverse,
+    perm_length, right_mul,
 )
 from affcox.words import Word
 
@@ -18,6 +21,45 @@ def letter_fold(w):
     for s in reversed(w.letters):
         e = c.left_mul(s, e)
     return e
+
+
+def pair_peel(win):
+    """The canonical form of the element with window `win` by the right
+    peel one pair at a time: two bisections and four list moves per pair,
+    with the decoder's junction checks and messages.  The oracle of
+    `canonical._peel`, which continues a run of equal pairs without
+    bisecting."""
+    nn = len(win)
+    n = nn - 1
+    u = sorted(win)
+    bricks = fin.level_code(win)
+    pairs, last, run_ok = [], None, False
+    pop, insert = u.pop, u.insert
+    for _ in range(affine_length(u)):
+        # the two ends move: u(1) + (n+1) to position j, u(n+1) - (n+1) next to i
+        low, high = pop(0) + nn, pop() - nn
+        i, below = bisect_left(u, high), bisect_left(u, low)
+        insert(below, low)
+        if high < low:
+            insert(i, high)
+            j = below + 2
+        else:
+            insert(i + 1, high)
+            j = below + 1
+        pair = (j, i)
+        # each distinct junction once: every change of pair, and the
+        # self-junction (p, p) once per run of equal pairs
+        if pair != last or not run_ok:
+            if last is not None and not c._junction_ok(pair, last, n):
+                raise InvariantError("right peel of %r gave %r before %r" % (win, pair, last))
+            run_ok, last = pair == last, pair
+        pairs.append(pair)
+    if u[n] != nn:  # u stays sorted: the identity is the one with u(n+1) = n+1
+        raise InvariantError("right peel of %r ended at %r, not the identity" % (win, u))
+    if last is not None and not c._junction_ok(None, last, n):
+        raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
+    pairs.reverse()
+    return c.Element(n, tuple(pairs), bricks)
 
 
 def reflection_windows(w):
@@ -93,6 +135,22 @@ def is_extremal(bricks, n):
     the definition behind the closed form `finite.h_is_extremal`."""
     s = fin.support(bricks)
     return 1 in s and n in s
+
+
+def random_block(n, m, rng):
+    """A random block of m pairs: each pair is drawn from those that may
+    follow the last one (`canonical._junction_ok`), and repeats the last
+    one with probability `rng.random()` drawn once per block when it may,
+    so that runs of equal pairs are long as well as short."""
+    check_count("m", m)
+    stay = rng.random()
+    pairs, prev = [], None
+    for _ in range(m):
+        if prev is None or not (rng.random() < stay and c._junction_ok(prev, prev, n)):
+            prev = rng.choice([(j, i) for j in range(1, n + 2) for i in range(n)
+                               if c._junction_ok(prev, (j, i), n)])
+        pairs.append(prev)
+    return tuple(pairs)
 
 
 def random_reduced_word(n, size, rng):

@@ -2,6 +2,7 @@
 letter fold (`oracles.letter_fold`) and the window model, and its guards."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -9,7 +10,7 @@ from affcox import canonical as c
 from affcox import perms
 from affcox.words import Word
 from harness import run_python
-from oracles import letter_fold, random_reduced_word
+from oracles import letter_fold, pair_peel, random_block, random_reduced_word
 
 
 def decode_agrees(n, letters):
@@ -49,6 +50,39 @@ def test_affine_length_counts_the_pairs_on_long_words(n):
     assert c.length(e) == 3000
 
 
+def peel_windows():
+    """Windows for the run peel against the pair peel: the balls (n 2-4 to
+    length 8, n = 5 to length 7), c^k for k up to 10^4, and the windows of
+    random blocks (m up to 1,000) with random bricks."""
+    for n, l in ((2, 8), (3, 8), (4, 8), (5, 7)):
+        yield from perms.bfs_reduced_words(n, l)
+    for n in (2, 3, 6, 10, 30):
+        for k in (1, 2, 3, 7, 50, 333, 10 ** 4):
+            yield c.word_window(Word(n, (tuple(range(1, n + 1)) + (perms.AFFINE,)) * k))
+    rng = random.Random(30)
+    for _ in range(150):
+        n = rng.choice([2, 3, 4, 6, 10])
+        bricks = tuple((rng.randint(1, j), j) for j in range(n, 0, -1) if rng.random() < 0.5)
+        m = round(1000 ** rng.random())
+        yield c.window(c.make_element(n, random_block(n, m, rng), bricks))
+
+
+def runs(pairs):
+    return sum(1 for k, p in enumerate(pairs) if k == 0 or p != pairs[k - 1])
+
+
+def test_run_peel_is_the_pair_peel(monkeypatch):
+    """_peel continues each run of equal pairs by comparisons: it equals the
+    one-pair-at-a-time oracle and bisects exactly twice per run."""
+    bisections = []
+    monkeypatch.setattr(c, "bisect_left", lambda u, v: bisections.append(v) or bisect_left(u, v))
+    for win in peel_windows():
+        del bisections[:]
+        e = c._peel(win)
+        assert e == pair_peel(win), win
+        assert len(bisections) == 2 * runs(e.pairs), win
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_decoder_raises_when_the_peel_count_is_wrong(monkeypatch, delta):
     true_count = perms.affine_length
@@ -56,6 +90,16 @@ def test_decoder_raises_when_the_peel_count_is_wrong(monkeypatch, delta):
     win = perms.to_permutation((1, 2, 0) * 3, 3)
     with pytest.raises(c.InvariantError):
         c.from_window(win)
+
+
+@pytest.mark.parametrize("letters", [(1, 2, 3, 0) * 3, (1, 2, 3, 1, 0) * 3])
+def test_a_run_stops_at_the_peel_count(monkeypatch, letters):
+    # runs (1,0)^3, with no middle, and (1,1)^3, with one: one step short
+    # of L(w), the run stops there and the peel is not at the identity
+    true_count = perms.affine_length
+    monkeypatch.setattr(perms, "affine_length", lambda w: true_count(w) - 1)
+    with pytest.raises(c.InvariantError, match="not the identity"):
+        c.from_window(perms.to_permutation(letters, 3))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -17,7 +17,8 @@ from affcox import tower
 from affcox import words as wd
 from affcox.words import Word
 from oracles import (
-    embed_window, letter_fold, random_reduced_word, ranked_level_code, reflection_windows,
+    embed_window, letter_fold, pair_peel, random_reduced_word, ranked_level_code,
+    reflection_windows,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -63,9 +64,21 @@ def test_canonicalize_is_the_decoded_window(w):
 @given(RANKS.flatmap(words))
 def test_level_code_reads_relative_order(w):
     """The decoder's x: the level code of the affine window itself equals
-    that of its ranks, a permutation window."""
+    that of its ranks, a permutation window, and finite_window of it gives
+    those ranks back."""
     win = perms.to_permutation(w.letters, w.n)
     assert fin.level_code(win) == ranked_level_code(win)
+    rank = {v: k for k, v in enumerate(sorted(win), 1)}
+    assert fin.finite_window(fin.level_code(win), w.n) == tuple(rank[v] for v in win)
+
+
+@PROPERTY
+@given(RANKS.flatmap(words))
+def test_run_peel_is_the_pair_peel(w):
+    """The decoder's runs of equal pairs, continued by comparisons, against
+    the peel one pair at a time."""
+    win = c.word_window(w)
+    assert c._peel(win) == pair_peel(win)
 
 
 @PROPERTY
