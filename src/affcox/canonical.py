@@ -114,8 +114,8 @@ One checked boundary, an unchecked interior.  Plain data is checked once,
 where it enters, by the rules of perms:
   - a words.Word checks its rank and letters when it is made (`Word`,
     words.word, words.parse_word, and every copy of one);
-  - `identity_element` checks a rank; `make_element`, `parse_element` and
-    `from_json` check a rank, pairs and bricks;
+  - an Element checks its rank, pairs and bricks when it is made, by every
+    route: `Element` (so parse_element), `_make`/`_replace`, pickle, copy;
   - `from_window` checks a window (perms.is_window), then peels it;
   - `left_mul_block` (so `left_mul`) checks a rank and a letter;
     `deficiency_m1` and `affine_descent_cases_m2` a rank, pairs and prefix.
@@ -124,8 +124,8 @@ nothing again: `canonicalize` folds its Word's window (`word_window`) and
 peels it with `_peel`, the decoder without the window check, as `mul`,
 `inverse`, hecke's fold and hecke.gen_basis peel the windows they built.
 `_peel` keeps the engine's own invariants (InvariantError, which survives
-python -O).  An Element is taken as the functions here return it: one made
-directly from its NamedTuple fields is outside the contract.
+python -O).  Forms the library built and checked itself (the peel, left_mul,
+the tower, the block listings) skip the checks by `Element._trusted`.
 """
 
 import re
@@ -139,10 +139,34 @@ from . import finite as fin
 from .words import INDEX, Word, hat_partner
 
 
-class Element(NamedTuple):
+class _Fields(NamedTuple):
     n: int
     pairs: tuple   # ((j, i), ...) — the affine block
     bricks: tuple  # ((i, j), ...) — the finite part x, levels j descending
+
+
+class Element(_Fields):
+    """A canonical form at rank n, checked by every route that makes one."""
+    __slots__ = ()
+
+    def __new__(cls, n, pairs, bricks):
+        check_rank(n)
+        pairs = fin.int_pairs("pairs", pairs)
+        bricks = fin.int_pairs("bricks", bricks)
+        if not validate_block(pairs, n):
+            raise ValueError("pairwise inequalities violated: %r" % (pairs,))
+        if not fin.validate_finite(bricks, n):
+            raise ValueError("invalid finite canonical form: %r" % (bricks,))
+        return tuple.__new__(cls, (n, pairs, bricks))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's own _make skips __new__
+
+    @classmethod
+    def _trusted(cls, n, pairs, bricks):
+        """No checks: only for a form the library built and checked itself."""
+        return tuple.__new__(cls, (n, pairs, bricks))
 
 
 class Absorbed(NamedTuple):
@@ -159,19 +183,10 @@ class DescentCase(NamedTuple):
 
 
 def identity_element(n):
-    check_rank(n)
     return Element(n, (), ())
 
 
-def make_element(n, pairs, bricks):
-    check_rank(n)
-    pairs = fin.int_pairs("pairs", pairs)
-    bricks = fin.int_pairs("bricks", bricks)
-    if not validate_block(pairs, n):
-        raise ValueError("pairwise inequalities violated: %r" % (pairs,))
-    if not fin.validate_finite(bricks, n):
-        raise ValueError("invalid finite canonical form: %r" % (bricks,))
-    return Element(n, pairs, bricks)
+make_element = Element  # the name perfbench/workloads.py builds its inputs by
 
 
 def _junction_ok(prev, pair, n):
@@ -204,7 +219,7 @@ def validate_block(pairs, n):
 
 def block_word(pairs, n):
     """The word of a block: element_word with no bricks."""
-    return element_word(Element(n, pairs, ()))
+    return element_word(Element._trusted(n, pairs, ()))
 
 
 def element_word(e):
@@ -238,7 +253,7 @@ def affine_length(e):
 def coset_rep(e):
     """Same block, trivial finite part: the minimal-length representative
     of the right W(A_n)-coset of e, as the normal form states."""
-    return Element(e.n, e.pairs, ())
+    return Element._trusted(e.n, e.pairs, ())
 
 
 # --- the base table: sigma_u . (h(j,i) a) ----------------------------------
@@ -381,8 +396,8 @@ def left_mul(s, e):
     n = e.n
     out = left_mul_block(s, e.pairs, n)
     if isinstance(out, Absorbed):
-        return Element(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n))
-    return Element(n, out.pairs, e.bricks)
+        return Element._trusted(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n))
+    return Element._trusted(n, out.pairs, e.bricks)
 
 
 def canonicalize(w):
@@ -503,7 +518,7 @@ def _peel(win):
     if last is not None and not _junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
-    return Element(n, tuple(pairs), bricks)
+    return Element._trusted(n, tuple(pairs), bricks)
 
 
 def mul(u, v):
@@ -584,12 +599,9 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     prefix is None: none puts a in R(w) for any 2-pair block at n = 2..10.
     A ValueError unless n is a rank, pairs a block and x_prefix an h-prefix.
     """
-    check_rank(n)
-    pairs = fin.int_pairs("pairs", pairs)
+    pairs = Element(n, pairs, ()).pairs
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
-    if not validate_block(pairs, n):
-        raise ValueError("pairwise inequalities violated: %r" % (pairs,))
     fin.check_hprefix(x_prefix, n)
     (_, i1), (j2, i2) = pairs
     r, i = x_prefix
@@ -665,7 +677,7 @@ def parse_element(text, n):
         pairs.append((j, i))
         k += 2
     bricks = [_index_pair(tok, _BRICK, "[i,j]") for tok in toks[k:] + right_text.split()]
-    return make_element(n, pairs, bricks)
+    return Element(n, pairs, bricks)
 
 
 def to_json(e):
@@ -684,7 +696,7 @@ def from_json(obj, n):
     unknown = sorted(set(obj) - {"pairs", "bricks", "l", "L"})
     if unknown:
         raise ValueError("unknown key(s) in element JSON: %s" % ", ".join(map(repr, unknown)))
-    e = make_element(n, obj.get("pairs", ()), obj.get("bricks", ()))
+    e = Element(n, obj.get("pairs", ()), obj.get("bricks", ()))
     for key, want in (("l", length(e)), ("L", affine_length(e))):
         if key in obj and not (type(obj[key]) is int and obj[key] == want):
             raise ValueError("%s=%r, but the element has %s=%d" % (key, obj[key], key, want))

@@ -31,7 +31,7 @@ from typing import Optional
 from . import canonical as c
 from . import finite as fin
 from .canonical import Element
-from .perms import AFFINE, InvariantError, check_rank
+from .perms import AFFINE, InvariantError
 from .words import Word
 
 
@@ -56,14 +56,13 @@ def _check_image(pairs, bricks, n):
 
 def embed(e) -> Element:
     """Image of a rank-(n-1) element at rank n, by the closed formula."""
-    check_rank(e.n)
     n = e.n + 1
-    if not e.pairs:
-        return Element(n, (), e.bricks)
+    if not e.pairs:  # a W(A_{n-1}) form is a W(A_n) form
+        return Element._trusted(n, (), e.bricks)
     s, pairs = _shift(e.pairs, n, 1)
     bricks = ((n - s + 1, n),) + e.bricks
     _check_image(pairs, bricks, n)
-    return Element(n, pairs, bricks)
+    return Element._trusted(n, pairs, bricks)
 
 
 def substitute_word(w):
@@ -88,7 +87,7 @@ def preimage(e) -> Optional[Element]:
         return None
     n = e.n
     if not e.pairs:
-        return Element(n - 1, (), e.bricks)
+        return Element._trusted(n - 1, (), e.bricks)  # e fixes n+1: no level-n brick
     s, pairs = _shift(e.pairs, n, -1)
     t = n - s + 1
     if not (e.bricks and e.bricks[0] == (t, n)):
@@ -96,4 +95,4 @@ def preimage(e) -> Optional[Element]:
                              % (e, n + 1, t, n))
     bricks = e.bricks[1:]
     _check_image(pairs, bricks, n - 1)
-    return Element(n - 1, pairs, bricks)
+    return Element._trusted(n - 1, pairs, bricks)

@@ -49,14 +49,14 @@ def _all_elements(n, max_len):
 def _valid_pairs_within(n, max_len):
     """Every (block, finite) combination of total length <= max_len."""
     shapes = [
-        (s, c.length(c.make_element(n, (), s)))
+        (s, c.length(c.Element(n, (), s)))
         for s in fin.finite_shapes(n)
     ]
     combos = set()
     m = 0
     while True:
         level = [
-            (p, c.length(c.make_element(n, p, ())))
+            (p, c.length(c.Element(n, p, ())))
             for p in enumerate_blocks(n, m).items
         ]
         level = [(p, l) for p, l in level if l <= max_len]
@@ -65,7 +65,7 @@ def _valid_pairs_within(n, max_len):
         for p, pl in level:
             for s, sl in shapes:
                 if pl + sl <= max_len:
-                    combos.add(c.make_element(n, p, s))
+                    combos.add(c.Element(n, p, s))
         m += 1
     return combos
 
@@ -232,7 +232,7 @@ def test_criterion_4_tower():
             for pairs in enumerate_blocks(3, m).items:
                 hits = sum(
                     1 for s in shapes
-                    if tower.is_in_image(c.make_element(3, pairs, s))
+                    if tower.is_in_image(c.Element(3, pairs, s))
                 )
                 assert hits in (0, 6), (pairs, hits)
                 counts.add(hits)
@@ -355,7 +355,7 @@ def test_criterion_8_appendix_golden_data():
             generated = set()
             for b in appendix_blocks(n, 2):
                 for s in shapes:
-                    e = c.make_element(n, b.pairs, s)
+                    e = c.Element(n, b.pairs, s)
                     word = c.element_word(e)
                     assert c.canonicalize(word) == e  # fixed point
                     if c.length(e) <= thr:

@@ -134,7 +134,7 @@ def test_blocks_match_bfs_census(n, radius):
 def test_coset_rep_examples():
     e = c.identity_element(2)
     assert c.coset_rep(e) == e
-    full = c.make_element(3, ((4, 0), (3, 1)), ((1, 1),))
+    full = c.Element(3, ((4, 0), (3, 1)), ((1, 1),))
     rep = c.coset_rep(full)
     assert rep.pairs == full.pairs and rep.bricks == ()
     assert c.length(rep) <= c.length(full)

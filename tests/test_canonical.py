@@ -1,6 +1,8 @@
 """Canonical-form engine: left multiplication, block trichotomy, descents."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -87,13 +89,42 @@ def test_validate_block():
     assert not c.validate_block(((4, 1), (4, 2)), 3)
 
 
-def test_make_element_rejects():
-    with pytest.raises(ValueError):
-        c.make_element(3, ((4, 0), (4, 1)), ())
-    with pytest.raises(ValueError):
-        c.make_element(3, (), ((1, 5),))
-    with pytest.raises(ValueError):
-        c.make_element(1, (), ())
+# an Element is checked when it is made, by every route; pickle and copy
+# rebuild an Element made by _trusted, which only the library may call
+ELEMENT_ROUTES = {
+    "Element": c.Element,
+    "_make": lambda *fields: c.Element._make(fields),
+    "_replace": lambda n, pairs, bricks: c.Element(2, ((3, 0),), ((1, 1),))._replace(
+        n=n, pairs=pairs, bricks=bricks),
+    "copy": lambda *fields: copy.copy(c.Element._trusted(*fields)),
+    "deepcopy": lambda *fields: copy.deepcopy(c.Element._trusted(*fields)),
+    "pickle": lambda *fields: pickle.loads(pickle.dumps(c.Element._trusted(*fields))),
+}
+
+BAD_ELEMENTS = [
+    ((3, ((4, 0), (4, 1)), ()), "pairwise inequalities violated: ((4, 0), (4, 1))"),
+    ((3, ((9, 9),), ()), "pairwise inequalities violated: ((9, 9),)"),
+    ((3, (), ((1, 5),)), "invalid finite canonical form: ((1, 5),)"),
+    ((3, (), ((5, 1),)), "invalid finite canonical form: ((5, 1),)"),
+    ((1, (), ()), "rank must be an integer >= 2, got 1"),
+    ((1.5, (), ()), "rank must be an integer >= 2, got 1.5"),
+    ((True, (), ()), "rank must be an integer >= 2, got True"),
+    ((3, "ab", ()), "pairs must be a list of integer pairs, got 'ab'"),
+    ((3, [(1.0, 0)], ()), "pairs must be a list of integer pairs, got [(1.0, 0)]"),
+]
+
+
+def test_element_rejects_by_every_route():
+    good = (3, ((4, 0), (3, 1)), ((1, 2), (1, 1)))
+    for route, make in ELEMENT_ROUTES.items():
+        e = make(*good)
+        assert type(e) is c.Element and e == good, route
+        for fields, message in BAD_ELEMENTS:
+            with pytest.raises(ValueError) as exc:
+                make(*fields)
+            assert str(exc.value) == message, (route, fields)
+    # lists of pairs come back as tuples of tuples
+    assert c.Element(3, [[4, 0]], [[1, 1]]) == (3, ((4, 0),), ((1, 1),))
 
 
 def test_operation_input_errors():
@@ -561,7 +592,7 @@ def test_format_parse_round_trip():
     assert c.parse_element("h(3,0) a |", 2) == pure
     assert c.parse_element("h(3,0) a", 2) == pure
 
-    finite_only = c.make_element(3, (), ((1, 2), (1, 1)))
+    finite_only = c.Element(3, (), ((1, 2), (1, 1)))
     assert c.format_element(finite_only) == "| [1,2] [1,1]"
     assert c.parse_element("| [1,2] [1,1]", 3) == finite_only
 

@@ -325,10 +325,11 @@ def test_bug_and_resource_exit_codes(capsys, monkeypatch, exc, code, err):
 @pytest.mark.parametrize("extra", [["--count-only"], ["--max-len", "12"],
                                    ["--max-len", "12", "--count-only"]])
 def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):
+    # the checks a checked Element runs on its pairs and bricks
     calls = []
-    for name in ("make_element", "validate_block"):
-        orig = getattr(c, name)
-        monkeypatch.setattr(c, name, lambda *a, _f=orig, _n=name: calls.append(_n) or _f(*a))
+    for module, name in ((c, "validate_block"), (fin, "int_pairs")):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=orig, _n=name: calls.append(_n) or _f(*a))
     code, out, _ = run(capsys, "blocks", "-n", "3", "--m", "4", *extra)
     assert code == 0 and out and calls == []
 

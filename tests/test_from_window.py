@@ -64,7 +64,7 @@ def peel_windows():
         n = rng.choice([2, 3, 4, 6, 10])
         bricks = tuple((rng.randint(1, j), j) for j in range(n, 0, -1) if rng.random() < 0.5)
         m = round(1000 ** rng.random())
-        yield c.window(c.make_element(n, random_block(n, m, rng), bricks))
+        yield c.window(c.Element(n, random_block(n, m, rng), bricks))
 
 
 def runs(pairs):

@@ -334,8 +334,8 @@ def test_degree_bound():
 def test_hr_embed_frozen_example():
     a3 = elem(2, 0)
     img = hk.hr_embed(hk.basis(a3))
-    lead = c.make_element(3, ((3, 0),), ((3, 3),))  # sigma_3 a_4 sigma_3
-    low = c.make_element(3, ((3, 0),), ())          # sigma_3 a_4
+    lead = c.Element(3, ((3, 0),), ((3, 3),))  # sigma_3 a_4 sigma_3
+    low = c.Element(3, ((3, 0),), ())          # sigma_3 a_4
     assert img.terms == {lead: {-1: 1}, low: {-1: 1, 0: -1}}
 
 
@@ -358,7 +358,7 @@ def test_hr_embed_homomorphism_sampled():
 def test_triangularity_examples():
     a_w, lower = hk.triangularity_certificate(elem(2, 0))
     assert a_w == {-1: 1}
-    assert lower.terms == {c.make_element(3, ((3, 0),), ()): {-1: 1, 0: -1}}
+    assert lower.terms == {c.Element(3, ((3, 0),), ()): {-1: 1, 0: -1}}
 
     a_w, lower = hk.triangularity_certificate(elem(2, 1))
     assert a_w == {0: 1}

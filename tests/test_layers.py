@@ -13,6 +13,7 @@ import sys
 
 import affcox
 from affcox import canonical as c
+from affcox import hecke as hk
 from affcox import words
 from affcox.words import Word
 from oracles import finite_word, random_reduced_word
@@ -72,19 +73,27 @@ def test_each_shared_rule_is_defined_in_one_module():
 
 
 def callers(target):
-    """'module.function' for each top-level function of the package whose
-    body calls `target`, by name or as an attribute (c._peel)."""
+    """'module.function' for each top-level function, and 'module.Class.method'
+    for each method, of the package whose body calls `target`, by name or as
+    an attribute (c._peel, Element._trusted)."""
     out = set()
     for name in LAYER:
         with open(os.path.join(PKG, name + ".py")) as f:
             tree = ast.parse(f.read())
-        for fn in tree.body:
+        fns = [(name, fn) for fn in tree.body]
+        fns += [("%s.%s" % (name, cls.name), fn) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for fn in cls.body]
+        for owner, fn in fns:
             if isinstance(fn, ast.FunctionDef) and any(
                     isinstance(node, ast.Call)
                     and target in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                     for node in ast.walk(fn)):
-                out.add("%s.%s" % (name, fn.name))
+                out.add("%s.%s" % (owner, fn.name))
     return out
+
+
+def test_the_scan_sees_methods():
+    assert callers("check_letters") == {"words.Word.__new__"}
 
 
 def test_only_library_built_windows_reach_the_unchecked_peel():
@@ -93,6 +102,18 @@ def test_only_library_built_windows_reach_the_unchecked_peel():
     assert callers("_peel") == {
         "canonical.from_window", "canonical.canonicalize", "canonical.mul",
         "canonical.inverse", "hecke._fold", "hecke.gen_basis"}
+
+
+def test_only_forms_the_library_checked_skip_the_element_checks():
+    # the peel checks its junctions once per run, left_mul's block engine
+    # its changed junctions, the tower _check_image, and the listings come
+    # from the walk or from validate_block
+    assert callers("_trusted") == {
+        "canonical._peel", "canonical.left_mul", "canonical.coset_rep",
+        "canonical.block_word", "tower.embed", "tower.preimage",
+        "blocks.reference_blocks", "blocks.appendix_blocks", "cli._blocks"}
+    assert callers("validate_block") == {
+        "canonical.Element.__new__", "tower._check_image", "blocks.appendix_blocks"}
 
 
 def test_only_named_callers_reach_the_judges_fold():
@@ -107,26 +128,48 @@ def test_only_named_callers_reach_the_judges_fold():
         "finite.brick_identities_check", "perms._product_order", "perms.check_relations"}
 
 
+ELEMENT_RULES = ("validate_block", "validate_finite", "int_pairs")
+
+
 def test_canonicalize_checks_nothing_again(monkeypatch):
-    """A Word was checked when it was made, so canonicalize calls no letter,
-    rank or window rule: every binding of them in the package is counted."""
+    """A Word or an Element was checked when it was made, so canonicalize,
+    mul, inverse and left_descents call no letter, rank, window or element
+    rule, and the Hecke operations no element rule: every binding of them
+    in the package is counted."""
     rng = random.Random(26)
     words = []
     for n in (2, 3, 6, 12, 24):
         words.append(Word(n, random_reduced_word(n, 200, rng)))
         words.append(Word(n, [rng.randrange(n + 1) for _ in range(200)]))
+    short = [c.canonicalize(Word(n, random_reduced_word(n, 8, rng))) for n in (2, 3)]
     calls = []
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("affcox"):
-            for name in ("check_letters", "check_letter", "check_rank", "is_window"):
+            for name in ("check_letters", "check_letter", "check_rank", "is_window",
+                         *ELEMENT_RULES):
                 orig = getattr(module, name, None)
                 if orig is not None:
                     monkeypatch.setattr(module, name, lambda *args, name=name, orig=orig:
                                         calls.append(name) or orig(*args))
     elements = [c.canonicalize(w) for w in words]
+    for e in elements:
+        c.mul(e, e)
+        c.inverse(e)
+        c.left_descents(e)
     assert calls == []
+    # element_word checks the rank of each pair (finite.h_word) and makes
+    # one checked Word per term, and hr_embed checks its rank once
+    for e in short:
+        hk.hecke_mul(hk.basis(e), hk.basis(e))
+        hk.hr_embed(hk.basis(e))
+    assert calls and not set(calls) & set(ELEMENT_RULES)
+    del calls[:]
     assert c.from_window(c.window(elements[0])) == elements[0]
     assert calls == ["is_window"]  # the counters are live
+    del calls[:]
+    c.Element(*elements[0])
+    assert calls == ["check_rank", "int_pairs", "int_pairs", "validate_block",
+                     "validate_finite", "check_rank"]
 
 
 def test_element_word_makes_one_word(monkeypatch):

@@ -17,18 +17,18 @@ def rank2_elements(max_len):
 
 
 def test_embed_examples():
-    a3 = c.make_element(2, ((3, 0),), ())
+    a3 = c.Element(2, ((3, 0),), ())
     img = tower.embed(a3)
-    assert img == c.make_element(3, ((3, 0),), ((3, 3),))
+    assert img == c.Element(3, ((3, 0),), ((3, 3),))
     assert c.element_word(img).letters == (3, 0, 3)  # sigma_3 a_4 sigma_3
 
-    w = c.make_element(2, ((2, 1), (2, 1)), ())
+    w = c.Element(2, ((2, 1), (2, 1)), ())
     img = tower.embed(w)
     assert img.pairs == ((2, 1), (2, 2))
     assert img.bricks == ((3, 3),)
     assert c.length(w) == 6 and c.length(img) == 10
 
-    s1 = c.make_element(2, (), ((1, 1),))
+    s1 = c.Element(2, (), ((1, 1),))
     assert tower.embed(s1) == c.Element(3, (), ((1, 1),))
 
 
@@ -63,11 +63,11 @@ def test_embed_homomorphism_sampled():
 
 
 def test_is_in_image_examples():
-    assert not tower.is_in_image(c.make_element(3, ((4, 0),), ()))  # bare a_4
-    assert tower.is_in_image(c.make_element(3, ((3, 0),), ((3, 3),)))
+    assert not tower.is_in_image(c.Element(3, ((4, 0),), ()))  # bare a_4
+    assert tower.is_in_image(c.Element(3, ((3, 0),), ((3, 3),)))
     assert tower.is_in_image(c.identity_element(3))
     assert not tower.is_in_image(c.identity_element(2))  # no rank-1 source
-    assert tower.preimage(c.make_element(3, ((4, 0),), ())) is None
+    assert tower.preimage(c.Element(3, ((4, 0),), ())) is None
     assert tower.preimage(c.identity_element(3)) == c.identity_element(2)
 
 
@@ -105,7 +105,8 @@ def test_finite_parts_count_per_block():
 
 
 def test_embed_rejects_bad_rank():
-    with pytest.raises(Exception):
+    # a rank-1 element is refused when it is made, before embed sees it
+    with pytest.raises(ValueError, match="^rank must be an integer >= 2, got 1$"):
         tower.embed(c.Element(1, (), ()))
 
 
