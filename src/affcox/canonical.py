@@ -223,12 +223,14 @@ def block_word(pairs, n):
 
 
 def element_word(e):
-    """The canonical reduced word of e as one Word: h(j,i) a for each pair
-    (finite.h_word checks its range), then |i,j| for each brick."""
+    """The canonical reduced word of e as one Word: h(j,i) a = |j,n|
+    ceil(i,1) a for each pair, then |i,j| for each brick.  e was checked
+    when it was made, so only the Word checks, once, its letters."""
     n = e.n
     letters = []
-    for pair in e.pairs:
-        letters += fin.h_word(pair, n)
+    for j, i in e.pairs:
+        letters += fin.floor_word(j, n)
+        letters += fin.ceil_word(i, 1)
         letters.append(AFFINE)
     for i, j in e.bricks:
         letters += fin.floor_word(i, j)

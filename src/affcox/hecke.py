@@ -1,43 +1,39 @@
 """
 The Hecke algebra of W(~A_n) over integer Laurent polynomials in q: the
-free module on basis {g_w}, with the defining left relations
+free module on basis {g_w}, with the defining right relations (Humphreys,
+Reflection Groups and Coxeter Groups, ch. 7)
 
-    g_s g_w = g_{sw}                    if s not in L(w),
-    g_s g_w = q g_{s w} + (q-1) g_w     if s in L(w),
+    g_w g_s = g_{ws}                    if s not in R(w),
+    g_w g_s = q g_{ws} + (q-1) g_w      if s in R(w),
 
 so that g_{s_1 ... s_k} = g_{s_1} ... g_{s_k} for reduced words.  The
 generators are invertible, by the quadratic relation g_s^2 = q g_1 +
-(q-1) g_s: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, so g_s^{-1} g_w =
-g_{sw} if s in L(w), else q^{-1} g_{sw} + (q^{-1}-1) g_w.
+(q-1) g_s: g_s^{-1} = q^{-1} g_s + (q^{-1} - 1) g_1, so g_w g_s^{-1} =
+g_{ws} if s in R(w), else q^{-1} g_{ws} + (q^{-1}-1) g_w.
 
-Every product is one fold (`_fold`): each term p g_w of the left factor
-becomes a sequence of steps g_s or g_s^{-1} applied to the right factor,
-and p times the result is added into one sum.  For `hecke_mul` the steps
-are the canonical reduced word of w, right to left; for `hr_embed` the
+Every product is one fold (`_fold`): for each term p g_x of the right
+factor, the terms of the left factor, scaled once by p, take the steps
+g_s or g_s^{-1} of x on the right, left to right, and the results are
+added into one sum.  For `hecke_mul` the steps are the canonical reduced
+word of x; for `hr_embed` the left factor is g_1 and the steps are the
 same word one rank up, with a sent to g_{sigma_n} g_a g_{sigma_n}^{-1}.
-Multiplying by one generator, or by its inverse, is the product with
-`gen_basis(s)` or `gen_inverse(s)`, and `gen_basis` decodes the window of
-s, so no Hecke operation calls the letter engine.
+So a product costs l(x) steps per right-factor term x, each over the
+terms reached so far from the left factor's.  Multiplying by one
+generator, or by its inverse, is the product with `gen_basis(s)` or
+`gen_inverse(s)`, and `gen_basis` decodes the window of s, so no Hecke
+operation calls the letter engine.  `hecke_left_mul_gen(s, h)` = g_s . h
+folds the words of h's terms onto g_s, so its cost grows with them.
 
 The fold runs on windows (perms), not on canonical forms.  Its terms are
-keyed by window tuples: each term of the right factor is encoded once
+keyed by window tuples: each term of the left factor is encoded once
 (`canonical.window`) and each surviving term of the sum decoded once by
 the unchecked peel (`canonical._peel`: the windows are the fold's own;
 `canonical.from_window` checks only windows from outside).  One step
-g_s . g_w is one O(n) pass over the window of w, with N = n+1:
-
-  - sw acts on values, (sw)(k) = s(w(k)): the entry of residue class s
-    mod N goes up by 1 and the entry of class s+1 goes down by 1.  With
-    AFFINE = 0 the same rule covers a, the periodic transposition of 0
-    and 1.
-  - s is in L(w) iff w^{-1}(s) > w^{-1}(s+1).  Proof: L(w) = R(w^{-1}),
-    and s is a right descent of a window v iff v(s) > v(s+1) (v(0) =
-    v(N) - N).  The entry of class t at 0-based index k with value v gives
-    w^{-1}(t) = k + 1 + t - v, by periodicity, so both positions come from
-    the same pass.
-
-So a step costs no left multiplication and no length.  Multiplying by q or
-q^{-1} shifts exponents.
+g_w . g_s is the move of two window entries to ws (`perms.move`, the move
+of `perms.right_mul` without its letter check: the letters come from a
+Word) and one comparison, s in R(w) (`perms.descends`).  So a step costs
+no left multiplication and no length.  Multiplying by q or q^{-1} shifts
+exponents.
 
 The rank-raising arrow sends g_{sigma_i} to itself and the affine
 generator to g_{sigma_n} g_a g_{sigma_n}^{-1} one rank up; on a basis
@@ -53,7 +49,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from . import canonical as c
 from . import tower
-from .perms import AFFINE, InvariantError, check_rank, identity, right_mul
+from .perms import AFFINE, InvariantError, check_rank, descends, identity, move, right_mul
 
 
 # --- Laurent polynomials ----------------------------------------------------
@@ -161,86 +157,76 @@ def gen_inverse(s, n):
     return add(scale(gen_basis(s, n), {-1: 1}), scale(unit(n), {-1: 1, 0: -1}))
 
 
-def _step(s, terms, nn, inverse):
-    """g_s . h, or g_s^{-1} . h when `inverse`, on window-keyed terms at
-    rank nn - 1: one pass per term finds the entries of residue classes s
-    and s+1, which give both sw and whether s is in L(w)."""
-    s1 = (s + 1) % nn
+def _step(s, terms, inverse):
+    """h . g_s, or h . g_s^{-1} when `inverse`, on window-keyed terms: per
+    term, the move to ws and one comparison, whether s is in R(w).  A sum
+    that cancels stays, as an empty polynomial, for `_fold` to drop."""
     shift = -1 if inverse else 1
     out = {}
     for win, p in terms.items():
-        for k, v in enumerate(win):
-            r = v % nn
-            if r == s:
-                ks, vs = k, v
-            elif r == s1:
-                kt, vt = k, v
-        sw = list(win)
-        sw[ks] = vs + 1
-        sw[kt] = vt - 1
-        sw = tuple(sw)
-        # s in L(w) iff w^{-1}(s) > w^{-1}(s+1), and w^{-1}(t) = k + 1 + t - v
-        if (ks - vs > kt - vt + 1) == inverse:
-            _put(out, sw, p)
+        ws = move(win, s)
+        if descends(win, s) == inverse:
+            _put(out, ws, p)
         else:
             qp = {e + shift: co for e, co in p.items()}
-            _put(out, sw, qp)
+            _put(out, ws, qp)
             _put(out, win, lp_add(qp, {e: -co for e, co in p.items()}))
-    return {win: p for win, p in out.items() if p}
+    return out
 
 
-def _fold(n, h, start, steps):
-    """The sum over the terms p g_w of h of p times the window-keyed terms
-    `start` after the (letter, inverse) steps(w), applied in order; each
-    surviving window is the fold's own, so it is peeled (canonical._peel)
-    once, at rank n, without a window check."""
-    nn = n + 1
+def _fold(n, start, h, steps):
+    """start . h: for each term p g_x of h, the window-keyed terms `start`
+    scaled by p after the (letter, inverse) steps(x), applied in order on
+    the right, added into one sum; each surviving window is the fold's
+    own, so it is peeled (canonical._peel) once, at rank n, without a
+    window check."""
     out = {}
-    for w, p in h.terms.items():
-        acc = start
-        for s, inverse in steps(w):
-            acc = _step(s, acc, nn, inverse)
+    for x, p in h.terms.items():
+        acc = {win: lp_mul(pw, p) for win, pw in start.items()}
+        for s, inverse in steps(x):
+            acc = _step(s, acc, inverse)
         for win, pw in acc.items():
-            _put(out, win, lp_mul(pw, p))
+            _put(out, win, pw)
     return HeckeElement(n, {c._peel(win): p for win, p in out.items() if p})
 
 
 def hecke_left_mul_gen(s, h):
-    """g_s . h: the product with g_s, one step per term of h."""
+    """g_s . h: the product with g_s, h's words folded onto g_s."""
     return hecke_mul(gen_basis(s, h.n), h)
 
 
 def hecke_mul(u, v):
-    """u . v: each basis term of u expands into its canonical reduced word,
-    folded onto the windows of v one step per letter, right to left."""
+    """u . v: the windows of u's terms, times each basis term of v by its
+    canonical reduced word, one step per letter, left to right."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    start = {tuple(c.window(w)): p for w, p in v.terms.items()}
-    return _fold(u.n, u, start, _word_steps)
+    start = {tuple(c.window(w)): p for w, p in u.terms.items()}
+    return _fold(u.n, start, v, _word_steps)
 
 
-def _word_steps(w):
-    """The steps of g_w: its canonical reduced word, right to left."""
-    return ((s, False) for s in reversed(c.element_word(w).letters))
+def _word_steps(x):
+    """The steps of g_x: its canonical reduced word, left to right."""
+    return ((s, False) for s in c.element_word(x).letters)
 
 
-def _raised_steps(w):
-    """The steps of the image of g_w one rank up, right to left: sigma_i
+def _raised_steps(x):
+    """The steps of the image of g_x one rank up, left to right: sigma_i
     fixed, a to g_{sigma_n} g_a g_{sigma_n}^{-1} (n the new rank)."""
-    n = w.n + 1
-    for s in reversed(c.element_word(w).letters):
+    n = x.n + 1
+    for s in c.element_word(x).letters:
         if s == AFFINE:
-            yield from ((n, True), (AFFINE, False), (n, False))
+            yield from ((n, False), (AFFINE, False), (n, True))
         else:
             yield s, False
 
 
 def hr_embed(h):
     """The algebra arrow into rank n+1: sigma_i fixed, affine letter to
-    g_{sigma_n} g_a g_{sigma_n}^{-1} (letters folded over each basis word)."""
+    g_{sigma_n} g_a g_{sigma_n}^{-1} (letters folded onto g_1, per basis
+    word of h)."""
     check_rank(h.n)
     n = h.n + 1
-    return _fold(n, h, {identity(n): LP_ONE}, _raised_steps)
+    return _fold(n, {identity(n): LP_ONE}, h, _raised_steps)
 
 
 def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:

@@ -38,7 +38,9 @@ them, and no library hot path does (canonical.word_window and
 words.reflection_sequence fold a word's window in place).  Outside perms,
 finite.right_insert (the tests' oracle of finite_left_insert),
 hecke.gen_basis (g_s's letter check) and finite.brick_identities_check
-are their only callers, as tests/test_layers.py pins.
+are their only callers, as tests/test_layers.py pins.  `right_mul` is the
+letter check and then `move`, the unchecked move of two window entries,
+which the Hecke step (hecke._step) calls on letters it took from a Word.
 """
 
 AFFINE = 0  # the letter a_{n+1}
@@ -101,14 +103,18 @@ def is_window(w):
     return sum(w) == nn * (nn + 1) // 2
 
 
-def right_mul(w, letter):
-    """Window of w . s for a single letter s."""
-    nn = len(w)
-    check_letter(letter, nn - 1)
-    if letter == AFFINE:
+def move(w, s):
+    """Window of w . s for a letter s already checked: two entries move."""
+    if s == AFFINE:
+        nn = len(w)
         return (w[-1] - nn,) + w[1:-1] + (w[0] + nn,)
-    i = letter
-    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    return w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
+
+
+def right_mul(w, letter):
+    """Window of w . s for a single letter s, checked."""
+    check_letter(letter, len(w) - 1)
+    return move(w, letter)
 
 
 def to_permutation(word, n):

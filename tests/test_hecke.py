@@ -1,6 +1,7 @@
 """Hecke algebra: defining relations, inverses, the rank-raising arrow."""
 
 import random
+import sys
 
 import pytest
 
@@ -253,24 +254,22 @@ def oracle_hr_embed(h):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_step_matches_left_mul_on_balls(n):
-    """On one basis term, _step gives window(sw), and it keeps a g_w term
-    exactly when s is in L(w), as the letter engine decides."""
-    for win, letters in perms.bfs_reduced_words(n, 7).items():
-        w = c.canonicalize(Word(n, letters))
-        assert tuple(c.window(w)) == win
+def test_step_matches_right_mul_on_balls(n):
+    """On one basis term, _step gives the window of ws, and g_s keeps a g_w
+    term exactly when the judge's perm_length drops (s in R(w)), g_s^{-1}
+    exactly when it rises."""
+    for win in perms.bfs_reduced_words(n, 7):
         for s in c.generators(n):
-            sw = c.left_mul(s, w)
-            sw_win = tuple(c.window(sw))
-            descent = c.length(sw) < c.length(w)
-            got = hk._step(s, {win: {0: 1}}, n + 1, False)
-            got_inv = hk._step(s, {win: {0: 1}}, n + 1, True)
+            ws = perms.right_mul(win, s)
+            descent = perms.perm_length(ws) < perms.perm_length(win)
+            got = hk._step(s, {win: {0: 1}}, False)
+            got_inv = hk._step(s, {win: {0: 1}}, True)
             if descent:
-                assert got == {sw_win: {1: 1}, win: {1: 1, 0: -1}}
-                assert got_inv == {sw_win: {0: 1}}
+                assert got == {ws: {1: 1}, win: {1: 1, 0: -1}}
+                assert got_inv == {ws: {0: 1}}
             else:
-                assert got == {sw_win: {0: 1}}
-                assert got_inv == {sw_win: {-1: 1}, win: {-1: 1, 0: -1}}
+                assert got == {ws: {0: 1}}
+                assert got_inv == {ws: {-1: 1}, win: {-1: 1, 0: -1}}
 
 
 def random_reduced(n, length, rng):
@@ -297,6 +296,75 @@ def test_long_products_match_oracle_fold():
         u, v = hk.basis(c.inverse(w)), hk.basis(w)
         assert hk.hecke_mul(u, v).terms == oracle_hecke_mul(u, v).terms
         assert hk.hr_embed(v).terms == oracle_hr_embed(v).terms
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_associativity_of_multi_term_products(n):
+    """(u . v) . w = u . (v . w) on elements of up to four terms."""
+    rng = random.Random(3107 + n)
+    for _ in range(8):
+        u, v, w = (random_hecke(n, rng, max_terms=4, max_len=8) for _ in range(3))
+        assert hk.hecke_mul(hk.hecke_mul(u, v), w) == hk.hecke_mul(u, hk.hecke_mul(v, w))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_left_mul_gen_matches_oracle_step(n):
+    """g_s . h folds the words of h's terms onto g_s; the oracle steps each
+    term of h on the left."""
+    rng = random.Random(3119 + n)
+    for _ in range(6):
+        h = random_hecke(n, rng, max_terms=4, max_len=8)
+        for s in c.generators(n):
+            assert hk.hecke_left_mul_gen(s, h) == oracle_left_mul_gen(s, h)
+
+
+COUNTED = {"perms.inverse": perms.inverse, "perms.right_mul": perms.right_mul,
+           "canonical.element_word": c.element_word, "canonical._peel": c._peel,
+           "hecke.lp_mul": hk.lp_mul}
+
+
+def count_calls(monkeypatch):
+    """A dict of call counts, one per COUNTED function, through every
+    binding of it in the package."""
+    calls = dict.fromkeys(COUNTED, 0)
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("affcox"):
+            continue
+        for name, value in list(vars(module).items()):
+            for key, f in COUNTED.items():
+                if value is f:
+                    def counted(*args, key=key, f=f):
+                        calls[key] += 1
+                        return f(*args)
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_product_costs_are_exact_counts(monkeypatch):
+    """hecke_mul(u, v) multiplies |u| |v| polynomials, one per pair of
+    terms, and peels each term of the product once; each product reads one
+    word per right-factor term and inverts no window, and only g_s's letter
+    check right-multiplies one."""
+    rng = random.Random(3137)
+    cases = []
+    for n in (2, 3):
+        for _ in range(6):
+            u, v = (random_hecke(n, rng, max_terms=4, max_len=8) for _ in range(2))
+            cases.append((n, u, v, rng.choice(c.generators(n))))
+    calls = count_calls(monkeypatch)
+    for n, u, v, s in cases:
+        runs = [(hk.hecke_mul, (u, v), len(u.terms), v, 0),
+                (hk.hr_embed, (v,), 1, v, 0),
+                (hk.hecke_left_mul_gen, (s, v), 1, v, 1)]
+        for fn, args, left_terms, right, right_muls in runs:
+            for key in calls:
+                calls[key] = 0
+            out = fn(*args)
+            assert calls == {
+                "perms.inverse": 0, "perms.right_mul": right_muls,
+                "canonical.element_word": len(right.terms),
+                "canonical._peel": len(out.terms) + right_muls,
+                "hecke.lp_mul": left_terms * len(right.terms)}, fn.__name__
 
 
 # --- q = 1 specialization ---------------------------------------------------

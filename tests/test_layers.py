@@ -126,6 +126,8 @@ def test_only_named_callers_reach_the_judges_fold():
         "perms.bfs_reduced_words", "perms.to_permutation"}
     assert callers("to_permutation") == {
         "finite.brick_identities_check", "perms._product_order", "perms.check_relations"}
+    # the Hecke step moves two window entries on letters a Word checked
+    assert callers("move") == {"perms.right_mul", "hecke._step"}
 
 
 ELEMENT_RULES = ("validate_block", "validate_finite", "int_pairs")
@@ -134,14 +136,16 @@ ELEMENT_RULES = ("validate_block", "validate_finite", "int_pairs")
 def test_canonicalize_checks_nothing_again(monkeypatch):
     """A Word or an Element was checked when it was made, so canonicalize,
     mul, inverse and left_descents call no letter, rank, window or element
-    rule, and the Hecke operations no element rule: every binding of them
-    in the package is counted."""
+    rule, and the Hecke operations only the checks of one Word per
+    right-factor term and of their own rank: every binding of them in the
+    package is counted."""
     rng = random.Random(26)
     words = []
     for n in (2, 3, 6, 12, 24):
         words.append(Word(n, random_reduced_word(n, 200, rng)))
         words.append(Word(n, [rng.randrange(n + 1) for _ in range(200)]))
     short = [c.canonicalize(Word(n, random_reduced_word(n, 8, rng))) for n in (2, 3)]
+    assert all(e.pairs for e in short)  # a check per pair would show
     calls = []
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("affcox"):
@@ -157,12 +161,15 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
         c.inverse(e)
         c.left_descents(e)
     assert calls == []
-    # element_word checks the rank of each pair (finite.h_word) and makes
-    # one checked Word per term, and hr_embed checks its rank once
+    # element_word makes one checked Word per right-factor term, and
+    # hr_embed checks its rank and builds the identity window one rank up
     for e in short:
         hk.hecke_mul(hk.basis(e), hk.basis(e))
+        assert calls == ["check_rank", "check_letters"]
+        del calls[:]
         hk.hr_embed(hk.basis(e))
-    assert calls and not set(calls) & set(ELEMENT_RULES)
+        assert calls == ["check_rank", "check_rank", "check_rank", "check_letters"]
+        del calls[:]
     del calls[:]
     assert c.from_window(c.window(elements[0])) == elements[0]
     assert calls == ["is_window"]  # the counters are live
