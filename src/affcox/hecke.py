@@ -22,7 +22,9 @@ terms reached so far from the left factor's.  Multiplying by one
 generator, or by its inverse, is the product with `gen_basis(s)` or
 `gen_inverse(s)`, and `gen_basis` decodes the window of s, so no Hecke
 operation calls the letter engine.  `hecke_left_mul_gen(s, h)` = g_s . h
-folds the words of h's terms onto g_s, so its cost grows with them.
+folds the words of h's terms onto g_s, so its cost grows with them; no
+workload calls it, and it stays only while the benchmark's tracer names
+it (ROADMAP item 10).
 
 The fold runs on windows (perms), not on canonical forms.  Its terms are
 keyed by window tuples: each term of the left factor is encoded once
