@@ -3,11 +3,14 @@ Batch command-line surface over the library.
 
 Every subcommand is one row of `COMMANDS`, whose `run` returns the JSON
 object and the text of its result (a block listing, of any size, builds
-only the one it prints); `main` parses argv once, with the subparser of
-the row that argv[0] names (anything else goes to the top-level parser,
-which exits with help or a usage error), reads the row's element
-arguments at `args.rank` and prints one of the two.  Only `selfcheck`
-prints for itself: it prints its status lines before it fails.
+only the one it prints); `main` reads the argv of the row that argv[0]
+names off that row's table (`_read`: each word an exact option string and
+its value, a flag, or the next element), reads the row's element
+arguments at `args.rank` and prints one of the two.  argparse runs only
+on argv that the table read declines (the row's subparser) or that names
+no command (the top-level parser), so it alone prints help and words
+usage errors.  Only `selfcheck` prints for itself: it prints its status
+lines before it fails.
 
 Element arguments are sniffed: a leading '{' means the JSON form, the
 presence of 'h(', '[', '|' (or a bare '1') means canonical-form text,
@@ -203,35 +206,92 @@ COMMANDS = (
 )
 
 
+# a row's subparser and what `_read` needs of it: its option actions (as
+# `add_argument` returns them) by option string, its element names, the
+# names argv must give (its required options' dests and its elements) and
+# the defaults of every other dest, `cmd` included
+Table = namedtuple("Table", "parser options elements required defaults")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The top-level parser and its subparsers by name, one per row (--json,
-    its options, its elements); built on first use and reused by every
-    `main` call, which hands a known command's argv to its subparser only."""
+    """The top-level parser and each row's `Table` by name (a subparser:
+    --json, its options, its elements); built on first use and reused by
+    every `main` call, which hands argv the table read declines to the
+    row's subparser only."""
     p = argparse.ArgumentParser(
         prog="affcox",
         description="Canonical forms in the affine Coxeter groups of type ~A_n.")
     sub = p.add_subparsers(dest="command", required=True)
+    tables = {}
     for cmd in COMMANDS:
         sp = sub.add_parser(cmd.name, help=cmd.help)
         sp.set_defaults(cmd=cmd)
-        sp.add_argument("--json", action="store_true")
-        for flags, kwargs in cmd.options:
-            sp.add_argument(*flags, **kwargs)
+        actions = [sp.add_argument("--json", action="store_true")]
+        actions += [sp.add_argument(*flags, **kwargs) for flags, kwargs in cmd.options]
         for name in cmd.elements:
             sp.add_argument(name)
-    return p, sub.choices
+        required = tuple(a.dest for a in actions if a.required) + cmd.elements
+        tables[cmd.name] = Table(
+            sp, {flag: a for a in actions for flag in a.option_strings}, cmd.elements,
+            required, {**{a.dest: a.default for a in actions if not a.required}, "cmd": cmd})
+    return p, tables
+
+
+def _read(table, argv):
+    """The Namespace the row's subparser gives argv (the words after the
+    command), read off its table in one walk: a word equal to an option
+    string takes the next word as its value, converted by the option's
+    type and checked against its choices (a flag stores its const), and
+    any other word not led by a dash is the next element.  None, for
+    argparse to parse, when the read declines: a dash-led word that is not
+    an option string (-h, --, --rank=3, an abbreviation), a value missing,
+    dash-led, or refused by its type or choices, an element too many, or a
+    required name absent.  No row has a string default, which argparse
+    would convert by the option's type."""
+    values = dict(table.defaults)
+    elements = iter(table.elements)
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            name = next(elements, None)
+            if name is None:
+                return None
+            values[name] = word
+            continue
+        action = table.options.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(words, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not all(name in values for name in table.required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    top, commands = build_parser()
-    if argv and argv[0] in commands:  # argv is parsed once, by its command
-        args, extra = commands[argv[0]].parse_known_args(argv[1:])
-        if extra:
-            top.error("unrecognized arguments: %s" % " ".join(extra))
-    else:  # no command, help, or a usage error: the top level exits
+    top, tables = build_parser()
+    table = tables.get(argv[0]) if argv else None
+    if table is None:  # no command, help, or a usage error: the top level exits
         args = top.parse_args(argv)
+    else:
+        args = _read(table, argv[1:])
+        if args is None:  # declined: the row's subparser parses, or words the error
+            args, extra = table.parser.parse_known_args(argv[1:])
+            if extra:
+                top.error("unrecognized arguments: %s" % " ".join(extra))
     try:
         elements = [parse_input(getattr(args, name), args.rank)
                     for name in args.cmd.elements]

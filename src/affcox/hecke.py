@@ -44,7 +44,10 @@ shorter and of no larger affine length, with A_w a single power of q —
 the triangularity that makes the arrow faithful.
 
 Laurent polynomials are bare dicts {exponent: coefficient} with no zero
-entries; Hecke elements map canonical Elements to such dicts.
+entries; Hecke elements map canonical Elements to such dicts.  A
+HeckeElement checks that when it is made, by every route; only the sums,
+scalings and folds the library makes of checked ones skip the check
+(`HeckeElement._trusted`).
 """
 
 from typing import NamedTuple, Optional, Tuple
@@ -114,9 +117,45 @@ def format_poly(p):
 
 # --- Hecke elements ---------------------------------------------------------
 
-class HeckeElement(NamedTuple):
+def _check_terms(terms, n):
+    """The terms rule of a HeckeElement: a dict from Elements of rank n to
+    non-empty dicts of int exponents to non-zero int coefficients."""
+    if not isinstance(terms, dict):
+        raise ValueError("terms must be a dict, got %r" % (terms,))
+    for w, p in terms.items():
+        if not (isinstance(w, c.Element) and w.n == n):
+            raise ValueError("term %r is not an Element of rank %d" % (w, n))
+        if not (isinstance(p, dict) and p and all(
+                type(e) is int and type(co) is int and co for e, co in p.items())):
+            raise ValueError("coefficient of %r must be a non-empty dict of int "
+                             "exponents to non-zero ints, got %r" % (w, p))
+
+
+class _Fields(NamedTuple):
     n: int
     terms: dict  # Element -> Laurent polynomial, no zero polynomials
+
+
+class HeckeElement(_Fields):
+    """A Hecke element at rank n, checked by every route that makes one
+    (the constructor, `_make` and so `_replace`, pickle and copy): the
+    rank, every key an Element of rank n, every value a non-empty dict of
+    int exponents to non-zero int coefficients."""
+    __slots__ = ()
+
+    def __new__(cls, n, terms):
+        check_rank(n)
+        _check_terms(terms, n)
+        return tuple.__new__(cls, (n, terms))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's own _make skips __new__
+
+    @classmethod
+    def _trusted(cls, n, terms):
+        """No checks: only for terms the library built from checked ones."""
+        return tuple.__new__(cls, (n, terms))
 
 
 def _put(out, key, p):
@@ -141,7 +180,7 @@ def gen_basis(s, n):
 
 def scale(h, p):
     terms = {w: lp_mul(pw, p) for w, pw in h.terms.items()}
-    return HeckeElement(h.n, {w: pw for w, pw in terms.items() if pw})
+    return HeckeElement._trusted(h.n, {w: pw for w, pw in terms.items() if pw})
 
 
 def add(h1, h2):
@@ -150,7 +189,7 @@ def add(h1, h2):
     out = dict(h1.terms)
     for w, p in h2.terms.items():
         _put(out, w, p)
-    return HeckeElement(h1.n, {w: dict(p) for w, p in out.items() if p})
+    return HeckeElement._trusted(h1.n, {w: dict(p) for w, p in out.items() if p})
 
 
 def gen_inverse(s, n):
@@ -189,7 +228,7 @@ def _fold(n, start, h, steps):
             acc = _step(s, acc, inverse)
         for win, pw in acc.items():
             _put(out, win, pw)
-    return HeckeElement(n, {c._peel(win): p for win, p in out.items() if p})
+    return HeckeElement._trusted(n, {c._peel(win): p for win, p in out.items() if p})
 
 
 def hecke_left_mul_gen(s, h):
@@ -244,7 +283,7 @@ def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:
         raise InvariantError("leading term missing")
     if lp_power_of_q(a_w) is None:
         raise InvariantError("A_w not a power of q: %r" % (a_w,))
-    lower = HeckeElement(img.n, {x: p for x, p in img.terms.items() if x != target})
+    lower = HeckeElement._trusted(img.n, {x: p for x, p in img.terms.items() if x != target})
     lt, lw = c.length(target), c.affine_length(w)
     for x in lower.terms:
         if c.length(x) >= lt:

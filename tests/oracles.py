@@ -2,9 +2,12 @@
 it by: slower, but built from other parts of the engine.  Also the tests'
 input generators, which no library path calls."""
 
+import contextlib
+import io
 from bisect import bisect_left
 
 from affcox import canonical as c
+from affcox import cli
 from affcox import finite as fin
 from affcox.perms import (
     InvariantError, affine_length, check_count, compose, descends, identity, inverse,
@@ -60,6 +63,20 @@ def pair_peel(win):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
     return c.Element(n, tuple(pairs), bricks)
+
+
+def argparse_namespace(argv):
+    """vars() of the Namespace that the subparser of the command argv[0]
+    gives argv[1:] with no word left over, or None where argparse prints
+    help or a usage error or leaves words over (`main` then exits 0 or 2):
+    the argparse-only parse, the oracle of `cli._read`."""
+    _, tables = cli.build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = tables[argv[0]].parser.parse_known_args(argv[1:])
+        except SystemExit:
+            return None
+    return None if extra else vars(args)
 
 
 def reflection_windows(w):

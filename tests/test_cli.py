@@ -3,8 +3,11 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from affcox import blocks as bl
 from affcox import canonical as c
@@ -13,6 +16,7 @@ from affcox import finite as fin
 from affcox import hecke as hk
 from affcox import tower
 from affcox.words import parse_word
+from oracles import argparse_namespace
 
 
 def run(capsys, *argv):
@@ -193,22 +197,25 @@ def test_selfcheck(capsys, monkeypatch):
                                "brick identities": [], "max_len": 4}
 
 
+USAGE_ERRORS = (
+    ["canon", "s1"],              # missing -n
+    ["canon", "-n", "1", "s1"],   # rank below 2
+    ["canon", "-n", "x", "s1"],   # rank not an integer
+    ["nonsense"],                 # unknown subcommand
+    ["embed", "a"],               # missing --from
+    ["embed", "-n", "3", "a"],    # embed takes its rank as --from only
+    ["appendix", "-n", "4"],      # appendix exists for ranks 2, 3
+    ["blocks", "-n", "2", "-m", "1", "--max-len", "-1"],  # negative bound
+    ["blocks", "-n", "2", "-m", "1", "--max-len", "x"],
+    ["appendix", "-n", "2", "--max-len", "-3", "--count-only"],
+    ["selfcheck", "-n", "2", "--max-len", "-1"],
+    ["blocks", "-n", "2", "-m", "-1"],  # counts are integers >= 0, as --max-len
+    ["appendix", "-n", "2", "--max-core", "-1"],
+)
+
+
 def test_usage_errors(capsys):
-    for argv in (
-        ["canon", "s1"],              # missing -n
-        ["canon", "-n", "1", "s1"],   # rank below 2
-        ["canon", "-n", "x", "s1"],   # rank not an integer
-        ["nonsense"],                 # unknown subcommand
-        ["embed", "a"],               # missing --from
-        ["embed", "-n", "3", "a"],    # embed takes its rank as --from only
-        ["appendix", "-n", "4"],      # appendix exists for ranks 2, 3
-        ["blocks", "-n", "2", "-m", "1", "--max-len", "-1"],  # negative bound
-        ["blocks", "-n", "2", "-m", "1", "--max-len", "x"],
-        ["appendix", "-n", "2", "--max-len", "-3", "--count-only"],
-        ["selfcheck", "-n", "2", "--max-len", "-1"],
-        ["blocks", "-n", "2", "-m", "-1"],  # counts are integers >= 0, as --max-len
-        ["appendix", "-n", "2", "--max-core", "-1"],
-    ):
+    for argv in USAGE_ERRORS:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -220,7 +227,7 @@ CHOICES = ("(choose from 'canon', 'len', 'descents', 'mul', 'inv', 'blocks', 'em
            "'member', 'preimage', 'hecke-mul', 'appendix', 'selfcheck')")
 
 
-@pytest.mark.parametrize("argv,code,first,last", [
+USAGE_ERROR_OUTPUT = [
     ([], 2, TOP_USAGE, "affcox: error: the following arguments are required: command"),
     (["canon", "-n", "3", "s1", "extra"], 2, TOP_USAGE,
      "affcox: error: unrecognized arguments: extra"),
@@ -233,7 +240,12 @@ CHOICES = ("(choose from 'canon', 'len', 'descents', 'mul', 'inv', 'blocks', 'em
     # after `--` a dash-led word is the element, read as word syntax
     (["canon", "-n", "3", "--", "-s1"], 1, "error: malformed token '-s1'",
      "error: malformed token '-s1'"),
-], ids=["empty", "extra", "option-first", "upper-case", "abbreviated", "dash-dash"])
+]
+
+
+@pytest.mark.parametrize("argv,code,first,last", USAGE_ERROR_OUTPUT,
+                         ids=["empty", "extra", "option-first", "upper-case", "abbreviated",
+                              "dash-dash"])
 def test_usage_error_output(capsys, monkeypatch, argv, code, first, last):
     monkeypatch.setenv("COLUMNS", "80")
     try:
@@ -245,9 +257,10 @@ def test_usage_error_output(capsys, monkeypatch, argv, code, first, last):
     assert (err.splitlines()[0], err.splitlines()[-1]) == (first, last)
 
 
-@pytest.mark.parametrize("argv,usage", [(["-h"], TOP_USAGE),
-                                        (["canon", "-h"], "usage: affcox canon")],
-                         ids=["top", "canon"])
+HELP = [(["-h"], TOP_USAGE), (["canon", "-h"], "usage: affcox canon")]
+
+
+@pytest.mark.parametrize("argv,usage", HELP, ids=["top", "canon"])
 def test_help(capsys, monkeypatch, argv, usage):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
@@ -494,28 +507,40 @@ HAPPY_ARGV = [shlex.split(line) for line in (
 )]
 
 
-class TopLevelParse(Exception):
-    """Raised by the top-level parser where a test forbids its use."""
+class ArgparseParse(Exception):
+    """Raised by a parser, the top level's or a command's, where a test
+    forbids its use."""
 
 
 @pytest.fixture
-def top_level_raises(monkeypatch):
-    top, _ = cli.build_parser()
+def argparse_raises(monkeypatch):
+    top, tables = cli.build_parser()
     def refuse(*args, **kwargs):
-        raise TopLevelParse()
-    for name in ("parse_args", "parse_known_args"):
-        monkeypatch.setattr(top, name, refuse)
+        raise ArgparseParse()
+    for parser in (top, *(table.parser for table in tables.values())):
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, name, refuse)
 
 
-def test_known_command_skips_the_top_level_parser(capsys, top_level_raises):
+def test_known_command_skips_the_top_level_parser(capsys, argparse_raises):
+    # a well-formed argv is read off its command's table: no parser runs
     for argv in [argv for argv, _ in README_EXAMPLES] + HAPPY_ARGV:
         assert run(capsys, *argv)[::2] == (0, ""), argv
 
 
 @pytest.mark.parametrize("argv", [[], ["nonsense"], ["-h"], ["-n", "2", "canon", "s1"]],
                          ids=["empty", "unknown", "help", "option-first"])
-def test_the_rest_reaches_the_top_level_parser(top_level_raises, argv):
-    with pytest.raises(TopLevelParse):
+def test_the_rest_reaches_the_top_level_parser(argparse_raises, argv):
+    with pytest.raises(ArgparseParse):
+        cli.main(argv)
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in USAGE_ERRORS] + [
+    argv for argv, *_ in USAGE_ERROR_OUTPUT + HELP])
+def test_help_and_usage_errors_reach_argparse(argparse_raises, argv):
+    """argparse alone prints help and words usage errors: the table read
+    declines every argv of the three tests above."""
+    with pytest.raises(ArgparseParse):
         cli.main(argv)
 
 
@@ -530,3 +555,90 @@ def test_parser_built_once(capsys):
         cli.main(["embed", "a"])
     assert exc.value.code == 2
     assert "the following arguments are required: --from" in capsys.readouterr().err
+
+
+# --- the table read against argparse ----------------------------------------
+
+TABLES = cli.build_parser()[1]
+VALUES = ("2", "3", " 3", "0", "1", "4", "x", "", "2.5", "-1")
+ELEMENT_TEXTS = ("s1", "a s1", "1", "", "h(3,0) a |")
+HOSTILE = ("-h", "--help", "--", "-n3", "--rank=3", "--ra", "-1", "", "-")
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A command, each required option and some others with valid values
+    (some given twice), and its elements, in any order."""
+    name = draw(st.sampled_from(sorted(TABLES)))
+    table = TABLES[name]
+    units = [[draw(st.sampled_from(ELEMENT_TEXTS))] for _ in table.elements]
+    for action in dict.fromkeys(table.options.values()):
+        for _ in range(draw(st.integers(1 if action.required else 0, 2))):
+            flag = [draw(st.sampled_from(action.option_strings))]
+            units.append(flag if action.nargs == 0 else flag + [draw(st.sampled_from(
+                ("2", "3", " 3")))])
+    units = draw(st.permutations(units))
+    return [name] + [word for unit in units for word in unit]
+
+
+@st.composite
+def any_argv(draw):
+    """A well-formed argv with up to three words inserted, replaced or
+    deleted: the inserted and replacing words come from the command's
+    option strings, valid and invalid values, element texts and words the
+    read must decline."""
+    argv = draw(well_formed_argv())
+    pool = st.sampled_from(sorted(TABLES[argv[0]].options) + list(VALUES + ELEMENT_TEXTS
+                                                                  + HOSTILE))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            argv.insert(at, draw(pool))
+        elif at < len(argv):
+            argv[at:at + 1] = [draw(pool)] if edit == "replace" else []
+    return argv
+
+
+READ_VS_ARGPARSE = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@READ_VS_ARGPARSE
+@given(any_argv())
+@example(["appendix", "-n", "4"])                    # a choice refused
+@example(["canon", "-n", "2", "-n", "3", "--json", "--json", "s1"])  # repeated flags
+@example(["canon", "-n", "2", "s1", "s1"])           # an element too many
+@example(["mul", "-n", "2", "s1"])                   # an element too few
+@example(["canon", "-n", "2", ""])                   # an empty element
+@example(["canon", "--rank=3", "s1"])
+@example(["canon", "--ra", "3", "s1"])
+@example(["canon", "-n3", "s1"])
+@example(["canon", "-n", "2", "-1"])
+@example(["canon", "-n", "2", "--", "s1"])
+@example(["canon", "-n", "2", "-h"])
+def test_table_read_declines_or_agrees_with_argparse(argv):
+    got = cli._read(TABLES[argv[0]], argv[1:])
+    assert got is None or vars(got) == argparse_namespace(argv)
+
+
+@READ_VS_ARGPARSE
+@given(well_formed_argv())
+def test_table_read_takes_every_well_formed_argv(argv):
+    got = cli._read(TABLES[argv[0]], argv[1:])
+    assert got is not None and vars(got) == argparse_namespace(argv)
+
+
+# --- the console entry ------------------------------------------------------
+
+def test_console_entry():
+    """`python -m affcox.cli` reads sys.argv and exits with main's code."""
+    src = os.path.join(os.path.dirname(README), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    (argv, expected), = [ex for ex in README_EXAMPLES if ex[0][0] == "canon"]
+    for args, code, out in ((argv, 0, "\n".join(expected) + "\n"),
+                            (["canon", "s1"], 2, "")):
+        done = subprocess.run([sys.executable, "-m", "affcox.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (code, out), done.stderr
+        assert bool(done.stderr) == bool(code)

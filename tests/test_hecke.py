@@ -1,5 +1,7 @@
 """Hecke algebra: defining relations, inverses, the rank-raising arrow."""
 
+import copy
+import pickle
 import random
 import sys
 
@@ -206,6 +208,49 @@ def test_gen_basis_rejects_a_letter_that_is_not_an_int():
     for s in (1.0, True, 3):
         with pytest.raises(ValueError, match="invalid at rank 2"):
             hk.gen_basis(s, 2)
+
+
+# a HeckeElement is checked when it is made, by every route; pickle and copy
+# rebuild one made by _trusted, which only the library may call
+HECKE_ROUTES = {
+    "HeckeElement": hk.HeckeElement,
+    "_make": lambda *fields: hk.HeckeElement._make(fields),
+    "_replace": lambda n, terms: hk.unit(2)._replace(n=n, terms=terms),
+    "copy": lambda *fields: copy.copy(hk.HeckeElement._trusted(*fields)),
+    "deepcopy": lambda *fields: copy.deepcopy(hk.HeckeElement._trusted(*fields)),
+    "pickle": lambda *fields: pickle.loads(pickle.dumps(hk.HeckeElement._trusted(*fields))),
+}
+
+
+def bad_hecke_elements():
+    """(fields, message): a term of another rank (the rank-3 form of
+    s3 a s1 at rank 2), coefficients that are not non-empty dicts of int
+    exponents to non-zero ints, a key that is not an Element, bad ranks,
+    and terms that are not a dict."""
+    e3, s1 = elem(3, 3, 0, 1), elem(2, 1)
+    coeff = ("coefficient of %r must be a non-empty dict of int exponents to "
+             "non-zero ints, got %%r" % (s1,))
+    out = [((2, {e3: {0: 1}}), "term %r is not an Element of rank 2" % (e3,)),
+           ((2, {"s1": {0: 1}}), "term 's1' is not an Element of rank 2"),
+           ((2, {(2, (), ()): {0: 1}}), "term (2, (), ()) is not an Element of rank 2"),
+           ((1, {}), "rank must be an integer >= 2, got 1"),
+           ((2.0, {}), "rank must be an integer >= 2, got 2.0"),
+           ((2, [(s1, {0: 1})]), "terms must be a dict, got [(%r, {0: 1})]" % (s1,))]
+    for p in ({0: 1.5}, {}, {0: 0}, {0.0: 1}, {0: True}, [(0, 1)]):
+        out.append(((2, {s1: p}), coeff % (p,)))
+    return out
+
+
+def test_hecke_element_rejects_by_every_route():
+    good = (2, {elem(2, 1): {1: 1, 0: -1}, c.identity_element(2): {-2: 3}})
+    bad = bad_hecke_elements()
+    for route, make in HECKE_ROUTES.items():
+        h = make(*good)
+        assert type(h) is hk.HeckeElement and h == good, route
+        for fields, message in bad:
+            with pytest.raises(ValueError) as exc:
+                make(*fields)
+            assert str(exc.value) == message, (route, fields)
 
 
 # --- the window step against the letter engine -----------------------------

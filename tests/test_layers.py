@@ -72,10 +72,20 @@ def test_each_shared_rule_is_defined_in_one_module():
     assert owners["generators"] == {"perms"}
 
 
+def is_call_to(func, target):
+    """Whether a call of `func` calls `target`, a name ('_peel') called by
+    name or as an attribute (c._peel), or 'Class.method', called as an
+    attribute of that name (Element._trusted, c.Element._trusted)."""
+    owner, _, name = target.rpartition(".")
+    if name not in (getattr(func, "id", None), getattr(func, "attr", None)):
+        return False
+    value = getattr(func, "value", None)
+    return not owner or owner in (getattr(value, "id", None), getattr(value, "attr", None))
+
+
 def callers(target):
     """'module.function' for each top-level function, and 'module.Class.method'
-    for each method, of the package whose body calls `target`, by name or as
-    an attribute (c._peel, Element._trusted)."""
+    for each method, of the package whose body calls `target` (`is_call_to`)."""
     out = set()
     for name in LAYER:
         with open(os.path.join(PKG, name + ".py")) as f:
@@ -85,8 +95,7 @@ def callers(target):
                 if isinstance(cls, ast.ClassDef) for fn in cls.body]
         for owner, fn in fns:
             if isinstance(fn, ast.FunctionDef) and any(
-                    isinstance(node, ast.Call)
-                    and target in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    isinstance(node, ast.Call) and is_call_to(node.func, target)
                     for node in ast.walk(fn)):
                 out.add("%s.%s" % (owner, fn.name))
     return out
@@ -108,10 +117,16 @@ def test_only_forms_the_library_checked_skip_the_element_checks():
     # the peel checks its junctions once per run, left_mul's block engine
     # its changed junctions, the tower _check_image, and the listings come
     # from the walk or from validate_block
-    assert callers("_trusted") == {
+    assert callers("Element._trusted") == {
         "canonical._peel", "canonical.left_mul", "canonical.coset_rep",
         "canonical.block_word", "tower.embed", "tower.preimage",
         "blocks.reference_blocks", "blocks.appendix_blocks", "cli._blocks"}
+    # Hecke sums, scalings and folds of checked Hecke elements, and the
+    # certificate's lower terms, a sub-sum of the fold's own
+    assert callers("HeckeElement._trusted") == {
+        "hecke.scale", "hecke.add", "hecke._fold", "hecke.triangularity_certificate"}
+    assert callers("_trusted") == callers("Element._trusted") | callers(
+        "HeckeElement._trusted")
     assert callers("validate_block") == {
         "canonical.Element.__new__", "tower._check_image", "blocks.appendix_blocks"}
 
@@ -164,10 +179,13 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
     # element_word makes one checked Word per right-factor term, and
     # hr_embed checks its rank and builds the identity window one rank up
     for e in short:
-        hk.hecke_mul(hk.basis(e), hk.basis(e))
+        g = hk.basis(e)
+        assert calls == ["check_rank"]  # a HeckeElement checks itself when it is made
+        del calls[:]
+        hk.hecke_mul(g, g)
         assert calls == ["check_rank", "check_letters"]
         del calls[:]
-        hk.hr_embed(hk.basis(e))
+        hk.hr_embed(g)
         assert calls == ["check_rank", "check_rank", "check_rank", "check_letters"]
         del calls[:]
     del calls[:]
