@@ -535,7 +535,7 @@ def test_the_rest_reaches_the_top_level_parser(argparse_raises, argv):
         cli.main(argv)
 
 
-@pytest.mark.parametrize("argv", [list(argv) for argv in USAGE_ERRORS] + [
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS) + [
     argv for argv, *_ in USAGE_ERROR_OUTPUT + HELP])
 def test_help_and_usage_errors_reach_argparse(argparse_raises, argv):
     """argparse alone prints help and words usage errors: the table read
