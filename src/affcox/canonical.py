@@ -113,7 +113,8 @@ calls left_mul.
 One checked boundary, an unchecked interior.  Plain data is checked once,
 where it enters, by the rules of perms:
   - a words.Word checks its rank and letters when it is made (`Word`,
-    words.word, words.parse_word, and every copy of one);
+    words.word, words.parse_word, and every copy of one); the words the
+    library spells from checked forms skip it by `Word._trusted`;
   - an Element checks its rank, pairs and bricks when it is made, by every
     route: `Element` (so parse_element), `_make`/`_replace`, pickle, copy;
   - `from_window` checks a window (perms.is_window), then peels it;
@@ -133,8 +134,8 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from . import perms
-from .perms import (AFFINE, InvariantError, check_letter, check_rank, compose, generators,
-                    is_window)
+from .perms import (AFFINE, Checked, InvariantError, check_letter, check_rank, compose,
+                    generators, is_window)
 from . import finite as fin
 from .words import INDEX, Word, hat_partner
 
@@ -145,11 +146,12 @@ class _Fields(NamedTuple):
     bricks: tuple  # ((i, j), ...) — the finite part x, levels j descending
 
 
-class Element(_Fields):
-    """A canonical form at rank n, checked by every route that makes one."""
+class Element(Checked, _Fields):
+    """A canonical form at rank n, checked by every route (perms.Checked)."""
     __slots__ = ()
 
-    def __new__(cls, n, pairs, bricks):
+    @staticmethod
+    def _check(n, pairs, bricks):
         check_rank(n)
         pairs = fin.int_pairs("pairs", pairs)
         bricks = fin.int_pairs("bricks", bricks)
@@ -157,16 +159,7 @@ class Element(_Fields):
             raise ValueError("pairwise inequalities violated: %r" % (pairs,))
         if not fin.validate_finite(bricks, n):
             raise ValueError("invalid finite canonical form: %r" % (bricks,))
-        return tuple.__new__(cls, (n, pairs, bricks))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # namedtuple's own _make skips __new__
-
-    @classmethod
-    def _trusted(cls, n, pairs, bricks):
-        """No checks: only for a form the library built and checked itself."""
-        return tuple.__new__(cls, (n, pairs, bricks))
+        return n, pairs, bricks
 
 
 class Absorbed(NamedTuple):
@@ -225,7 +218,7 @@ def block_word(pairs, n):
 def element_word(e):
     """The canonical reduced word of e as one Word: h(j,i) a = |j,n|
     ceil(i,1) a for each pair, then |i,j| for each brick.  e was checked
-    when it was made, so only the Word checks, once, its letters."""
+    when it was made, so its letters are too: `Word._trusted`."""
     n = e.n
     letters = []
     for j, i in e.pairs:
@@ -234,7 +227,7 @@ def element_word(e):
         letters.append(AFFINE)
     for i, j in e.bricks:
         letters += fin.floor_word(i, j)
-    return Word(n, letters)
+    return Word._trusted(n, tuple(letters))
 
 
 def pair_length(pair, n):
@@ -631,7 +624,7 @@ def _residual_m2(pairs, x_prefix, n):
     W(A_n) word, hence reduced, so one reflection sequence decides:
     hat_partner is None exactly when the word is reduced."""
     letters = block_word(pairs, n).letters + fin.h_word(x_prefix, n) + (AFFINE,)
-    pos = hat_partner(Word(n, letters))
+    pos = hat_partner(Word._trusted(n, letters))
     return None if pos is None else DescentCase("x4", pos)
 
 

@@ -44,17 +44,18 @@ shorter and of no larger affine length, with A_w a single power of q —
 the triangularity that makes the arrow faithful.
 
 Laurent polynomials are bare dicts {exponent: coefficient} with no zero
-entries; Hecke elements map canonical Elements to such dicts.  A
-HeckeElement checks that when it is made, by every route; only the sums,
-scalings and folds the library makes of checked ones skip the check
-(`HeckeElement._trusted`).
+entries (`_lp_ok`, run by `scale` on its scalar); Hecke elements map
+Elements to non-empty ones, checked when a HeckeElement is made, by every
+route.  Sums, scalings and folds of checked ones skip it (`_trusted`), and
+the fold runs no rule: `canonical.element_word` spells words unchecked.
 """
 
 from typing import NamedTuple, Optional, Tuple
 
 from . import canonical as c
 from . import tower
-from .perms import AFFINE, InvariantError, check_rank, descends, identity, move, right_mul
+from .perms import (AFFINE, Checked, InvariantError, check_rank, descends, identity, move,
+                    right_mul)
 
 
 # --- Laurent polynomials ----------------------------------------------------
@@ -117,16 +118,21 @@ def format_poly(p):
 
 # --- Hecke elements ---------------------------------------------------------
 
+def _lp_ok(p):
+    """The Laurent-polynomial rule: int exponents to non-zero ints; {} is 0."""
+    return isinstance(p, dict) and all(
+        type(e) is int and type(co) is int and co for e, co in p.items())
+
+
 def _check_terms(terms, n):
     """The terms rule of a HeckeElement: a dict from Elements of rank n to
-    non-empty dicts of int exponents to non-zero int coefficients."""
+    non-empty Laurent polynomials (`_lp_ok`)."""
     if not isinstance(terms, dict):
         raise ValueError("terms must be a dict, got %r" % (terms,))
     for w, p in terms.items():
         if not (isinstance(w, c.Element) and w.n == n):
             raise ValueError("term %r is not an Element of rank %d" % (w, n))
-        if not (isinstance(p, dict) and p and all(
-                type(e) is int and type(co) is int and co for e, co in p.items())):
+        if not (_lp_ok(p) and p):
             raise ValueError("coefficient of %r must be a non-empty dict of int "
                              "exponents to non-zero ints, got %r" % (w, p))
 
@@ -136,26 +142,16 @@ class _Fields(NamedTuple):
     terms: dict  # Element -> Laurent polynomial, no zero polynomials
 
 
-class HeckeElement(_Fields):
-    """A Hecke element at rank n, checked by every route that makes one
-    (the constructor, `_make` and so `_replace`, pickle and copy): the
-    rank, every key an Element of rank n, every value a non-empty dict of
-    int exponents to non-zero int coefficients."""
+class HeckeElement(Checked, _Fields):
+    """A Hecke element at rank n, checked by every route (perms.Checked): the
+    rank, every key an Element of rank n, every value a non-empty polynomial (`_lp_ok`)."""
     __slots__ = ()
 
-    def __new__(cls, n, terms):
+    @staticmethod
+    def _check(n, terms):
         check_rank(n)
         _check_terms(terms, n)
-        return tuple.__new__(cls, (n, terms))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # namedtuple's own _make skips __new__
-
-    @classmethod
-    def _trusted(cls, n, terms):
-        """No checks: only for terms the library built from checked ones."""
-        return tuple.__new__(cls, (n, terms))
+        return n, terms
 
 
 def _put(out, key, p):
@@ -179,6 +175,8 @@ def gen_basis(s, n):
 
 
 def scale(h, p):
+    if not _lp_ok(p):
+        raise ValueError("scalar %r is not a dict of int exponents to non-zero ints" % (p,))
     terms = {w: lp_mul(pw, p) for w, pw in h.terms.items()}
     return HeckeElement._trusted(h.n, {w: pw for w, pw in terms.items() if pw})
 
@@ -265,7 +263,6 @@ def hr_embed(h):
     """The algebra arrow into rank n+1: sigma_i fixed, affine letter to
     g_{sigma_n} g_a g_{sigma_n}^{-1} (letters folded onto g_1, per basis
     word of h)."""
-    check_rank(h.n)
     n = h.n + 1
     return _fold(n, {identity(n): LP_ONE}, h, _raised_steps)
 

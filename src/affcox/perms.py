@@ -26,12 +26,13 @@ it is validated against BFS distance from the identity.
 It owns the input rules, each testing an integer as `type(v) is int` (or
 a type set as a subset of {int}): letter (`check_letter`, and
 `check_letters` for a whole word), rank (`check_rank`), count
-(`check_count`) and window (`is_window`).  A word's and a window's rules
-are paid once, at the library's boundary: a words.Word runs `check_rank`
-and `check_letters` when it is made, and canonical.from_window runs
-`is_window` on a window from outside.  The window arithmetic takes
-windows already checked or built by the library and checks only the
-letters and ranks it is given.
+(`check_count`) and window (`is_window`), and `Checked`, the one way a
+value (words.Word, canonical.Element, hecke.HeckeElement) runs its rules
+on every route.  A word's and a window's rules are paid once, at the
+library's boundary: a words.Word runs `check_rank` and `check_letters`
+when it is made, and canonical.from_window runs `is_window` on a window
+from outside.  The window arithmetic takes windows already checked or
+built by the library and checks only the letters and ranks it is given.
 `to_permutation` and `right_mul` are the judge's fold, one checked letter
 and one new tuple at a time: the tests and the benchmark's oracle call
 them, and no library hot path does (canonical.word_window and
@@ -72,6 +73,27 @@ def check_letters(letters, n):
     if not (set(map(type, letters)) <= {int} and set(letters) <= set(range(n + 1))):
         for s in letters:
             check_letter(s, n)
+
+
+class Checked(tuple):
+    """A checked value (words.Word, canonical.Element, hecke.HeckeElement):
+    `class X(Checked, _Fields)`, with `_Fields` a NamedTuple, defines only
+    `_check`, which runs its rules and returns the fields to store.  Every
+    route runs it: the constructor, `_make` and so `_replace`, and pickle
+    and copy (by `__getnewargs__`).  `_trusted` skips it, for values the
+    library built from checked ones."""
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        return tuple.__new__(cls, cls._check(*fields, **named))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's own skips __new__ and compares len()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        return tuple.__new__(cls, fields)
 
 
 def check_count(what, v):
@@ -241,18 +263,12 @@ def check_relations(n):
     for s in gens:
         if perm_length(to_permutation((s, s), n)) != 0:
             bad.append("generator %d is not an involution at n=%d" % (s, n))
-    # diagram adjacency in the cycle 0-1-2-...-n-0
-    def adjacent(s, t):
-        d = abs(s - t)
-        if s == AFFINE or t == AFFINE:
-            other = s + t
-            return other in (1, n)
-        return d == 1
     for a in gens:
         for b in gens:
             if a >= b:
                 continue
-            want = 3 if adjacent(a, b) else 2
+            # a and b are adjacent in the cycle 0-1-2-...-n-0
+            want = 3 if (a - b) % (n + 1) in (1, n) else 2
             got = _product_order(a, b, n)
             if got != want:
                 bad.append(

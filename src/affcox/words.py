@@ -4,8 +4,9 @@ reflection-sequence reducedness test.
 
 A letter is an int: 1..n for sigma_i, 0 (perms.AFFINE) for a_{n+1}.  A Word
 pins its rank; operations never coerce across ranks.  A Word is checked
-when it is made (`Word`), and no route makes an unchecked one, so the
-rank and letter rules of perms are paid once per word, at that boundary.
+when it is made (`Word`), and no route makes an unchecked one but
+`Word._trusted`, for the words the library spells from checked values, so
+the rank and letter rules of perms are paid once per word, at that boundary.
 
 Text syntax: whitespace- or '*'-separated tokens, `s<k>` for sigma_k and `a`
 for the affine generator, e.g. "s1 a s2" or "s1*a*s2".
@@ -22,7 +23,7 @@ the pair its letter swaps names t_j (Bjorner & Brenti, GTM 231, Sec. 8.3).
 import re
 from typing import NamedTuple, Optional
 
-from .perms import AFFINE, check_letters, check_rank
+from .perms import AFFINE, Checked, check_letters, check_rank
 
 
 class _Fields(NamedTuple):
@@ -30,25 +31,18 @@ class _Fields(NamedTuple):
     letters: tuple
 
 
-class Word(_Fields):
-    """A word at rank n, checked once, when it is made: `check_rank`, then
-    the letters as a tuple (any iterable is read once) and `check_letters`.
-    Every route to a Word goes through `__new__`: the constructor, `_make`
-    and so `_replace`, and pickle and copy (by `__getnewargs__`).  So code
-    that takes a Word need not check it again."""
+class Word(Checked, _Fields):
+    """A word at rank n, checked by every route (perms.Checked): `check_rank`,
+    then the letters as a tuple (any iterable is read once) and
+    `check_letters`.  So code that takes a Word need not check it again."""
     __slots__ = ()
 
-    def __new__(cls, n, letters):
+    @staticmethod
+    def _check(n, letters):
         check_rank(n)
         letters = tuple(letters)
         check_letters(letters, n)
-        return tuple.__new__(cls, (n, letters))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make skips __new__, and compares len() with the
-        # field count, which __len__ (the letter count) breaks
-        return cls(*iterable)
+        return n, letters
 
     def __len__(self):
         return len(self.letters)

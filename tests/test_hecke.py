@@ -172,6 +172,15 @@ def test_add_and_scale_cancel_to_zero():
         assert hk.scale(h, {}).terms == {}
 
 
+def test_scale_refuses_a_scalar_that_is_not_a_polynomial():
+    # the Laurent-polynomial rule of a term's coefficient, {} allowed
+    for p in ({0: 1.5}, {0.5: 1}, {True: 1}, {0: True}, {0: 0}, None, [(0, 1)]):
+        with pytest.raises(ValueError) as exc:
+            hk.scale(hk.unit(2), p)
+        assert str(exc.value) == (
+            "scalar %r is not a dict of int exponents to non-zero ints" % (p,))
+
+
 def test_results_share_no_polynomial_with_inputs():
     """Every result owns its polynomials, and its inputs are unchanged."""
     rng = random.Random(23)

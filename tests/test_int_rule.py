@@ -16,7 +16,7 @@ RULES = {
     "finite": {"int_pairs", "_check_sigma", "hprefix_ok"},
     "blocks": {"_check_appendix_args"},
     "canonical": {"from_json"},
-    "hecke": {"_check_terms"},
+    "hecke": {"_lp_ok"},
 }
 
 

@@ -102,7 +102,7 @@ def callers(target):
 
 
 def test_the_scan_sees_methods():
-    assert callers("check_letters") == {"words.Word.__new__"}
+    assert callers("check_letters") == {"words.Word._check"}
 
 
 def test_only_library_built_windows_reach_the_unchecked_peel():
@@ -125,10 +125,35 @@ def test_only_forms_the_library_checked_skip_the_element_checks():
     # certificate's lower terms, a sub-sum of the fold's own
     assert callers("HeckeElement._trusted") == {
         "hecke.scale", "hecke.add", "hecke._fold", "hecke.triangularity_certificate"}
+    # words the library spells from checked forms: a canonical word, and
+    # the x4 family's word, a block's word and a checked h-prefix's
+    assert callers("Word._trusted") == {"canonical.element_word", "canonical._residual_m2"}
     assert callers("_trusted") == callers("Element._trusted") | callers(
-        "HeckeElement._trusted")
+        "HeckeElement._trusted") | callers("Word._trusted")
     assert callers("validate_block") == {
-        "canonical.Element.__new__", "tower._check_image", "blocks.appendix_blocks"}
+        "canonical.Element._check", "tower._check_image", "blocks.appendix_blocks"}
+
+
+def test_one_base_makes_every_checked_value():
+    # perms.Checked holds the only __new__, _make and _trusted among the
+    # package's classes, and exactly the three value types build on it
+    defined, built_on = set(), set()
+    for name in LAYER:
+        with open(os.path.join(PKG, name + ".py")) as f:
+            tree = ast.parse(f.read())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            owner = "%s.%s" % (name, cls.name)
+            for node in cls.body:
+                names = [node.name] if isinstance(node, ast.FunctionDef) else [
+                    t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+                defined |= {(owner, m) for m in names if m in ("__new__", "_make", "_trusted")}
+            if any("Checked" in (getattr(b, "id", None), getattr(b, "attr", None))
+                   for b in cls.bases):
+                built_on.add(owner)
+    assert defined == {("perms.Checked", m) for m in ("__new__", "_make", "_trusted")}
+    assert built_on == {"words.Word", "canonical.Element", "hecke.HeckeElement"}
 
 
 def test_only_named_callers_reach_the_judges_fold():
@@ -150,10 +175,9 @@ ELEMENT_RULES = ("validate_block", "validate_finite", "int_pairs")
 
 def test_canonicalize_checks_nothing_again(monkeypatch):
     """A Word or an Element was checked when it was made, so canonicalize,
-    mul, inverse and left_descents call no letter, rank, window or element
-    rule, and the Hecke operations only the checks of one Word per
-    right-factor term and of their own rank: every binding of them in the
-    package is counted."""
+    mul, inverse, left_descents and hecke_mul call no letter, rank, window
+    or element rule, and hr_embed only the rank check of the identity
+    window one rank up: every binding of them in the package is counted."""
     rng = random.Random(26)
     words = []
     for n in (2, 3, 6, 12, 24):
@@ -176,17 +200,16 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
         c.inverse(e)
         c.left_descents(e)
     assert calls == []
-    # element_word makes one checked Word per right-factor term, and
-    # hr_embed checks its rank and builds the identity window one rank up
+    # element_word spells each right-factor term's word unchecked, and
+    # hr_embed builds the identity window one rank up
     for e in short:
         g = hk.basis(e)
         assert calls == ["check_rank"]  # a HeckeElement checks itself when it is made
         del calls[:]
         hk.hecke_mul(g, g)
-        assert calls == ["check_rank", "check_letters"]
-        del calls[:]
+        assert calls == []
         hk.hr_embed(g)
-        assert calls == ["check_rank", "check_rank", "check_rank", "check_letters"]
+        assert calls == ["check_rank"]
         del calls[:]
     del calls[:]
     assert c.from_window(c.window(elements[0])) == elements[0]
@@ -199,7 +222,8 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
 
 def test_element_word_makes_one_word(monkeypatch):
     """element_word reads the letters of the pairs and of the bricks into
-    one list and makes one Word, so its letters are checked once."""
+    one list and makes one Word of them, unchecked: the Element was checked
+    when it was made."""
     e = c.canonicalize(Word(4, (4, 0, 4, 3, 1, 0, 2, 1, 3)))
     assert e.pairs and e.bricks
     want = c.block_word(e.pairs, 4).letters + finite_word(e.bricks, 4).letters
@@ -207,8 +231,8 @@ def test_element_word_makes_one_word(monkeypatch):
     orig = words.check_letters
     monkeypatch.setattr(words, "check_letters", lambda *args: calls.append(args) or orig(*args))
     w = c.element_word(e)
-    assert len(calls) == 1
-    assert w == (4, want)
+    assert calls == []
+    assert type(w) is Word and w == Word(4, want)
 
 
 # Public names with no consumer in the package, each kept for the statement

@@ -51,9 +51,10 @@ def test_parse_errors():
 # --- a Word is checked when it is made, by every route ----------------------
 
 def smuggled(n, letters):
-    """A Word made past Word.__new__, which only tuple.__new__ can do: the
-    input pickle and copy must refuse when they rebuild it."""
-    return tuple.__new__(Word, (n, letters))
+    """A Word made past its checks by `Word._trusted`, which only the
+    library may call: the input pickle and copy must refuse when they
+    rebuild it."""
+    return Word._trusted(n, letters)
 
 
 ROUTES = {
