@@ -47,10 +47,13 @@ encodes e in O(m + #bricks) list moves, one pair or brick at a time, and
 `from_window` decodes any window.  With N = n+1 and u = sorted(window of
 w), the window of the block is u (the minimal coset representative is the
 one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x is
-the level code of the window itself (finite.level_code): w = u . x acts as
-k -> u(x(k)) with u increasing, so w's entries have the relative order of
-x's.  The block is then peeled off u from the right, one run of equal
-pairs at a time.  One step peels the last pair (j,i):
+the level code of the window itself: w = u . x acts as k -> u(x(k)) with u
+increasing, so w's entries have the relative order of x's.  One walk over
+the window gives both (finite.level_walk): it reads each level's rank off
+the sorted prefix by bisection and inserts the entry there, so it ends
+holding u, and nothing sorts the window again.  The block is then peeled
+off u from the right, one run of equal pairs at a time.  One step peels
+the last pair (j,i):
 
     u . (h(j,i) a)^{-1}  =  u . a sigma_1 ... sigma_i sigma_n ... sigma_j
 
@@ -92,9 +95,10 @@ than N (u[1] > u[0] and u[n-1] < u[n]).  So the same two comparisons,
 against the same middle, decide each further step: a run of r equal pairs
 costs two bisections, then two comparisons and two moves per repeat.
 
-The peel makes exactly L(w) = perms.affine_length(w) steps, ending at the
-identity: a sorted window with u(1) >= 1 or u(N) <= N is the identity (N
-distinct residues summing to N(N+1)/2), so every other peel lowers
+The peel makes exactly L(w) = perms.affine_length(w) steps, a count taken
+on u apart from the walk, ending at the identity: a sorted window with
+u(1) >= 1 or u(N) <= N is the identity (N distinct residues summing to
+N(N+1)/2), so every other peel lowers
 sum_k max(0, floor((u(k) - 1)/N)) by exactly 1, and that sum is 0 only at
 the identity.  Each distinct junction of the peeled pairs is still
 checked with `_junction_ok`, once per run of equal pairs: the change into
@@ -117,7 +121,9 @@ where it enters, by the rules of perms:
     library spells from checked forms skip it by `Word._trusted`;
   - an Element checks its rank, pairs and bricks when it is made, by every
     route: `Element` (so parse_element), `_make`/`_replace`, pickle, copy;
-  - `from_window` checks a window (perms.is_window), then peels it;
+  - `from_window` checks a window (perms.is_window) and refuses one whose
+    rank is past perms.MAX_RANK or whose affine length is past MAX_PAIRS
+    (a RuntimeError), then peels it;
   - `left_mul_block` (so `left_mul`) checks a rank and a letter;
     `deficiency_m1` and `affine_descent_cases_m2` a rank, pairs and prefix.
 Everything else takes a Word or an Element, already checked, and checks
@@ -138,6 +144,11 @@ from .perms import (AFFINE, Checked, InvariantError, check_letter, check_rank, c
                     generators, is_window)
 from . import finite as fin
 from .words import INDEX, Word, hat_partner
+
+# from_window raises RuntimeError past this affine length (pairs in the
+# block): a decode builds one pair per unit of L, ~0.25 s per 10^6 pairs
+# (CPython 3.11 on one x86 core)
+MAX_PAIRS = 2_000_000
 
 
 class _Fields(NamedTuple):
@@ -443,10 +454,18 @@ def from_window(win):
     """
     The canonical form of the element with window `win`: the one checked
     decoder, for windows from outside the library.  A ValueError if win is
-    not a window (perms.is_window); otherwise `_peel(win)`.
+    not a window (perms.is_window); a RuntimeError, before anything is
+    built, if its rank is past perms.MAX_RANK (check_rank) or its affine
+    length (perms.affine_length, the number of pairs the form would hold)
+    past MAX_PAIRS; otherwise `_peel(win)`.
     """
     if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
+    check_rank(len(win) - 1)
+    m = perms.affine_length(win)
+    if m > MAX_PAIRS:
+        raise RuntimeError("window of affine length %d is past the limit of %d pairs"
+                           % (m, MAX_PAIRS))
     return _peel(win)
 
 
@@ -454,12 +473,14 @@ def _peel(win):
     """
     The canonical form of the element with window `win`, in O(n^2 + m n),
     unchecked: win is a window the library built (word_window, compose,
-    perms.inverse, a Hecke step) or one `from_window` checked.  x is the
-    level code of win itself, and the block is peeled off u = sorted(win)
-    from the right, one run of equal pairs at a time (see the module
-    docstring for why each step's pair is the last one, and why a run
-    goes on): a pair (j, i) is found by two bisections, where i and j
-    count the entries u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1);
+    perms.inverse, a Hecke step) or one `from_window` checked.  One walk,
+    `finite.level_walk`, gives x, the level code of win itself, and u, the
+    sorted window it inserted each entry into; the peel count is
+    perms.affine_length(u).  The block is peeled off u from the right,
+    one run of equal pairs at a time (see the module docstring for why
+    each step's pair is the last one, and why a run goes on): a pair
+    (j, i) is found by two bisections, where i and j count the entries
+    u(2..n) below u(n+1) - (n+1) and below u(1) + (n+1);
     a narrow pair (j <= i+1) repeats while two comparisons hold, each
     repeat two list moves; exactly L(w) peels, ending at the identity.
     Junctions are checked once per run (the change into it, and its
@@ -468,8 +489,7 @@ def _peel(win):
     """
     nn = len(win)
     n = nn - 1
-    u = sorted(win)
-    bricks = fin.level_code(win)
+    bricks, u = fin.level_walk(win)
     pairs, last = [], None
     pop, insert = u.pop, u.insert
     left = perms.affine_length(u)

@@ -26,13 +26,16 @@ brick on level j starts at
 
 and is absent when that rank is j+1 (Bjorner & Brenti, Combinatorics of
 Coxeter Groups, Sec. 8.3).  Level j has j+1 choices, so the (n+1)! shapes
-code W(A_n) bijectively.  `level_code` reads the ranks off any distinct
-ints and `finite_window` replays the bricks (|i,j| moves the entry at
-position i to position j+1), both in O(n^2).  Right insertion x . sigma_k
-swaps the positions k and k+1, so only the bricks on levels k-1 and k
-move.  Left insertion sigma_k . x swaps the values k and k+1, so only the
-rank at the later of their positions, q, changes, i.e. the brick on level
-q-1:
+code W(A_n) bijectively.  `level_walk` reads the ranks off any distinct
+ints, each by one bisection into the sorted prefix, where it then inserts
+the entry, so one pass returns the bricks and the ints sorted (the sorted
+window is the block's window in canonical's decoder); `level_code` is its
+bricks alone.  `finite_window` replays the bricks (|i,j| moves the entry
+at position i to position j+1).  Both are O(n^2) in list moves.  Right
+insertion x . sigma_k swaps the positions k and k+1, so only the bricks
+on levels k-1 and k move.  Left insertion sigma_k . x swaps the values k
+and k+1, so only the rank at the later of their positions, q, changes,
+i.e. the brick on level q-1:
 
     k before k+1  ->  start - 1 (length + 1; an absent brick becomes |q-1,q-1|)
     k+1 before k  ->  start + 1 (length - 1; the brick drops once start > q-1)
@@ -106,10 +109,11 @@ def finite_window(bricks, n):
     return tuple(win)
 
 
-def level_code(win):
-    """The bricks of the relative order of any distinct ints, unchecked: the
-    brick on level j starts at the rank of x(j+1) among x(1..j+1), read off
-    a sorted prefix by bisection, in one pass that emits each brick."""
+def level_walk(win):
+    """The bricks of the relative order of any distinct ints, and those ints
+    sorted, unchecked, in one pass: the brick on level j starts at the rank
+    of x(j+1) among x(1..j+1), read off the sorted prefix by one bisection,
+    and x(j+1) is inserted there, so the prefix ends as the sorted list."""
     seen, bricks = [], []
     for j, v in enumerate(win):
         k = bisect_left(seen, v)
@@ -117,7 +121,13 @@ def level_code(win):
         if k < j:  # x(j+1) is not the largest so far: a brick (k+1, j)
             bricks.append((k + 1, j))
     bricks.reverse()
-    return tuple(bricks)
+    return tuple(bricks), seen
+
+
+def level_code(win):
+    """The bricks of the relative order of any distinct ints, unchecked:
+    the bricks of `level_walk`, without its sorted list."""
+    return level_walk(win)[0]
 
 
 def _check_sigma(k, n):

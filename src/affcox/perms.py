@@ -25,8 +25,8 @@ it is validated against BFS distance from the identity.
 
 It owns the input rules, each testing an integer as `type(v) is int` (or
 a type set as a subset of {int}): letter (`check_letter`, and
-`check_letters` for a whole word), rank (`check_rank`), count
-(`check_count`) and window (`is_window`), and `Checked`, the one way a
+`check_letters` for a whole word), rank (`check_rank`, up to MAX_RANK),
+count (`check_count`) and window (`is_window`), and `Checked`, the one way a
 value (words.Word, canonical.Element, hecke.HeckeElement) runs its rules
 on every route.  A word's and a window's rules are paid once, at the
 library's boundary: a words.Word runs `check_rank` and `check_letters`
@@ -46,6 +46,12 @@ which the Hecke step (hecke._step) calls on letters it took from a Word.
 
 AFFINE = 0  # the letter a_{n+1}
 MAX_STATES = 5_000_000  # bfs_reduced_words raises RuntimeError past this many
+# check_rank raises RuntimeError past this rank.  Every rank-n operation
+# holds windows of n+1 ints and decodes one in O(n^2) list moves at worst
+# (w0; CPython 3.11 on one x86 core: 0.03 s at n = 10^4 and 2 s at 10^5,
+# so minutes at 10^6, where one word's window list takes ~60 MB).  The
+# tests and the benchmark stop at n = 30.
+MAX_RANK = 10_000
 
 
 class InvariantError(AssertionError):
@@ -55,8 +61,13 @@ class InvariantError(AssertionError):
 
 
 def check_rank(n):
+    """The one rank rule: a ValueError unless n is an int >= 2, and a
+    RuntimeError, the resource-limit class, past MAX_RANK, before anything
+    of that rank is built."""
     if type(n) is not int or n < 2:
         raise ValueError("rank must be an integer >= 2, got %r" % (n,))
+    if n > MAX_RANK:
+        raise RuntimeError("rank %d is past the limit of %d" % (n, MAX_RANK))
 
 
 def check_letter(s, n):

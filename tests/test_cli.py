@@ -14,6 +14,7 @@ from affcox import canonical as c
 from affcox import cli
 from affcox import finite as fin
 from affcox import hecke as hk
+from affcox import perms
 from affcox import tower
 from affcox.words import parse_word
 from oracles import argparse_namespace
@@ -333,6 +334,31 @@ def test_bug_and_resource_exit_codes(capsys, monkeypatch, exc, code, err):
         raise exc
     monkeypatch.setattr(c, "right_descents", broken)
     assert run(capsys, "descents", "-n", "2", "s1 a") == (code, "", err)
+
+
+def past_the_rank_bound():
+    """Each command row's argv at the first rank past perms.MAX_RANK."""
+    n = str(perms.MAX_RANK + 1)
+    for cmd in cli.COMMANDS:
+        rank = "--from" if cmd.name == "embed" else "-n"
+        extra = ["-m", "0"] if cmd.name == "blocks" else []
+        yield [cmd.name, rank, n, *extra, *["a"] * len(cmd.elements)]
+
+
+@pytest.mark.parametrize("argv", list(past_the_rank_bound()), ids=lambda argv: argv[0])
+def test_a_rank_past_the_bound_is_refused(capsys, argv):
+    # every row that computes at the rank is refused as a resource limit,
+    # before anything of that rank is built; appendix's rank is a choice
+    if argv[0] == "appendix":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1].endswith("invalid choice: %s (choose from 2, 3)" % argv[2])
+    else:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (4, "", "resource limit: rank %s is past the limit of %d\n"
+                                    % (argv[2], perms.MAX_RANK))
 
 
 @pytest.mark.parametrize("extra", [["--count-only"], ["--max-len", "12"],

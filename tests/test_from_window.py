@@ -3,14 +3,16 @@ letter fold (`oracles.letter_fold`) and the window model, and its guards."""
 
 import random
 from bisect import bisect_left
+from itertools import chain
 
 import pytest
 
 from affcox import canonical as c
+from affcox import finite as fin
 from affcox import perms
 from affcox.words import Word
 from harness import run_python
-from oracles import letter_fold, pair_peel, random_block, random_reduced_word
+from oracles import letter_fold, pair_peel, random_block, random_reduced_word, ranked_level_code
 
 
 def decode_agrees(n, letters):
@@ -67,20 +69,53 @@ def peel_windows():
         yield c.window(c.Element(n, random_block(n, m, rng), bricks))
 
 
+def wide_windows():
+    """Windows of the shapes the canon-wide benchmark decodes, at its ranks:
+    w0 a w0, finite-heavy words (reduced W(A_n) segments between single
+    a's), cancelling random words of 4n-16n letters, and c^k."""
+    rng = random.Random(35)
+    for n in (8, 12, 16, 20, 24):
+        w0 = c.element_word(c.Element(n, (), tuple((1, j) for j in range(n, 0, -1)))).letters
+        yield c.word_window(Word(n, w0 + (perms.AFFINE,) + w0))
+    for n in (10, 16, 24):
+        for _ in range(6):
+            letters = ()
+            for k in range(rng.randint(2, 4)):
+                bricks = tuple((rng.randint(1, j), j) for j in range(n, 0, -1)
+                               if rng.random() < 0.5)
+                letters += (perms.AFFINE,) * (k > 0) + c.element_word(
+                    c.Element(n, (), bricks)).letters
+            yield c.word_window(Word(n, letters))
+            yield c.word_window(Word(n, [rng.randrange(n + 1)
+                                         for _ in range(rng.randint(4 * n, 16 * n))]))
+        for k in (1, 5, 40):
+            yield c.word_window(Word(n, (tuple(range(1, n + 1)) + (perms.AFFINE,)) * k))
+
+
 def runs(pairs):
     return sum(1 for k, p in enumerate(pairs) if k == 0 or p != pairs[k - 1])
 
 
 def test_run_peel_is_the_pair_peel(monkeypatch):
     """_peel continues each run of equal pairs by comparisons: it equals the
-    one-pair-at-a-time oracle and bisects exactly twice per run."""
-    bisections = []
+    one-pair-at-a-time oracle and bisects exactly twice per run.  It takes
+    x and the sorted window u from one walk, `finite.level_walk`: it calls
+    no `sorted`, the walk bisects once per entry (n+1 times), and the
+    walk's two results are sorted(win) and the level code by ranks."""
+    def no_sort(*args, **kwargs):
+        raise AssertionError("_peel sorted a window")
+    walk, bisections = [], []
+    monkeypatch.setattr(fin, "bisect_left", lambda u, v: walk.append(v) or bisect_left(u, v))
     monkeypatch.setattr(c, "bisect_left", lambda u, v: bisections.append(v) or bisect_left(u, v))
-    for win in peel_windows():
-        del bisections[:]
+    monkeypatch.setattr(c, "sorted", no_sort, raising=False)
+    for win in chain(peel_windows(), wide_windows()):
+        del walk[:], bisections[:]
         e = c._peel(win)
-        assert e == pair_peel(win), win
+        assert len(walk) == len(win), win
         assert len(bisections) == 2 * runs(e.pairs), win
+        assert e == pair_peel(win), win
+        bricks, u = fin.level_walk(win)
+        assert u == sorted(win) and bricks == ranked_level_code(win) == e.bricks, win
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -108,6 +143,63 @@ def test_from_window_on_cancelling_words(seed):
     for _ in range(10):
         n = rng.randint(2, 30)
         decode_agrees(n, tuple([rng.randrange(n + 1) for _ in range(rng.randint(0, 4000))]))
+
+
+def test_from_window_refuses_a_block_past_the_cap(monkeypatch):
+    """The window (1 - 3k, 2, 3 + 3k) has affine length k: from_window
+    decodes it up to MAX_PAIRS pairs and refuses it past them with a
+    RuntimeError, before the peel runs."""
+    def window(k):
+        return (1 - 3 * k, 2, 3 + 3 * k)
+    assert c.MAX_PAIRS >= 10 ** 6
+    monkeypatch.setattr(c, "MAX_PAIRS", 5)
+    assert perms.affine_length(window(5)) == 5
+    assert c.from_window(window(5)).pairs == ((1, 1),) * 5
+    monkeypatch.setattr(c, "_peel", None)
+    with pytest.raises(RuntimeError,
+                       match="^window of affine length 6 is past the limit of 5 pairs$"):
+        c.from_window(window(6))
+
+
+def test_from_window_refuses_a_rank_past_the_bound():
+    """A window of MAX_RANK + 2 entries would decode to a form that
+    `Element` refuses: from_window refuses it first, as check_rank does."""
+    nn = perms.MAX_RANK + 1
+    assert c.from_window(list(range(1, nn + 1))) == c.identity_element(nn - 1)
+    with pytest.raises(RuntimeError, match="^rank %d is past the limit of %d$"
+                       % (nn, perms.MAX_RANK)):
+        c.from_window(list(range(1, nn + 2)))
+
+
+def test_the_size_guards_refuse_before_allocating():
+    """A rank of 10^8 (perms.MAX_RANK) and a window of affine length
+    10^12 (canonical.MAX_PAIRS) are refused with RuntimeError, the CLI's
+    exit 4, in a process whose address space is capped at 1 GiB: neither
+    builds a window list or a block first."""
+    code = "\n".join([
+        "import contextlib, io, resource, tracemalloc",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "from affcox import canonical as c, cli",
+        "cli.build_parser()",
+        "k = 10 ** 12",
+        "tracemalloc.start()",
+        "try:",
+        "    c.from_window((1 - 3 * k, 2, 3 + 3 * k))",
+        "except RuntimeError as exc:",
+        "    print('RuntimeError:', exc)",
+        "err = io.StringIO()",
+        "with contextlib.redirect_stderr(err):",
+        "    print('exit', cli.main(['canon', '-n', str(10 ** 8), 'a']))",
+        "print(err.getvalue().strip())",
+        "print('peak', tracemalloc.get_traced_memory()[1])",
+    ])
+    lines = run_python(code, timeout=30).splitlines()
+    assert lines[:3] == [
+        "RuntimeError: window of affine length %d is past the limit of %d pairs"
+        % (10 ** 12, c.MAX_PAIRS),
+        "exit 4",
+        "resource limit: rank %d is past the limit of %d" % (10 ** 8, perms.MAX_RANK)]
+    assert int(lines[3].split()[1]) < 100_000, lines
 
 
 def letter_walk_window(e):

@@ -53,6 +53,20 @@ def test_rank_validation():
         right_mul((1, 2, 3), 3)  # sigma_3 does not exist at n=2
 
 
+@pytest.mark.parametrize("n", [perms.MAX_RANK + 1, 10 ** 8, 10 ** 100])
+def test_a_rank_past_the_bound_is_a_resource_limit(n):
+    # the bound is far above every rank the tests and the benchmark use
+    assert perms.MAX_RANK >= 1000
+    perms.check_rank(perms.MAX_RANK)
+    with pytest.raises(RuntimeError, match="^rank %d is past the limit of %d$"
+                       % (n, perms.MAX_RANK)):
+        perms.check_rank(n)
+    # the ValueErrors below the bound keep their message
+    for bad in (1, 1.5, True, -(10 ** 100)):
+        with pytest.raises(ValueError, match="^rank must be an integer >= 2, got "):
+            perms.check_rank(bad)
+
+
 # -- mandatory gate 1: exact Coxeter relations at n = 2, 3 -------------------
 
 @pytest.mark.parametrize("n", [2, 3])

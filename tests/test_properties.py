@@ -74,6 +74,17 @@ def test_level_code_reads_relative_order(w):
 
 @PROPERTY
 @given(RANKS.flatmap(words))
+def test_level_walk_sorts_the_window(w):
+    """The decoder's one walk: the list it leaves is the sorted window, and
+    its bricks are the level code by ranks."""
+    win = perms.to_permutation(w.letters, w.n)
+    bricks, u = fin.level_walk(win)
+    assert u == sorted(win)
+    assert bricks == ranked_level_code(win) == fin.level_code(win)
+
+
+@PROPERTY
+@given(RANKS.flatmap(words))
 def test_run_peel_is_the_pair_peel(w):
     """The decoder's runs of equal pairs, continued by comparisons, against
     the peel one pair at a time."""
