@@ -31,7 +31,7 @@ from typing import Optional
 from . import canonical as c
 from . import finite as fin
 from .canonical import Element
-from .perms import AFFINE, InvariantError
+from .perms import AFFINE, InvariantError, check_rank
 from .words import Word
 
 
@@ -55,8 +55,10 @@ def _check_image(pairs, bricks, n):
 
 
 def embed(e) -> Element:
-    """Image of a rank-(n-1) element at rank n, by the closed formula."""
+    """Image of a rank-(n-1) element at rank n, by the closed formula; n
+    must pass check_rank, as hecke.hr_embed's rank-n identity does."""
     n = e.n + 1
+    check_rank(n)
     if not e.pairs:  # a W(A_{n-1}) form is a W(A_n) form
         return Element._trusted(n, (), e.bricks)
     s, pairs = _shift(e.pairs, n, 1)

@@ -361,6 +361,16 @@ def test_a_rank_past_the_bound_is_refused(capsys, argv):
                                     % (argv[2], perms.MAX_RANK))
 
 
+@pytest.mark.parametrize("word", ["a", "s1"])
+def test_embed_from_the_bound_is_refused(capsys, word):
+    # the image of a rank-MAX_RANK element would have rank MAX_RANK + 1,
+    # with a block ("a") or without one ("s1")
+    n = perms.MAX_RANK
+    assert run(capsys, "embed", "--from", str(n), word) == (
+        4, "", "resource limit: rank %d is past the limit of %d\n" % (n + 1, n))
+    assert run(capsys, "embed", "--from", str(n - 1), word)[0] == 0
+
+
 @pytest.mark.parametrize("extra", [["--count-only"], ["--max-len", "12"],
                                    ["--max-len", "12", "--count-only"]])
 def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):

@@ -172,7 +172,7 @@ def test_from_window_refuses_a_rank_past_the_bound():
 
 
 def test_the_size_guards_refuse_before_allocating():
-    """A rank of 10^8 (perms.MAX_RANK) and a window of affine length
+    """A rank of 10^8 (past perms.MAX_RANK) and a window of affine length
     10^12 (canonical.MAX_PAIRS) are refused with RuntimeError, the CLI's
     exit 4, in a process whose address space is capped at 1 GiB: neither
     builds a window list or a block first."""

@@ -110,6 +110,20 @@ def test_embed_rejects_bad_rank():
         tower.embed(c.Element(1, (), ()))
 
 
+@pytest.mark.parametrize("e", [c.identity_element(perms.MAX_RANK),
+                               c.Element(perms.MAX_RANK, ((perms.MAX_RANK + 1, 0),), ())],
+                         ids=["identity", "a"])
+def test_embed_refuses_a_rank_past_the_bound(e):
+    """An element at perms.MAX_RANK has no image: embed refuses rank
+    MAX_RANK + 1 before it builds a form, as hecke.hr_embed does."""
+    from affcox import hecke as hk
+    msg = "^rank %d is past the limit of %d$" % (perms.MAX_RANK + 1, perms.MAX_RANK)
+    with pytest.raises(RuntimeError, match=msg):
+        tower.embed(e)
+    with pytest.raises(RuntimeError, match=msg):
+        hk.hr_embed(hk.basis(e))
+
+
 def test_preimage_computes_the_split_index_once(monkeypatch):
     calls = []
     shift = tower._shift

@@ -12,12 +12,11 @@ Run it from the root of the repository.  It exports the parent commit by
 git does not ignore), into a temporary directory, and runs
 `perfbench/run.py --trace 0` in each copy, one process per run.  In pair k
 of a workload the parent runs first when k is even and the change when k
-is odd.  By default neither copy holds bytecode and the runs write none
-(PYTHONDONTWRITEBYTECODE=1), so every interpreter compiles the sources,
-as in a fresh checkout; --compile compiles both copies with `compileall`
-before the first run.  After the pairs, one `--trace 1` run per side and
-workload at seed 1 compares the count metrics, which depend on the seed
-alone.
+is odd.  Every run lasts BENCHMARK.json's run_seconds.  Neither copy holds
+bytecode and the runs write none (PYTHONDONTWRITEBYTECODE=1), so every
+interpreter compiles the sources, as in a fresh checkout.  After the
+pairs, one `--trace 1` run per side and workload at seed 1 compares the
+count metrics, which depend on the seed alone.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json,
 each pair's values, each side's median and quartiles, the pairs the change
@@ -185,16 +184,12 @@ def main(argv=None):
     ap.add_argument("--pairs", type=plan_item, action="append", required=True,
                     metavar="WORKLOAD=PAIRS")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
-    ap.add_argument("--compile", action="store_true",
-                    help="compile both copies with compileall before the first run")
     ap.add_argument("--claim", type=claim_item, metavar="WORKLOAD:METRIC")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     if args.claim is not None and (args.claim[1] not in metrics
                                    or args.claim[0] not in dict(args.pairs)):
         ap.error("the claim must name a paired workload and an end-to-end metric")
@@ -206,24 +201,16 @@ def main(argv=None):
         "command": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None
                                                               else argv),
         "seed": args.seed, "seconds": seconds, "trace_seed": TRACE_SEED,
-        "bytecode": ("both copies compiled by compileall before the first run"
-                     if args.compile else
-                     "none: every run compiles the sources (PYTHONDONTWRITEBYTECODE=1)"),
+        "bytecode": "none: every run compiles the sources (PYTHONDONTWRITEBYTECODE=1)",
         "python": platform.python_version(), "nproc": os.cpu_count(),
     }
 
     def save(record):
         args.out.write_text(json.dumps({**head, **record}, indent=1) + "\n")
 
-    env = dict(os.environ)
-    if not args.compile:
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = export(args.parent, Path(tmp))
-        if args.compile:
-            for tree in trees.values():
-                subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                               cwd=tree, check=True, env=env)
         record = measure(perfbench(trees, env), args.pairs, args.seed, seconds, metrics,
                          args.claim, save)
     ok = record["within_bounds"] and record["no_failed_operations"]
