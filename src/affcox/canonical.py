@@ -42,9 +42,16 @@ step moving the length by exactly 1, at O(m) per letter.  The tests keep
 that fold as their oracle of `canonicalize`, which decodes the word's
 window instead: the form is unique, so any exact route reaches it.
 
-The element operations go through windows (perms).  `window(e)`
-encodes e in O(m + #bricks) list moves, one pair or brick at a time, and
-`from_window` decodes any window.  With N = n+1 and u = sorted(window of
+The element operations go through windows (perms), and an Element
+carries its own: the field `window`, a tuple of n+1 ints.  Only a form
+built from outside is encoded (`_encode`, O(m + #bricks) list moves, one
+pair or brick at a time): by Element._check, after its rules, and by the
+block listings (blocks.reference_blocks, blocks.appendix_blocks,
+cli._blocks).  Every other form keeps a window it already has: the peel
+the window it decoded, coset_rep the sorted window, left_mul the window
+with two residue classes of values moved, and the tower's maps theirs
+(tower), each in O(n).  `from_window` decodes any window.  With N = n+1
+and u = sorted(window of
 w), the window of the block is u (the minimal coset representative is the
 one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x is
 the level code of the window itself: w = u . x acts as k -> u(x(k)) with u
@@ -109,10 +116,10 @@ identity raises InvariantError instead of returning a wrong form.
 
 So canonicalize(w) peels the window of its word, which `word_window`
 folds into one list in place (O(l), with no call to perms.to_permutation),
-mul(u, v) the composed windows, inverse(u) the inverse window, right
-descents are one comparison each on the window (perms.descends), and left
-descents the same on the inverse window, L(w) = R(w^{-1}); none of them
-calls left_mul.
+mul(u, v) the composition of the two stored windows, inverse(u) the
+inverse of u's, right descents are one comparison each on the stored
+window (perms.descends), and left descents the same on its inverse,
+L(w) = R(w^{-1}); none of them calls left_mul or encodes a window.
 
 One checked boundary, an unchecked interior.  Plain data is checked once,
 where it enters, by the rules of perms:
@@ -120,7 +127,8 @@ where it enters, by the rules of perms:
     words.word, words.parse_word, and every copy of one); the words the
     library spells from checked forms skip it by `Word._trusted`;
   - an Element checks its rank, pairs and bricks when it is made, by every
-    route: `Element` (so parse_element), `_make`/`_replace`, pickle, copy;
+    route: `Element` (so parse_element), `_make`/`_replace`, pickle, copy,
+    and encodes its window from them, never trusting one passed in;
   - `from_window` checks a window (perms.is_window) and refuses one whose
     rank is past perms.MAX_RANK or whose affine length is past MAX_PAIRS
     (a RuntimeError), then peels it;
@@ -132,7 +140,8 @@ peels it with `_peel`, the decoder without the window check, as `mul`,
 `inverse`, hecke's fold and hecke.gen_basis peel the windows they built.
 `_peel` keeps the engine's own invariants (InvariantError, which survives
 python -O).  Forms the library built and checked itself (the peel, left_mul,
-the tower, the block listings) skip the checks by `Element._trusted`.
+coset_rep, the tower, the block listings) skip the checks by
+`Element._trusted`, which stores the window each passes.
 """
 
 import re
@@ -155,14 +164,19 @@ class _Fields(NamedTuple):
     n: int
     pairs: tuple   # ((j, i), ...) — the affine block
     bricks: tuple  # ((i, j), ...) — the finite part x, levels j descending
+    window: tuple  # (w(1), ..., w(n+1)), the element's window
 
 
 class Element(Checked, _Fields):
-    """A canonical form at rank n, checked by every route (perms.Checked)."""
+    """A canonical form at rank n, checked by every route (perms.Checked),
+    with its window."""
     __slots__ = ()
 
     @staticmethod
-    def _check(n, pairs, bricks):
+    def _check(n, pairs, bricks, window=None):
+        """The rules, then the window encoded from the checked pairs and
+        bricks: a window passed in (by _make, _replace, pickle or copy) is
+        never trusted."""
         check_rank(n)
         pairs = fin.int_pairs("pairs", pairs)
         bricks = fin.int_pairs("bricks", bricks)
@@ -170,7 +184,7 @@ class Element(Checked, _Fields):
             raise ValueError("pairwise inequalities violated: %r" % (pairs,))
         if not fin.validate_finite(bricks, n):
             raise ValueError("invalid finite canonical form: %r" % (bricks,))
-        return n, pairs, bricks
+        return n, pairs, bricks, _encode(n, pairs, bricks)
 
 
 class Absorbed(NamedTuple):
@@ -223,20 +237,23 @@ def validate_block(pairs, n):
 
 def block_word(pairs, n):
     """The word of a block: element_word with no bricks."""
-    return element_word(Element._trusted(n, pairs, ()))
+    return _spell(n, pairs, ())
 
 
 def element_word(e):
     """The canonical reduced word of e as one Word: h(j,i) a = |j,n|
     ceil(i,1) a for each pair, then |i,j| for each brick.  e was checked
     when it was made, so its letters are too: `Word._trusted`."""
-    n = e.n
+    return _spell(e.n, e.pairs, e.bricks)
+
+
+def _spell(n, pairs, bricks):
     letters = []
-    for j, i in e.pairs:
+    for j, i in pairs:
         letters += fin.floor_word(j, n)
         letters += fin.ceil_word(i, 1)
         letters.append(AFFINE)
-    for i, j in e.bricks:
+    for i, j in bricks:
         letters += fin.floor_word(i, j)
     return Word._trusted(n, tuple(letters))
 
@@ -258,8 +275,9 @@ def affine_length(e):
 
 def coset_rep(e):
     """Same block, trivial finite part: the minimal-length representative
-    of the right W(A_n)-coset of e, as the normal form states."""
-    return Element._trusted(e.n, e.pairs, ())
+    of the right W(A_n)-coset of e, as the normal form states; its window
+    is e's, sorted."""
+    return Element._trusted(e.n, e.pairs, (), tuple(sorted(e.window)))
 
 
 # --- the base table: sigma_u . (h(j,i) a) ----------------------------------
@@ -398,12 +416,17 @@ def left_mul_block(s, pairs, n):
 
 def left_mul(s, e):
     """s . e for a single generator s by one left_mul_block call, which
-    checks the letter; length moves by exactly 1."""
+    checks the letter; length moves by exactly 1.  s acts on values: it
+    swaps each value = s with the next one (mod n+1), so the window of
+    s . e is e's with those values moved, in O(n)."""
     n = e.n
     out = left_mul_block(s, e.pairs, n)
+    nn = n + 1
+    up, down = s, (s + 1) % nn
+    win = tuple([v + 1 if v % nn == up else v - 1 if v % nn == down else v for v in e.window])
     if isinstance(out, Absorbed):
-        return Element._trusted(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n))
-    return Element._trusted(n, out.pairs, e.bricks)
+        return Element._trusted(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n), win)
+    return Element._trusted(n, out.pairs, e.bricks, win)
 
 
 def canonicalize(w):
@@ -431,23 +454,23 @@ def word_window(w):
     return win
 
 
-def window(e):
-    """The window of e as a list, in O(m + #bricks) list moves: each pair
-    h(j,i) a moves entry j to position n+1 (sigma_j ... sigma_n), then
-    entry i+1 to position 1 (sigma_i ... sigma_1), then a sets w(1), w(n+1)
-    to w(n+1) - (n+1), w(1) + (n+1); each brick moves as in
-    finite.finite_window."""
-    n = e.n
+def _encode(n, pairs, bricks):
+    """The window of the form (pairs, bricks) at rank n, in O(m + #bricks)
+    list moves: each pair h(j,i) a moves entry j to position n+1 (sigma_j
+    ... sigma_n), then entry i+1 to position 1 (sigma_i ... sigma_1), then
+    a sets w(1), w(n+1) to w(n+1) - (n+1), w(1) + (n+1); each brick moves
+    as in finite.finite_window.  Only forms built from outside the
+    element operations are encoded: Element._check and the block listings."""
     nn = n + 1
     win = list(range(1, nn + 1))
     pop, insert = win.pop, win.insert
-    for j, i in e.pairs:
+    for j, i in pairs:
         insert(n, pop(j - 1))
         insert(0, pop(i))
         win[0], win[n] = win[n] - nn, win[0] + nn
-    for i, j in e.bricks:
+    for i, j in bricks:
         insert(j, pop(i - 1))
-    return win
+    return tuple(win)
 
 
 def from_window(win):
@@ -473,7 +496,9 @@ def _peel(win):
     """
     The canonical form of the element with window `win`, in O(n^2 + m n),
     unchecked: win is a window the library built (word_window, compose,
-    perms.inverse, a Hecke step) or one `from_window` checked.  One walk,
+    perms.inverse, a Hecke step) or one `from_window` checked.  The form
+    keeps win as its window, a tuple: only word_window's list and a window
+    from outside are copied into one.  One walk,
     `finite.level_walk`, gives x, the level code of win itself, and u, the
     sorted window it inserted each entry into; the peel count is
     perms.affine_length(u).  The block is peeled off u from the right,
@@ -487,6 +512,7 @@ def _peel(win):
     self-junction).  An InvariantError if a peeled pair breaks a junction
     or the peel does not end at the identity.
     """
+    win = tuple(win)
     nn = len(win)
     n = nn - 1
     bricks, u = fin.level_walk(win)
@@ -533,30 +559,30 @@ def _peel(win):
     if last is not None and not _junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
-    return Element._trusted(n, tuple(pairs), bricks)
+    return Element._trusted(n, tuple(pairs), bricks, win)
 
 
 def mul(u, v):
     """u . v: the composed windows, decoded."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    return _peel(compose(window(u), window(v)))
+    return _peel(compose(u.window, v.window))
 
 
 def inverse(u):
     """u^{-1}: the inverse window, decoded."""
-    return _peel(perms.inverse(window(u)))
+    return _peel(perms.inverse(u.window))
 
 
 def right_descents(e):
     """{s : l(e s) < l(e)}, one comparison per generator on the window."""
-    win = window(e)
+    win = e.window
     return {s for s in generators(e.n) if perms.descends(win, s)}
 
 
 def left_descents(e):
     """{s : l(s e) < l(e)} = R(e^{-1}), off the inverse window."""
-    win = perms.inverse(window(e))
+    win = perms.inverse(e.window)
     return {s for s in generators(e.n) if perms.descends(win, s)}
 
 

@@ -106,7 +106,9 @@ def _blocks(args):
     items = bl.enumerate_blocks(args.rank, args.m, max_len=args.max_len).items
     if args.count_only:
         return {"count": len(items)}, str(len(items))
-    elems = sorted((c.Element._trusted(args.rank, p, ()) for p in items), key=c.sort_key)
+    n = args.rank
+    elems = sorted((c.Element._trusted(n, p, (), c._encode(n, p, ())) for p in items),
+                   key=c.sort_key)
     if args.json:  # a listing builds only the form that is printed
         return [element_json(e) for e in elems], None
     return None, "\n".join("%s  l=%d" % (c.format_element(e), c.length(e))

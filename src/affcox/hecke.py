@@ -27,10 +27,12 @@ workload calls it, and it stays only while the benchmark's tracer names
 it (ROADMAP item 10).
 
 The fold runs on windows (perms), not on canonical forms.  Its terms are
-keyed by window tuples: each term of the left factor is encoded once
-(`canonical.window`) and each surviving term of the sum decoded once by
-the unchecked peel (`canonical._peel`: the windows are the fold's own;
-`canonical.from_window` checks only windows from outside).  One step
+keyed by window tuples: each term of the left factor starts from the
+window its Element carries (`canonical.Element.window`, never encoded
+here), and each surviving term of the sum is decoded once by the
+unchecked peel (`canonical._peel`: the windows are the fold's own, and
+each decoded term keeps its key as its window; `canonical.from_window`
+checks only windows from outside).  One step
 g_w . g_s is the move of two window entries to ws (`perms.move`, the move
 of `perms.right_mul` without its letter check: the letters come from a
 Word) and one comparison, s in R(w) (`perms.descends`).  So a step costs
@@ -235,11 +237,11 @@ def hecke_left_mul_gen(s, h):
 
 
 def hecke_mul(u, v):
-    """u . v: the windows of u's terms, times each basis term of v by its
-    canonical reduced word, one step per letter, left to right."""
+    """u . v: the stored windows of u's terms, times each basis term of v
+    by its canonical reduced word, one step per letter, left to right."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    start = {tuple(c.window(w)): p for w, p in u.terms.items()}
+    start = {w.window: p for w, p in u.terms.items()}
     return _fold(u.n, start, v, _word_steps)
 
 

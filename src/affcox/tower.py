@@ -24,6 +24,14 @@ the new entry has lambda = 0, so the affine length sum_k max(0, lambda_k)
 is preserved.  The length grows by 2L: each pair's canonical.pair_length
 gains 1, the i_k with k > s gain m - s, and |t, n| adds s.  The preimage
 undoes the formula with the same split index.
+
+Both maps carry the element's stored window (canonical.Element.window)
+across in O(n), with no encode: with q = floor((v - 1) / n), phi(v) =
+v + q, so `embed` maps each entry v to v + floor((v - 1) / n) and appends
+n+1; with N = n+1 the image period, the inverse of phi takes
+v = r + N q (1 <= r <= n, so floor((v - 1) / N) = q) to v - q, so
+`preimage` maps each entry but the last, the fixed n+1, to
+v - floor((v - 1) / N).  Membership reads the stored window's last entry.
 """
 
 from typing import Optional
@@ -59,12 +67,14 @@ def embed(e) -> Element:
     must pass check_rank, as hecke.hr_embed's rank-n identity does."""
     n = e.n + 1
     check_rank(n)
+    # phi(r + n q) = r + (n+1) q on the source window (period n), n+1 appended
+    win = (*[v + (v - 1) // n for v in e.window], n + 1)
     if not e.pairs:  # a W(A_{n-1}) form is a W(A_n) form
-        return Element._trusted(n, (), e.bricks)
+        return Element._trusted(n, (), e.bricks, win)
     s, pairs = _shift(e.pairs, n, 1)
     bricks = ((n - s + 1, n),) + e.bricks
     _check_image(pairs, bricks, n)
-    return Element._trusted(n, pairs, bricks)
+    return Element._trusted(n, pairs, bricks, win)
 
 
 def substitute_word(w):
@@ -80,16 +90,19 @@ def substitute_word(w):
 
 
 def is_in_image(e) -> bool:
-    """e fixes n+1 (false below rank 3: there is no rank-1 source)."""
-    return e.n >= 3 and c.window(e)[e.n] == e.n + 1
+    """e fixes n+1, read off its stored window (false below rank 3: there
+    is no rank-1 source)."""
+    return e.n >= 3 and e.window[e.n] == e.n + 1
 
 
 def preimage(e) -> Optional[Element]:
     if not is_in_image(e):
         return None
     n = e.n
+    # phi^{-1}(r + (n+1) q) = r + n q on the window (period n+1) without n+1
+    win = tuple([v - (v - 1) // (n + 1) for v in e.window[:-1]])
     if not e.pairs:
-        return Element._trusted(n - 1, (), e.bricks)  # e fixes n+1: no level-n brick
+        return Element._trusted(n - 1, (), e.bricks, win)  # e fixes n+1: no level-n brick
     s, pairs = _shift(e.pairs, n, -1)
     t = n - s + 1
     if not (e.bricks and e.bricks[0] == (t, n)):
@@ -97,4 +110,4 @@ def preimage(e) -> Optional[Element]:
                              % (e, n + 1, t, n))
     bricks = e.bricks[1:]
     _check_image(pairs, bricks, n - 1)
-    return Element._trusted(n - 1, pairs, bricks)
+    return Element._trusted(n - 1, pairs, bricks, win)

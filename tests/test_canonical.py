@@ -116,15 +116,16 @@ BAD_ELEMENTS = [
 
 def test_element_rejects_by_every_route():
     good = (3, ((4, 0), (3, 1)), ((1, 2), (1, 1)))
+    window = perms.to_permutation(c.element_word(c.Element(*good)).letters, 3)
     for route, make in ELEMENT_ROUTES.items():
         e = make(*good)
-        assert type(e) is c.Element and e == good, route
+        assert type(e) is c.Element and e[:3] == good and e.window == window, route
         for fields, message in BAD_ELEMENTS:
             with pytest.raises(ValueError) as exc:
                 make(*fields)
             assert str(exc.value) == message, (route, fields)
     # lists of pairs come back as tuples of tuples
-    assert c.Element(3, [[4, 0]], [[1, 1]]) == (3, ((4, 0),), ((1, 1),))
+    assert c.Element(3, [[4, 0]], [[1, 1]])[:3] == (3, ((4, 0),), ((1, 1),))
 
 
 def test_operation_input_errors():

@@ -27,11 +27,13 @@ def elem(n, *letters):
 
 
 def collect(n, pairs):
-    """The sum of (Element, poly) contributions, one hk.add each."""
-    total = hk.HeckeElement(n, {})
+    """The sum of (Element, poly) contributions, each checked as a Hecke
+    element of its own and added into one dict, which makes one sum."""
+    total = {}
     for w, p in pairs:
-        total = hk.add(total, hk.HeckeElement(n, {w: p}))
-    return total
+        hk.HeckeElement(n, {w: p})
+        total[w] = hk.lp_add(total.get(w, {}), p)
+    return hk.HeckeElement(n, {w: p for w, p in total.items() if p})
 
 
 # --- Laurent polynomial layer -----------------------------------------------

@@ -116,18 +116,23 @@ def test_only_library_built_windows_reach_the_unchecked_peel():
 def test_only_forms_the_library_checked_skip_the_element_checks():
     # the peel checks its junctions once per run, left_mul's block engine
     # its changed junctions, the tower _check_image, and the listings come
-    # from the walk or from validate_block
+    # from the walk or from validate_block; each passes the window it holds
+    # or maps in O(n), and only the listings encode theirs
     assert callers("Element._trusted") == {
         "canonical._peel", "canonical.left_mul", "canonical.coset_rep",
-        "canonical.block_word", "tower.embed", "tower.preimage",
+        "tower.embed", "tower.preimage",
         "blocks.reference_blocks", "blocks.appendix_blocks", "cli._blocks"}
+    assert callers("_encode") == {
+        "canonical.Element._check", "blocks.reference_blocks", "blocks.appendix_blocks",
+        "cli._blocks"}
     # Hecke sums, scalings and folds of checked Hecke elements, and the
     # certificate's lower terms, a sub-sum of the fold's own
     assert callers("HeckeElement._trusted") == {
         "hecke.scale", "hecke.add", "hecke._fold", "hecke.triangularity_certificate"}
-    # words the library spells from checked forms: a canonical word, and
-    # the x4 family's word, a block's word and a checked h-prefix's
-    assert callers("Word._trusted") == {"canonical.element_word", "canonical._residual_m2"}
+    # words the library spells from checked forms: a canonical word or a
+    # block's (`_spell`), and the x4 family's word, a block's word and a
+    # checked h-prefix's
+    assert callers("Word._trusted") == {"canonical._spell", "canonical._residual_m2"}
     assert callers("_trusted") == callers("Element._trusted") | callers(
         "HeckeElement._trusted") | callers("Word._trusted")
     assert callers("validate_block") == {
@@ -212,7 +217,7 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
         assert calls == ["check_rank"]
         del calls[:]
     del calls[:]
-    assert c.from_window(c.window(elements[0])) == elements[0]
+    assert c.from_window(elements[0].window) == elements[0]
     assert calls == ["is_window", "check_rank"]  # the counters are live
     del calls[:]
     c.Element(*elements[0])
