@@ -37,6 +37,7 @@ import random
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "cli_corpus.json"
@@ -55,19 +56,12 @@ from affcox.words import Word, format_word  # noqa: E402
 def run(argv):
     """(exit code, stdout, stderr) of `affcox argv`, in this process."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -105,7 +99,7 @@ def _strings(node):
     return None
 
 
-def test_cli_argv():
+def suite_argv():
     """The literal argv of tests/test_cli.py."""
     with open(ROOT / "tests" / "test_cli.py") as f:
         tree = ast.parse(f.read())
@@ -181,7 +175,7 @@ def seeded_argv(rng):
 
 def corpus_argv():
     """Every argv of the corpus, each as it is and with --json, once."""
-    groups = readme_argv() + test_cli_argv() + list(limit_argv())
+    groups = readme_argv() + suite_argv() + list(limit_argv())
     groups += [["appendix", "-n", "2"], ["appendix", "-n", "3"]]
     groups += [["selfcheck", "-n", str(n), "--max-len", "4"] for n in range(2, 9)]
     groups += seeded_argv(random.Random(SEED))
