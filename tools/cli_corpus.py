@@ -17,6 +17,8 @@ on purpose, and name each argv whose digest changed.  The argv are:
     lines of HAPPY_ARGV);
   - each command at the first rank past perms.MAX_RANK;
   - `appendix -n 2` and `-n 3`, and `selfcheck -n 2..8 --max-len 4`;
+  - `blocks -n 3 -m 4` and `blocks -n 4 -m 3 --max-len 12`, whose blocks
+    have many lengths, so the digests pin the listing's order;
   - 200 seeded `hecke-mul` argv (n 2-4, reduced words of up to 6 letters);
   - seeded inputs for every element command, each element written as a
     word, as canonical text and as JSON, at n 2-8 with up to 40 letters.
@@ -178,6 +180,8 @@ def corpus_argv():
     groups = readme_argv() + suite_argv() + list(limit_argv())
     groups += [["appendix", "-n", "2"], ["appendix", "-n", "3"]]
     groups += [["selfcheck", "-n", str(n), "--max-len", "4"] for n in range(2, 9)]
+    groups += [["blocks", "-n", "3", "-m", "4"],
+               ["blocks", "-n", "4", "-m", "3", "--max-len", "12"]]
     groups += seeded_argv(random.Random(SEED))
     keys = {}
     for argv in groups:
