@@ -46,13 +46,13 @@ The element operations go through windows (perms), and an Element
 carries its own: the field `window`, a tuple of n+1 ints.  Only a form
 built from outside is encoded (`_encode`, O(m + #bricks) list moves, one
 pair or brick at a time): by Element._check, after its rules, and by the
-block listings (blocks.reference_blocks, blocks.appendix_blocks,
-cli._blocks).  Every other form keeps a window it already has: the peel
-the window it decoded, coset_rep the sorted window, left_mul the window
-with two residue classes of values moved, and the tower's maps theirs
-(tower), each in O(n).  `from_window` decodes any window.  With N = n+1
-and u = sorted(window of
-w), the window of the block is u (the minimal coset representative is the
+block listings of blocks (reference_blocks, appendix_blocks); cli's
+`blocks` prints its blocks from their pairs.  Every other form keeps a
+window it already has: the peel the window it decoded, coset_rep the
+sorted window, left_mul the window with two residue classes of values
+moved, and the tower's maps theirs (tower), each in O(n).  `from_window`
+decodes any window.  With N = n+1 and u = sorted(window of w), the
+window of the block is u (the minimal coset representative is the
 one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x is
 the level code of the window itself: w = u . x acts as k -> u(x(k)) with u
 increasing, so w's entries have the relative order of x's.  One walk over
@@ -133,14 +133,17 @@ where it enters, by the rules of perms:
     rank is past perms.MAX_RANK or whose affine length is past MAX_PAIRS
     (a RuntimeError), then peels it;
   - `left_mul_block` (so `left_mul`) checks a rank and a letter;
-    `deficiency_m1` and `affine_descent_cases_m2` a rank, pairs and prefix.
+  - the m <= 2 case lists, `deficiency_m1` and `affine_descent_cases_m2`,
+    check a rank, pairs and prefix once (the latter its block by Element's
+    rules and messages, building no Element), then call `_deficiency`,
+    the m = 1 table unchecked.
 Everything else takes a Word or an Element, already checked, and checks
 nothing again: `canonicalize` folds its Word's window (`word_window`) and
 peels it with `_peel`, the decoder without the window check, as `mul`,
 `inverse`, hecke's fold and hecke.gen_basis peel the windows they built.
 `_peel` keeps the engine's own invariants (InvariantError, which survives
 python -O).  Forms the library built and checked itself (the peel, left_mul,
-coset_rep, the tower, the block listings) skip the checks by
+coset_rep, the tower, the listings of blocks) skip the checks by
 `Element._trusted`, which stores the window each passes.
 """
 
@@ -180,8 +183,7 @@ class Element(Checked, _Fields):
         check_rank(n)
         pairs = fin.int_pairs("pairs", pairs)
         bricks = fin.int_pairs("bricks", bricks)
-        if not validate_block(pairs, n):
-            raise ValueError("pairwise inequalities violated: %r" % (pairs,))
+        _check_block(pairs, n)
         if not fin.validate_finite(bricks, n):
             raise ValueError("invalid finite canonical form: %r" % (bricks,))
         return n, pairs, bricks, _encode(n, pairs, bricks)
@@ -235,6 +237,13 @@ def validate_block(pairs, n):
     return True
 
 
+def _check_block(pairs, n):
+    """A ValueError unless the int pairs form a block (`validate_block`):
+    the one error of Element._check and the case list for a bad block."""
+    if not validate_block(pairs, n):
+        raise ValueError("pairwise inequalities violated: %r" % (pairs,))
+
+
 def block_word(pairs, n):
     """The word of a block: element_word with no bricks."""
     return _spell(n, pairs, ())
@@ -265,8 +274,13 @@ def pair_length(pair, n):
     return n + 2 - j + i
 
 
+def block_length(pairs, n):
+    """Letters of a block's word: the sum of its pair lengths."""
+    return sum(pair_length(p, n) for p in pairs)
+
+
 def length(e):
-    return fin.finite_length(e.bricks) + sum(pair_length(p, e.n) for p in e.pairs)
+    return fin.finite_length(e.bricks) + block_length(e.pairs, e.n)
 
 
 def affine_length(e):
@@ -460,7 +474,8 @@ def _encode(n, pairs, bricks):
     ... sigma_n), then entry i+1 to position 1 (sigma_i ... sigma_1), then
     a sets w(1), w(n+1) to w(n+1) - (n+1), w(1) + (n+1); each brick moves
     as in finite.finite_window.  Only forms built from outside the
-    element operations are encoded: Element._check and the block listings."""
+    element operations are encoded: Element._check and the block listings
+    of blocks."""
     nn = n + 1
     win = list(range(1, nn + 1))
     pop, insert = win.pop, win.insert
@@ -606,10 +621,16 @@ def deficiency_m1(first, second, n):
     if not (fin.is_pair(first) and _junction_ok(None, first, n)):
         raise ValueError("invalid first pair %r at rank %d" % (first, n))
     fin.check_hprefix(second, n)
+    if tuple(second) == (n + 1, 0):
+        raise ValueError("second prefix must not be the identity")
+    return _deficiency(first, second, n)
+
+
+def _deficiency(first, second, n):
+    """`deficiency_m1`'s table, unchecked: n is a rank, first an int pair
+    in the range (1) and second an h-prefix other than the identity."""
     j1, i1 = first
     j, i = second
-    if (j, i) == (n + 1, 0):
-        raise ValueError("second prefix must not be the identity")
     if j == n + 1 and 1 <= i <= i1:  # sigma_i, the i-th letter from the end of h(j1,i1)
         return DescentCase("1", pair_length(first, n) - 1 - i)
     if i == 0 and 1 < j <= n and j1 <= j and i1 < j - 1:
@@ -638,9 +659,14 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     directly on the word and reported as case "x4", hat partner extracted
     the same way (it always lands inside h(j_1,i_1)).  Every other extremal
     prefix is None: none puts a in R(w) for any 2-pair block at n = 2..10.
-    A ValueError unless n is a rank, pairs a block and x_prefix an h-prefix.
+    A ValueError unless n is a rank, pairs a block and x_prefix an h-prefix,
+    checked in Element's order and with its messages, and nothing is encoded.
+    A block's second pair obeys (2), so the range (1), and the prefix is
+    then neither extremal nor trivial: the m = 1 table runs unchecked.
     """
-    pairs = Element(n, pairs, ()).pairs
+    check_rank(n)
+    pairs = fin.int_pairs("pairs", pairs)
+    _check_block(pairs, n)
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
     fin.check_hprefix(x_prefix, n)
@@ -657,7 +683,7 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
         if r == n and 1 <= i <= i2 < n - 1 and i >= j2 and i1 >= i:
             return DescentCase("x3", h1 - i)
         return _residual_m2(pairs, x_prefix, n) if i == 1 and r >= 3 else None
-    case = deficiency_m1((j2, i2), x_prefix, n)
+    case = _deficiency(pairs[1], x_prefix, n)
     if case is None:
         return None
     return DescentCase(case.case, h1 + 1 + case.position)
@@ -668,8 +694,11 @@ def _residual_m2(pairs, x_prefix, n):
     |r,n| sigma_1 (3 <= r <= n) that the tables miss.  The proper prefix,
     block . h(r,1), is a minimal coset representative times a reduced
     W(A_n) word, hence reduced, so one reflection sequence decides:
-    hat_partner is None exactly when the word is reduced."""
-    letters = block_word(pairs, n).letters + fin.h_word(x_prefix, n) + (AFFINE,)
+    hat_partner is None exactly when the word is reduced.  Both were
+    checked by the case list: the prefix's letters are spelled unchecked."""
+    r, i = x_prefix
+    letters = (block_word(pairs, n).letters + fin.floor_word(r, n) + fin.ceil_word(i, 1)
+               + (AFFINE,))
     pos = hat_partner(Word._trusted(n, letters))
     return None if pos is None else DescentCase("x4", pos)
 
@@ -677,10 +706,16 @@ def _residual_m2(pairs, x_prefix, n):
 # --- text and JSON syntax ---------------------------------------------------
 
 def format_element(e):
-    if not e.pairs and not e.bricks:
+    return format_form(e.pairs, e.bricks)
+
+
+def format_form(pairs, bricks):
+    """The text of the form (pairs, bricks): of an Element, or of a block
+    listed without one (cli's `blocks`)."""
+    if not pairs and not bricks:
         return "1"
-    left = " ".join("h(%d,%d) a" % (j, i) for j, i in e.pairs)
-    right = " ".join("[%d,%d]" % (i, j) for i, j in e.bricks)
+    left = " ".join("h(%d,%d) a" % (j, i) for j, i in pairs)
+    right = " ".join("[%d,%d]" % (i, j) for i, j in bricks)
     return (left + " | " + right).strip()
 
 
@@ -722,9 +757,14 @@ def parse_element(text, n):
 
 
 def to_json(e):
+    return form_json(e.pairs, e.bricks)
+
+
+def form_json(pairs, bricks):
+    """The JSON object of the form (pairs, bricks), as `format_form`."""
     return {
-        "pairs": [[j, i] for j, i in e.pairs],
-        "bricks": [[i, j] for i, j in e.bricks],
+        "pairs": [[j, i] for j, i in pairs],
+        "bricks": [[i, j] for i, j in bricks],
     }
 
 

@@ -106,13 +106,14 @@ def _blocks(args):
     items = bl.enumerate_blocks(args.rank, args.m, max_len=args.max_len).items
     if args.count_only:
         return {"count": len(items)}, str(len(items))
-    n = args.rank
-    elems = sorted((c.Element._trusted(n, p, (), c._encode(n, p, ())) for p in items),
-                   key=c.sort_key)
+    # c.sort_key's order and element_json's fields, from the pairs alone:
+    # a block has no bricks
+    listing = sorted((c.block_length(p, args.rank), p) for p in items)
     if args.json:  # a listing builds only the form that is printed
-        return [element_json(e) for e in elems], None
-    return None, "\n".join("%s  l=%d" % (c.format_element(e), c.length(e))
-                           for e in elems)
+        return [{**c.form_json(p, ()), "l": length, "L": len(p)}
+                for length, p in listing], None
+    return None, "\n".join("%s  l=%d" % (c.format_form(p, ()), length)
+                           for length, p in listing)
 
 
 def _appendix(args):

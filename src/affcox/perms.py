@@ -172,13 +172,14 @@ def compose(u, v):
 
 
 def inverse(w):
-    """Window of w^{-1}."""
+    """Window of w^{-1}, in one pass: w(j) = r + 1 + q(n+1) with
+    0 <= r <= n means w(j - q(n+1)) = r + 1, so w^{-1}(r + 1) = j - q(n+1),
+    and q(n+1) = w(j) - 1 - r.  Each entry fills one slot of the output."""
     nn = len(w)
-    by_residue = {w[j] % nn: j + 1 for j in range(nn)}
-    out = []
-    for k in range(1, nn + 1):
-        j = by_residue[k % nn]
-        out.append(j + (k - w[j - 1]) // nn * nn)
+    out = [0] * nn
+    for j, v in enumerate(w, 1):
+        r = (v - 1) % nn
+        out[r] = j + r + 1 - v
     return tuple(out)
 
 

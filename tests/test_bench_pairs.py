@@ -1,5 +1,5 @@
 """The A/B pair script `tools/bench_pairs.py` on a stub runner: the order
-of its runs, and what it records of them."""
+of its runs, and what it records of them, the output replay included."""
 
 import importlib.util
 import json
@@ -39,12 +39,26 @@ def stub(calls, counts):
     return run
 
 
+def stub_replay(calls, differing):
+    """The corpus replay: the argv `differing` names for each side."""
+    def replay(side):
+        calls.append((side, "replay"))
+        return differing[side]
+    return replay
+
+
 def test_pairs_alternate_and_are_summarized(monkeypatch, tmp_path):
     bp = load(monkeypatch)
     calls, saved = [], []
     counts = {"parent": {"a.calls": 3, "b.calls": 0}, "change": {"a.calls": 3, "b.calls": 0}}
     record = bp.measure(stub(calls, counts), [("fast", 10), ("slow", 3)], 7, 35, METRICS,
-                        claim=("fast", "ops_per_s"), save=saved.append)
+                        claim=("fast", "ops_per_s"), save=saved.append,
+                        replay=stub_replay(calls, {"parent": [], "change": []}))
+    # the corpus replays on each side before the pairs
+    assert calls[:2] == [("parent", "replay"), ("change", "replay")]
+    assert record["outputs_differing"] == {"parent": [], "change": []}
+    assert record["outputs_equal"] is True
+    del calls[:2]
     # pair k: the parent first when k is even; then one traced run per side
     timed = [c for c in calls if c[3] == 0]
     assert [side for side, w, _, _ in timed if w == "fast"] == \
@@ -55,7 +69,7 @@ def test_pairs_alternate_and_are_summarized(monkeypatch, tmp_path):
         ("parent", "slow", 1, 1), ("change", "slow", 1, 1)]
     assert record["order"][:4] == [["fast", 0, "parent"], ["fast", 0, "change"],
                                    ["fast", 1, "change"], ["fast", 1, "parent"]]
-    assert len(saved) == 2 * 13 + 2 + 1  # after every run and at the end
+    assert len(saved) == 1 + 2 * 13 + 2 + 1  # after the replay, every run and at the end
     fast = record["metrics"]["fast"]["ops_per_s"]
     assert fast["parent_median"] == 1004.5 and fast["change_median"] == 1104.5
     assert fast["parent_quartiles"] == [1002.25, 1006.75]
@@ -75,9 +89,30 @@ def test_pairs_alternate_and_are_summarized(monkeypatch, tmp_path):
 def test_unequal_traced_counts_and_a_missed_claim_show(monkeypatch):
     bp = load(monkeypatch)
     counts = {"parent": {"a.calls": 3, "b.calls": 1}, "change": {"a.calls": 3, "b.calls": 2}}
-    record = bp.measure(stub([], counts), [("slow", 1)], 7, 35, METRICS,
-                        claim=("slow", "ops_per_s"))
+    calls = []
+    record = bp.measure(stub(calls, counts), [("slow", 1)], 7, 35, METRICS,
+                        claim=("slow", "ops_per_s"),
+                        replay=stub_replay(calls, {"parent": ["len -n 2 a"], "change": []}))
+    assert record["outputs_differing"] == {"parent": ["len -n 2 a"], "change": []}
+    assert record["outputs_equal"] is False
     assert record["traced"]["slow"]["differing"] == ["b.calls"]
     assert not record["traced_counts_equal"]
     assert record["claim"]["met"] is False
     assert record["metrics"]["slow"]["ops_per_s"]["parent_quartiles"] == [1000, 1000]
+
+
+def test_each_tree_replays_the_changes_corpus_with_its_own_tool(monkeypatch, tmp_path):
+    # the real replay, in a subprocess per tree, on two stub trees whose
+    # tools/cli_corpus.py differ; the corpus is the change's
+    bp = load(monkeypatch)
+    trees = {side: tmp_path / side for side in bp.SIDES}
+    for side, tree in trees.items():
+        (tree / "tools").mkdir(parents=True)
+        (tree / "tools" / "cli_corpus.py").write_text(
+            "def differing(corpus):\n    return %s\n"
+            % ("sorted(corpus)" if side == "parent" else "[]"))
+    (trees["change"] / "tests").mkdir()
+    (trees["change"] / "tests" / "cli_corpus.json").write_text('{"len -n 2 a": "0"}')
+    replay = bp.replayer(trees, {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert replay("parent") == ["len -n 2 a"]
+    assert replay("change") == []

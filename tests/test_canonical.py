@@ -565,6 +565,95 @@ def test_affine_descent_cases_m2_one_reflection_pass(monkeypatch):
     assert x4
 
 
+def test_affine_descent_cases_m2_checks_once_and_encodes_nothing(monkeypatch):
+    """On the inputs of the exhaustive test, the case list checks the rank,
+    the pairs (`int_pairs`) and the block (`validate_block`) once, builds
+    no Element and encodes no window; the second check_rank is the
+    prefix's (finite.check_hprefix).  The x4 family spells its word from
+    the checked prefix, so every input makes the same calls."""
+    inputs = []
+    for n in (2, 3):
+        prefixes = [HPrefix(r, i) for r in range(1, n + 2) for i in range(n)
+                    if fin.hprefix_ok((r, i), n)]
+        inputs += [(pairs, h, n) for pairs in all_blocks(n, 2) if len(pairs) == 2
+                   for h in prefixes]
+    calls = []
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("affcox"):
+            for name in ("_encode", "check_rank", "int_pairs", "validate_block"):
+                orig = getattr(module, name, None)
+                if orig is not None:
+                    monkeypatch.setattr(module, name, lambda *args, name=name, orig=orig:
+                                        calls.append(name) or orig(*args))
+    cases = set()
+    for args in inputs:
+        del calls[:]
+        case = c.affine_descent_cases_m2(*args)
+        assert calls == ["check_rank", "int_pairs", "validate_block", "check_rank"], args
+        cases.add(case and case.case)
+    assert {None, "0", "1", "x1", "x4"} <= cases  # every branch counted
+    c.Element(3, ((3, 1), (2, 1)), ())
+    assert "_encode" in calls  # the counters are live
+
+
+# Bad inputs of the m <= 2 case lists, each with the error it raises when
+# it is the only bad argument (every message at rank 3).  The checks run in
+# argument order: rank, then the pairs (type, inequalities, count: the
+# order and messages of Element's checks), then the prefix.
+BAD_RANKS = [(None, ValueError, "rank must be an integer >= 2, got None"),
+             (1.5, ValueError, "rank must be an integer >= 2, got 1.5"),
+             (True, ValueError, "rank must be an integer >= 2, got True"),
+             (1, ValueError, "rank must be an integer >= 2, got 1"),
+             (perms.MAX_RANK + 1, RuntimeError, "rank %d is past the limit of %d"
+              % (perms.MAX_RANK + 1, perms.MAX_RANK))]
+BAD_BLOCKS = [(pairs, ValueError, msg) for pairs, msg in (
+    ("ab", "pairs must be a list of integer pairs, got 'ab'"),
+    (None, "pairs must be a list of integer pairs, got None"),
+    ([(1.0, 0)], "pairs must be a list of integer pairs, got [(1.0, 0)]"),
+    (((3, 1), (2.0, 1)), "pairs must be a list of integer pairs, got ((3, 1), (2.0, 1))"),
+    (((3, 1, 0), (2, 1)), "pairs must be a list of integer pairs, got ((3, 1, 0), (2, 1))"),
+    (((4, 0), (4, 1)), "pairwise inequalities violated: ((4, 0), (4, 1))"),
+    (((9, 9),), "pairwise inequalities violated: ((9, 9),)"),
+    ([[1, 1], [3, 0]], "pairwise inequalities violated: ((1, 1), (3, 0))"),
+    (((3, 0),), "the case list applies to blocks with exactly 2 pairs"),
+    ((), "the case list applies to blocks with exactly 2 pairs"),
+    (((4, 0), (3, 1), (2, 1)), "the case list applies to blocks with exactly 2 pairs"))]
+BAD_FIRSTS = [(first, ValueError, "invalid first pair %r at rank 3" % (first,))
+              for first in (None, (3, 1, 0), (1.5, 0), (True, 0), (0, 1), (5, 0), (3, 3))]
+BAD_PREFIXES = [(h, ValueError, msg) for h, msg in (
+    (None, "an h-prefix is a pair (r, i), got None"),
+    ((1, 2, 3), "an h-prefix is a pair (r, i), got (1, 2, 3)"),
+    ((9, 9), "invalid h(9,9) at rank 3"),
+    ((3.0, 1), "invalid h(3.0,1) at rank 3"),
+    ((2.5, 0), "invalid h(2.5,0) at rank 3"),
+    ((4, False), "invalid h(4,False) at rank 3"),
+    ((0, 5), "invalid h(0,5) at rank 3"))]
+
+
+def _first_error(call, *choices):
+    """Each argument good or one of its bad values, at least one bad: the
+    call raises the error of the first bad argument."""
+    for picks in itertools.product(*choices):
+        bad = [p for p in picks if p[1] is not None]
+        if not bad:
+            continue
+        _, cls, msg = bad[0]
+        with pytest.raises(Exception) as exc:
+            call(*(p[0] for p in picks))
+        assert (type(exc.value), str(exc.value)) == (cls, msg), picks
+
+
+def test_case_lists_raise_in_argument_order():
+    good = lambda v: [(v, None, None)]  # noqa: E731
+    _first_error(lambda n, pairs, h: c.affine_descent_cases_m2(pairs, h, n),
+                 good(3) + BAD_RANKS, good(((3, 1), (2, 1))) + BAD_BLOCKS,
+                 good((3, 1)) + BAD_PREFIXES)
+    identity = ((4, 0), ValueError, "second prefix must not be the identity")
+    _first_error(lambda n, first, h: c.deficiency_m1(first, h, n),
+                 good(3) + BAD_RANKS, good((3, 1)) + BAD_FIRSTS,
+                 good((2, 0)) + BAD_PREFIXES + [identity])
+
+
 # --- ordering, formatting, JSON ---------------------------------------------
 
 def test_sort_key_orders_by_length_first():

@@ -113,29 +113,32 @@ def test_made_by_the_hecke_fold():
                     holds(term, "hecke", n)
 
 
-def test_made_by_the_block_listings(monkeypatch):
-    """reference_blocks, appendix_blocks and the CLI's blocks listing."""
+def test_made_by_the_block_listings():
+    """reference_blocks and appendix_blocks.  The CLI's blocks listing makes
+    no Element: it prints, from the pairs, the lines and JSON of the
+    checked Elements of its blocks, in sort_key's order."""
     for n, max_len in ((2, 9), (3, 7), (5, 5)):
         for e in bl.reference_blocks(n, max_len):
             holds(e, "reference_blocks", n)
     for n in (2, 3):
         for e in bl.appendix_blocks(n):
             holds(e, "appendix_blocks", n)
-    printed = []
-    orig = c.format_element
-    monkeypatch.setattr(c, "format_element", lambda e: printed.append(e) or orig(e))
     for n, m in ((2, 3), (4, 2)):
-        cli._blocks(argparse.Namespace(rank=n, m=m, max_len=None, count_only=False, json=False))
-    assert len(printed) > 20
-    for e in printed:
-        holds(e, "cli._blocks", e.n)
+        elems = sorted((c.Element(n, p, ()) for p in bl.enumerate_blocks(n, m).items),
+                       key=c.sort_key)
+        assert len(elems) > 10 and len({c.length(e) for e in elems}) > 3
+        args = argparse.Namespace(rank=n, m=m, max_len=None, count_only=False, json=False)
+        assert cli._blocks(args)[1].split("\n") == [
+            "%s  l=%d" % (c.format_element(e), c.length(e)) for e in elems]
+        args.json = True
+        assert cli._blocks(args)[0] == [cli.element_json(e) for e in elems]
 
 
 def test_operations_on_elements_never_encode(monkeypatch):
     """mul, inverse, both descent sets, the tower and the Hecke products on
     existing Elements read their windows: the encoder runs zero times.
-    Making an Element from outside encodes it once, and a listing once per
-    block."""
+    Making an Element from outside encodes it once, and a listing of blocks
+    once per block; the CLI's listing encodes none."""
     rng = random.Random(3637)
     small = [c.canonicalize(Word(n, random_reduced_word(n, 6, rng))) for n in (2, 3, 4)]
     lifted = [tower.embed(e) for e in ELEMENTS]
@@ -173,3 +176,7 @@ def test_operations_on_elements_never_encode(monkeypatch):
     del calls[:]
     listing = bl.reference_blocks(3, 6)
     assert len(calls) == len(listing) > 0
+    del calls[:]
+    for json in (False, True):
+        cli._blocks(argparse.Namespace(rank=3, m=3, max_len=None, count_only=False, json=json))
+    assert calls == []  # the CLI's listing prints from the pairs

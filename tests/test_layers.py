@@ -117,14 +117,14 @@ def test_only_forms_the_library_checked_skip_the_element_checks():
     # the peel checks its junctions once per run, left_mul's block engine
     # its changed junctions, the tower _check_image, and the listings come
     # from the walk or from validate_block; each passes the window it holds
-    # or maps in O(n), and only the listings encode theirs
+    # or maps in O(n), and only the listings encode theirs (cli's `blocks`
+    # prints its blocks from their pairs, building no Element)
     assert callers("Element._trusted") == {
         "canonical._peel", "canonical.left_mul", "canonical.coset_rep",
         "tower.embed", "tower.preimage",
-        "blocks.reference_blocks", "blocks.appendix_blocks", "cli._blocks"}
+        "blocks.reference_blocks", "blocks.appendix_blocks"}
     assert callers("_encode") == {
-        "canonical.Element._check", "blocks.reference_blocks", "blocks.appendix_blocks",
-        "cli._blocks"}
+        "canonical.Element._check", "blocks.reference_blocks", "blocks.appendix_blocks"}
     # Hecke sums, scalings and folds of checked Hecke elements, and the
     # certificate's lower terms, a sub-sum of the fold's own
     assert callers("HeckeElement._trusted") == {
@@ -135,8 +135,14 @@ def test_only_forms_the_library_checked_skip_the_element_checks():
     assert callers("Word._trusted") == {"canonical._spell", "canonical._residual_m2"}
     assert callers("_trusted") == callers("Element._trusted") | callers(
         "HeckeElement._trusted") | callers("Word._trusted")
+    # Element._check and the m = 2 case list raise one error for a bad block
     assert callers("validate_block") == {
-        "canonical.Element._check", "tower._check_image", "blocks.appendix_blocks"}
+        "canonical._check_block", "tower._check_image", "blocks.appendix_blocks"}
+    assert callers("_check_block") == {
+        "canonical.Element._check", "canonical.affine_descent_cases_m2"}
+    # the m <= 2 case lists check their input, then run the table unchecked
+    assert callers("_deficiency") == {
+        "canonical.deficiency_m1", "canonical.affine_descent_cases_m2"}
 
 
 def test_one_base_makes_every_checked_value():
@@ -250,6 +256,8 @@ UNCONSUMED = {
         "block, L(h(j,i) a)",
     "canonical.coset_rep": "the block is the minimal-length representative "
         "of the right W(A_n)-coset",
+    "canonical.deficiency_m1": "the four deficient cases at affine length 1: "
+        "when h(j1,i1) a h(j,i) a is not reduced, and its hat partner",
     "canonical.from_window": "every element has one canonical form, read off "
         "its window; the one checked decoder of a window from outside",
     "canonical.left_mul": "the left-multiplication trichotomy; "

@@ -98,7 +98,17 @@ def test_homomorphism(n):
         )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _power(w, k):
+    """The window of w^k (k >= 0), by squaring with compose."""
+    out = identity(len(w) - 1)
+    while k:
+        if k & 1:
+            out = compose(out, w)
+        w, k = compose(w, w), k >> 1
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 30])
 def test_inverse_and_apply(n):
     rng = random.Random(11 * n)
     for _ in range(100):
@@ -113,6 +123,28 @@ def test_inverse_and_apply(n):
         wv, ws = compose(w, v), compose(w, shifted)
         assert ws == (wv[0] + n + 1, wv[1] - n - 1) + wv[2:]
         assert compose(w, to_permutation((AFFINE,), n)) == right_mul(w, AFFINE)
+    # the judge of inverse that does not use it: every letter is an
+    # involution, so the reversed word spells w^{-1}
+    for _ in range(4):
+        word = _random_word(n, rng.randrange(100, 400), rng)
+        w = to_permutation(word, n)
+        assert inverse(w) == to_permutation(word[::-1], n)
+        assert compose(w, inverse(w)) == identity(n)
+    # c^k for the Coxeter element c = sigma_1 ... sigma_n a, of affine
+    # length k: c^{-k} is the k-th power of the reversed word, and the
+    # fold judges the words of up to 4 * 10^4 letters
+    c = perms.generators(n)
+    c_inv = to_permutation(c[::-1], n)
+    lowest = 0
+    for k in (1, 2, 7, 100, 10 ** 4):
+        w = _power(to_permutation(c, n), k)
+        assert perms.affine_length(w) == k
+        assert inverse(w) == _power(c_inv, k)
+        assert compose(w, inverse(w)) == identity(n)
+        if k * len(c) <= 40_000:
+            assert inverse(to_permutation(c * k, n)) == to_permutation(c[::-1] * k, n)
+        lowest = min(lowest, min(w), min(inverse(w)))
+    assert lowest < -(10 ** 4)  # windows with negative entries, far from 1..n+1
 
 
 @pytest.mark.parametrize("n", [2, 3])

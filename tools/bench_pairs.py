@@ -14,15 +14,19 @@ git does not ignore), into a temporary directory, and runs
 of a workload the parent runs first when k is even and the change when k
 is odd.  Every run lasts BENCHMARK.json's run_seconds.  Neither copy holds
 bytecode and the runs write none (PYTHONDONTWRITEBYTECODE=1), so every
-interpreter compiles the sources, as in a fresh checkout.  After the
-pairs, one `--trace 1` run per side and workload at seed 1 compares the
-count metrics, which depend on the seed alone.
+interpreter compiles the sources, as in a fresh checkout.  Before the
+pairs, each copy replays the change's CLI output corpus
+(tests/cli_corpus.json) with its own tools/cli_corpus.py; after them, one
+`--trace 1` run per side and workload at seed 1 compares the count
+metrics, which depend on the seed alone.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json,
 each pair's values, each side's median and quartiles, the pairs the change
 won and whether the change's median is worse than the parent's by more
-than the metric's bound; the failed operation counts of every run; whether
-the traced counts are equal; and, for a --claim, whether the change won at
+than the metric's bound; the failed operation counts of every run; the
+argv of the corpus whose output differs in each copy, and whether the
+outputs are equal (none differs in either); whether the traced counts are
+equal; and, for a --claim, whether the change won at
 least nine tenths of the pairs by a median gap wider than the parent's
 interquartile range.  The file is rewritten after every run, so a cut
 session keeps the pairs it finished.
@@ -65,18 +69,41 @@ def export(parent, dest):
     return {side: dest / side for side in SIDES}
 
 
+def last_json_line(argv, tree, env):
+    """The last line of the stdout of argv, run in `tree`, as JSON."""
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError("%s: %s exited %d: %s"
+                           % (tree.name, " ".join(argv[1:]), done.returncode, done.stderr[-2000:]))
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def perfbench(trees, env):
     """A runner: run(side, workload, seed, seconds, trace) is the last line of
     `perfbench/run.py`'s stdout in that side's tree, as JSON."""
     def run(side, workload, seed, seconds, trace):
-        argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", str(trace)]
-        done = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise RuntimeError("%s: %s exited %d: %s"
-                               % (side, " ".join(argv[1:]), done.returncode, done.stderr[-2000:]))
-        return json.loads(done.stdout.strip().splitlines()[-1])
+        return last_json_line(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)], trees[side], env)
     return run
+
+
+# the tree's own tools/cli_corpus.py replays the corpus file argv[1] names
+REPLAY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("cli_corpus", "tools/cli_corpus.py")
+corpus = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(corpus)
+with open(sys.argv[1]) as f:
+    print(json.dumps(corpus.differing(json.load(f))))
+"""
+
+
+def replayer(trees, env):
+    """A replay: replay(side) is the list of argv of the change's CLI
+    output corpus whose output differs in that side's tree."""
+    corpus = str(trees["change"] / "tests" / "cli_corpus.json")
+    return lambda side: last_json_line([sys.executable, "-c", REPLAY, corpus], trees[side], env)
 
 
 # --- the pairs --------------------------------------------------------------
@@ -104,9 +131,10 @@ def summary(parent, change, better, bound):
     }
 
 
-def measure(run, plan, seed, seconds, metrics, claim=None, save=None):
-    """Run the pairs of `plan` ((workload, pairs) in turn), then one traced
-    run per side and workload; `metrics` maps each end-to-end metric to its
+def measure(run, plan, seed, seconds, metrics, claim=None, save=None, replay=None):
+    """Replay the output corpus on each side (`replay`, if given), run the
+    pairs of `plan` ((workload, pairs) in turn), then one traced run per
+    side and workload; `metrics` maps each end-to-end metric to its
     (better, bound).  `save(record)` is called after every run."""
     record = {"order": [], "failed_operations": {}, "attempted": {}, "runs": {},
               "metrics": {}, "traced": {}}
@@ -114,6 +142,11 @@ def measure(run, plan, seed, seconds, metrics, claim=None, save=None):
     def note():
         if save is not None:
             save(record)
+
+    if replay is not None:
+        record["outputs_differing"] = {side: replay(side) for side in SIDES}
+        record["outputs_equal"] = not any(record["outputs_differing"].values())
+        note()
 
     for workload, pairs in plan:
         values = record["runs"][workload] = {m: {s: [] for s in SIDES} for m in metrics}
@@ -212,11 +245,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = export(args.parent, Path(tmp))
         record = measure(perfbench(trees, env), args.pairs, args.seed, seconds, metrics,
-                         args.claim, save)
+                         args.claim, save, replayer(trees, env))
     ok = record["within_bounds"] and record["no_failed_operations"]
-    print("%s: within bounds %s, failed operations none %s, traced counts equal %s%s"
+    print("%s: within bounds %s, failed operations none %s, outputs equal %s, "
+          "traced counts equal %s%s"
           % (args.out, record["within_bounds"], record["no_failed_operations"],
-             record["traced_counts_equal"],
+             record["outputs_equal"], record["traced_counts_equal"],
              ", claim met %s" % record["claim"]["met"] if "claim" in record else ""))
     return 0 if ok else 1
 
