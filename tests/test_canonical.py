@@ -644,14 +644,15 @@ def _first_error(call, *choices):
 
 
 def test_case_lists_raise_in_argument_order():
-    good = lambda v: [(v, None, None)]  # noqa: E731
-    _first_error(lambda n, pairs, h: c.affine_descent_cases_m2(pairs, h, n),
-                 good(3) + BAD_RANKS, good(((3, 1), (2, 1))) + BAD_BLOCKS,
-                 good((3, 1)) + BAD_PREFIXES)
+    # (value, None, None) is a good argument
+    ranks = [(3, None, None)] + BAD_RANKS
+    _first_error(lambda n, pairs, h: c.affine_descent_cases_m2(pairs, h, n), ranks,
+                 [(((3, 1), (2, 1)), None, None)] + BAD_BLOCKS,
+                 [((3, 1), None, None)] + BAD_PREFIXES)
     identity = ((4, 0), ValueError, "second prefix must not be the identity")
-    _first_error(lambda n, first, h: c.deficiency_m1(first, h, n),
-                 good(3) + BAD_RANKS, good((3, 1)) + BAD_FIRSTS,
-                 good((2, 0)) + BAD_PREFIXES + [identity])
+    _first_error(lambda n, first, h: c.deficiency_m1(first, h, n), ranks,
+                 [((3, 1), None, None)] + BAD_FIRSTS,
+                 [((2, 0), None, None)] + BAD_PREFIXES + [identity])
 
 
 # --- ordering, formatting, JSON ---------------------------------------------
