@@ -140,7 +140,8 @@ where it enters, by the rules of perms:
 Everything else takes a Word or an Element, already checked, and checks
 nothing again: `canonicalize` folds its Word's window (`word_window`) and
 peels it with `_peel`, the decoder without the window check, as `mul`,
-`inverse`, hecke's fold and hecke.gen_basis peel the windows they built.
+`inverse`, hecke._decode (the fold's table of decoded windows) and
+hecke.gen_basis peel the windows they built.
 `_peel` keeps the engine's own invariants (InvariantError, which survives
 python -O).  Forms the library built and checked itself (the peel, left_mul,
 coset_rep, the tower, the listings of blocks) skip the checks by
@@ -620,7 +621,7 @@ def deficiency_m1(first, second, n):
     check_rank(n)
     if not (fin.is_pair(first) and _junction_ok(None, first, n)):
         raise ValueError("invalid first pair %r at rank %d" % (first, n))
-    fin.check_hprefix(second, n)
+    fin.check_hprefix_at(second, n)
     if tuple(second) == (n + 1, 0):
         raise ValueError("second prefix must not be the identity")
     return _deficiency(first, second, n)
@@ -669,7 +670,7 @@ def affine_descent_cases_m2(pairs, x_prefix, n):
     _check_block(pairs, n)
     if len(pairs) != 2:
         raise ValueError("the case list applies to blocks with exactly 2 pairs")
-    fin.check_hprefix(x_prefix, n)
+    fin.check_hprefix_at(x_prefix, n)
     (_, i1), (j2, i2) = pairs
     r, i = x_prefix
     h1 = pair_length(pairs[0], n) - 1  # letters of h(j1,i1), before its a

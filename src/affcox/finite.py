@@ -212,8 +212,14 @@ def hprefix_ok(h, n):
 
 
 def check_hprefix(h, n):
-    """The rank, then a pair (`is_pair`) passing `hprefix_ok`, which trusts its shape."""
+    """The rank, then the h-prefix at that rank (`check_hprefix_at`)."""
     check_rank(n)
+    check_hprefix_at(h, n)
+
+
+def check_hprefix_at(h, n):
+    """A pair (`is_pair`) passing `hprefix_ok`, which trusts its shape, at a
+    rank n the caller has already checked."""
     if not is_pair(h):
         raise ValueError("an h-prefix is a pair (r, i), got %r" % (h,))
     if not hprefix_ok(h, n):

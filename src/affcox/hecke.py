@@ -29,10 +29,15 @@ it (ROADMAP item 10).
 The fold runs on windows (perms), not on canonical forms.  Its terms are
 keyed by window tuples: each term of the left factor starts from the
 window its Element carries (`canonical.Element.window`, never encoded
-here), and each surviving term of the sum is decoded once by the
+here), and each surviving term of the sum is decoded by `_decode`, the
 unchecked peel (`canonical._peel`: the windows are the fold's own, and
 each decoded term keeps its key as its window; `canonical.from_window`
-checks only windows from outside).  One step
+checks only windows from outside) behind one table from window to
+Element.  The peel is a pure function of the window, so a window seen
+before is read from the table and not peeled again; the table holds at
+most MAX_DECODED windows and is emptied when full.  The fold refuses a
+product once the terms it holds pass MAX_TERMS (a RuntimeError, the
+resource-limit class).  One step
 g_w . g_s is the move of two window entries to ws (`perms.move`, the move
 of `perms.right_mul` without its letter check: the letters come from a
 Word) and one comparison, s in R(w) (`perms.descends`).  So a step costs
@@ -215,20 +220,55 @@ def _step(s, terms, inverse):
     return out
 
 
+# _fold raises RuntimeError once the terms it holds pass this many.  A
+# term keeps 1.0-1.5 KB and takes about 75 us to build (n = 3, l = 150:
+# 127,956 terms, 248 MB max RSS, 9.6 s on one x86 core).  So the cap
+# admits products four times the largest measured and stops one at about
+# 1 GB and 40 s.
+MAX_TERMS = 500_000
+
+# The Element decoded from each window the fold produced, emptied when it
+# holds MAX_DECODED entries.  Products at small rank keep landing on the
+# same windows: on the benchmark's element-ops Hecke operations (n 2-4),
+# 66%, 78% and 90% of decodes found their window in a table of 1,024,
+# 2,048 and 4,096 entries.  An entry keeps about 475 B, so this table is
+# about 1 MB, some 4% of that workload's peak RSS, whose bound is 10%.
+MAX_DECODED = 2_048
+_decoded = {}
+
+
+def _decode(win):
+    """The Element with window `win`, a tuple the fold built: peeled
+    (canonical._peel) on the first sight of win, read from `_decoded` after.
+    The peel is a pure function of the window, whose length fixes the
+    rank, and an Element is immutable, so a stored entry is what a second
+    peel would return; a peel that raises stores nothing."""
+    e = _decoded.get(win)
+    if e is None:
+        if len(_decoded) >= MAX_DECODED:
+            _decoded.clear()
+        e = _decoded[win] = c._peel(win)
+    return e
+
+
 def _fold(n, start, h, steps):
     """start . h: for each term p g_x of h, the window-keyed terms `start`
     scaled by p after the (letter, inverse) steps(x), applied in order on
-    the right, added into one sum; each surviving window is the fold's
-    own, so it is peeled (canonical._peel) once, at rank n, without a
-    window check."""
+    the right, added into one sum; a RuntimeError once the terms held pass
+    MAX_TERMS.  Each surviving window is the fold's own, so it is decoded
+    without a window check (`_decode`: peeled once, then kept in a table
+    of at most MAX_DECODED windows, emptied when full)."""
     out = {}
     for x, p in h.terms.items():
         acc = {win: lp_mul(pw, p) for win, pw in start.items()}
         for s, inverse in steps(x):
             acc = _step(s, acc, inverse)
+            if len(acc) + len(out) > MAX_TERMS:
+                raise RuntimeError("Hecke product holds %d terms, past the limit of %d"
+                                   % (len(acc) + len(out), MAX_TERMS))
         for win, pw in acc.items():
             _put(out, win, pw)
-    return HeckeElement._trusted(n, {c._peel(win): p for win, p in out.items() if p})
+    return HeckeElement._trusted(n, {_decode(win): p for win, p in out.items() if p})
 
 
 def hecke_left_mul_gen(s, h):

@@ -568,15 +568,18 @@ def test_affine_descent_cases_m2_one_reflection_pass(monkeypatch):
 def test_affine_descent_cases_m2_checks_once_and_encodes_nothing(monkeypatch):
     """On the inputs of the exhaustive test, the case list checks the rank,
     the pairs (`int_pairs`) and the block (`validate_block`) once, builds
-    no Element and encodes no window; the second check_rank is the
-    prefix's (finite.check_hprefix).  The x4 family spells its word from
-    the checked prefix, so every input makes the same calls."""
-    inputs = []
+    no Element and encodes no window; the prefix check trusts the checked
+    rank (finite.check_hprefix_at).  The x4 family spells its word from
+    the checked prefix, so every input makes the same calls.  The m = 1
+    case list, on its exhaustive inputs, checks the rank once too."""
+    inputs, inputs_m1 = [], []
     for n in (2, 3):
         prefixes = [HPrefix(r, i) for r in range(1, n + 2) for i in range(n)
                     if fin.hprefix_ok((r, i), n)]
         inputs += [(pairs, h, n) for pairs in all_blocks(n, 2) if len(pairs) == 2
                    for h in prefixes]
+        inputs_m1 += [(first, h, n) for first in all_first_pairs(n)
+                      for h in prefixes if h != (n + 1, 0)]
     calls = []
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("affcox"):
@@ -589,9 +592,16 @@ def test_affine_descent_cases_m2_checks_once_and_encodes_nothing(monkeypatch):
     for args in inputs:
         del calls[:]
         case = c.affine_descent_cases_m2(*args)
-        assert calls == ["check_rank", "int_pairs", "validate_block", "check_rank"], args
+        assert calls == ["check_rank", "int_pairs", "validate_block"], args
         cases.add(case and case.case)
     assert {None, "0", "1", "x1", "x4"} <= cases  # every branch counted
+    cases = set()
+    for args in inputs_m1:
+        del calls[:]
+        case = c.deficiency_m1(*args)
+        assert calls == ["check_rank"], args
+        cases.add(case and case.case)
+    assert cases == {None, "1", "2", "3", "4"}
     c.Element(3, ((3, 1), (2, 1)), ())
     assert "_encode" in calls  # the counters are live
 

@@ -151,6 +151,16 @@ def test_hecke_mul(capsys):
     )
 
 
+def test_hecke_mul_past_the_term_cap_is_a_resource_limit(capsys, monkeypatch):
+    # g_{w^-1} g_w for w = s1 s2 a s1 holds 4 terms before it holds 5
+    argv = ("hecke-mul", "-n", "2", "s1 a s2 s1", "s1 s2 a s1")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(hk, "MAX_TERMS", 3)
+    for tail in ((), ("--json",)):
+        assert run(capsys, *argv, *tail) == (
+            4, "", "resource limit: Hecke product holds 4 terms, past the limit of 3\n")
+
+
 def test_appendix(capsys):
     code, out, _ = run(capsys, "appendix", "-n", "2", "--max-core", "2")
     assert code == 0

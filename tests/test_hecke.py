@@ -333,16 +333,66 @@ def random_reduced(n, length, rng):
     return c.canonicalize(Word(n, random_reduced_word(n, length, rng)))
 
 
-def test_products_match_oracle_fold():
+def oracle_fold_cases():
+    """50 (u, v) pairs at ranks 2-4, each with the oracle's u v and u's
+    image one rank up."""
     rng = random.Random(2105)
+    cases = []
     for _ in range(50):
         n = rng.randint(2, 4)
         u = hk.add(hk.basis(random_reduced(n, rng.randint(0, 12), rng)),
                    hk.scale(hk.basis(random_reduced(n, rng.randint(0, 12), rng)),
                             {rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])}))
         v = random_hecke(n, rng, max_len=12)
-        assert hk.hecke_mul(u, v).terms == oracle_hecke_mul(u, v).terms
-        assert hk.hr_embed(u).terms == oracle_hr_embed(u).terms
+        cases.append((u, v, oracle_hecke_mul(u, v).terms, oracle_hr_embed(u).terms))
+    return cases
+
+
+def test_products_match_oracle_fold():
+    """The same products, terms and coefficients, from an empty decode
+    table and again from the one the first pass filled."""
+    cases = oracle_fold_cases()
+    hk._decoded.clear()
+    for _ in range(2):
+        for u, v, product, image in cases:
+            assert hk.hecke_mul(u, v).terms == product
+            assert hk.hr_embed(u).terms == image
+
+
+def test_the_decode_table_stays_within_its_cap(monkeypatch):
+    """With room for 3 windows the table is emptied whenever it fills,
+    never holds more than 3, and every product is unchanged."""
+    cases = oracle_fold_cases()[:12]
+    peel, sizes = c._peel, []
+
+    def counted_peel(win):
+        sizes.append(len(hk._decoded))
+        return peel(win)
+    monkeypatch.setattr(hk, "MAX_DECODED", 3)
+    monkeypatch.setattr(c, "_peel", counted_peel)
+    hk._decoded.clear()
+    for u, v, product, image in cases:
+        assert hk.hecke_mul(u, v).terms == product
+        assert hk.hr_embed(u).terms == image
+        assert len(hk._decoded) <= 3
+    assert max(sizes) < 3 and sizes.count(0) > 1  # emptied before each store past 3
+
+
+def test_the_fold_refuses_a_product_past_the_term_cap(monkeypatch):
+    """g_{w^-1} g_w for w = s1 s2 a s1 holds at most 5 terms: the fold
+    returns it under a cap of 5 and raises RuntimeError, the resource-limit
+    class, once the terms it holds pass a cap of 3 or 4."""
+    w = elem(2, 1, 2, 0, 1)
+    u, v = hk.basis(c.inverse(w)), hk.basis(w)
+    full = hk.hecke_mul(u, v)
+    assert len(full.terms) == 5 and hk.MAX_TERMS >= 10 ** 5
+    monkeypatch.setattr(hk, "MAX_TERMS", 5)
+    assert hk.hecke_mul(u, v) == full
+    for cap, held in ((4, 5), (3, 4)):
+        monkeypatch.setattr(hk, "MAX_TERMS", cap)
+        with pytest.raises(RuntimeError, match="^Hecke product holds %d terms, "
+                           "past the limit of %d$" % (held, cap)):
+            hk.hecke_mul(u, v)
 
 
 def test_long_products_match_oracle_fold():
@@ -390,9 +440,10 @@ def count_calls(monkeypatch):
 
 def test_product_costs_are_exact_counts(monkeypatch):
     """hecke_mul(u, v) multiplies |u| |v| polynomials, one per pair of
-    terms, and peels each term of the product once; each product reads one
+    terms; from an empty decode table it peels each term of the product
+    once, and the same product again peels none.  Each product reads one
     word per right-factor term and inverts no window, and only g_s's letter
-    check right-multiplies one."""
+    check right-multiplies one (and peels it, outside the table)."""
     rng = random.Random(3137)
     cases = []
     for n in (2, 3):
@@ -405,14 +456,16 @@ def test_product_costs_are_exact_counts(monkeypatch):
                 (hk.hr_embed, (v,), 1, v, 0),
                 (hk.hecke_left_mul_gen, (s, v), 1, v, 1)]
         for fn, args, left_terms, right, right_muls in runs:
-            for key in calls:
-                calls[key] = 0
-            out = fn(*args)
-            assert calls == {
-                "perms.inverse": 0, "perms.right_mul": right_muls,
-                "canonical.element_word": len(right.terms),
-                "canonical._peel": len(out.terms) + right_muls,
-                "hecke.lp_mul": left_terms * len(right.terms)}, fn.__name__
+            hk._decoded.clear()
+            for repeat in (False, True):
+                for key in calls:
+                    calls[key] = 0
+                out = fn(*args)
+                assert calls == {
+                    "perms.inverse": 0, "perms.right_mul": right_muls,
+                    "canonical.element_word": len(right.terms),
+                    "canonical._peel": (0 if repeat else len(out.terms)) + right_muls,
+                    "hecke.lp_mul": left_terms * len(right.terms)}, (fn.__name__, repeat)
 
 
 # --- q = 1 specialization ---------------------------------------------------

@@ -110,7 +110,7 @@ def test_only_library_built_windows_reach_the_unchecked_peel():
     # peel windows they built themselves
     assert callers("_peel") == {
         "canonical.from_window", "canonical.canonicalize", "canonical.mul",
-        "canonical.inverse", "hecke._fold", "hecke.gen_basis"}
+        "canonical.inverse", "hecke._decode", "hecke.gen_basis"}
 
 
 def test_only_forms_the_library_checked_skip_the_element_checks():
