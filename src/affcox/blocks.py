@@ -37,10 +37,10 @@ import itertools
 from typing import NamedTuple
 
 from . import canonical as c
-from .perms import InvariantError, check_count, check_rank
+from .perms import InvariantError, check_count, check_rank, past_limit
 from .canonical import _junction_ok
 
-MAX_ITEMS = 2_000_000  # every listing here raises RuntimeError past this many
+MAX_ITEMS = 2_000_000  # every listing here refuses (perms.past_limit) past this many
 
 
 class BlockFamily(NamedTuple):
@@ -73,8 +73,7 @@ def _walk(n, m, max_len):
         if len(prefix) == m or (m is None and prefix):
             items.append(prefix)
             if len(items) > MAX_ITEMS:
-                raise RuntimeError("block listing exceeded %d items at rank %d, "
-                                   "m=%r, max_len=%r" % (MAX_ITEMS, n, m, max_len))
+                raise past_limit("block count", len(items), MAX_ITEMS)
         if len(prefix) == m:
             continue
         for p in reversed(list(_extensions(prefix, n))):
@@ -138,16 +137,15 @@ def _check_appendix_args(n, max_core):
 def appendix_blocks(n, max_core=2):
     """The listed blocks with every core exponent <= max_core, as canonical
     elements with trivial finite part, sorted.  An InvariantError on a
-    malformed or duplicated listing entry, a bug in the data.  A
-    RuntimeError, before listing anything, when the exponent vectors times
-    the left factors bound the listing above MAX_ITEMS."""
+    malformed or duplicated listing entry, a bug in the data.  The resource
+    limit (perms.past_limit), before listing anything, when the exponent
+    vectors times the left factors bound the listing above MAX_ITEMS."""
     _check_appendix_args(n, max_core)
     # has_eps gives the first core 2 exponents, every other core max_core + 1
     bound = sum(2 ** has_eps * (max_core + 1) ** (len(cores) - has_eps)
                 * sum(map(len, tiers)) for cores, has_eps, _, tiers in _FAMILIES[n])
     if bound > MAX_ITEMS:
-        raise RuntimeError("appendix listing may exceed %d items at rank %d, max core %d"
-                           % (MAX_ITEMS, n, max_core))
+        raise past_limit("appendix listing bound", bound, MAX_ITEMS)
     seen = set()
     for cores, has_eps, guard, tiers in _FAMILIES[n]:
         ranges = [

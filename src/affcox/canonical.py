@@ -131,7 +131,7 @@ where it enters, by the rules of perms:
     and encodes its window from them, never trusting one passed in;
   - `from_window` checks a window (perms.is_window) and refuses one whose
     rank is past perms.MAX_RANK or whose affine length is past MAX_PAIRS
-    (a RuntimeError), then peels it;
+    (perms.past_limit, a RuntimeError), then peels it;
   - `left_mul_block` (so `left_mul`) checks a rank and a letter;
   - the m <= 2 case lists, `deficiency_m1` and `affine_descent_cases_m2`,
     check a rank, pairs and prefix once (the latter its block by Element's
@@ -158,7 +158,7 @@ from .perms import (AFFINE, Checked, InvariantError, check_letter, check_rank, c
 from . import finite as fin
 from .words import INDEX, Word, hat_partner
 
-# from_window raises RuntimeError past this affine length (pairs in the
+# from_window refuses (perms.past_limit) past this affine length (pairs in the
 # block): a decode builds one pair per unit of L, ~0.25 s per 10^6 pairs
 # (CPython 3.11 on one x86 core)
 MAX_PAIRS = 2_000_000
@@ -493,18 +493,17 @@ def from_window(win):
     """
     The canonical form of the element with window `win`: the one checked
     decoder, for windows from outside the library.  A ValueError if win is
-    not a window (perms.is_window); a RuntimeError, before anything is
-    built, if its rank is past perms.MAX_RANK (check_rank) or its affine
-    length (perms.affine_length, the number of pairs the form would hold)
-    past MAX_PAIRS; otherwise `_peel(win)`.
+    not a window (perms.is_window); the resource limit (perms.past_limit),
+    before anything is built, if its rank is past perms.MAX_RANK
+    (check_rank) or its affine length (perms.affine_length, the number of
+    pairs the form would hold) past MAX_PAIRS; otherwise `_peel(win)`.
     """
     if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
     check_rank(len(win) - 1)
     m = perms.affine_length(win)
     if m > MAX_PAIRS:
-        raise RuntimeError("window of affine length %d is past the limit of %d pairs"
-                           % (m, MAX_PAIRS))
+        raise perms.past_limit("affine length", m, MAX_PAIRS)
     return _peel(win)
 
 

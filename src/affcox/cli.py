@@ -22,8 +22,11 @@ point.  The `appendix` subcommand prints the golden block listings of
 Exit codes: 0 success, 1 domain error (invalid element, not in the
 embedding image, a failed self-check), 2 usage error, 3 internal error
 (an engine invariant or assertion failed: a bug), 4 resource limit (a
-RuntimeError such as RecursionError or an enumeration cap, or a
-MemoryError).  An error ends in one line on stderr, never a traceback.
+MemoryError, or a RuntimeError such as RecursionError or a size past one
+of the library's limits, each raised by perms.past_limit: perms.MAX_RANK,
+perms.MAX_STATES, blocks.MAX_ITEMS, canonical.MAX_PAIRS and
+hecke.MAX_TERMS).  An error ends in one line on stderr, never a
+traceback.
 """
 
 import argparse

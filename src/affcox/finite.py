@@ -54,6 +54,7 @@ from bisect import bisect_left
 from itertools import chain
 from typing import NamedTuple
 
+from . import perms
 from .perms import InvariantError, check_rank, compose, inverse, right_mul, to_permutation
 
 
@@ -148,8 +149,17 @@ def finite_length(bricks):
 
 
 def finite_shapes(n):
-    """All (n+1)! canonical brick shapes at rank n, by length, then bricks."""
+    """All (n+1)! canonical brick shapes at rank n, by length, then bricks;
+    the resource limit (perms.past_limit) past perms.MAX_STATES shapes (from
+    n = 10 on), before any is built: the count is multiplied up level by
+    level, as the listing builds them, and refused at the first level past
+    the limit."""
     check_rank(n)
+    count = 1
+    for j in range(n, 0, -1):
+        count *= j + 1
+        if count > perms.MAX_STATES:
+            raise perms.past_limit("finite shape count", count, perms.MAX_STATES)
     shapes = [()]
     for j in range(n, 0, -1):  # the level code: |i,j| with 1 <= i <= j, or none
         shapes = [s + b for s in shapes for b in [((i, j),) for i in range(1, j + 1)] + [()]]

@@ -36,8 +36,8 @@ checks only windows from outside) behind one table from window to
 Element.  The peel is a pure function of the window, so a window seen
 before is read from the table and not peeled again; the table holds at
 most MAX_DECODED windows and is emptied when full.  The fold refuses a
-product once the terms it holds pass MAX_TERMS (a RuntimeError, the
-resource-limit class).  One step
+product once the terms it holds pass MAX_TERMS (perms.past_limit, the
+resource-limit RuntimeError).  One step
 g_w . g_s is the move of two window entries to ws (`perms.move`, the move
 of `perms.right_mul` without its letter check: the letters come from a
 Word) and one comparison, s in R(w) (`perms.descends`).  So a step costs
@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional, Tuple
 from . import canonical as c
 from . import tower
 from .perms import (AFFINE, Checked, InvariantError, check_rank, descends, identity, move,
-                    right_mul)
+                    past_limit, right_mul)
 
 
 # --- Laurent polynomials ----------------------------------------------------
@@ -220,7 +220,7 @@ def _step(s, terms, inverse):
     return out
 
 
-# _fold raises RuntimeError once the terms it holds pass this many.  A
+# _fold refuses (perms.past_limit) once the terms it holds pass this many.  A
 # term keeps 1.0-1.5 KB and takes about 75 us to build (n = 3, l = 150:
 # 127,956 terms, 248 MB max RSS, 9.6 s on one x86 core).  So the cap
 # admits products four times the largest measured and stops one at about
@@ -254,18 +254,18 @@ def _decode(win):
 def _fold(n, start, h, steps):
     """start . h: for each term p g_x of h, the window-keyed terms `start`
     scaled by p after the (letter, inverse) steps(x), applied in order on
-    the right, added into one sum; a RuntimeError once the terms held pass
-    MAX_TERMS.  Each surviving window is the fold's own, so it is decoded
-    without a window check (`_decode`: peeled once, then kept in a table
-    of at most MAX_DECODED windows, emptied when full)."""
+    the right, added into one sum; the resource limit (perms.past_limit)
+    once the terms held pass MAX_TERMS.  Each surviving window is the
+    fold's own, so it is decoded without a window check (`_decode`: peeled
+    once, then kept in a table of at most MAX_DECODED windows, emptied
+    when full)."""
     out = {}
     for x, p in h.terms.items():
         acc = {win: lp_mul(pw, p) for win, pw in start.items()}
         for s, inverse in steps(x):
             acc = _step(s, acc, inverse)
             if len(acc) + len(out) > MAX_TERMS:
-                raise RuntimeError("Hecke product holds %d terms, past the limit of %d"
-                                   % (len(acc) + len(out), MAX_TERMS))
+                raise past_limit("Hecke term count", len(acc) + len(out), MAX_TERMS)
         for win, pw in acc.items():
             _put(out, win, pw)
     return HeckeElement._trusted(n, {_decode(win): p for win, p in out.items() if p})

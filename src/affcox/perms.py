@@ -26,7 +26,10 @@ it is validated against BFS distance from the identity.
 It owns the input rules, each testing an integer as `type(v) is int` (or
 a type set as a subset of {int}): letter (`check_letter`, and
 `check_letters` for a whole word), rank (`check_rank`, up to MAX_RANK),
-count (`check_count`) and window (`is_window`), and `Checked`, the one way a
+count (`check_count`) and window (`is_window`); the one resource-limit
+rule, `past_limit`, the RuntimeError that every size guard of the
+library raises (each guard compares its size with its limit where it
+holds it, so the pass path makes no call); and `Checked`, the one way a
 value (words.Word, canonical.Element, hecke.HeckeElement) runs its rules
 on every route.  A word's and a window's rules are paid once, at the
 library's boundary: a words.Word runs `check_rank` and `check_letters`
@@ -45,8 +48,9 @@ which the Hecke step (hecke._step) calls on letters it took from a Word.
 """
 
 AFFINE = 0  # the letter a_{n+1}
-MAX_STATES = 5_000_000  # bfs_reduced_words raises RuntimeError past this many
-# check_rank raises RuntimeError past this rank.  Every rank-n operation
+# bfs_reduced_words and finite.finite_shapes refuse past this many elements
+MAX_STATES = 5_000_000
+# check_rank refuses (past_limit) past this rank.  Every rank-n operation
 # holds windows of n+1 ints and decodes one in O(n^2) list moves at worst
 # (w0; CPython 3.11 on one x86 core: 0.03 s at n = 10^4 and 2 s at 10^5,
 # so minutes at 10^6, where one word's window list takes ~60 MB).  The
@@ -60,14 +64,22 @@ class InvariantError(AssertionError):
     the lowest module, so every layer raises the same class."""
 
 
+def past_limit(what, k, limit):
+    """The one resource-limit rule: the RuntimeError (the CLI's exit 4) for
+    a size k of `what` past its limit.  A guard compares k with its limit
+    itself, as soon as it holds k and before it builds past it, and raises
+    this only when k is past it."""
+    return RuntimeError("%s %d is past the limit of %d" % (what, k, limit))
+
+
 def check_rank(n):
-    """The one rank rule: a ValueError unless n is an int >= 2, and a
-    RuntimeError, the resource-limit class, past MAX_RANK, before anything
-    of that rank is built."""
+    """The one rank rule: a ValueError unless n is an int >= 2, and the
+    resource limit (`past_limit`) past MAX_RANK, before anything of that
+    rank is built."""
     if type(n) is not int or n < 2:
         raise ValueError("rank must be an integer >= 2, got %r" % (n,))
     if n > MAX_RANK:
-        raise RuntimeError("rank %d is past the limit of %d" % (n, MAX_RANK))
+        raise past_limit("rank", n, MAX_RANK)
 
 
 def check_letter(s, n):
@@ -217,6 +229,8 @@ def bfs_reduced_words(n, max_len):
     """
     Dict window -> one reduced word, for every element of length <= max_len.
     The word recorded is the BFS discovery word, hence of minimal length.
+    The resource limit once it holds more than MAX_STATES elements, checked
+    as each one is found.
     """
     check_rank(n)
     check_count("max length", max_len)
@@ -232,9 +246,9 @@ def bfs_reduced_words(n, max_len):
                 v = right_mul(w, s)
                 if v not in words:
                     words[v] = base + (s,)
+                    if len(words) > MAX_STATES:
+                        raise past_limit("element count", len(words), MAX_STATES)
                     nxt.append(v)
-        if len(words) > MAX_STATES:
-            raise RuntimeError("enumeration guard exceeded (%d states)" % len(words))
         frontier = nxt
     return words
 

@@ -6,11 +6,10 @@ import pytest
 
 from affcox import canonical as c
 from affcox import cli
-from affcox import finite as fin
 from affcox import perms
 from affcox.blocks import enumerate_blocks
 from affcox.words import Word
-from harness import run_python
+from harness import record_calls, run_python
 from oracles import letter_fold, random_reduced_word
 
 
@@ -181,11 +180,7 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
 def test_one_block_call_per_letter(monkeypatch):
     """Every letter of the letter fold takes one path: left_mul calls
     left_mul_block once, whether or not the element has pairs."""
-    calls = []
-    for name in ("left_mul", "left_mul_block"):
-        orig = getattr(c, name)
-        monkeypatch.setattr(c, name,
-                            lambda *args, name=name, orig=orig: calls.append(name) or orig(*args))
+    calls = record_calls(monkeypatch, "left_mul", "left_mul_block")
     rng = random.Random(16)
     for n in (2, 3, 5):
         for w in [Word(n, (1, 2, 1)), Word(n, (perms.AFFINE, 1, perms.AFFINE))] + [
@@ -208,12 +203,8 @@ def test_element_operation_counts(monkeypatch):
     words = [Word(n, random_reduced_word(n, rng.randint(0, 300), rng))
              for _ in range(50)]
     pool = [c.canonicalize(w) for w in words]
-    calls = []
-    for mod, name in ((c, "left_mul"), (c, "left_mul_block"), (c, "_table"),
-                      (fin, "finite_left_insert"), (c, "_peel")):
-        orig = getattr(mod, name)
-        monkeypatch.setattr(mod, name,
-                            lambda *args, name=name, orig=orig: calls.append(name) or orig(*args))
+    calls = record_calls(monkeypatch, "left_mul", "left_mul_block", "_table",
+                         "finite_left_insert", "_peel")
     for _ in range(200):
         u, v = rng.choice(pool), rng.choice(pool)
         c.mul(u, v)

@@ -14,6 +14,7 @@ from affcox import finite as fin
 from affcox import perms
 from affcox.finite import HPrefix
 from affcox.words import Word, hat_partner, is_reduced, parse_word
+from harness import record_calls
 from oracles import finite_word, random_reduced_word
 
 
@@ -580,14 +581,7 @@ def test_affine_descent_cases_m2_checks_once_and_encodes_nothing(monkeypatch):
                    for h in prefixes]
         inputs_m1 += [(first, h, n) for first in all_first_pairs(n)
                       for h in prefixes if h != (n + 1, 0)]
-    calls = []
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("affcox"):
-            for name in ("_encode", "check_rank", "int_pairs", "validate_block"):
-                orig = getattr(module, name, None)
-                if orig is not None:
-                    monkeypatch.setattr(module, name, lambda *args, name=name, orig=orig:
-                                        calls.append(name) or orig(*args))
+    calls = record_calls(monkeypatch, "_encode", "check_rank", "int_pairs", "validate_block")
     cases = set()
     for args in inputs:
         del calls[:]

@@ -17,6 +17,7 @@ from affcox import hecke as hk
 from affcox import perms
 from affcox import tower
 from affcox.words import parse_word
+from harness import record_calls
 from oracles import argparse_namespace
 
 
@@ -158,7 +159,7 @@ def test_hecke_mul_past_the_term_cap_is_a_resource_limit(capsys, monkeypatch):
     monkeypatch.setattr(hk, "MAX_TERMS", 3)
     for tail in ((), ("--json",)):
         assert run(capsys, *argv, *tail) == (
-            4, "", "resource limit: Hecke product holds 4 terms, past the limit of 3\n")
+            4, "", "resource limit: Hecke term count 4 is past the limit of 3\n")
 
 
 def test_appendix(capsys):
@@ -385,10 +386,7 @@ def test_embed_from_the_bound_is_refused(capsys, word):
                                    ["--max-len", "12", "--count-only"]])
 def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):
     # the checks a checked Element runs on its pairs and bricks
-    calls = []
-    for module, name in ((c, "validate_block"), (fin, "int_pairs")):
-        orig = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, _f=orig, _n=name: calls.append(_n) or _f(*a))
+    calls = record_calls(monkeypatch, "validate_block", "int_pairs")
     code, out, _ = run(capsys, "blocks", "-n", "3", "--m", "4", *extra)
     assert code == 0 and out and calls == []
 

@@ -8,6 +8,7 @@ import pytest
 
 from affcox import canonical as c
 from affcox import finite as fin
+from affcox import perms
 from affcox.finite import (
     HPrefix,
     brick_identities_check,
@@ -310,6 +311,26 @@ def test_level_code_is_a_bijection(n):
         assert win == to_permutation(finite_word(x, n).letters, n)
         assert fin.level_code(win) == x
     assert fin.finite_shapes(n) == sorted(shapes, key=lambda x: (finite_length(x), x))
+
+
+def test_finite_shapes_refuses_past_the_state_cap(monkeypatch):
+    """finite_shapes lists the (n+1)! shapes up to perms.MAX_STATES and
+    refuses past it, multiplying the count up level by level in the order
+    the listing builds them (4, then 12, then 24 at n = 3), and sorts no
+    listing.  Its memory at the real cap is held in
+    tests/test_from_window.py::test_the_size_guards_refuse_before_allocating."""
+    assert math.factorial(10) <= perms.MAX_STATES < math.factorial(11)
+    monkeypatch.setattr(perms, "MAX_STATES", 24)
+    assert len(fin.finite_shapes(3)) == 24
+    keyed = []
+    monkeypatch.setattr(fin, "finite_length", lambda s: keyed.append(s))
+    for cap, n, held in ((23, 3, 24), (11, 3, 12), (100, 9, 720),
+                         (24, perms.MAX_RANK, perms.MAX_RANK + 1)):
+        monkeypatch.setattr(perms, "MAX_STATES", cap)
+        with pytest.raises(RuntimeError, match="^finite shape count %d is past the limit of %d$"
+                           % (held, cap)):
+            fin.finite_shapes(n)
+    assert keyed == []
 
 
 def test_from_window_rejects_non_windows_and_gives_affine_windows_pairs():

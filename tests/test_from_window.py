@@ -157,7 +157,7 @@ def test_from_window_refuses_a_block_past_the_cap(monkeypatch):
     assert c.from_window(window(5)).pairs == ((1, 1),) * 5
     monkeypatch.setattr(c, "_peel", None)
     with pytest.raises(RuntimeError,
-                       match="^window of affine length 6 is past the limit of 5 pairs$"):
+                       match="^affine length 6 is past the limit of 5$"):
         c.from_window(window(6))
 
 
@@ -172,19 +172,24 @@ def test_from_window_refuses_a_rank_past_the_bound():
 
 
 def test_the_size_guards_refuse_before_allocating():
-    """A rank of 10^8 (past perms.MAX_RANK) and a window of affine length
-    10^12 (past canonical.MAX_PAIRS) are refused with RuntimeError, the CLI's
-    exit 4, in a process whose address space is capped at 1 GiB: neither
-    builds a window list or a block first."""
+    """A rank of 10^8 (past perms.MAX_RANK), a window of affine length
+    10^12 (past canonical.MAX_PAIRS) and the 11! shapes at rank 10 (past
+    perms.MAX_STATES, some 10 GB listed) are refused with RuntimeError, the
+    CLI's exit 4, in a process whose address space is capped at 1 GiB: none
+    builds a window list, a block or a shape first."""
     code = "\n".join([
         "import contextlib, io, resource, tracemalloc",
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
-        "from affcox import canonical as c, cli",
+        "from affcox import canonical as c, cli, finite as fin",
         "cli.build_parser()",
         "k = 10 ** 12",
         "tracemalloc.start()",
         "try:",
         "    c.from_window((1 - 3 * k, 2, 3 + 3 * k))",
+        "except RuntimeError as exc:",
+        "    print('RuntimeError:', exc)",
+        "try:",
+        "    fin.finite_shapes(10)",
         "except RuntimeError as exc:",
         "    print('RuntimeError:', exc)",
         "err = io.StringIO()",
@@ -194,12 +199,13 @@ def test_the_size_guards_refuse_before_allocating():
         "print('peak', tracemalloc.get_traced_memory()[1])",
     ])
     lines = run_python(code, timeout=30).splitlines()
-    assert lines[:3] == [
-        "RuntimeError: window of affine length %d is past the limit of %d pairs"
+    assert lines[:4] == [
+        "RuntimeError: affine length %d is past the limit of %d"
         % (10 ** 12, c.MAX_PAIRS),
+        "RuntimeError: finite shape count 6652800 is past the limit of %d" % perms.MAX_STATES,
         "exit 4",
         "resource limit: rank %d is past the limit of %d" % (10 ** 8, perms.MAX_RANK)]
-    assert int(lines[3].split()[1]) < 100_000, lines
+    assert int(lines[4].split()[1]) < 100_000, lines
 
 
 def letter_walk_window(e):

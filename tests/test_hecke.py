@@ -3,7 +3,6 @@
 import copy
 import pickle
 import random
-import sys
 
 import pytest
 
@@ -12,6 +11,7 @@ from affcox import hecke as hk
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
+from harness import record_calls
 from oracles import random_reduced_word
 
 
@@ -390,7 +390,7 @@ def test_the_fold_refuses_a_product_past_the_term_cap(monkeypatch):
     assert hk.hecke_mul(u, v) == full
     for cap, held in ((4, 5), (3, 4)):
         monkeypatch.setattr(hk, "MAX_TERMS", cap)
-        with pytest.raises(RuntimeError, match="^Hecke product holds %d terms, "
+        with pytest.raises(RuntimeError, match="^Hecke term count %d is "
                            "past the limit of %d$" % (held, cap)):
             hk.hecke_mul(u, v)
 
@@ -416,28 +416,6 @@ def test_left_mul_gen_matches_oracle_step(n):
             assert hk.hecke_left_mul_gen(s, h) == oracle_left_mul_gen(s, h)
 
 
-COUNTED = {"perms.inverse": perms.inverse, "perms.right_mul": perms.right_mul,
-           "canonical.element_word": c.element_word, "canonical._peel": c._peel,
-           "hecke.lp_mul": hk.lp_mul}
-
-
-def count_calls(monkeypatch):
-    """A dict of call counts, one per COUNTED function, through every
-    binding of it in the package."""
-    calls = dict.fromkeys(COUNTED, 0)
-    for module in list(sys.modules.values()):
-        if not getattr(module, "__name__", "").startswith("affcox"):
-            continue
-        for name, value in list(vars(module).items()):
-            for key, f in COUNTED.items():
-                if value is f:
-                    def counted(*args, key=key, f=f):
-                        calls[key] += 1
-                        return f(*args)
-                    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_product_costs_are_exact_counts(monkeypatch):
     """hecke_mul(u, v) multiplies |u| |v| polynomials, one per pair of
     terms; from an empty decode table it peels each term of the product
@@ -450,7 +428,9 @@ def test_product_costs_are_exact_counts(monkeypatch):
         for _ in range(6):
             u, v = (random_hecke(n, rng, max_terms=4, max_len=8) for _ in range(2))
             cases.append((n, u, v, rng.choice(c.generators(n))))
-    calls = count_calls(monkeypatch)
+    counted = ("perms.inverse", "perms.right_mul", "canonical.element_word",
+               "canonical._peel", "hecke.lp_mul")
+    calls = record_calls(monkeypatch, *counted)
     for n, u, v, s in cases:
         runs = [(hk.hecke_mul, (u, v), len(u.terms), v, 0),
                 (hk.hr_embed, (v,), 1, v, 0),
@@ -458,10 +438,9 @@ def test_product_costs_are_exact_counts(monkeypatch):
         for fn, args, left_terms, right, right_muls in runs:
             hk._decoded.clear()
             for repeat in (False, True):
-                for key in calls:
-                    calls[key] = 0
+                del calls[:]
                 out = fn(*args)
-                assert calls == {
+                assert {key: calls.count(key) for key in counted} == {
                     "perms.inverse": 0, "perms.right_mul": right_muls,
                     "canonical.element_word": len(right.terms),
                     "canonical._peel": (0 if repeat else len(out.terms)) + right_muls,

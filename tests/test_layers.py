@@ -9,13 +9,13 @@ the package uses stays only for a stated reason."""
 import ast
 import os
 import random
-import sys
 
 import affcox
 from affcox import canonical as c
 from affcox import hecke as hk
 from affcox import words
 from affcox.words import Word
+from harness import record_calls
 from oracles import finite_word, random_reduced_word
 
 PKG = os.path.dirname(affcox.__file__)
@@ -103,6 +103,21 @@ def callers(target):
 
 def test_the_scan_sees_methods():
     assert callers("check_letters") == {"words.Word._check"}
+
+
+def test_one_rule_builds_every_resource_limit():
+    # every size guard raises perms.past_limit, the only RuntimeError the
+    # package builds, module-level code included
+    built = 0
+    for name in LAYER:
+        with open(os.path.join(PKG, name + ".py")) as f:
+            built += sum(isinstance(node, ast.Call) and is_call_to(node.func, "RuntimeError")
+                         for node in ast.walk(ast.parse(f.read())))
+    assert built == 1
+    assert callers("RuntimeError") == {"perms.past_limit"}
+    assert callers("past_limit") == {
+        "perms.check_rank", "perms.bfs_reduced_words", "finite.finite_shapes",
+        "canonical.from_window", "blocks._walk", "blocks.appendix_blocks", "hecke._fold"}
 
 
 def test_only_library_built_windows_reach_the_unchecked_peel():
@@ -196,15 +211,8 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
         words.append(Word(n, [rng.randrange(n + 1) for _ in range(200)]))
     short = [c.canonicalize(Word(n, random_reduced_word(n, 8, rng))) for n in (2, 3)]
     assert all(e.pairs for e in short)  # a check per pair would show
-    calls = []
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("affcox"):
-            for name in ("check_letters", "check_letter", "check_rank", "is_window",
-                         *ELEMENT_RULES):
-                orig = getattr(module, name, None)
-                if orig is not None:
-                    monkeypatch.setattr(module, name, lambda *args, name=name, orig=orig:
-                                        calls.append(name) or orig(*args))
+    calls = record_calls(monkeypatch, "check_letters", "check_letter", "check_rank",
+                         "is_window", *ELEMENT_RULES)
     elements = [c.canonicalize(w) for w in words]
     for e in elements:
         c.mul(e, e)

@@ -9,7 +9,7 @@ from affcox import hecke as hk
 from affcox import perms
 from affcox.finite import finite_left_insert
 from affcox.words import Word
-from harness import run_python
+from harness import record_calls, run_python
 from oracles import finite_word, letter_fold
 
 
@@ -115,11 +115,7 @@ def test_hecke_makes_no_left_mul_or_length(monkeypatch):
     u = hk.add(hk.basis(c.canonicalize(Word(n, (1, 0, 2)))),
                hk.basis(c.canonicalize(Word(n, (2, 3)))))
     v = hk.scale(hk.basis(c.canonicalize(Word(n, (0, 3, 1, 0)))), {1: 1, -1: 2})
-    calls = []
-    for name in ("left_mul", "length", "canonicalize"):
-        fn = getattr(c, name)
-        monkeypatch.setattr(c, name, lambda *args, fn=fn, name=name:
-                            calls.append(name) or fn(*args))
+    calls = record_calls(monkeypatch, "left_mul", "length", "canonicalize")
     hk.hecke_mul(u, v)
     hk.hr_embed(u)
     hk.unit(n)

@@ -197,9 +197,17 @@ def test_bfs_windows_valid_and_distinct():
 
 
 def test_bfs_guard(monkeypatch):
+    """The enumeration refuses as soon as it holds one element past
+    MAX_STATES, not once a whole level past it is built: at n = 10 the
+    ball of radius 3 holds 364 elements and that of radius 4 holds 1,365,
+    where a check after each level would first refuse."""
     monkeypatch.setattr(perms, "MAX_STATES", 50)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^element count 51 is past the limit of 50$"):
         bfs_enumerate(2, 40)
+    monkeypatch.setattr(perms, "MAX_STATES", 1_000)
+    with pytest.raises(RuntimeError, match="^element count 1001 is past the limit of 1000$"):
+        bfs_reduced_words(10, 8)
+    assert len(bfs_reduced_words(10, 3)) == 364
 
 
 def test_bfs_reduced_words_are_geodesic():
