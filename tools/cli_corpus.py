@@ -19,6 +19,11 @@ on purpose, and name each argv whose digest changed.  The argv are:
   - `appendix -n 2` and `-n 3`, and `selfcheck -n 2..8 --max-len 4`;
   - `blocks -n 3 -m 4` and `blocks -n 4 -m 3 --max-len 12`, whose blocks
     have many lengths, so the digests pin the listing's order;
+  - canonical-form text that reaches each error of
+    canonical.parse_element (a bad `h(` token, a pair without its `a`, a
+    brick before a pair, a bad brick after the bar, two bars), texts
+    with two errors, whose message pins which is read first, and the
+    identity's descents;
   - 200 seeded `hecke-mul` argv (n 2-4, reduced words of up to 6 letters);
   - seeded inputs for every element command, each element written as a
     word, as canonical text and as JSON, at n 2-8 with up to 40 letters.
@@ -143,6 +148,29 @@ def limit_argv():
         yield [cmd.name, rank, n, *extra, *["a"] * len(cmd.elements)]
 
 
+# canonical-form texts at rank 3: each parse_element error, two errors in one
+# text (the first read is named), and texts it reads
+PARSE_TEXTS = (
+    "h(3,x) a |", "h(٣,0) a |", "h(3,0)a |",
+    "h(3,0)", "h(3,0) |", "h(3,0) s1 a", "h(3,0) [1,x]",
+    "[1,1] h(3,0) a", "[1,1] h(3,0) a |",
+    "h(3,0) a | [1,x]", "h(3,0) a | h(2,0) a",
+    "h(3,0) a | [1,1] | [2,2]", "h(3,0) a || [1,1]",
+    "h(x,0) a | [1,x]", "h(9,9) a | [1,x]",
+    "|", "h(03,0) a | [01,1]", " h(3,0)  a  [1,1] ",
+)
+
+
+def parse_argv():
+    """`canon` on each of PARSE_TEXTS, `mul` with it on the right, and the
+    identity's descents."""
+    out = [["descents", "-n", "2", "1"], ["descents", "-n", "3", "|"]]
+    for text in PARSE_TEXTS:
+        out.append(["canon", "-n", "3", text])
+        out.append(["mul", "-n", "3", "h(4,0) a |", text])
+    return out
+
+
 def _random_element(n, rng, max_letters):
     k = rng.randrange(max_letters + 1)
     return c.canonicalize(Word(n, [rng.randrange(n + 1) for _ in range(k)]))
@@ -182,6 +210,7 @@ def corpus_argv():
     groups += [["selfcheck", "-n", str(n), "--max-len", "4"] for n in range(2, 9)]
     groups += [["blocks", "-n", "3", "-m", "4"],
                ["blocks", "-n", "4", "-m", "3", "--max-len", "12"]]
+    groups += parse_argv()
     groups += seeded_argv(random.Random(SEED))
     keys = {}
     for argv in groups:
