@@ -714,27 +714,21 @@ def format_form(pairs, bricks):
     listed without one (cli's `blocks`)."""
     if not pairs and not bricks:
         return "1"
-    left = " ".join("h(%d,%d) a" % (j, i) for j, i in pairs)
-    right = " ".join("[%d,%d]" % (i, j) for i, j in bricks)
+    left = " ".join(["h(%d,%d) a" % (j, i) for j, i in pairs])
+    right = " ".join(["[%d,%d]" % (i, j) for i, j in bricks])
     return (left + " | " + right).strip()
 
 
+# a token's two integers, each written as words.INDEX, the digits of both
+# text syntaxes
 _H_PAIR = re.compile(r"h\((%s),(%s)\)" % (INDEX, INDEX))
 _BRICK = re.compile(r"\[(%s),(%s)\]" % (INDEX, INDEX))
 
 
-def _index_pair(tok, pattern, shape):
-    """The two integers of a token such as h(3,1) or [2,2], each written as
-    words.INDEX, the digits of both text syntaxes: one match of `pattern`."""
-    m = pattern.fullmatch(tok)
-    if m is None:
-        raise ValueError("expected %s, got %r" % (shape, tok))
-    return int(m[1]), int(m[2])
-
-
 def parse_element(text, n):
     """Canonical-form text: `h(j,i) a` tokens, then `[i,j]` tokens, with an
-    optional bar between them ("h(3,0) a | [1,1]", "h(3,0) a [1,1]")."""
+    optional bar between them ("h(3,0) a | [1,1]", "h(3,0) a [1,1]"), each
+    token read once, in order, so the first bad one is named."""
     check_rank(n)
     if not isinstance(text, str):
         raise ValueError("text must be a str, got %r" % (text,))
@@ -742,17 +736,25 @@ def parse_element(text, n):
     if text == "1":
         return identity_element(n)
     left_text, bar, right_text = text.partition("|")
-    pairs = []
+    pair_match, brick_match = _H_PAIR.fullmatch, _BRICK.fullmatch
+    pairs, bricks = [], []
     toks = left_text.split()
-    k = 0
+    k, end = 0, len(toks)
     # before a bar every token is a pair; without one, pairs run to the first brick
-    while k < len(toks) and (bar or not toks[k].startswith("[")):
-        j, i = _index_pair(toks[k], _H_PAIR, "h(j,i)")
-        if k + 1 >= len(toks) or toks[k + 1] != "a":
+    while k < end and (bar or not toks[k].startswith("[")):
+        m = pair_match(toks[k])
+        if m is None:
+            raise ValueError("expected h(j,i), got %r" % (toks[k],))
+        j, i = int(m[1]), int(m[2])
+        if k + 1 == end or toks[k + 1] != "a":
             raise ValueError("h(%d,%d) must be followed by a" % (j, i))
         pairs.append((j, i))
         k += 2
-    bricks = [_index_pair(tok, _BRICK, "[i,j]") for tok in toks[k:] + right_text.split()]
+    for tok in toks[k:] + right_text.split():
+        m = brick_match(tok)
+        if m is None:
+            raise ValueError("expected [i,j], got %r" % (tok,))
+        bricks.append((int(m[1]), int(m[2])))
     return Element(n, pairs, bricks)
 
 

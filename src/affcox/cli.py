@@ -1,16 +1,17 @@
 """
 Batch command-line surface over the library.
 
-Every subcommand is one row of `COMMANDS`, whose `run` returns the JSON
-object and the text of its result (a block listing, of any size, builds
-only the one it prints); `main` reads the argv of the row that argv[0]
-names off that row's table (`_read`: each word an exact option string and
-its value, a flag, or the next element), reads the row's element
-arguments at `args.rank` and prints one of the two.  argparse runs only
-on argv that the table read declines (the row's subparser) or that names
-no command (the top-level parser), so it alone prints help and words
-usage errors.  Only `selfcheck` prints for itself: it prints its status
-lines before it fails.
+Every subcommand is one row of `COMMANDS`, whose `run` returns only the
+form of its result that is printed: (JSON object, None) under --json,
+(None, text) otherwise, so no command builds the form it does not print.
+`main` reads the argv of the row that argv[0] names off that row's table
+(`_read`: each word an exact option string and its value, a flag, or the
+next element), reads the row's element arguments at `args.rank` and
+prints the form the run returned.  argparse runs only on argv that the
+table read declines (the row's subparser) or that names no command (the
+top-level parser), so it alone prints help and words usage errors.  Only
+`selfcheck` prints for itself: it prints its status lines before it
+fails.
 
 Element arguments are sniffed: a leading '{' means the JSON form, the
 presence of 'h(', '[', '|' (or a bare '1') means canonical-form text,
@@ -42,7 +43,7 @@ from . import hecke as hk
 from . import tower
 from .finite import brick_identities_check
 from .perms import check_length_formula, check_relations
-from .words import Word, format_word, parse_word
+from .words import format_word, parse_word
 
 # --- element input/output ---------------------------------------------------
 
@@ -63,14 +64,15 @@ def element_json(e):
     return {**c.to_json(e), **_lengths(e)}
 
 
-# --- subcommands: each run returns (JSON object, text) ----------------------
+# --- subcommands: each run returns (JSON object, None) or (None, text) -----
 
 def _element(op):
     """The run of a command whose result is the element op(*elements)."""
     def run(args, *elements):
         e = op(*elements)
-        obj = element_json(e)
-        return obj, "%s\nl=%d L=%d" % (c.format_element(e), obj["l"], obj["L"])
+        if args.json:
+            return element_json(e), None
+        return None, "%s\nl=%d L=%d" % (c.format_element(e), c.length(e), c.affine_length(e))
     return run
 
 
@@ -82,27 +84,33 @@ def _preimage(e):
 
 
 def _len(args, e):
-    obj = _lengths(e)
-    return obj, "l=%(l)d L=%(L)d" % obj
+    if args.json:
+        return _lengths(e), None
+    return None, "l=%d L=%d" % (c.length(e), c.affine_length(e))
 
 
 def _descents(args, e):
     gens, left, right = c.generators(e.n), c.left_descents(e), c.right_descents(e)
-    obj = {"left": [s for s in gens if s in left], "right": [s for s in gens if s in right]}
-    return obj, "L: %s\nR: %s" % tuple(
-        format_word(Word(e.n, obj[side])) or "-" for side in ("left", "right"))
+    left, right = [s for s in gens if s in left], [s for s in gens if s in right]
+    if args.json:
+        return {"left": left, "right": right}, None
+    return None, "L: %s\nR: %s" % (format_word(left) or "-", format_word(right) or "-")
 
 
 def _member(args, e):
     ok = tower.is_in_image(e)
-    return {"member": ok}, "yes" if ok else "no"
+    if args.json:
+        return {"member": ok}, None
+    return None, "yes" if ok else "no"
 
 
 def _hecke_mul(args, u, v):
     prod = hk.hecke_mul(hk.basis(u), hk.basis(v))
+    if not args.json:
+        return None, hk.format_hecke(prod)
     terms = [dict(coeff=sorted(prod.terms[w].items(), reverse=True), **c.to_json(w))
              for w in sorted(prod.terms, key=c.sort_key, reverse=True)]
-    return {"terms": terms}, hk.format_hecke(prod)
+    return {"terms": terms}, None
 
 
 def _blocks(args):
@@ -112,7 +120,7 @@ def _blocks(args):
     # c.sort_key's order and element_json's fields, from the pairs alone:
     # a block has no bricks
     listing = sorted((c.block_length(p, args.rank), p) for p in items)
-    if args.json:  # a listing builds only the form that is printed
+    if args.json:
         return [{**c.form_json(p, ()), "l": length, "L": len(p)}
                 for length, p in listing], None
     return None, "\n".join("%s  l=%d" % (c.format_form(p, ()), length)
@@ -180,7 +188,8 @@ _FROM = (("--from",), dict(dest="rank", metavar="SOURCE", type=_rank, required=T
                            help="rank of the input element (output rank is +1)"))
 
 # elements: positional arguments, read at args.rank; run(args, *elements):
-# (JSON object, text) or None; options: (flags, add_argument keywords) pairs
+# (JSON object, None) under --json, (None, text) otherwise, or None;
+# options: (flags, add_argument keywords) pairs
 Command = namedtuple("Command", "name help elements run options", defaults=((_RANK,),))
 
 # every run looks its library function up when it runs, so a module

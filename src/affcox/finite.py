@@ -51,7 +51,6 @@ live here too, as do the exhaustive two- and three-brick identity checks.
 """
 
 from bisect import bisect_left
-from itertools import chain
 from typing import NamedTuple
 
 from . import perms
@@ -72,10 +71,20 @@ def is_pair(p):
 
 def int_pairs(field, seq):
     """`seq` as a tuple of integer pairs, the one structure-and-type rule for
-    a caller's pairs or bricks; a ValueError naming `field` otherwise."""
-    if (isinstance(seq, (list, tuple)) and all(map(is_pair, seq))
-            and set(map(type, chain.from_iterable(seq))) <= {int}):
-        return tuple((a, b) for a, b in seq)
+    a caller's pairs or bricks, read in one pass: a list or tuple whose
+    items each pass `is_pair` with two int entries; a ValueError naming
+    `field` otherwise."""
+    if isinstance(seq, (list, tuple)):
+        out = []
+        for p in seq:
+            if not is_pair(p):
+                break
+            a, b = p
+            if type(a) is not int or type(b) is not int:
+                break
+            out.append((a, b))
+        else:
+            return tuple(out)
     raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
 
 

@@ -76,8 +76,10 @@ def parse_word(text, n):
     return Word(n, letters)
 
 
-def format_word(w):
-    return " ".join("a" if s == AFFINE else "s%d" % s for s in w.letters)
+def format_word(letters):
+    """The text of a word's letters (`w.letters`, or checked letters such as
+    a descent set's): `parse_word` reads it back."""
+    return " ".join(["a" if s == AFFINE else "s%d" % s for s in letters])
 
 
 def reflection_sequence(w):

@@ -5,6 +5,7 @@ input generators, which no library path calls."""
 import contextlib
 import io
 from bisect import bisect_left
+from itertools import chain
 
 from affcox import canonical as c
 from affcox import cli
@@ -139,6 +140,16 @@ def count_reduced_words(w):
             else:  # the identity
                 counts[x] = 1
     return counts[w]
+
+
+def int_pairs_rule(field, seq):
+    """The pair rule in one expression: a list or tuple whose items all pass
+    `finite.is_pair`, and whose entries are all of type int.  The oracle
+    of `finite.int_pairs`, which reads the items in one pass."""
+    if (isinstance(seq, (list, tuple)) and all(map(fin.is_pair, seq))
+            and set(map(type, chain.from_iterable(seq))) <= {int}):
+        return tuple((a, b) for a, b in seq)
+    raise ValueError("%s must be a list of integer pairs, got %r" % (field, seq))
 
 
 def finite_word(bricks, n):

@@ -391,6 +391,35 @@ def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):
     assert code == 0 and out and calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["canon", "-n", "2", "s1 a s2"],
+    ["mul", "-n", "2", "h(3,0) a | [1,1]", "a s1"],
+    ["inv", "-n", "2", "h(2,0) a h(1,1) a | [2,2]"],
+    ["embed", "--from", "2", "h(3,0) a | [1,1]"],
+    ["preimage", "-n", "3", "h(3,0) a | [3,3]"],
+], ids=lambda argv: argv[0])
+def test_an_element_command_builds_only_the_form_it_prints(capsys, monkeypatch, argv):
+    # the text names the element without its JSON object, and --json
+    # builds that object once
+    calls = record_calls(monkeypatch, "canonical.to_json", "canonical.form_json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out and calls == []
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and calls == ["canonical.to_json", "canonical.form_json"]
+
+
+def test_descents_checks_no_letters_once_its_element_is_read(capsys, monkeypatch):
+    # the descent sets are printed from their letters, with no Word made:
+    # the only letter check is the one a word input makes when it is read
+    calls = record_calls(monkeypatch, "cli.parse_input", "check_letters")
+    for text, read in (("s2 s1 a", ["cli.parse_input", "check_letters"]),
+                       ("h(3,0) a | [1,1]", ["cli.parse_input"]), ("1", ["cli.parse_input"])):
+        for extra in ([], ["--json"]):
+            calls.clear()
+            code, out, _ = run(capsys, "descents", "-n", "2", text, *extra)
+            assert code == 0 and out and calls == read, (text, extra)
+
+
 def test_appendix_mismatch_is_internal_error(capsys, monkeypatch):
     """The families and the enumerator are library data and code: an
     enumerator that disagrees with the listing is a bug, and nothing prints."""

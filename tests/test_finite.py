@@ -28,7 +28,51 @@ from affcox.finite import (
 )
 from affcox.perms import compose, inverse, perm_length, to_permutation
 from affcox.words import Word, parse_word
-from oracles import finite_word, is_extremal
+from oracles import finite_word, int_pairs_rule, is_extremal
+
+
+def _int_pairs_inputs(rng):
+    """Seeded inputs of every kind `int_pairs` must tell apart: sequences of
+    int pairs, of pairs with one entry of another type, of items that are
+    not pairs, and values that are not lists or tuples."""
+    atoms = (0, 3, -2, True, 1.0, "12", b"12", {1: 2}, {1, 2}, None)
+    def item():
+        kind = rng.randrange(9)
+        if kind < 4:  # an int pair
+            return (list, tuple)[rng.randrange(2)](rng.choice(atoms[:3]) for _ in "ab")
+        if kind == 4:  # a pair with any entries
+            return (list, tuple)[rng.randrange(2)](rng.choice(atoms) for _ in "ab")
+        if kind == 5:
+            return HPrefix(rng.randrange(5), rng.choice(atoms))
+        if kind == 6:
+            return tuple(rng.randrange(4) for _ in range(rng.choice((0, 1, 3))))
+        if kind == 7:
+            return [[1, 2], [rng.randrange(4), [3]]]
+        return rng.choice(atoms)
+    for _ in range(600):
+        items = [item() for _ in range(rng.randrange(5))]
+        yield (list, tuple)[rng.randrange(2)](items)
+    yield from atoms
+    yield from ((), [], "ab", b"ab", HPrefix(1, 2), (p for p in ((1, 2),)),
+                [(1, 2)] * 3, ((1, 2), (3, 4), (5, 6, 7)))
+
+
+def test_int_pairs_agrees_with_its_one_expression_oracle():
+    # the one-pass read returns the oracle's tuple of plain tuples, or
+    # raises its message, on every input
+    def outcome(rule, seq):
+        try:
+            out = rule("pairs", seq)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        assert type(out) is tuple and all(type(p) is tuple for p in out)
+        return out
+    kinds = set()
+    for seq in _int_pairs_inputs(random.Random(40)):
+        want = outcome(int_pairs_rule, seq)
+        assert outcome(fin.int_pairs, seq) == want, seq
+        kinds.add(type(want) is tuple and bool(want))
+    assert kinds == {True, False}  # non-empty tuples and errors both reached
 
 
 def all_elements(n):

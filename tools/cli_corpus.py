@@ -148,10 +148,11 @@ def limit_argv():
         yield [cmd.name, rank, n, *extra, *["a"] * len(cmd.elements)]
 
 
-# canonical-form texts at rank 3: each parse_element error, two errors in one
-# text (the first read is named), and texts it reads
+# canonical-form texts at rank 3: each parse_element error (U+0663 is an
+# Arabic-Indic digit, not words.INDEX), two errors in one text (the first
+# read is named), and texts it reads
 PARSE_TEXTS = (
-    "h(3,x) a |", "h(٣,0) a |", "h(3,0)a |",
+    "h(3,x) a |", "h(\u0663,0) a |", "h(3,0)a |",
     "h(3,0)", "h(3,0) |", "h(3,0) s1 a", "h(3,0) [1,x]",
     "[1,1] h(3,0) a", "[1,1] h(3,0) a |",
     "h(3,0) a | [1,x]", "h(3,0) a | h(2,0) a",
@@ -178,7 +179,7 @@ def _random_element(n, rng, max_letters):
 
 def _spellings(e):
     """e as a word, as canonical text and as JSON."""
-    return [format_word(c.element_word(e)), c.format_element(e),
+    return [format_word(c.element_word(e).letters), c.format_element(e),
             json.dumps(cli.element_json(e))]
 
 
@@ -186,7 +187,8 @@ def seeded_argv(rng):
     out = []
     for _ in range(200):
         n = rng.randrange(2, 5)
-        u, v = (format_word(c.element_word(_random_element(n, rng, 6))) for _ in "uv")
+        u, v = (format_word(c.element_word(_random_element(n, rng, 6)).letters)
+                for _ in "uv")
         out.append(["hecke-mul", "-n", str(n), u, v])
     for k in range(12):
         n = 2 + k % 7
