@@ -11,10 +11,13 @@ it is.
 Run it from the root of the repository after a change that alters output
 on purpose, and name each argv whose digest changed.  The argv are:
 
-  - every README example, and every literal argv of tests/test_cli.py
-    (the string arguments of its `run(capsys, ...)` calls, the string
-    lists of its module-level tables and parametrize decorators, and the
-    lines of HAPPY_ARGV);
+  - every README example, and the argv tests/test_cli.py spells out: the
+    string arguments of its `run(capsys, ...)` calls, the same calls
+    inside a `for` loop over a literal table of strings with each row's
+    strings in place of the loop's names, the string lists of its
+    module-level tables and parametrize decorators, and the lines of
+    HAPPY_ARGV (argv built any other way, such as `run(capsys, *argv)`,
+    are not read);
   - each command at the first rank past perms.MAX_RANK;
   - `appendix -n 2` and `-n 3`, and `selfcheck -n 2..8 --max-len 4`;
   - `blocks -n 3 -m 4` and `blocks -n 4 -m 3 --max-len 12`, whose blocks
@@ -107,7 +110,7 @@ def _strings(node):
 
 
 def suite_argv():
-    """The literal argv of tests/test_cli.py."""
+    """The argv tests/test_cli.py spells out (module docstring)."""
     with open(ROOT / "tests" / "test_cli.py") as f:
         tree = ast.parse(f.read())
     out = []
@@ -125,11 +128,43 @@ def suite_argv():
             out += [argv for node in ast.walk(table)
                     if node not in skip and (argv := _strings(node)) is not None]
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run"
-                    and node.args and getattr(node.args[0], "id", None) == "capsys"):
+            if _is_run(node):
                 argv = _strings(ast.Tuple(elts=node.args[1:]))
                 if argv is not None:
                     out.append(argv)
+            elif isinstance(node, ast.For):
+                out += _loop_argv(node)
+    return out
+
+
+def _is_run(node):
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run"
+            and node.args and getattr(node.args[0], "id", None) == "capsys")
+
+
+def _loop_argv(loop):
+    """The argv of each `run(capsys, ...)` call in the body of a `for` loop
+    over a literal table of string rows, once per row: each argument a
+    string, or a name the loop binds to one of the row's strings."""
+    names = loop.target.elts if isinstance(loop.target, ast.Tuple) else [loop.target]
+    if not (all(isinstance(t, ast.Name) for t in names)
+            and isinstance(loop.iter, (ast.List, ast.Tuple))):
+        return []
+    rows = [row if isinstance(loop.target, ast.Tuple) else [e]
+            for e in loop.iter.elts
+            if (row := _strings(e) if isinstance(loop.target, ast.Tuple)
+                else _strings(ast.Tuple(elts=[e]))) is not None]
+    calls = [node for stmt in loop.body for node in ast.walk(stmt) if _is_run(node)]
+    out = []
+    for row in rows:
+        if len(row) != len(names):
+            continue
+        bound = {t.id: v for t, v in zip(names, row)}
+        for call in calls:
+            args = [a.value if isinstance(a, ast.Constant) and type(a.value) is str
+                    else bound.get(getattr(a, "id", None)) for a in call.args[1:]]
+            if None not in args:
+                out.append(args)
     return out
 
 
