@@ -94,11 +94,10 @@ def enumerate_blocks(n, m, *, max_len=None):
 
 def reference_blocks(n, max_len):
     """Every block with positive affine length and length <= max_len, as
-    sorted canonical elements."""
+    sorted canonical elements, each made by the checked constructor."""
     check_rank(n)
     check_count("max length", max_len)
-    return sorted((c.Element._trusted(n, p, (), c._encode(n, p, ()))
-                   for p in _walk(n, None, max_len)), key=c.sort_key)
+    return sorted((c.Element(n, p, ()) for p in _walk(n, None, max_len)), key=c.sort_key)
 
 
 # --- the appendix listings -------------------------------------------------
@@ -164,7 +163,7 @@ def appendix_blocks(n, max_core=2):
                 pairs = (() if alpha is None else (alpha,)) + core_pairs
                 if not c.validate_block(pairs, n):
                     raise InvariantError("listing family gives an invalid block %r" % (pairs,))
-                elem = c.Element._trusted(n, pairs, (), c._encode(n, pairs, ()))
+                elem = c.Element(n, pairs, ())
                 if elem in seen:
                     raise InvariantError("listing families overlap at %r" % (pairs,))
                 seen.add(elem)

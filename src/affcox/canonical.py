@@ -39,28 +39,29 @@ The letter engine is the paper's left multiplication (`left_mul`, the
 left-multiplication trichotomy).  Folding a word's letters right-to-left
 through it from the identity also reaches the word's canonical form, each
 step moving the length by exactly 1, at O(m) per letter.  The tests keep
-that fold as their oracle of `canonicalize`, which decodes the word's
-window instead: the form is unique, so any exact route reaches it.
+that fold as their oracle of the decoder of a word's window: the form is
+unique, so any exact route reaches it.
 
-The element operations go through windows (perms), and an Element
-carries its own: the field `window`, a tuple of n+1 ints.  Only a form
-built from outside is encoded (`_encode`, O(m + #bricks) list moves, one
-pair or brick at a time): by Element._check, after its rules, and by the
-block listings of blocks (reference_blocks, appendix_blocks); cli's
-`blocks` prints its blocks from their pairs.  Every other form keeps a
-window it already has: the peel the window it decoded, coset_rep the
-sorted window, left_mul the window with two residue classes of values
-moved, and the tower's maps theirs (tower), each in O(n).  `from_window`
-decodes any window.  With N = n+1 and u = sorted(window of w), the
-window of the block is u (the minimal coset representative is the
-one with increasing window, Bjorner & Brenti, GTM 231, Sec. 8.3), and x is
-the level code of the window itself: w = u . x acts as k -> u(x(k)) with u
-increasing, so w's entries have the relative order of x's.  One walk over
-the window gives both (finite.level_walk): it reads each level's rank off
-the sorted prefix by bisection and inserts the entry there, so it ends
-holding u, and nothing sorts the window again.  The block is then peeled
-off u from the right, one run of equal pairs at a time.  One step peels
-the last pair (j,i):
+An Element is its window: it stores (n, window), which fixes the element
+(Bjorner & Brenti, GTM 231, Sec. 8.3).  Its pairs and bricks are read
+through one form table (`_form`), filled only by the decoder (`_peel`, on
+a miss) and by the checked constructor (Element._check, the one encoder:
+`_encode`, O(m + #bricks) list moves), so each entry is the decode of its
+key, the form being unique.  left_mul and the block listings of blocks
+return their forms through that constructor; every other operation
+returns the window it built and decodes nothing (canonicalize, mul,
+inverse, coset_rep, from_window after its checks, the tower, the Hecke
+fold).  A form is decoded once, when something reads it.
+
+The decoder: with N = n+1 and u = sorted(window of w), the window of the
+block is u (the minimal coset representative is the one with increasing
+window), and x is the level code of the window itself: w = u . x acts as
+k -> u(x(k)) with u increasing, so w's entries have the relative order of
+x's.  One walk over the window gives both (finite.level_walk): it reads
+each level's rank off the sorted prefix by bisection and inserts the
+entry there, so it ends holding u, and nothing sorts the window again.
+The block is then peeled off u from the right, one run of equal pairs at
+a time.  One step peels the last pair (j,i):
 
     u . (h(j,i) a)^{-1}  =  u . a sigma_1 ... sigma_i sigma_n ... sigma_j
 
@@ -114,12 +115,12 @@ the run and its self-junction (p, p), which the rest of the run repeats
 function on the same arguments).  A peel that does not end at the
 identity raises InvariantError instead of returning a wrong form.
 
-So canonicalize(w) peels the window of its word, which `word_window`
-folds into one list in place (O(l), with no call to perms.to_permutation),
-mul(u, v) the composition of the two stored windows, inverse(u) the
-inverse of u's, right descents are one comparison each on the stored
-window (perms.descends), and left descents the same on its inverse,
-L(w) = R(w^{-1}); none of them calls left_mul or encodes a window.
+So canonicalize(w) is the window `word_window` folds in place (O(l)),
+mul(u, v) the composed windows and inverse(u) the inverse window; right
+descents are one comparison each on the window (perms.descends), left
+descents the same on its inverse, and the affine length is
+perms.affine_length of the window.  The length is read off the form, in
+O(m + #bricks), where perms.perm_length is O(n^2).
 
 One checked boundary, an unchecked interior.  Plain data is checked once,
 where it enters, by the rules of perms:
@@ -127,25 +128,22 @@ where it enters, by the rules of perms:
     words.word, words.parse_word, and every copy of one); the words the
     library spells from checked forms skip it by `Word._trusted`;
   - an Element checks its rank, pairs and bricks when it is made, by every
-    route: `Element` (so parse_element), `_make`/`_replace`, pickle, copy,
-    and encodes its window from them, never trusting one passed in;
+    route: `Element` (so parse_element), `_make`, pickle and copy (from
+    its rank, pairs and bricks, by `__getnewargs__`), and encodes its
+    window from them; `_replace` raises TypeError;
   - `from_window` checks a window (perms.is_window) and refuses one whose
     rank is past perms.MAX_RANK or whose affine length is past MAX_PAIRS
-    (perms.past_limit, a RuntimeError), then peels it;
+    (perms.past_limit, a RuntimeError);
   - `left_mul_block` (so `left_mul`) checks a rank and a letter;
   - the m <= 2 case lists, `deficiency_m1` and `affine_descent_cases_m2`,
     check a rank, pairs and prefix once (the latter its block by Element's
     rules and messages, building no Element), then call `_deficiency`,
     the m = 1 table unchecked.
 Everything else takes a Word or an Element, already checked, and checks
-nothing again: `canonicalize` folds its Word's window (`word_window`) and
-peels it with `_peel`, the decoder without the window check, as `mul`,
-`inverse`, hecke._decode (the fold's table of decoded windows) and
-hecke.gen_basis peel the windows they built.
-`_peel` keeps the engine's own invariants (InvariantError, which survives
-python -O).  Forms the library built and checked itself (the peel, left_mul,
-coset_rep, the tower, the listings of blocks) skip the checks by
-`Element._trusted`, which stores the window each passes.
+nothing again: the windows the library built skip the checks by
+`Element._trusted(n, window)`, and `_peel`, the decoder without the
+window check, keeps only the engine's own invariants (InvariantError,
+which survives python -O), raised when the form is read.
 """
 
 import re
@@ -164,30 +162,71 @@ from .words import INDEX, Word, hat_partner
 MAX_PAIRS = 2_000_000
 
 
+# The form table (`_form`) holds at most this many items, an entry counting
+# its window's entries, pairs and bricks (a rank-10^4 window holds 10^4
+# ints with no pairs); a larger form is not stored.  An item keeps 40-65 B
+# (canon-long and canon-wide shapes, CPython 3.11), so the table keeps at
+# most about 0.5 MB, some 2% of the benchmark's peak RSS.
+MAX_FORM_ITEMS = 8_192
+_forms = {}  # window -> (pairs, bricks)
+_held = 0    # the items of the entries in _forms
+
+
 class _Fields(NamedTuple):
     n: int
-    pairs: tuple   # ((j, i), ...) — the affine block
-    bricks: tuple  # ((i, j), ...) — the finite part x, levels j descending
-    window: tuple  # (w(1), ..., w(n+1)), the element's window
+    window: tuple  # (w(1), ..., w(n+1)): it fixes the element
 
 
 class Element(Checked, _Fields):
-    """A canonical form at rank n, checked by every route (perms.Checked),
-    with its window."""
+    """A canonical form at rank n, made from its pairs and bricks, checked
+    by every route (perms.Checked), and stored as its window."""
     __slots__ = ()
 
     @staticmethod
-    def _check(n, pairs, bricks, window=None):
-        """The rules, then the window encoded from the checked pairs and
-        bricks: a window passed in (by _make, _replace, pickle or copy) is
-        never trusted."""
+    def _check(n, pairs, bricks):
+        """The rules, then the window encoded from the checked form, which
+        the form table stores under it."""
         check_rank(n)
         pairs = fin.int_pairs("pairs", pairs)
         bricks = fin.int_pairs("bricks", bricks)
         _check_block(pairs, n)
         if not fin.validate_finite(bricks, n):
             raise ValueError("invalid finite canonical form: %r" % (bricks,))
-        return n, pairs, bricks, _encode(n, pairs, bricks)
+        window = _encode(n, pairs, bricks)
+        _keep(window, (pairs, bricks))
+        return n, window
+
+    @property
+    def pairs(self):  # ((j, i), ...): the affine block
+        return _form(self)[0]
+
+    @property
+    def bricks(self):  # ((i, j), ...): the finite part x, levels j descending
+        return _form(self)[1]
+
+    def __getnewargs__(self):  # pickle and copy run the checked constructor
+        return (self.n, *_form(self))
+
+
+def _form(e):
+    """(pairs, bricks) of e: its window's entry in the form table, or the
+    window decoded (`_peel`, which stores the form) on a miss."""
+    form = _forms.get(e.window)
+    return _peel(e.window) if form is None else form
+
+
+def _keep(win, form):
+    """Store win's form unless it is stored or too large, emptying the
+    table first when the entry would take it past MAX_FORM_ITEMS."""
+    global _held
+    size = len(win) + len(form[0]) + len(form[1])
+    if size > MAX_FORM_ITEMS or win in _forms:
+        return
+    if _held + size > MAX_FORM_ITEMS:
+        _forms.clear()
+        _held = 0
+    _forms[win] = form
+    _held += size
 
 
 class Absorbed(NamedTuple):
@@ -254,7 +293,7 @@ def element_word(e):
     """The canonical reduced word of e as one Word: h(j,i) a = |j,n|
     ceil(i,1) a for each pair, then |i,j| for each brick.  e was checked
     when it was made, so its letters are too: `Word._trusted`."""
-    return _spell(e.n, e.pairs, e.bricks)
+    return _spell(e.n, *_form(e))
 
 
 def _spell(n, pairs, bricks):
@@ -281,18 +320,21 @@ def block_length(pairs, n):
 
 
 def length(e):
-    return fin.finite_length(e.bricks) + block_length(e.pairs, e.n)
+    """l(e), off its form read once."""
+    pairs, bricks = _form(e)
+    return fin.finite_length(bricks) + block_length(pairs, e.n)
 
 
 def affine_length(e):
-    return len(e.pairs)
+    """L(e), the pairs of its form, counted on its window."""
+    return perms.affine_length(e.window)
 
 
 def coset_rep(e):
     """Same block, trivial finite part: the minimal-length representative
     of the right W(A_n)-coset of e, as the normal form states; its window
     is e's, sorted."""
-    return Element._trusted(e.n, e.pairs, (), tuple(sorted(e.window)))
+    return Element._trusted(e.n, tuple(sorted(e.window)))
 
 
 # --- the base table: sigma_u . (h(j,i) a) ----------------------------------
@@ -431,25 +473,22 @@ def left_mul_block(s, pairs, n):
 
 def left_mul(s, e):
     """s . e for a single generator s by one left_mul_block call, which
-    checks the letter; length moves by exactly 1.  s acts on values: it
-    swaps each value = s with the next one (mod n+1), so the window of
-    s . e is e's with those values moved, in O(n)."""
+    checks the letter; length moves by exactly 1.  The new form is made by
+    the checked constructor, which encodes its window."""
     n = e.n
-    out = left_mul_block(s, e.pairs, n)
-    nn = n + 1
-    up, down = s, (s + 1) % nn
-    win = tuple([v + 1 if v % nn == up else v - 1 if v % nn == down else v for v in e.window])
+    pairs, bricks = _form(e)
+    out = left_mul_block(s, pairs, n)
     if isinstance(out, Absorbed):
-        return Element._trusted(n, e.pairs, fin.finite_left_insert(e.bricks, out.v, n), win)
-    return Element._trusted(n, out.pairs, e.bricks, win)
+        return Element(n, pairs, fin.finite_left_insert(bricks, out.v, n))
+    return Element(n, out.pairs, bricks)
 
 
 def canonicalize(w):
-    """Canonical form of an arbitrary Word (reduced or not): the word's
-    window (`word_window`), peeled, in O(l + n^2 + m n) for l letters and
-    affine length m.  The Word was checked when it was made, and the window
-    is the library's own, so nothing is checked again."""
-    return _peel(word_window(w))
+    """The element of an arbitrary Word (reduced or not): the word's window
+    (`word_window`), in O(l + n) for l letters; its form is decoded when it
+    is read.  The Word was checked when it was made, and the window is the
+    library's own, so nothing is checked again."""
+    return Element._trusted(w.n, tuple(word_window(w)))
 
 
 def word_window(w):
@@ -474,9 +513,8 @@ def _encode(n, pairs, bricks):
     list moves: each pair h(j,i) a moves entry j to position n+1 (sigma_j
     ... sigma_n), then entry i+1 to position 1 (sigma_i ... sigma_1), then
     a sets w(1), w(n+1) to w(n+1) - (n+1), w(1) + (n+1); each brick moves
-    as in finite.finite_window.  Only forms built from outside the
-    element operations are encoded: Element._check and the block listings
-    of blocks."""
+    as in finite.finite_window.  Only the checked constructor,
+    Element._check, encodes."""
     nn = n + 1
     win = list(range(1, nn + 1))
     pop, insert = win.pop, win.insert
@@ -491,12 +529,12 @@ def _encode(n, pairs, bricks):
 
 def from_window(win):
     """
-    The canonical form of the element with window `win`: the one checked
-    decoder, for windows from outside the library.  A ValueError if win is
-    not a window (perms.is_window); the resource limit (perms.past_limit),
-    before anything is built, if its rank is past perms.MAX_RANK
-    (check_rank) or its affine length (perms.affine_length, the number of
-    pairs the form would hold) past MAX_PAIRS; otherwise `_peel(win)`.
+    The element with window `win`, for windows from outside the library: a
+    ValueError if win is not a window (perms.is_window); the resource limit
+    (perms.past_limit), before anything is built, if its rank is past
+    perms.MAX_RANK (check_rank) or its affine length (perms.affine_length,
+    the number of pairs its form holds) past MAX_PAIRS; otherwise the
+    element, whose form is decoded (`_peel`) when it is read.
     """
     if not is_window(win):
         raise ValueError("not a window of W(~A_n): %r" % (win,))
@@ -504,16 +542,15 @@ def from_window(win):
     m = perms.affine_length(win)
     if m > MAX_PAIRS:
         raise perms.past_limit("affine length", m, MAX_PAIRS)
-    return _peel(win)
+    return Element._trusted(len(win) - 1, tuple(win))
 
 
 def _peel(win):
     """
-    The canonical form of the element with window `win`, in O(n^2 + m n),
-    unchecked: win is a window the library built (word_window, compose,
-    perms.inverse, a Hecke step) or one `from_window` checked.  The form
-    keeps win as its window, a tuple: only word_window's list and a window
-    from outside are copied into one.  One walk,
+    The canonical form (pairs, bricks) of the element with window `win`, in
+    O(n^2 + m n), stored in the form table under win as a tuple; unchecked:
+    win is the window of an Element, which the library built or
+    `from_window` checked.  One walk,
     `finite.level_walk`, gives x, the level code of win itself, and u, the
     sorted window it inserted each entry into; the peel count is
     perms.affine_length(u).  The block is peeled off u from the right,
@@ -574,19 +611,21 @@ def _peel(win):
     if last is not None and not _junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
-    return Element._trusted(n, tuple(pairs), bricks, win)
+    form = (tuple(pairs), bricks)
+    _keep(win, form)
+    return form
 
 
 def mul(u, v):
-    """u . v: the composed windows, decoded."""
+    """u . v: the composed windows."""
     if u.n != v.n:
         raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    return _peel(compose(u.window, v.window))
+    return Element._trusted(u.n, compose(u.window, v.window))
 
 
 def inverse(u):
-    """u^{-1}: the inverse window, decoded."""
-    return _peel(perms.inverse(u.window))
+    """u^{-1}: the inverse window."""
+    return Element._trusted(u.n, perms.inverse(u.window))
 
 
 def right_descents(e):
@@ -603,7 +642,8 @@ def left_descents(e):
 
 def sort_key(e):
     """The canonical total ordering: length, then pairs, then bricks."""
-    return (length(e), e.pairs, e.bricks)
+    pairs, bricks = _form(e)
+    return (fin.finite_length(bricks) + block_length(pairs, e.n), pairs, bricks)
 
 
 # --- special-case descent predicates (affine length 1 and 2) ----------------
@@ -695,18 +735,16 @@ def _residual_m2(pairs, x_prefix, n):
     block . h(r,1), is a minimal coset representative times a reduced
     W(A_n) word, hence reduced, so one reflection sequence decides:
     hat_partner is None exactly when the word is reduced.  Both were
-    checked by the case list: the prefix's letters are spelled unchecked."""
-    r, i = x_prefix
-    letters = (block_word(pairs, n).letters + fin.floor_word(r, n) + fin.ceil_word(i, 1)
-               + (AFFINE,))
-    pos = hat_partner(Word._trusted(n, letters))
+    checked by the case list, so block_word spells the block with h(r,1) a
+    appended, unchecked."""
+    pos = hat_partner(block_word(pairs + (x_prefix,), n))
     return None if pos is None else DescentCase("x4", pos)
 
 
 # --- text and JSON syntax ---------------------------------------------------
 
 def format_element(e):
-    return format_form(e.pairs, e.bricks)
+    return format_form(*_form(e))
 
 
 def format_form(pairs, bricks):
@@ -759,7 +797,7 @@ def parse_element(text, n):
 
 
 def to_json(e):
-    return form_json(e.pairs, e.bricks)
+    return form_json(*_form(e))
 
 
 def form_json(pairs, bricks):

@@ -20,7 +20,7 @@ same word one rank up, with a sent to g_{sigma_n} g_a g_{sigma_n}^{-1}.
 So a product costs l(x) steps per right-factor term x, each over the
 terms reached so far from the left factor's.  Multiplying by one
 generator, or by its inverse, is the product with `gen_basis(s)` or
-`gen_inverse(s)`, and `gen_basis` decodes the window of s, so no Hecke
+`gen_inverse(s)`, and `gen_basis` is the window of s, so no Hecke
 operation calls the letter engine.  `hecke_left_mul_gen(s, h)` = g_s . h
 folds the words of h's terms onto g_s, so its cost grows with them; no
 workload calls it, and it stays only while the benchmark's tracer names
@@ -28,21 +28,18 @@ it (ROADMAP item 10).
 
 The fold runs on windows (perms), not on canonical forms.  Its terms are
 keyed by window tuples: each term of the left factor starts from the
-window its Element carries (`canonical.Element.window`, never encoded
-here), and each surviving term of the sum is decoded by `_decode`, the
-unchecked peel (`canonical._peel`: the windows are the fold's own, and
-each decoded term keeps its key as its window; `canonical.from_window`
-checks only windows from outside) behind one table from window to
-Element.  The peel is a pure function of the window, so a window seen
-before is read from the table and not peeled again; the table holds at
-most MAX_DECODED windows and is emptied when full.  The fold refuses a
-product once the terms it holds pass MAX_TERMS (perms.past_limit, the
-resource-limit RuntimeError).  One step
-g_w . g_s is the move of two window entries to ws (`perms.move`, the move
-of `perms.right_mul` without its letter check: the letters come from a
-Word) and one comparison, s in R(w) (`perms.descends`).  So a step costs
-no left multiplication and no length.  Multiplying by q or q^{-1} shifts
-exponents.
+window its Element is (`canonical.Element.window`), and each surviving
+term of the sum is the Element of its window, made unchecked (the windows
+are the fold's own; `canonical.from_window` checks only windows from
+outside).  An Element is its window, so the fold decodes nothing: a term's
+form is decoded when something reads it (format_hecke, sort_key, a
+length), through canonical's one form table.  The fold refuses a product
+once the terms it holds pass MAX_TERMS (perms.past_limit, the
+resource-limit RuntimeError).  One step g_w . g_s is the move of two
+window entries to ws (`perms.move`, the move of `perms.right_mul` without
+its letter check: the letters come from a Word) and one comparison, s in
+R(w) (`perms.descends`).  So a step costs no left multiplication and no
+length.  Multiplying by q or q^{-1} shifts exponents.
 
 The rank-raising arrow sends g_{sigma_i} to itself and the affine
 generator to g_{sigma_n} g_a g_{sigma_n}^{-1} one rank up; on a basis
@@ -177,8 +174,8 @@ def basis(e):
 
 
 def gen_basis(s, n):
-    """g_s, peeled from the window of s (right_mul checks the letter)."""
-    return basis(c._peel(right_mul(identity(n), s)))
+    """g_s, the element with the window of s (right_mul checks the letter)."""
+    return basis(c.Element._trusted(n, right_mul(identity(n), s)))
 
 
 def scale(h, p):
@@ -227,38 +224,12 @@ def _step(s, terms, inverse):
 # 1 GB and 40 s.
 MAX_TERMS = 500_000
 
-# The Element decoded from each window the fold produced, emptied when it
-# holds MAX_DECODED entries.  Products at small rank keep landing on the
-# same windows: on the benchmark's element-ops Hecke operations (n 2-4),
-# 66%, 78% and 90% of decodes found their window in a table of 1,024,
-# 2,048 and 4,096 entries.  An entry keeps about 475 B, so this table is
-# about 1 MB, some 4% of that workload's peak RSS, whose bound is 10%.
-MAX_DECODED = 2_048
-_decoded = {}
-
-
-def _decode(win):
-    """The Element with window `win`, a tuple the fold built: peeled
-    (canonical._peel) on the first sight of win, read from `_decoded` after.
-    The peel is a pure function of the window, whose length fixes the
-    rank, and an Element is immutable, so a stored entry is what a second
-    peel would return; a peel that raises stores nothing."""
-    e = _decoded.get(win)
-    if e is None:
-        if len(_decoded) >= MAX_DECODED:
-            _decoded.clear()
-        e = _decoded[win] = c._peel(win)
-    return e
-
-
 def _fold(n, start, h, steps):
     """start . h: for each term p g_x of h, the window-keyed terms `start`
     scaled by p after the (letter, inverse) steps(x), applied in order on
     the right, added into one sum; the resource limit (perms.past_limit)
     once the terms held pass MAX_TERMS.  Each surviving window is the
-    fold's own, so it is decoded without a window check (`_decode`: peeled
-    once, then kept in a table of at most MAX_DECODED windows, emptied
-    when full)."""
+    fold's own, so its Element is made unchecked and decodes nothing."""
     out = {}
     for x, p in h.terms.items():
         acc = {win: lp_mul(pw, p) for win, pw in start.items()}
@@ -268,7 +239,8 @@ def _fold(n, start, h, steps):
                 raise past_limit("Hecke term count", len(acc) + len(out), MAX_TERMS)
         for win, pw in acc.items():
             _put(out, win, pw)
-    return HeckeElement._trusted(n, {_decode(win): p for win, p in out.items() if p})
+    return HeckeElement._trusted(n, {c.Element._trusted(n, win): p
+                                     for win, p in out.items() if p})
 
 
 def hecke_left_mul_gen(s, h):

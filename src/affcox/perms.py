@@ -103,8 +103,12 @@ class Checked(tuple):
     `class X(Checked, _Fields)`, with `_Fields` a NamedTuple, defines only
     `_check`, which runs its rules and returns the fields to store.  Every
     route runs it: the constructor, `_make` and so `_replace`, and pickle
-    and copy (by `__getnewargs__`).  `_trusted` skips it, for values the
-    library built from checked ones."""
+    and copy (by `__getnewargs__`).  The arguments need not be the fields:
+    canonical.Element is made from (n, pairs, bricks) and stores
+    (n, window), so its `__getnewargs__` gives the arguments back, and
+    `_replace`, which passes fields, raises TypeError.  `_trusted` takes
+    the fields and skips `_check`, for values the library built from
+    checked ones."""
     __slots__ = ()
 
     def __new__(cls, *fields, **named):

@@ -25,56 +25,32 @@ is preserved.  The length grows by 2L: each pair's canonical.pair_length
 gains 1, the i_k with k > s gain m - s, and |t, n| adds s.  The preimage
 undoes the formula with the same split index.
 
-Both maps carry the element's stored window (canonical.Element.window)
-across in O(n), with no encode: with q = floor((v - 1) / n), phi(v) =
-v + q, so `embed` maps each entry v to v + floor((v - 1) / n) and appends
-n+1; with N = n+1 the image period, the inverse of phi takes
-v = r + N q (1 <= r <= n, so floor((v - 1) / N) = q) to v - q, so
-`preimage` maps each entry but the last, the fixed n+1, to
-v - floor((v - 1) / N).  Membership reads the stored window's last entry.
+Both maps are maps of windows, in O(n), and decode nothing: an Element is
+its window (canonical.Element), and its form, the closed formula's image,
+is decoded when it is read.  With q = floor((v - 1) / n), phi(v) = v + q,
+so `embed` maps each entry v to v + floor((v - 1) / n) and appends n+1;
+with N = n+1 the image period, the inverse of phi takes v = r + N q
+(1 <= r <= n, so floor((v - 1) / N) = q) to v - q, so `preimage` maps
+each entry but the last, the fixed n+1, to v - floor((v - 1) / N).
+Membership reads the window's last entry.  The closed formula above is
+the statement the tests check both maps against (tests/oracles.py,
+tower_form).
 """
 
 from typing import Optional
 
-from . import canonical as c
-from . import finite as fin
 from .canonical import Element
-from .perms import AFFINE, InvariantError, check_rank
+from .perms import AFFINE, check_rank
 from .words import Word
 
 
-def _shift(pairs, n, step):
-    """(s, the pairs with each i_k moved by step for k > s): the split index
-    s = max{k : n - k - i_k > 0}, 1-based, at ambient rank n, and step +1
-    for embed, -1 for preimage.  The k = 1 term must be positive and s at
-    most n - 1."""
-    s = max([k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0], default=0)
-    if not 1 <= s <= n - 1:
-        raise InvariantError("split index %d outside 1..%d" % (s, n - 1))
-    return s, tuple((j, i + step if k > s else i) for k, (j, i) in enumerate(pairs, start=1))
-
-
-def _check_image(pairs, bricks, n):
-    """The closed formula must land on a canonical form at rank n."""
-    if not c.validate_block(pairs, n):
-        raise InvariantError("invalid block %r at rank %d" % (pairs, n))
-    if not fin.validate_finite(bricks, n):
-        raise InvariantError("invalid bricks %r at rank %d" % (bricks, n))
-
-
 def embed(e) -> Element:
-    """Image of a rank-(n-1) element at rank n, by the closed formula; n
-    must pass check_rank, as hecke.hr_embed's rank-n identity does."""
+    """Image of a rank-(n-1) element at rank n, the window map; n must pass
+    check_rank, as hecke.hr_embed's rank-n identity does."""
     n = e.n + 1
     check_rank(n)
     # phi(r + n q) = r + (n+1) q on the source window (period n), n+1 appended
-    win = (*[v + (v - 1) // n for v in e.window], n + 1)
-    if not e.pairs:  # a W(A_{n-1}) form is a W(A_n) form
-        return Element._trusted(n, (), e.bricks, win)
-    s, pairs = _shift(e.pairs, n, 1)
-    bricks = ((n - s + 1, n),) + e.bricks
-    _check_image(pairs, bricks, n)
-    return Element._trusted(n, pairs, bricks, win)
+    return Element._trusted(n, (*[v + (v - 1) // n for v in e.window], n + 1))
 
 
 def substitute_word(w):
@@ -90,24 +66,16 @@ def substitute_word(w):
 
 
 def is_in_image(e) -> bool:
-    """e fixes n+1, read off its stored window (false below rank 3: there
-    is no rank-1 source)."""
+    """e fixes n+1, read off its window (false below rank 3: there is no
+    rank-1 source)."""
     return e.n >= 3 and e.window[e.n] == e.n + 1
 
 
 def preimage(e) -> Optional[Element]:
+    """The rank-(n-1) element that embed sends to e, or None when e does
+    not fix n+1."""
     if not is_in_image(e):
         return None
     n = e.n
     # phi^{-1}(r + (n+1) q) = r + n q on the window (period n+1) without n+1
-    win = tuple([v - (v - 1) // (n + 1) for v in e.window[:-1]])
-    if not e.pairs:
-        return Element._trusted(n - 1, (), e.bricks, win)  # e fixes n+1: no level-n brick
-    s, pairs = _shift(e.pairs, n, -1)
-    t = n - s + 1
-    if not (e.bricks and e.bricks[0] == (t, n)):
-        raise InvariantError("%r fixes %d but does not start with |%d, %d|"
-                             % (e, n + 1, t, n))
-    bricks = e.bricks[1:]
-    _check_image(pairs, bricks, n - 1)
-    return Element._trusted(n - 1, pairs, bricks, win)
+    return Element._trusted(n - 1, tuple([v - (v - 1) // (n + 1) for v in e.window[:-1]]))

@@ -18,21 +18,29 @@ from affcox.words import Word
 
 
 def letter_fold(w):
-    """The canonical form of a word by the letter engine: its letters folded
-    right to left through `left_mul` from the identity, one left
-    multiplication per letter.  The oracle of `canonicalize`."""
-    e = c.identity_element(w.n)
+    """The element of a word by the letter engine: its letters folded right
+    to left from the identity through `left_mul_block`, one left
+    multiplication per letter, an absorbed letter going into the bricks by
+    `finite_left_insert`, as in `left_mul`; the form it reaches is made an
+    Element once, by the checked constructor.  (`left_mul` makes each step
+    an Element, which checks and encodes its whole form.)  The oracle of
+    `canonicalize` and of the decoder."""
+    n, pairs, bricks = w.n, (), ()
     for s in reversed(w.letters):
-        e = c.left_mul(s, e)
-    return e
+        out = c.left_mul_block(s, pairs, n)
+        if isinstance(out, c.Absorbed):
+            bricks = fin.finite_left_insert(bricks, out.v, n)
+        else:
+            pairs = out.pairs
+    return c.Element(n, pairs, bricks)
 
 
 def pair_peel(win):
-    """The canonical form of the element with window `win` by the right
-    peel one pair at a time: two bisections and four list moves per pair,
-    with the decoder's junction checks and messages.  The oracle of
-    `canonical._peel`, which continues a run of equal pairs without
-    bisecting."""
+    """The canonical form (pairs, bricks) of the element with window `win`
+    by the right peel one pair at a time: two bisections and four list
+    moves per pair, with the decoder's junction checks and messages.  The
+    oracle of `canonical._peel`, which continues a run of equal pairs
+    without bisecting."""
     nn = len(win)
     n = nn - 1
     u = sorted(win)
@@ -63,7 +71,25 @@ def pair_peel(win):
     if last is not None and not c._junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
-    return c.Element(n, tuple(pairs), bricks)
+    return tuple(pairs), bricks
+
+
+def tower_form(e):
+    """The form (pairs, bricks) of e's image under the rank-raising
+    embedding, by the closed formula of the tower module: at the image rank
+    n, with s = max{k : n - k - i_k > 0} (1-based, 1 <= s <= n - 1), every
+    j_k is kept, i_k is raised by 1 for k > s, and the bricks gain
+    |n - s + 1, n| on the left; a form with no pairs is its own image.  The
+    oracle of `tower.embed` and, read backwards, of `tower.preimage`."""
+    n = e.n + 1
+    pairs, bricks = e.pairs, e.bricks
+    if not pairs:
+        return pairs, bricks
+    s = max([k for k, (_, i) in enumerate(pairs, start=1) if n - k - i > 0], default=0)
+    if not 1 <= s <= n - 1:
+        raise InvariantError("split index %d outside 1..%d" % (s, n - 1))
+    return (tuple((j, i + 1 if k > s else i) for k, (j, i) in enumerate(pairs, start=1)),
+            ((n - s + 1, n),) + bricks)
 
 
 def argparse_namespace(argv):

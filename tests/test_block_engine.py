@@ -178,26 +178,30 @@ def test_left_mul_block_operation_counts(monkeypatch, k):
 
 
 def test_one_block_call_per_letter(monkeypatch):
-    """Every letter of the letter fold takes one path: left_mul calls
-    left_mul_block once, whether or not the element has pairs."""
+    """Every letter folded through left_mul takes one path: left_mul calls
+    left_mul_block once, whether or not the element has pairs, and reaches
+    the letter fold's element."""
     calls = record_calls(monkeypatch, "left_mul", "left_mul_block")
     rng = random.Random(16)
     for n in (2, 3, 5):
         for w in [Word(n, (1, 2, 1)), Word(n, (perms.AFFINE, 1, perms.AFFINE))] + [
                 Word(n, tuple(rng.randrange(n + 1) for _ in range(40))) for _ in range(10)]:
             calls.clear()
-            letter_fold(w)
+            e = c.identity_element(n)
+            for s in reversed(w.letters):
+                e = c.left_mul(s, e)
             assert calls.count("left_mul") == len(w.letters)
             assert calls.count("left_mul_block") == len(w.letters)
+            assert e == letter_fold(w)
 
 
 def test_element_operation_counts(monkeypatch):
     """mul, inverse and both descent sets go through windows: no left
-    multiplication, table lookup or finite left insertion, on 200 pairs at
-    n = 6 drawn from 50 random reduced elements with l <= 300; and
-    canonicalize(w) is one decode of its word's window, with no letter
-    engine call at all.  `_peel` is the unchecked decoder these paths call
-    on windows they built; `from_window` adds only the window check."""
+    multiplication, table lookup, finite left insertion or decode, on 200
+    pairs at n = 6 drawn from 50 random reduced elements with l <= 300;
+    canonicalize(w) is its word's window, with no letter engine call or
+    decode at all, and its form, read, is one decode (`_peel`, the
+    unchecked decoder) of that window."""
     n = 6
     rng = random.Random(606)
     words = [Word(n, random_reduced_word(n, rng.randint(0, 300), rng))
@@ -211,11 +215,13 @@ def test_element_operation_counts(monkeypatch):
         c.inverse(u)
         c.left_descents(u)
         c.right_descents(v)
-    assert set(calls) == {"_peel"}
+    assert calls == []
     for w in words:
-        calls.clear()
-        c.canonicalize(w)
+        e = c.canonicalize(w)
+        assert calls == [], calls
+        c.format_element(e)
         assert calls == ["_peel"], calls
+        calls.clear()
 
 
 # --- invariants that survive python -O --------------------------------------

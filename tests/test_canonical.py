@@ -90,16 +90,22 @@ def test_validate_block():
     assert not c.validate_block(((4, 1), (4, 2)), 3)
 
 
+def planted(n, pairs, bricks):
+    """An Element made by _trusted, which only the library may call, whose
+    form in the form table is (pairs, bricks), as if a bug had stored it
+    there: pickle and copy rebuild it from its rank and form."""
+    c._forms[(0,)] = (pairs, bricks)
+    return c.Element._trusted(n, (0,))
+
+
 # an Element is checked when it is made, by every route; pickle and copy
-# rebuild an Element made by _trusted, which only the library may call
+# rebuild an Element by the checked constructor
 ELEMENT_ROUTES = {
     "Element": c.Element,
     "_make": lambda *fields: c.Element._make(fields),
-    "_replace": lambda n, pairs, bricks: c.Element(2, ((3, 0),), ((1, 1),))._replace(
-        n=n, pairs=pairs, bricks=bricks),
-    "copy": lambda *fields: copy.copy(c.Element._trusted(*fields)),
-    "deepcopy": lambda *fields: copy.deepcopy(c.Element._trusted(*fields)),
-    "pickle": lambda *fields: pickle.loads(pickle.dumps(c.Element._trusted(*fields))),
+    "copy": lambda *fields: copy.copy(planted(*fields)),
+    "deepcopy": lambda *fields: copy.deepcopy(planted(*fields)),
+    "pickle": lambda *fields: pickle.loads(pickle.dumps(planted(*fields))),
 }
 
 BAD_ELEMENTS = [
@@ -120,13 +126,22 @@ def test_element_rejects_by_every_route():
     window = perms.to_permutation(c.element_word(c.Element(*good)).letters, 3)
     for route, make in ELEMENT_ROUTES.items():
         e = make(*good)
-        assert type(e) is c.Element and e[:3] == good and e.window == window, route
+        assert type(e) is c.Element and e == (3, window), route
+        assert (e.n, e.pairs, e.bricks) == good, route
         for fields, message in BAD_ELEMENTS:
             with pytest.raises(ValueError) as exc:
                 make(*fields)
             assert str(exc.value) == message, (route, fields)
+    # _replace passes the fields (n, window) where the constructor takes
+    # (n, pairs, bricks), as a _make of four fields passes four: TypeError
+    e = c.Element(*good)
+    for route in (lambda: e._replace(n=3), lambda: e._replace(window=window),
+                  lambda: c.Element._make((*good, window))):
+        with pytest.raises(TypeError):
+            route()
     # lists of pairs come back as tuples of tuples
-    assert c.Element(3, [[4, 0]], [[1, 1]])[:3] == (3, ((4, 0),), ((1, 1),))
+    e = c.Element(3, [[4, 0]], [[1, 1]])
+    assert (e.n, e.pairs, e.bricks) == (3, ((4, 0),), ((1, 1),))
 
 
 def test_operation_input_errors():
@@ -373,7 +388,9 @@ def test_mul_inverse(n):
         prod = c.mul(ea, eb)
         wa = perms.to_permutation(a, n)
         wb = perms.to_permutation(b, n)
-        assert perms.to_permutation(c.element_word(prod).letters, n) == perms.compose(wa, wb)
+        pairs, bricks = c._peel(prod.window)
+        letters = c.block_word(pairs, n).letters + finite_word(bricks, n).letters
+        assert perms.to_permutation(letters, n) == perms.compose(wa, wb)
         inv = c.inverse(ea)
         assert c.mul(ea, inv) == c.identity_element(n)
         assert c.inverse(inv) == ea

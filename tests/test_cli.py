@@ -331,6 +331,24 @@ def test_internal_error_exit_code(capsys, monkeypatch):
             assert run(capsys, *argv) == want, argv
 
 
+def test_a_late_decode_failure_is_an_internal_error(capsys, monkeypatch):
+    """An operation returns a window, and its form is decoded when the
+    command reads it to print, after the operation returned: a decode that
+    breaks an invariant there still ends the command with exit 3, one
+    `internal error:` line and nothing on stdout.  canon and mul read word
+    inputs, which decode nothing; hecke-mul reads canonical text, whose
+    forms the checked constructor stores, so only its product's terms
+    decode."""
+    def broken(win):
+        raise c.InvariantError("decoder broke")
+    monkeypatch.setattr(c, "_peel", broken)
+    for argv in (["canon", "-n", "2", "s1 a"], ["mul", "-n", "3", "s1 a", "a s3"],
+                 ["hecke-mul", "-n", "2", "h(3,0) a |", "h(2,1) a | [1,1]"]):
+        for extra in ([], ["--json"]):
+            assert run(capsys, *argv, *extra) == (
+                3, "", "internal error: decoder broke\n"), (argv, extra)
+
+
 @pytest.mark.parametrize("exc,code,err", [
     (AssertionError(), 3, "internal error: AssertionError\n"),
     (AssertionError("bad carry"), 3, "internal error: bad carry\n"),

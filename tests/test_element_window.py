@@ -1,12 +1,16 @@
-"""An Element carries its window.  By every route that makes one, the field
+"""An Element is its window.  By every route that makes one, the window
 equals the judge's window, the window model's fold of the element's
-canonical word; and the encoder (`canonical._encode`) runs only for forms
-built from outside, never inside an operation on existing Elements."""
+canonical word; the encoder (`canonical._encode`) runs only in the checked
+constructor, and the decoder (`canonical._peel`) only when a form is read
+that the form table does not hold, never inside an operation on existing
+Elements."""
 
 import argparse
 import copy
 import pickle
 import random
+
+import pytest
 
 from affcox import blocks as bl
 from affcox import canonical as c
@@ -15,6 +19,7 @@ from affcox import hecke as hk
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
+from harness import record_calls
 from oracles import random_reduced_word
 
 
@@ -50,35 +55,45 @@ def elements():
 ELEMENTS = elements()
 
 
-def test_made_from_outside():
-    """The constructor, the text and JSON readers, _make and _replace,
-    pickle and copy: each encodes from the pairs and bricks, and a window
-    passed in, wrong or not, is recomputed."""
+def test_made_from_outside(monkeypatch):
+    """The constructor, the text and JSON readers, _make, pickle and copy:
+    each runs the checked constructor once, the one encoder, which encodes
+    from the pairs and bricks.  _replace and a four-field _make pass fields
+    where the constructor takes (n, pairs, bricks): each raises TypeError
+    and encodes nothing."""
+    assert c.Element._fields == ("n", "window")
     assert max(len(e.pairs) for e in ELEMENTS) == 10 ** 4
+    encodes = record_calls(monkeypatch, "_encode")
     for e in ELEMENTS:
-        n, pairs, bricks = e[:3]
-        wrong = (0,) * (n + 1)
-        forged = c.Element._trusted(n, pairs, bricks, wrong)
+        n, pairs, bricks = e.n, e.pairs, e.bricks
         routes = {
-            "Element": c.Element(n, pairs, bricks),
-            "keywords": c.Element(n=n, pairs=pairs, bricks=bricks),
-            "parse_element": c.parse_element(c.format_element(e), n),
-            "from_json": c.from_json(c.to_json(e), n),
-            "_make": c.Element._make((n, pairs, bricks)),
-            "_make(window)": c.Element._make((n, pairs, bricks, wrong)),
-            "_replace(window)": e._replace(window=wrong),
-            "pickle": pickle.loads(pickle.dumps(forged)),
-            "copy": copy.copy(forged),
-            "deepcopy": copy.deepcopy(forged),
+            "Element": lambda: c.Element(n, pairs, bricks),
+            "keywords": lambda: c.Element(n=n, pairs=pairs, bricks=bricks),
+            "parse_element": lambda: c.parse_element(c.format_element(e), n),
+            "from_json": lambda: c.from_json(c.to_json(e), n),
+            "_make": lambda: c.Element._make((n, pairs, bricks)),
+            "pickle": lambda: pickle.loads(pickle.dumps(e)),
+            "copy": lambda: copy.copy(e),
+            "deepcopy": lambda: copy.deepcopy(e),
         }
-        for route, made in routes.items():
+        for route, make in routes.items():
+            del encodes[:]
+            made = make()
+            assert len(encodes) == 1, route
             holds(made, route, n)
-            assert made == e, route
+            assert made == e and (made.pairs, made.bricks) == (pairs, bricks), route
+        del encodes[:]
+        for route in (lambda: e._replace(window=(0,) * (n + 1)), lambda: e._replace(n=n),
+                      lambda: c.Element._make((n, pairs, bricks, e.window))):
+            with pytest.raises(TypeError):
+                route()
+        assert encodes == []
 
 
 def test_made_by_the_operations():
-    """canonicalize, mul, inverse, from_window, left_mul, coset_rep, embed
-    and preimage: each stores a window it was given or mapped."""
+    """canonicalize, mul, inverse, from_window, coset_rep, embed and
+    preimage store a window they were given or mapped, and left_mul the
+    window its checked constructor encoded."""
     by_rank = {}
     for e in ELEMENTS:
         by_rank.setdefault(e.n, []).append(e)
@@ -135,17 +150,23 @@ def test_made_by_the_block_listings():
 
 
 def test_operations_on_elements_never_encode(monkeypatch):
-    """mul, inverse, both descent sets, the tower and the Hecke products on
-    existing Elements read their windows: the encoder runs zero times.
-    Making an Element from outside encodes it once, and a listing of blocks
-    once per block; the CLI's listing encodes none."""
+    """canonicalize, mul, inverse, both descent sets, coset_rep, the tower,
+    the Hecke products and g_s on existing Elements build windows: the
+    decoder and the encoder run zero times (the Hecke products read the
+    words of their right factors, whose forms the table holds).  A form
+    made by the checked constructor is encoded once and read back with no
+    decode; left_mul and a listing of blocks encode once per form they
+    make, and the CLI's listing encodes none."""
     rng = random.Random(3637)
-    small = [c.canonicalize(Word(n, random_reduced_word(n, 6, rng))) for n in (2, 3, 4)]
+    words = [Word(n, random_reduced_word(n, 6, rng)) for n in (2, 3, 4)]
+    small = [c.canonicalize(w) for w in words]
     lifted = [tower.embed(e) for e in ELEMENTS]
     hecke = [(hk.basis(c.inverse(e)), hk.basis(e)) for e in small]
-    calls = []
-    orig = c._encode
-    monkeypatch.setattr(c, "_encode", lambda *args: calls.append(args) or orig(*args))
+    for e in small:
+        c.element_word(e)  # the forms of the right factors, in the table
+    calls = record_calls(monkeypatch, "_peel", "_encode")
+    for w in words:
+        c.canonicalize(w)
     for e, f in zip(ELEMENTS, ELEMENTS[1:]):
         if e.n == f.n:
             c.mul(e, f)
@@ -153,6 +174,7 @@ def test_operations_on_elements_never_encode(monkeypatch):
         c.left_descents(e)
         c.right_descents(e)
         c.coset_rep(e)
+        c.affine_length(e)
         tower.is_in_image(e)
         tower.preimage(e)
         tower.embed(e)
@@ -162,21 +184,76 @@ def test_operations_on_elements_never_encode(monkeypatch):
     for g, h in hecke:
         hk.hecke_mul(g, h)
         hk.hr_embed(h)
-    for e in small:
-        hk.triangularity_certificate(e)
-        for s in c.generators(e.n):
-            c.left_mul(s, e)
+    for n in (2, 3):
+        for s in c.generators(n):
+            hk.gen_basis(s, n)
     c.from_window(ELEMENTS[0].window)
     c.canonicalize(Word(3, (1, 0, 2, 3, 0)))
     assert calls == []
-    # the counter is live: a form from outside is encoded once
-    e = small[1]
-    c.Element(e.n, e.pairs, e.bricks)
-    assert calls == [e[:3]]
+    # the certificate reads the lengths of its terms: it decodes, and
+    # encodes nothing
+    for e in small:
+        hk.triangularity_certificate(e)
+    assert "_peel" in calls and "_encode" not in calls
+    del calls[:]
+    # the counters are live: a form from outside is encoded once, and read
+    # back from the table
+    e = c.Element(3, ((4, 0), (3, 1)), ((1, 2),))
+    assert calls == ["_encode"]
+    assert (c.format_element(e), c.length(e), c.sort_key(e)[1:]) == (
+        "h(4,0) a h(3,1) a | [1,2]", 6, (((4, 0), (3, 1)), ((1, 2),)))
+    assert calls == ["_encode"]
+    del calls[:]
+    c.format_element(c.inverse(e))
+    assert calls == ["_peel"]
+    del calls[:]
+    for s in c.generators(3):
+        c.left_mul(s, e)
+    assert calls == ["_encode"] * 4
     del calls[:]
     listing = bl.reference_blocks(3, 6)
-    assert len(calls) == len(listing) > 0
+    assert calls == ["_encode"] * len(listing) and listing
     del calls[:]
     for json in (False, True):
         cli._blocks(argparse.Namespace(rank=3, m=3, max_len=None, count_only=False, json=json))
     assert calls == []  # the CLI's listing prints from the pairs
+
+
+def table_items():
+    """The items the form table holds, counted as _keep counts them."""
+    return sum(len(w) + len(p) + len(b) for w, (p, b) in c._forms.items())
+
+
+def test_the_form_table_stays_within_its_bound(monkeypatch):
+    """The table never holds more items (window entries, pairs and bricks)
+    than MAX_FORM_ITEMS; a form larger than that, the 10^4-pair element's,
+    is read without being stored; and with room for 40 items the table is
+    emptied as it fills, and every form read is unchanged."""
+    assert c.MAX_FORM_ITEMS < 10 ** 4
+    for e in ELEMENTS:
+        form = (e.pairs, e.bricks)
+        stored = len(e.window) + len(form[0]) + len(form[1]) <= c.MAX_FORM_ITEMS
+        assert (e.window in c._forms) == stored
+        assert c._held == table_items() <= c.MAX_FORM_ITEMS
+    big = coxeter_power(2, 10 ** 4)
+    assert len(big.pairs) == 10 ** 4 and big.window not in c._forms
+    rng = random.Random(3638)
+    products = []
+    for n in (2, 3):
+        for _ in range(6):
+            u, v = (hk.basis(c.canonicalize(Word(n, random_reduced_word(n, 6, rng))))
+                    for _ in "uv")
+            products.append(hk.hecke_mul(u, v))
+    want = [hk.format_hecke(h) for h in products]
+    monkeypatch.setattr(c, "_forms", {})
+    monkeypatch.setattr(c, "_held", 0)
+    monkeypatch.setattr(c, "MAX_FORM_ITEMS", 40)
+    emptied = 0
+    for h, text in zip(products, want):
+        for w in h.terms:
+            held = len(c._forms)
+            c.format_element(w)
+            emptied += len(c._forms) < held
+            assert c._held == table_items() <= 40
+        assert hk.format_hecke(h) == text
+    assert emptied > 1

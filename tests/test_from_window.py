@@ -1,5 +1,7 @@
 """The window decoder: canonical forms read off windows, checked against the
-letter fold (`oracles.letter_fold`) and the window model, and its guards."""
+letter fold (`oracles.letter_fold`) and the window model, and its guards.
+An operation decodes nothing, so each test decodes the window of its
+output with `canonical._peel`, which runs whatever the form table holds."""
 
 import random
 from bisect import bisect_left
@@ -16,20 +18,23 @@ from oracles import letter_fold, pair_peel, random_block, random_reduced_word, r
 
 
 def decode_agrees(n, letters):
-    """from_window of the oracle window equals the letter fold, and the
-    encoder gives the oracle window back."""
+    """from_window of the oracle window is the letter fold's element, the
+    decode of its window is the letter fold's form, and the encoder gives
+    the oracle window back."""
     win = perms.to_permutation(letters, n)
-    e = c.from_window(win)
-    assert e == letter_fold(Word(n, letters)), (n, letters)
-    assert c._encode(*e[:3]) == e.window == win
+    e, f = c.from_window(win), letter_fold(Word(n, letters))
+    form = c._peel(e.window)
+    assert e == f and form == (f.pairs, f.bricks), (n, letters)
+    assert c._encode(n, *form) == e.window == win
     return e
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_from_window_matches_canonicalize_on_balls(n):
     for win, word in perms.bfs_reduced_words(n, 8).items():
-        e = c.from_window(win)
-        assert e == c.canonicalize(Word(n, word)) == letter_fold(Word(n, word)), (win, word)
+        e, f = c.from_window(win), letter_fold(Word(n, word))
+        assert e == c.canonicalize(Word(n, word)) == f, (win, word)
+        assert c._peel(win) == (f.pairs, f.bricks), (win, word)
         assert c.length(e) == len(word)
         assert perms.affine_length(win) == len(e.pairs)
 
@@ -110,12 +115,12 @@ def test_run_peel_is_the_pair_peel(monkeypatch):
     monkeypatch.setattr(c, "sorted", no_sort, raising=False)
     for win in chain(peel_windows(), wide_windows()):
         del walk[:], bisections[:]
-        e = c._peel(win)
+        pairs, bricks = form = c._peel(win)
         assert len(walk) == len(win), win
-        assert len(bisections) == 2 * runs(e.pairs), win
-        assert e == pair_peel(win), win
-        bricks, u = fin.level_walk(win)
-        assert u == sorted(win) and bricks == ranked_level_code(win) == e.bricks, win
+        assert len(bisections) == 2 * runs(pairs), win
+        assert form == pair_peel(win), win
+        walked, u = fin.level_walk(win)
+        assert u == sorted(win) and walked == ranked_level_code(win) == bricks, win
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -124,7 +129,7 @@ def test_decoder_raises_when_the_peel_count_is_wrong(monkeypatch, delta):
     monkeypatch.setattr(perms, "affine_length", lambda w: true_count(w) + delta)
     win = perms.to_permutation((1, 2, 0) * 3, 3)
     with pytest.raises(c.InvariantError):
-        c.from_window(win)
+        c.from_window(win).pairs  # decoded when read
 
 
 @pytest.mark.parametrize("letters", [(1, 2, 3, 0) * 3, (1, 2, 3, 1, 0) * 3])
@@ -134,7 +139,7 @@ def test_a_run_stops_at_the_peel_count(monkeypatch, letters):
     true_count = perms.affine_length
     monkeypatch.setattr(perms, "affine_length", lambda w: true_count(w) - 1)
     with pytest.raises(c.InvariantError, match="not the identity"):
-        c.from_window(perms.to_permutation(letters, 3))
+        c.from_window(perms.to_permutation(letters, 3)).pairs
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -147,8 +152,8 @@ def test_from_window_on_cancelling_words(seed):
 
 def test_from_window_refuses_a_block_past_the_cap(monkeypatch):
     """The window (1 - 3k, 2, 3 + 3k) has affine length k: from_window
-    decodes it up to MAX_PAIRS pairs and refuses it past them with a
-    RuntimeError, before the peel runs."""
+    takes it up to MAX_PAIRS pairs and refuses it past them with a
+    RuntimeError, before anything can peel it."""
     def window(k):
         return (1 - 3 * k, 2, 3 + 3 * k)
     assert c.MAX_PAIRS >= 10 ** 6
@@ -227,7 +232,7 @@ def letter_walk_window(e):
 def test_window_matches_letter_walk_on_balls(n):
     for win, word in perms.bfs_reduced_words(n, 7).items():
         e = c.canonicalize(Word(n, word))
-        assert c._encode(*e[:3]) == tuple(letter_walk_window(e)) == e.window == win
+        assert c._encode(n, *c._peel(e.window)) == tuple(letter_walk_window(e)) == e.window == win
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -240,7 +245,8 @@ def test_window_matches_letter_walk_on_long_words(seed):
         else:
             letters = tuple([rng.randrange(n + 1) for _ in range(rng.randint(0, 1500))])
         e = c.from_window(perms.to_permutation(letters, n))
-        assert c._encode(*e[:3]) == tuple(letter_walk_window(e)) == e.window, (n, letters)
+        assert c._encode(n, *c._peel(e.window)) == tuple(letter_walk_window(e)) == e.window, (
+            n, letters)
 
 
 @pytest.mark.parametrize("n", [12, 24])
@@ -252,10 +258,10 @@ def test_mul_and_inverse_match_the_window_model(n):
         elems.append((c.canonicalize(Word(n, letters)), perms.to_permutation(letters, n)))
     for (u, uw), (v, vw) in zip(elems, elems[1:] + elems[:1]):
         uv = c.mul(u, v)
-        assert c._encode(*uv[:3]) == uv.window == perms.compose(uw, vw)
+        assert c._encode(n, *c._peel(uv.window)) == uv.window == perms.compose(uw, vw)
         assert c.length(uv) == perms.perm_length(perms.compose(uw, vw))
         inv = c.inverse(u)
-        assert c._encode(*inv[:3]) == inv.window == perms.inverse(uw)
+        assert c._encode(n, *c._peel(inv.window)) == inv.window == perms.inverse(uw)
         assert c.length(inv) == c.length(u)
 
 
@@ -283,17 +289,17 @@ def test_decoder_invariants_survive_optimize():
     # self-junction (p, p), on c^4 = (1,0)^4; one that rejects only a
     # change of pair, on (4,0)(1,0)(1,0); then a peel that never sorts
     # (bisection pinned to 0, junctions waved through): each must raise
-    # InvariantError with asserts compiled out, and none may loop, both
-    # through from_window and through canonicalize, which calls the
-    # unchecked peel (_peel) on its own window
+    # InvariantError with asserts compiled out, and none may loop, when the
+    # form is read of the element from_window or canonicalize made, whose
+    # window the unchecked peel (_peel) then decodes
     code = "\n".join([
         "import sys",
         "from affcox import canonical as c, perms",
         "from affcox.words import Word",
         "assert sys.flags.optimize",
         "def decode(word):",
-        "    for run in (lambda: c.from_window(perms.to_permutation(word, 3)),",
-        "                lambda: c.canonicalize(Word(3, word))):",
+        "    for run in (lambda: c.from_window(perms.to_permutation(word, 3)).pairs,",
+        "                lambda: c.canonicalize(Word(3, word)).pairs):",
         "        try:",
         "            run()",
         "        except c.InvariantError as exc:",

@@ -349,33 +349,10 @@ def oracle_fold_cases():
 
 
 def test_products_match_oracle_fold():
-    """The same products, terms and coefficients, from an empty decode
-    table and again from the one the first pass filled."""
-    cases = oracle_fold_cases()
-    hk._decoded.clear()
-    for _ in range(2):
-        for u, v, product, image in cases:
-            assert hk.hecke_mul(u, v).terms == product
-            assert hk.hr_embed(u).terms == image
-
-
-def test_the_decode_table_stays_within_its_cap(monkeypatch):
-    """With room for 3 windows the table is emptied whenever it fills,
-    never holds more than 3, and every product is unchanged."""
-    cases = oracle_fold_cases()[:12]
-    peel, sizes = c._peel, []
-
-    def counted_peel(win):
-        sizes.append(len(hk._decoded))
-        return peel(win)
-    monkeypatch.setattr(hk, "MAX_DECODED", 3)
-    monkeypatch.setattr(c, "_peel", counted_peel)
-    hk._decoded.clear()
-    for u, v, product, image in cases:
+    """The same products, terms and coefficients."""
+    for u, v, product, image in oracle_fold_cases():
         assert hk.hecke_mul(u, v).terms == product
         assert hk.hr_embed(u).terms == image
-        assert len(hk._decoded) <= 3
-    assert max(sizes) < 3 and sizes.count(0) > 1  # emptied before each store past 3
 
 
 def test_the_fold_refuses_a_product_past_the_term_cap(monkeypatch):
@@ -418,15 +395,17 @@ def test_left_mul_gen_matches_oracle_step(n):
 
 def test_product_costs_are_exact_counts(monkeypatch):
     """hecke_mul(u, v) multiplies |u| |v| polynomials, one per pair of
-    terms; from an empty decode table it peels each term of the product
-    once, and the same product again peels none.  Each product reads one
-    word per right-factor term and inverts no window, and only g_s's letter
-    check right-multiplies one (and peels it, outside the table)."""
+    terms, and peels no term: an Element is its window.  Each product reads
+    one word per right-factor term, whose form the table holds once read,
+    and inverts no window, and only g_s's letter check right-multiplies
+    one."""
     rng = random.Random(3137)
     cases = []
     for n in (2, 3):
         for _ in range(6):
             u, v = (random_hecke(n, rng, max_terms=4, max_len=8) for _ in range(2))
+            for x in v.terms:
+                c.element_word(x)
             cases.append((n, u, v, rng.choice(c.generators(n))))
     counted = ("perms.inverse", "perms.right_mul", "canonical.element_word",
                "canonical._peel", "hecke.lp_mul")
@@ -436,15 +415,12 @@ def test_product_costs_are_exact_counts(monkeypatch):
                 (hk.hr_embed, (v,), 1, v, 0),
                 (hk.hecke_left_mul_gen, (s, v), 1, v, 1)]
         for fn, args, left_terms, right, right_muls in runs:
-            hk._decoded.clear()
-            for repeat in (False, True):
-                del calls[:]
-                out = fn(*args)
-                assert {key: calls.count(key) for key in counted} == {
-                    "perms.inverse": 0, "perms.right_mul": right_muls,
-                    "canonical.element_word": len(right.terms),
-                    "canonical._peel": (0 if repeat else len(out.terms)) + right_muls,
-                    "hecke.lp_mul": left_terms * len(right.terms)}, (fn.__name__, repeat)
+            del calls[:]
+            fn(*args)
+            assert {key: calls.count(key) for key in counted} == {
+                "perms.inverse": 0, "perms.right_mul": right_muls,
+                "canonical.element_word": len(right.terms), "canonical._peel": 0,
+                "hecke.lp_mul": left_terms * len(right.terms)}, fn.__name__
 
 
 # --- q = 1 specialization ---------------------------------------------------

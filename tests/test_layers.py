@@ -121,38 +121,34 @@ def test_one_rule_builds_every_resource_limit():
 
 
 def test_only_library_built_windows_reach_the_unchecked_peel():
-    # from_window checks a window from outside and peels it; the others
-    # peel windows they built themselves
-    assert callers("_peel") == {
-        "canonical.from_window", "canonical.canonicalize", "canonical.mul",
-        "canonical.inverse", "hecke._decode", "hecke.gen_basis"}
+    # the peel runs only when a form is read and the form table misses, on
+    # the window of an Element: one the library built, or one from_window
+    # checked
+    assert callers("_peel") == {"canonical._form"}
 
 
 def test_only_forms_the_library_checked_skip_the_element_checks():
-    # the peel checks its junctions once per run, left_mul's block engine
-    # its changed junctions, the tower _check_image, and the listings come
-    # from the walk or from validate_block; each passes the window it holds
-    # or maps in O(n), and only the listings encode theirs (cli's `blocks`
-    # prints its blocks from their pairs, building no Element)
+    # an Element is its window: each of these passes the window it built
+    # or mapped, or that from_window checked, and decodes nothing; left_mul
+    # and the listings make their forms by the checked constructor, the
+    # only encoder (cli's `blocks` prints its blocks from their pairs,
+    # building no Element)
     assert callers("Element._trusted") == {
-        "canonical._peel", "canonical.left_mul", "canonical.coset_rep",
-        "tower.embed", "tower.preimage",
-        "blocks.reference_blocks", "blocks.appendix_blocks"}
-    assert callers("_encode") == {
-        "canonical.Element._check", "blocks.reference_blocks", "blocks.appendix_blocks"}
+        "canonical.canonicalize", "canonical.from_window", "canonical.mul",
+        "canonical.inverse", "canonical.coset_rep", "tower.embed", "tower.preimage",
+        "hecke.gen_basis", "hecke._fold"}
+    assert callers("_encode") == {"canonical.Element._check"}
     # Hecke sums, scalings and folds of checked Hecke elements, and the
     # certificate's lower terms, a sub-sum of the fold's own
     assert callers("HeckeElement._trusted") == {
         "hecke.scale", "hecke.add", "hecke._fold", "hecke.triangularity_certificate"}
     # words the library spells from checked forms: a canonical word or a
-    # block's (`_spell`), and the x4 family's word, a block's word and a
-    # checked h-prefix's
-    assert callers("Word._trusted") == {"canonical._spell", "canonical._residual_m2"}
+    # block's (`_spell`), the x4 family's word included
+    assert callers("Word._trusted") == {"canonical._spell"}
     assert callers("_trusted") == callers("Element._trusted") | callers(
         "HeckeElement._trusted") | callers("Word._trusted")
     # Element._check and the m = 2 case list raise one error for a bad block
-    assert callers("validate_block") == {
-        "canonical._check_block", "tower._check_image", "blocks.appendix_blocks"}
+    assert callers("validate_block") == {"canonical._check_block", "blocks.appendix_blocks"}
     assert callers("_check_block") == {
         "canonical.Element._check", "canonical.affine_descent_cases_m2"}
     # the m <= 2 case lists check their input, then run the table unchecked
@@ -234,7 +230,8 @@ def test_canonicalize_checks_nothing_again(monkeypatch):
     assert c.from_window(elements[0].window) == elements[0]
     assert calls == ["is_window", "check_rank"]  # the counters are live
     del calls[:]
-    c.Element(*elements[0])
+    e = elements[0]
+    c.Element(e.n, e.pairs, e.bricks)
     assert calls == ["check_rank", "int_pairs", "int_pairs", "validate_block",
                      "validate_finite", "check_rank"]
 

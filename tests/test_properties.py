@@ -18,7 +18,7 @@ from affcox import words as wd
 from affcox.words import Word
 from oracles import (
     embed_window, letter_fold, pair_peel, random_reduced_word, ranked_level_code,
-    reflection_windows,
+    reflection_windows, tower_form,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -43,9 +43,10 @@ def decoded(w):
 @given(RANKS.flatmap(words))
 def test_letter_fold_is_the_decoder(w):
     """canonicalize against the letter engine and against the window model:
-    the canonical word has the word's window, and perm_length letters."""
-    e = c.canonicalize(w)
-    assert letter_fold(w) == e
+    the decode of its window is the letter fold's form, and the canonical
+    word has the word's window, and perm_length letters."""
+    e, f = c.canonicalize(w), letter_fold(w)
+    assert f == e and c._peel(e.window) == (f.pairs, f.bricks)
     win = perms.to_permutation(w.letters, w.n)
     letters = c.element_word(e).letters
     assert perms.to_permutation(letters, w.n) == win
@@ -55,9 +56,12 @@ def test_letter_fold_is_the_decoder(w):
 @PROPERTY
 @given(RANKS.flatmap(words))
 def test_canonicalize_is_the_decoded_window(w):
-    """canonicalize's in-place fold and the window model's fold, each
-    decoded, are two independent paths to one element."""
-    assert c.canonicalize(w) == decoded(w)
+    """canonicalize's in-place fold and the window model's fold are two
+    independent paths to one element, and the decode of its window
+    encodes back to the window model's."""
+    e = c.canonicalize(w)
+    assert e == decoded(w)
+    assert c._encode(w.n, *c._peel(e.window)) == perms.to_permutation(w.letters, w.n)
 
 
 @PROPERTY
@@ -106,7 +110,7 @@ def test_left_mul_is_the_window_step(w):
 @given(RANKS.flatmap(words))
 def test_window_round_trip_and_lengths(w):
     e = c.canonicalize(w)
-    win = c._encode(*e[:3])
+    win = c._encode(e.n, e.pairs, e.bricks)
     assert win == e.window
     assert c.from_window(win) == e
     assert c.length(e) == perms.perm_length(win)
@@ -133,7 +137,8 @@ def test_embed_is_a_homomorphism(ws):
 def test_embed_is_the_residue_extension(w):
     e = decoded(w)
     img = tower.embed(e)
-    assert c._encode(*img[:3]) == img.window == embed_window(e.window)
+    assert c._encode(img.n, *tower_form(e)) == img.window == embed_window(e.window)
+    assert c._peel(img.window) == tower_form(e)
 
 
 def hostile_letters(n):

@@ -8,7 +8,7 @@ from affcox import canonical as c
 from affcox import perms
 from affcox import tower
 from affcox.words import Word
-from oracles import embed_window, random_reduced_word
+from oracles import embed_window, random_reduced_word, tower_form
 
 
 def rank2_elements(max_len):
@@ -124,16 +124,15 @@ def test_embed_refuses_a_rank_past_the_bound(e):
         hk.hr_embed(hk.basis(e))
 
 
-def test_preimage_computes_the_split_index_once(monkeypatch):
-    calls = []
-    shift = tower._shift
-    monkeypatch.setattr(tower, "_shift",
-                        lambda pairs, n, step: calls.append(pairs) or shift(pairs, n, step))
+def test_the_closed_formula_is_the_decoded_image():
+    """embed and preimage map windows and decode nothing: the decode of the
+    image's window is the closed formula's form (oracles.tower_form), and
+    the decode of the preimage's window is the source form."""
     for e in rank2_elements(6):
         img = tower.embed(e)
-        calls.clear()
-        assert tower.preimage(img) == e
-        assert len(calls) == (1 if img.pairs else 0), e
+        assert c._peel(img.window) == tower_form(e), e
+        pre = tower.preimage(img)
+        assert pre == e and c._peel(pre.window) == (e.pairs, e.bricks), e
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -147,7 +146,8 @@ def test_tower_laws_on_long_words(seed):
         e = c.from_window(win)
         img = tower.embed(e)
         img_win = embed_window(win)
-        assert c._encode(*img[:3]) == img.window == img_win, (n, letters)
+        assert c._encode(n + 1, *tower_form(e)) == img.window == img_win, (n, letters)
+        assert c._peel(img.window) == tower_form(e), (n, letters)
         assert perms.affine_length(img_win) == perms.affine_length(win)
         assert perms.perm_length(img_win) == len(letters) + 2 * perms.affine_length(win)
         assert tower.is_in_image(img)
