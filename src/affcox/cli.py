@@ -108,8 +108,8 @@ def _hecke_mul(args, u, v):
     prod = hk.hecke_mul(hk.basis(u), hk.basis(v))
     if not args.json:
         return None, hk.format_hecke(prod)
-    terms = [dict(coeff=sorted(prod.terms[w].items(), reverse=True), **c.to_json(w))
-             for w in sorted(prod.terms, key=c.sort_key, reverse=True)]
+    terms = [dict(coeff=sorted(p.items(), reverse=True), **c.form_json(pairs, bricks))
+             for (_, pairs, bricks), p in hk.sorted_terms(prod)]
     return {"terms": terms}, None
 
 

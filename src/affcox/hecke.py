@@ -32,8 +32,9 @@ window its Element is (`canonical.Element.window`), and each surviving
 term of the sum is the Element of its window, made unchecked (the windows
 are the fold's own; `canonical.from_window` checks only windows from
 outside).  An Element is its window, so the fold decodes nothing: a term's
-form is decoded when something reads it (format_hecke, sort_key, a
-length), through canonical's one form table.  The fold refuses a product
+form is decoded when something reads it (a length, or the sort key by
+which `sorted_terms` orders the terms for printing, which holds the form
+it prints), through canonical's one form table.  The fold refuses a product
 once the terms it holds pass MAX_TERMS (perms.past_limit, the
 resource-limit RuntimeError).  One step g_w . g_s is the move of two
 window entries to ws (`perms.move`, the move of `perms.right_mul` without
@@ -304,11 +305,17 @@ def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:
     return a_w, lower
 
 
+def sorted_terms(h):
+    """(canonical.sort_key(w), p) for each term p g_w of h, leading terms
+    first: the key holds the form (length, pairs, bricks), so each term's
+    form is read once, however many forms the form table can hold."""
+    return sorted(((c.sort_key(w), p) for w, p in h.terms.items()),
+                  key=lambda term: term[0], reverse=True)
+
+
 def format_hecke(h):
     """One `coeff * [canonical form]` line per term, leading terms first."""
     if not h.terms:
         return "0"
-    lines = []
-    for w in sorted(h.terms, key=c.sort_key, reverse=True):
-        lines.append("%s * [%s]" % (format_poly(h.terms[w]), c.format_element(w)))
-    return "\n".join(lines)
+    return "\n".join("%s * [%s]" % (format_poly(p), c.format_form(pairs, bricks))
+                     for (_, pairs, bricks), p in sorted_terms(h))

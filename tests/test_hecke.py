@@ -1,5 +1,6 @@
 """Hecke algebra: defining relations, inverses, the rank-raising arrow."""
 
+import argparse
 import copy
 import pickle
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from affcox import canonical as c
+from affcox import cli
 from affcox import hecke as hk
 from affcox import perms
 from affcox import tower
@@ -511,3 +513,26 @@ def test_format_hecke():
         "q^-1 - 1 * [h(3,0) a |]",
     ]
     assert hk.format_hecke(hk.HeckeElement(2, {})) == "0"
+
+
+def test_printing_a_product_reads_each_form_once(monkeypatch):
+    """format_hecke and the CLI's JSON take each term's form from its sort
+    key (hecke.sorted_terms): with room for 40 items in the form table, far
+    fewer than the product's forms, each term is still decoded once (and
+    the CLI decodes its right factor once more, for its word)."""
+    w = c.canonicalize(Word(3, random_reduced_word(3, 16, random.Random(41))))
+    prod = hk.hecke_mul(hk.basis(c.inverse(w)), hk.basis(w))
+    want = hk.format_hecke(prod)
+    assert len(prod.terms) > 20
+    monkeypatch.setattr(c, "MAX_FORM_ITEMS", 40)
+    calls = record_calls(monkeypatch, "_peel")
+    for show, decodes in (
+            (lambda: hk.format_hecke(prod), len(prod.terms)),
+            (lambda: cli._hecke_mul(argparse.Namespace(json=True), c.inverse(w), w),
+             len(prod.terms) + 1)):
+        c._forms.clear()
+        monkeypatch.setattr(c, "_held", 0)
+        del calls[:]
+        show()
+        assert len(calls) == decodes
+    assert hk.format_hecke(prod) == want
