@@ -146,18 +146,16 @@ def _loop_argv(loop):
     """The argv of each `run(capsys, ...)` call in the body of a `for` loop
     over a literal table of string rows, once per row: each argument a
     string, or a name the loop binds to one of the row's strings."""
-    names = loop.target.elts if isinstance(loop.target, ast.Tuple) else [loop.target]
+    unpacks = isinstance(loop.target, ast.Tuple)
+    names = loop.target.elts if unpacks else [loop.target]
     if not (all(isinstance(t, ast.Name) for t in names)
             and isinstance(loop.iter, (ast.List, ast.Tuple))):
         return []
-    rows = [row if isinstance(loop.target, ast.Tuple) else [e]
-            for e in loop.iter.elts
-            if (row := _strings(e) if isinstance(loop.target, ast.Tuple)
-                else _strings(ast.Tuple(elts=[e]))) is not None]
+    rows = [_strings(e if unpacks else ast.Tuple(elts=[e])) for e in loop.iter.elts]
     calls = [node for stmt in loop.body for node in ast.walk(stmt) if _is_run(node)]
     out = []
     for row in rows:
-        if len(row) != len(names):
+        if row is None or len(row) != len(names):
             continue
         bound = {t.id: v for t, v in zip(names, row)}
         for call in calls:
