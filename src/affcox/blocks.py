@@ -92,12 +92,19 @@ def enumerate_blocks(n, m, *, max_len=None):
     return BlockFamily(n, m, tuple(_walk(n, m, max_len)))
 
 
+def _elements(n, blocks):
+    """The elements of the blocks, each made by the checked constructor,
+    in canonical.sort_key's order read off the pairs (a block has no
+    bricks), so no form is decoded."""
+    return [c.Element(n, p, ()) for _, p in sorted((c.block_length(p, n), p) for p in blocks)]
+
+
 def reference_blocks(n, max_len):
     """Every block with positive affine length and length <= max_len, as
     sorted canonical elements, each made by the checked constructor."""
     check_rank(n)
     check_count("max length", max_len)
-    return sorted((c.Element(n, p, ()) for p in _walk(n, None, max_len)), key=c.sort_key)
+    return _elements(n, _walk(n, None, max_len))
 
 
 # --- the appendix listings -------------------------------------------------
@@ -163,11 +170,10 @@ def appendix_blocks(n, max_core=2):
                 pairs = (() if alpha is None else (alpha,)) + core_pairs
                 if not c.validate_block(pairs, n):
                     raise InvariantError("listing family gives an invalid block %r" % (pairs,))
-                elem = c.Element(n, pairs, ())
-                if elem in seen:
+                if pairs in seen:
                     raise InvariantError("listing families overlap at %r" % (pairs,))
-                seen.add(elem)
-    return sorted(seen, key=c.sort_key)
+                seen.add(pairs)
+    return _elements(n, seen)
 
 
 def appendix_threshold(n, max_core):

@@ -43,15 +43,16 @@ that fold as their oracle of the decoder of a word's window: the form is
 unique, so any exact route reaches it.
 
 An Element is its window: it stores (n, window), which fixes the element
-(Bjorner & Brenti, GTM 231, Sec. 8.3).  Its pairs and bricks are read
-through one form table (`_form`), filled only by the decoder (`_peel`, on
-a miss) and by the checked constructor (Element._check, the one encoder:
-`_encode`, O(m + #bricks) list moves), so each entry is the decode of its
-key, the form being unique.  left_mul and the block listings of blocks
-return their forms through that constructor; every other operation
+(Bjorner & Brenti, GTM 231, Sec. 8.3), and nothing else.  Its pairs and
+bricks are the window's decode (`_form`, which runs the decoder `_peel`
+each time it is read), the form being unique; so a reader that needs the
+form more than once, a printer of its text and lengths, reads it once
+(`sort_key`).  The checked constructor (Element._check) is the one
+encoder (`_encode`, O(m + #bricks) list moves), and left_mul and the block
+listings of blocks return their forms through it; every other operation
 returns the window it built and decodes nothing (canonicalize, mul,
 inverse, coset_rep, from_window after its checks, the tower, the Hecke
-fold).  A form is decoded once, when something reads it.
+fold).
 
 The decoder: with N = n+1 and u = sorted(window of w), the window of the
 block is u (the minimal coset representative is the one with increasing
@@ -119,8 +120,9 @@ So canonicalize(w) is the window `word_window` folds in place (O(l)),
 mul(u, v) the composed windows and inverse(u) the inverse window; right
 descents are one comparison each on the window (perms.descends), left
 descents the same on its inverse, and the affine length is
-perms.affine_length of the window.  The length is read off the form, in
-O(m + #bricks), where perms.perm_length is O(n^2).
+perms.affine_length of the window.  The length is read off the form: a
+decode, O(n^2 + m n), then a sum in O(m + #bricks), where the judge's
+perms.perm_length is O(n^2).
 
 One checked boundary, an unchecked interior.  Plain data is checked once,
 where it enters, by the rules of perms:
@@ -162,16 +164,6 @@ from .words import INDEX, Word, hat_partner
 MAX_PAIRS = 2_000_000
 
 
-# The form table (`_form`) holds at most this many items, an entry counting
-# its window's entries, pairs and bricks (a rank-10^4 window holds 10^4
-# ints with no pairs); a larger form is not stored.  An item keeps 40-65 B
-# (canon-long and canon-wide shapes, CPython 3.11), so the table keeps at
-# most about 0.5 MB, some 2% of the benchmark's peak RSS.
-MAX_FORM_ITEMS = 8_192
-_forms = {}  # window -> (pairs, bricks)
-_held = 0    # the items of the entries in _forms
-
-
 class _Fields(NamedTuple):
     n: int
     window: tuple  # (w(1), ..., w(n+1)): it fixes the element
@@ -184,17 +176,14 @@ class Element(Checked, _Fields):
 
     @staticmethod
     def _check(n, pairs, bricks):
-        """The rules, then the window encoded from the checked form, which
-        the form table stores under it."""
+        """The rules, then the window encoded from the checked form."""
         check_rank(n)
         pairs = fin.int_pairs("pairs", pairs)
         bricks = fin.int_pairs("bricks", bricks)
         _check_block(pairs, n)
         if not fin.validate_finite(bricks, n):
             raise ValueError("invalid finite canonical form: %r" % (bricks,))
-        window = _encode(n, pairs, bricks)
-        _keep(window, (pairs, bricks))
-        return n, window
+        return n, _encode(n, pairs, bricks)
 
     @property
     def pairs(self):  # ((j, i), ...): the affine block
@@ -209,24 +198,9 @@ class Element(Checked, _Fields):
 
 
 def _form(e):
-    """(pairs, bricks) of e: its window's entry in the form table, or the
-    window decoded (`_peel`, which stores the form) on a miss."""
-    form = _forms.get(e.window)
-    return _peel(e.window) if form is None else form
-
-
-def _keep(win, form):
-    """Store win's form unless it is stored or too large, emptying the
-    table first when the entry would take it past MAX_FORM_ITEMS."""
-    global _held
-    size = len(win) + len(form[0]) + len(form[1])
-    if size > MAX_FORM_ITEMS or win in _forms:
-        return
-    if _held + size > MAX_FORM_ITEMS:
-        _forms.clear()
-        _held = 0
-    _forms[win] = form
-    _held += size
+    """(pairs, bricks) of e: its window decoded (`_peel`), each time it is
+    read; a reader that needs the form twice reads it once and keeps it."""
+    return _peel(e.window)
 
 
 class Absorbed(NamedTuple):
@@ -548,7 +522,7 @@ def from_window(win):
 def _peel(win):
     """
     The canonical form (pairs, bricks) of the element with window `win`, in
-    O(n^2 + m n), stored in the form table under win as a tuple; unchecked:
+    O(n^2 + m n), as two tuples; unchecked:
     win is the window of an Element, which the library built or
     `from_window` checked.  One walk,
     `finite.level_walk`, gives x, the level code of win itself, and u, the
@@ -611,9 +585,7 @@ def _peel(win):
     if last is not None and not _junction_ok(None, last, n):
         raise InvariantError("right peel of %r gave the first pair %r" % (win, last))
     pairs.reverse()
-    form = (tuple(pairs), bricks)
-    _keep(win, form)
-    return form
+    return tuple(pairs), bricks
 
 
 def mul(u, v):
@@ -818,7 +790,8 @@ def from_json(obj, n):
     if unknown:
         raise ValueError("unknown key(s) in element JSON: %s" % ", ".join(map(repr, unknown)))
     e = Element(n, obj.get("pairs", ()), obj.get("bricks", ()))
-    for key, want in (("l", length(e)), ("L", affine_length(e))):
-        if key in obj and not (type(obj[key]) is int and obj[key] == want):
-            raise ValueError("%s=%r, but the element has %s=%d" % (key, obj[key], key, want))
+    # a length is read only for a key given: `l` decodes the form
+    for key, read in (("l", length), ("L", affine_length)):
+        if key in obj and not (type(obj[key]) is int and obj[key] == read(e)):
+            raise ValueError("%s=%r, but the element has %s=%d" % (key, obj[key], key, read(e)))
     return e

@@ -56,12 +56,18 @@ def parse_input(text, n):
     return c.canonicalize(parse_word(t, n))
 
 
-def _lengths(e):
-    return {"l": c.length(e), "L": c.affine_length(e)}
-
+# each printer of an element reads its form once, off its sort key, as
+# hecke.sorted_terms does: a second read would be a second decode
 
 def element_json(e):
-    return {**c.to_json(e), **_lengths(e)}
+    length, pairs, bricks = c.sort_key(e)
+    return {**c.form_json(pairs, bricks), "l": length, "L": c.affine_length(e)}
+
+
+def _element_text(e, sep):
+    """The form's text, then sep, then its lengths."""
+    length, pairs, bricks = c.sort_key(e)
+    return "%s%sl=%d L=%d" % (c.format_form(pairs, bricks), sep, length, c.affine_length(e))
 
 
 # --- subcommands: each run returns (JSON object, None) or (None, text) -----
@@ -72,7 +78,7 @@ def _element(op):
         e = op(*elements)
         if args.json:
             return element_json(e), None
-        return None, "%s\nl=%d L=%d" % (c.format_element(e), c.length(e), c.affine_length(e))
+        return None, _element_text(e, "\n")
     return run
 
 
@@ -84,9 +90,10 @@ def _preimage(e):
 
 
 def _len(args, e):
+    length, affine = c.length(e), c.affine_length(e)
     if args.json:
-        return _lengths(e), None
-    return None, "l=%d L=%d" % (c.length(e), c.affine_length(e))
+        return {"l": length, "L": affine}, None
+    return None, "l=%d L=%d" % (length, affine)
 
 
 def _descents(args, e):
@@ -139,8 +146,7 @@ def _appendix(args):
     if args.count_only:
         lines = [str(len(listing))]
     else:
-        lines = ["%s  l=%d L=%d" % (c.format_element(e), c.length(e), c.affine_length(e))
-                 for e in listing]
+        lines = [_element_text(e, "  ") for e in listing]
         lines += ["x %d right factors:" % len(rf)]
         lines += ["  %s" % c.format_element(e) for e in rf]
     return None, "\n".join(lines + ["check (l <= %d): ok, %d generated vs %d enumerated"

@@ -31,10 +31,11 @@ keyed by window tuples: each term of the left factor starts from the
 window its Element is (`canonical.Element.window`), and each surviving
 term of the sum is the Element of its window, made unchecked (the windows
 are the fold's own; `canonical.from_window` checks only windows from
-outside).  An Element is its window, so the fold decodes nothing: a term's
-form is decoded when something reads it (a length, or the sort key by
-which `sorted_terms` orders the terms for printing, which holds the form
-it prints), through canonical's one form table.  The fold refuses a product
+outside).  An Element is its window, so the fold decodes nothing but the
+word of each right-factor term: a term's form is decoded each time
+something reads it (a length, or the sort key by which `sorted_terms`
+orders the terms for printing, which holds the form it prints, so a
+printed term is decoded once).  The fold refuses a product
 once the terms it holds pass MAX_TERMS (perms.past_limit, the
 resource-limit RuntimeError).  One step g_w . g_s is the move of two
 window entries to ws (`perms.move`, the move of `perms.right_mul` without
@@ -219,10 +220,12 @@ def _step(s, terms, inverse):
 
 
 # _fold refuses (perms.past_limit) once the terms it holds pass this many.  A
-# term keeps 1.0-1.5 KB and takes about 75 us to build (n = 3, l = 150:
-# 127,956 terms, 248 MB max RSS, 9.6 s on one x86 core).  So the cap
-# admits products four times the largest measured and stops one at about
-# 1 GB and 40 s.
+# term keeps about 580 B (780 B at the fold's peak, tracemalloc) and takes
+# about 85 us to build (g_{w^-1} g_w for w of length 150 at n = 3, drawn by
+# tests/oracles.py random_reduced_word with Random(150): 139,187 terms,
+# 136 MB max RSS, 11.9 s on one x86 core, CPython 3.11); a term's cost
+# grows with the word's length.  So the cap admits products about 3.6 times
+# that one and stops one at about 0.4 GB and 43 s.
 MAX_TERMS = 500_000
 
 def _fold(n, start, h, steps):
@@ -308,7 +311,7 @@ def triangularity_certificate(w) -> Tuple[dict, HeckeElement]:
 def sorted_terms(h):
     """(canonical.sort_key(w), p) for each term p g_w of h, leading terms
     first: the key holds the form (length, pairs, bricks), so each term's
-    form is read once, however many forms the form table can hold."""
+    form is decoded once."""
     return sorted(((c.sort_key(w), p) for w, p in h.terms.items()),
                   key=lambda term: term[0], reverse=True)
 

@@ -92,10 +92,17 @@ def test_validate_block():
 
 def planted(n, pairs, bricks):
     """An Element made by _trusted, which only the library may call, whose
-    form in the form table is (pairs, bricks), as if a bug had stored it
-    there: pickle and copy rebuild it from its rank and form."""
-    c._forms[(0,)] = (pairs, bricks)
-    return c.Element._trusted(n, (0,))
+    window the decoder patched by `plant` reads as (pairs, bricks), as if
+    a bug had decoded it so: pickle and copy rebuild it from its rank and
+    form."""
+    return c.Element._trusted(n, ("planted", pairs, bricks))
+
+
+def plant(monkeypatch):
+    """Patch the decoder to read a planted window as the form it carries,
+    and every other window as before."""
+    peel = c._peel
+    monkeypatch.setattr(c, "_peel", lambda win: win[1:] if win[0] == "planted" else peel(win))
 
 
 # an Element is checked when it is made, by every route; pickle and copy
@@ -121,7 +128,8 @@ BAD_ELEMENTS = [
 ]
 
 
-def test_element_rejects_by_every_route():
+def test_element_rejects_by_every_route(monkeypatch):
+    plant(monkeypatch)
     good = (3, ((4, 0), (3, 1)), ((1, 2), (1, 1)))
     window = perms.to_permutation(c.element_word(c.Element(*good)).letters, 3)
     for route, make in ELEMENT_ROUTES.items():

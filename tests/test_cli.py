@@ -409,21 +409,24 @@ def test_blocks_command_does_not_revalidate(capsys, monkeypatch, extra):
     assert code == 0 and out and calls == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["canon", "-n", "2", "s1 a s2"],
-    ["mul", "-n", "2", "h(3,0) a | [1,1]", "a s1"],
-    ["inv", "-n", "2", "h(2,0) a h(1,1) a | [2,2]"],
-    ["embed", "--from", "2", "h(3,0) a | [1,1]"],
-    ["preimage", "-n", "3", "h(3,0) a | [3,3]"],
-], ids=lambda argv: argv[0])
-def test_an_element_command_builds_only_the_form_it_prints(capsys, monkeypatch, argv):
-    # the text names the element without its JSON object, and --json
-    # builds that object once
-    calls = record_calls(monkeypatch, "canonical.to_json", "canonical.form_json")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out and calls == []
-    code, out, _ = run(capsys, *argv, "--json")
-    assert code == 0 and calls == ["canonical.to_json", "canonical.form_json"]
+@pytest.mark.parametrize("argv, decodes", [
+    pytest.param(["canon", "-n", "2", "s1 a s2"], 1, id="canon"),
+    pytest.param(["mul", "-n", "2", "h(3,0) a | [1,1]", "a s1"], 1, id="mul"),
+    pytest.param(["inv", "-n", "2", "h(2,0) a h(1,1) a | [2,2]"], 1, id="inv"),
+    pytest.param(["embed", "--from", "2", "h(3,0) a | [1,1]"], 1, id="embed"),
+    pytest.param(["preimage", "-n", "3", "h(3,0) a | [3,3]"], 1, id="preimage"),
+    # a JSON argument without `l` is read with no decode, and the
+    # descent sets print no form
+    pytest.param(["descents", "-n", "3", '{"pairs": [[4,0],[3,1]]}'], 0, id="descents"),
+])
+def test_an_element_command_builds_only_the_form_it_prints(capsys, monkeypatch, argv, decodes):
+    # the result's form is decoded once, then printed as text or, under
+    # --json, as one JSON object; its lengths come with it
+    calls = record_calls(monkeypatch, "_peel", "canonical.format_form", "canonical.form_json")
+    for extra, printer in (([], "canonical.format_form"), (["--json"], "canonical.form_json")):
+        calls.clear()
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0 and out and calls == ["_peel", printer] * decodes, (extra, calls)
 
 
 def test_descents_checks_no_letters_once_its_element_is_read(capsys, monkeypatch):

@@ -1,9 +1,8 @@
 """An Element is its window.  By every route that makes one, the window
 equals the judge's window, the window model's fold of the element's
 canonical word; the encoder (`canonical._encode`) runs only in the checked
-constructor, and the decoder (`canonical._peel`) only when a form is read
-that the form table does not hold, never inside an operation on existing
-Elements."""
+constructor, and the decoder (`canonical._peel`) only when a form is read,
+never inside an operation on existing Elements."""
 
 import argparse
 import copy
@@ -150,20 +149,18 @@ def test_made_by_the_block_listings():
 
 
 def test_operations_on_elements_never_encode(monkeypatch):
-    """canonicalize, mul, inverse, both descent sets, coset_rep, the tower,
-    the Hecke products and g_s on existing Elements build windows: the
-    decoder and the encoder run zero times (the Hecke products read the
-    words of their right factors, whose forms the table holds).  A form
-    made by the checked constructor is encoded once and read back with no
-    decode; left_mul and a listing of blocks encode once per form they
-    make, and the CLI's listing encodes none."""
+    """canonicalize, mul, inverse, both descent sets, coset_rep, the tower
+    and g_s on existing Elements build windows: the decoder and the
+    encoder run zero times, and the Hecke products decode only the word of
+    each right-factor term.  A form made by the checked constructor is
+    encoded once, and reading it back is one decode; left_mul decodes
+    the form it multiplies, left_mul and a listing of blocks encode once
+    per form they make, and the CLI's listing encodes none."""
     rng = random.Random(3637)
     words = [Word(n, random_reduced_word(n, 6, rng)) for n in (2, 3, 4)]
     small = [c.canonicalize(w) for w in words]
     lifted = [tower.embed(e) for e in ELEMENTS]
     hecke = [(hk.basis(c.inverse(e)), hk.basis(e)) for e in small]
-    for e in small:
-        c.element_word(e)  # the forms of the right factors, in the table
     calls = record_calls(monkeypatch, "_peel", "_encode")
     for w in words:
         c.canonicalize(w)
@@ -181,35 +178,36 @@ def test_operations_on_elements_never_encode(monkeypatch):
     for e in lifted:
         tower.is_in_image(e)
         tower.preimage(e)
-    for g, h in hecke:
-        hk.hecke_mul(g, h)
-        hk.hr_embed(h)
     for n in (2, 3):
         for s in c.generators(n):
             hk.gen_basis(s, n)
     c.from_window(ELEMENTS[0].window)
     c.canonicalize(Word(3, (1, 0, 2, 3, 0)))
     assert calls == []
+    for g, h in hecke:  # h has one term, whose word each product reads
+        hk.hecke_mul(g, h)
+        hk.hr_embed(h)
+    assert calls == ["_peel"] * 2 * len(hecke)
+    del calls[:]
     # the certificate reads the lengths of its terms: it decodes, and
     # encodes nothing
     for e in small:
         hk.triangularity_certificate(e)
     assert "_peel" in calls and "_encode" not in calls
     del calls[:]
-    # the counters are live: a form from outside is encoded once, and read
-    # back from the table
+    # the counters are live: a form from outside is encoded once, and
+    # reading it back is one decode, the same form
     e = c.Element(3, ((4, 0), (3, 1)), ((1, 2),))
     assert calls == ["_encode"]
-    assert (c.format_element(e), c.length(e), c.sort_key(e)[1:]) == (
-        "h(4,0) a h(3,1) a | [1,2]", 6, (((4, 0), (3, 1)), ((1, 2),)))
-    assert calls == ["_encode"]
+    assert c.sort_key(e) == (6, ((4, 0), (3, 1)), ((1, 2),))
+    assert calls == ["_encode", "_peel"]
     del calls[:]
     c.format_element(c.inverse(e))
     assert calls == ["_peel"]
     del calls[:]
     for s in c.generators(3):
         c.left_mul(s, e)
-    assert calls == ["_encode"] * 4
+    assert calls == ["_peel", "_encode"] * 4
     del calls[:]
     listing = bl.reference_blocks(3, 6)
     assert calls == ["_encode"] * len(listing) and listing
@@ -217,43 +215,3 @@ def test_operations_on_elements_never_encode(monkeypatch):
     for json in (False, True):
         cli._blocks(argparse.Namespace(rank=3, m=3, max_len=None, count_only=False, json=json))
     assert calls == []  # the CLI's listing prints from the pairs
-
-
-def table_items():
-    """The items the form table holds, counted as _keep counts them."""
-    return sum(len(w) + len(p) + len(b) for w, (p, b) in c._forms.items())
-
-
-def test_the_form_table_stays_within_its_bound(monkeypatch):
-    """The table never holds more items (window entries, pairs and bricks)
-    than MAX_FORM_ITEMS; a form larger than that, the 10^4-pair element's,
-    is read without being stored; and with room for 40 items the table is
-    emptied as it fills, and every form read is unchanged."""
-    assert c.MAX_FORM_ITEMS < 10 ** 4
-    for e in ELEMENTS:
-        form = (e.pairs, e.bricks)
-        stored = len(e.window) + len(form[0]) + len(form[1]) <= c.MAX_FORM_ITEMS
-        assert (e.window in c._forms) == stored
-        assert c._held == table_items() <= c.MAX_FORM_ITEMS
-    big = coxeter_power(2, 10 ** 4)
-    assert len(big.pairs) == 10 ** 4 and big.window not in c._forms
-    rng = random.Random(3638)
-    products = []
-    for n in (2, 3):
-        for _ in range(6):
-            u, v = (hk.basis(c.canonicalize(Word(n, random_reduced_word(n, 6, rng))))
-                    for _ in "uv")
-            products.append(hk.hecke_mul(u, v))
-    want = [hk.format_hecke(h) for h in products]
-    monkeypatch.setattr(c, "_forms", {})
-    monkeypatch.setattr(c, "_held", 0)
-    monkeypatch.setattr(c, "MAX_FORM_ITEMS", 40)
-    emptied = 0
-    for h, text in zip(products, want):
-        for w in h.terms:
-            held = len(c._forms)
-            c.format_element(w)
-            emptied += len(c._forms) < held
-            assert c._held == table_items() <= 40
-        assert hk.format_hecke(h) == text
-    assert emptied > 1

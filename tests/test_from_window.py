@@ -1,7 +1,7 @@
 """The window decoder: canonical forms read off windows, checked against the
 letter fold (`oracles.letter_fold`) and the window model, and its guards.
 An operation decodes nothing, so each test decodes the window of its
-output with `canonical._peel`, which runs whatever the form table holds."""
+output with `canonical._peel`, which reading a form runs too."""
 
 import random
 from bisect import bisect_left

@@ -397,17 +397,14 @@ def test_left_mul_gen_matches_oracle_step(n):
 
 def test_product_costs_are_exact_counts(monkeypatch):
     """hecke_mul(u, v) multiplies |u| |v| polynomials, one per pair of
-    terms, and peels no term: an Element is its window.  Each product reads
-    one word per right-factor term, whose form the table holds once read,
-    and inverts no window, and only g_s's letter check right-multiplies
-    one."""
+    terms, and peels no product term: an Element is its window.  Each
+    product reads one word per right-factor term, one peel each, and
+    inverts no window, and only g_s's letter check right-multiplies one."""
     rng = random.Random(3137)
     cases = []
     for n in (2, 3):
         for _ in range(6):
             u, v = (random_hecke(n, rng, max_terms=4, max_len=8) for _ in range(2))
-            for x in v.terms:
-                c.element_word(x)
             cases.append((n, u, v, rng.choice(c.generators(n))))
     counted = ("perms.inverse", "perms.right_mul", "canonical.element_word",
                "canonical._peel", "hecke.lp_mul")
@@ -421,7 +418,8 @@ def test_product_costs_are_exact_counts(monkeypatch):
             fn(*args)
             assert {key: calls.count(key) for key in counted} == {
                 "perms.inverse": 0, "perms.right_mul": right_muls,
-                "canonical.element_word": len(right.terms), "canonical._peel": 0,
+                "canonical.element_word": len(right.terms),
+                "canonical._peel": len(right.terms),
                 "hecke.lp_mul": left_terms * len(right.terms)}, fn.__name__
 
 
@@ -517,21 +515,17 @@ def test_format_hecke():
 
 def test_printing_a_product_reads_each_form_once(monkeypatch):
     """format_hecke and the CLI's JSON take each term's form from its sort
-    key (hecke.sorted_terms): with room for 40 items in the form table, far
-    fewer than the product's forms, each term is still decoded once (and
-    the CLI decodes its right factor once more, for its word)."""
+    key (hecke.sorted_terms), so each term is decoded once (and the CLI
+    decodes its right factor once more, for its word)."""
     w = c.canonicalize(Word(3, random_reduced_word(3, 16, random.Random(41))))
     prod = hk.hecke_mul(hk.basis(c.inverse(w)), hk.basis(w))
     want = hk.format_hecke(prod)
     assert len(prod.terms) > 20
-    monkeypatch.setattr(c, "MAX_FORM_ITEMS", 40)
     calls = record_calls(monkeypatch, "_peel")
     for show, decodes in (
             (lambda: hk.format_hecke(prod), len(prod.terms)),
             (lambda: cli._hecke_mul(argparse.Namespace(json=True), c.inverse(w), w),
              len(prod.terms) + 1)):
-        c._forms.clear()
-        monkeypatch.setattr(c, "_held", 0)
         del calls[:]
         show()
         assert len(calls) == decodes

@@ -121,10 +121,19 @@ def test_one_rule_builds_every_resource_limit():
 
 
 def test_only_library_built_windows_reach_the_unchecked_peel():
-    # the peel runs only when a form is read and the form table misses, on
-    # the window of an Element: one the library built, or one from_window
-    # checked
+    # the peel runs only when a form is read, on the window of an Element:
+    # one the library built, or one from_window checked
     assert callers("_peel") == {"canonical._form"}
+
+
+def test_no_module_has_a_global_statement():
+    # no process-wide state that every test would have to reset: no
+    # function rebinds a module-level name
+    for name in os.listdir(PKG):
+        if name.endswith(".py"):
+            with open(os.path.join(PKG, name)) as f:
+                tree = ast.parse(f.read())
+            assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
 
 
 def test_only_forms_the_library_checked_skip_the_element_checks():
